@@ -267,7 +267,10 @@ def cmd_crawl(args, config: dict) -> int:
 
     threshold = setting(args, config, "threshold")
     if threshold is None and args.threshold_file:
-        threshold = read_json(args.threshold_file).get("threshold")
+        data = read_json(args.threshold_file)
+        if not isinstance(data, dict):
+            raise CLIError(EXIT_IO, "threshold file must hold a JSON object")
+        threshold = data.get("threshold")
     if threshold is None:
         raise CLIError(EXIT_EMPTY,
                        "no threshold given (use --threshold or --threshold-file)")

@@ -37,63 +37,67 @@ CHECKPOINT_VERSION = 1
 # by then.
 PROPAGATION_CAP = 64
 
-FIXTURE_SCHEMA = {
-    "type": "object",
-    "required": ["blogs", "posts"],
-    "properties": {
-        "blogs": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["name"],
-                "properties": {"name": {"type": "string", "minLength": 1}},
-            },
-        },
-        "posts": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["id", "blog_name", "type"],
-                "properties": {
-                    "id": {"type": "string", "minLength": 1},
-                    "blog_name": {"type": "string", "minLength": 1},
-                    "type": {"type": "string", "minLength": 1},
-                    "body": {"type": "string"},
-                    "caption": {"type": "string"},
-                    "slug": {"type": "string"},
-                    "tags": {"type": "array", "items": {"type": "string"}},
-                    "notes": {
-                        "type": "array",
-                        "items": {
-                            "type": "object",
-                            "required": ["blog_name", "kind"],
-                            "properties": {
-                                "blog_name": {"type": "string", "minLength": 1},
-                                "kind": {"enum": ["like", "reblog"]},
-                            },
-                        },
-                    },
-                },
-            },
-        },
-        "seed": {"type": "string", "minLength": 1},
-    },
-}
+# A tuple, not a set: membership compares with ==, so an unhashable kind is
+# rejected instead of raising TypeError.
+NOTE_KINDS = tuple(kind.value for kind in NoteKind)
 
 
-def validate_fixture(data: dict) -> None:
-    """Raise GraphFormatError unless ``data`` matches the fixture schema."""
-    import jsonschema
+def _nonempty_str(value) -> bool:
+    return isinstance(value, str) and value != ""
 
-    try:
-        jsonschema.validate(data, FIXTURE_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        raise GraphFormatError(f"bad fixture store: {exc.message}") from exc
-    seen = set()
-    for record in data["posts"]:
-        if record["id"] in seen:
-            raise GraphFormatError(f"duplicate post id {record['id']!r}")
-        seen.add(record["id"])
+
+def validate_fixture(data) -> None:
+    """Raise GraphFormatError unless ``data`` is a well-formed fixture store.
+
+    The top level is an object holding ``blogs`` and ``posts`` arrays and an
+    optional non-empty string ``seed``.  Every blog is an object with a
+    non-empty string ``name``.  Every post is an object with non-empty string
+    ``id``, ``blog_name`` and ``type``; ``body``, ``caption`` and ``slug`` are
+    strings, ``tags`` an array of strings and ``notes`` an array of objects
+    with a non-empty string ``blog_name`` and a ``kind`` of like or reblog,
+    each when present.  Post ids are unique.  Other keys are ignored.
+    """
+    def bad(message: str) -> GraphFormatError:
+        return GraphFormatError(f"bad fixture store: {message}")
+
+    if not isinstance(data, dict):
+        raise bad("top level is not an object")
+    for key in ("blogs", "posts"):
+        if key not in data:
+            raise bad(f"{key!r} is missing")
+        if not isinstance(data[key], list):
+            raise bad(f"{key!r} is not an array")
+    if "seed" in data and not _nonempty_str(data["seed"]):
+        raise bad("'seed' is not a non-empty string")
+    for i, blog in enumerate(data["blogs"]):
+        if not isinstance(blog, dict) or not _nonempty_str(blog.get("name")):
+            raise bad(f"blogs[{i}] has no non-empty string 'name'")
+    seen: set[str] = set()
+    for i, post in enumerate(data["posts"]):
+        if not isinstance(post, dict):
+            raise bad(f"posts[{i}] is not an object")
+        for key in ("id", "blog_name", "type"):
+            if not _nonempty_str(post.get(key)):
+                raise bad(f"posts[{i}] has no non-empty string {key!r}")
+        for key in ("body", "caption", "slug"):
+            if key in post and not isinstance(post[key], str):
+                raise bad(f"posts[{i}].{key} is not a string")
+        if "tags" in post:
+            tags = post["tags"]
+            if not isinstance(tags, list) or not all(isinstance(t, str) for t in tags):
+                raise bad(f"posts[{i}].tags is not an array of strings")
+        if "notes" in post:
+            notes = post["notes"]
+            if not isinstance(notes, list):
+                raise bad(f"posts[{i}].notes is not an array")
+            for note in notes:
+                if not (isinstance(note, dict) and _nonempty_str(note.get("blog_name"))
+                        and note.get("kind") in NOTE_KINDS):
+                    raise bad(f"posts[{i}] has a note without a non-empty string "
+                              f"'blog_name' and a 'kind' of like or reblog")
+        if post["id"] in seen:
+            raise bad(f"duplicate post id {post['id']!r}")
+        seen.add(post["id"])
 
 
 def post_from_record(record: dict) -> tuple[str, Post]:
@@ -131,20 +135,17 @@ class FixtureStore:
     slice.  Responses are deterministic for identical requests.
     """
 
-    def __init__(self, data: dict, validate: bool = True):
-        if validate:
-            validate_fixture(data)
+    def __init__(self, data: dict):
+        validate_fixture(data)
         self._posts: list[tuple[str, Post]] = []
         self._by_id: dict[str, int] = {}
         self._by_blogger: dict[str, list[int]] = {}
         self._by_tag: dict[str, list[int]] = {}
-        self._blogs = {blog["name"] for blog in data.get("blogs", [])}
+        self._blogs = {blog["name"] for blog in data["blogs"]}
         self.seed_blogger: str | None = data.get("seed")
         for record in data["posts"]:
             post_type, post = post_from_record(record)
             index = len(self._posts)
-            if post.id in self._by_id:
-                raise GraphFormatError(f"duplicate post id {post.id!r}")
             self._posts.append((post_type, post))
             self._by_id[post.id] = index
             self._by_blogger.setdefault(post.blog_name, []).append(index)
@@ -152,12 +153,12 @@ class FixtureStore:
                 self._by_tag.setdefault(tag, []).append(index)
 
     @classmethod
-    def load(cls, path, validate: bool = True) -> "FixtureStore":
+    def load(cls, path) -> "FixtureStore":
         try:
             data = json.loads(Path(path).read_text(encoding="utf-8"))
         except json.JSONDecodeError as exc:
             raise GraphFormatError(f"store file is not valid JSON: {exc}") from exc
-        return cls(data, validate=validate)
+        return cls(data)
 
     def blog_names(self) -> list[str]:
         return sorted(self._blogs | set(self._by_blogger))
@@ -556,8 +557,10 @@ class CrawlSession:
             self._stop = StopReason.FRONTIER_EXHAUSTED
             self._current = None
         else:
-            entry = select_next(self._frontier, self._distribution(),
-                                self._config.selection_policy, self._rng,
+            policy = self._config.selection_policy
+            # Uniform selection never reads the mass, so it is not computed.
+            mass = {} if policy is SelectionPolicy.UNIFORM_RANDOM else self._distribution()
+            entry = select_next(self._frontier, mass, policy, self._rng,
                                 graph=self._graph, parents=self._pending)
             self._selections += 1
             self._frontier.remove(entry)

@@ -36,6 +36,82 @@ def make_post(pid, blog, body, notes=(), tags=(), type="text"):
             "notes": [{"blog_name": n, "kind": k} for n, k in notes]}
 
 
+_MISSING = object()
+
+
+def _changed(base: dict, changes: dict) -> dict:
+    out = dict(base)
+    for key, value in changes.items():
+        if value is _MISSING:
+            del out[key]
+        else:
+            out[key] = value
+    return out
+
+
+def store_with(post=None, **top):
+    """A valid one-post store, with post fields and top-level keys replaced
+    (or dropped, for ``_MISSING``)."""
+    good_post = make_post("p1", "a", "body", notes=[("b", "like")], tags=["t"])
+    store = {"blogs": [{"name": "a"}], "posts": [_changed(good_post, post or {})],
+             "seed": "a"}
+    return _changed(store, top)
+
+
+# One document per rule a fixture store must follow; each breaks only that rule.
+MALFORMED_STORES = {
+    "top level is a list": [],
+    "top level is a string": "store",
+    "blogs missing": store_with(blogs=_MISSING),
+    "posts missing": store_with(posts=_MISSING),
+    "blogs not an array": store_with(blogs={"name": "a"}),
+    "posts not an array": store_with(posts="p1"),
+    "seed empty": store_with(seed=""),
+    "seed not a string": store_with(seed=7),
+    "blog not an object": store_with(blogs=["a"]),
+    "blog name missing": store_with(blogs=[{}]),
+    "blog name empty": store_with(blogs=[{"name": ""}]),
+    "blog name not a string": store_with(blogs=[{"name": ["a"]}]),
+    "post not an object": store_with(posts=[["p1"]]),
+    "post id missing": store_with(post={"id": _MISSING}),
+    "post id empty": store_with(post={"id": ""}),
+    "post id not a string": store_with(post={"id": 1}),
+    "post blog_name missing": store_with(post={"blog_name": _MISSING}),
+    "post blog_name empty": store_with(post={"blog_name": ""}),
+    "post type missing": store_with(post={"type": _MISSING}),
+    "post type not a string": store_with(post={"type": None}),
+    "body not a string": store_with(post={"body": 3}),
+    "caption not a string": store_with(post={"caption": ["x"]}),
+    "slug not a string": store_with(post={"slug": None}),
+    "tags not an array": store_with(post={"tags": "stars"}),
+    "tag not a string": store_with(post={"tags": ["stars", 5]}),
+    "notes not an array": store_with(post={"notes": {"blog_name": "b", "kind": "like"}}),
+    "note not an object": store_with(post={"notes": ["b"]}),
+    "note blog_name missing": store_with(post={"notes": [{"kind": "like"}]}),
+    "note blog_name empty": store_with(post={"notes": [{"blog_name": "", "kind": "like"}]}),
+    "note kind missing": store_with(post={"notes": [{"blog_name": "b"}]}),
+    "note kind unknown": store_with(post={"notes": [{"blog_name": "b", "kind": "favorite"}]}),
+    "note kind unhashable": store_with(post={"notes": [{"blog_name": "b", "kind": ["like"]}]}),
+    "duplicate post ids": store_with(posts=[make_post("p1", "a", "x"),
+                                            make_post("p1", "b", "y")]),
+}
+
+# Documents at the edge of the rules that must still be accepted.
+EDGE_STORES = {
+    "empty arrays": {"blogs": [], "posts": []},
+    "no seed": store_with(seed=_MISSING),
+    "post without optional fields": store_with(
+        post={"body": _MISSING, "tags": _MISSING, "notes": _MISSING}),
+    "empty optional strings and arrays": store_with(
+        post={"body": "", "caption": "", "slug": "", "tags": [], "notes": []}),
+    "unknown keys everywhere": store_with(
+        blogs=[{"name": "a", "title": 1}], extra=None,
+        post={"reblog_key": 5, "notes": [{"blog_name": "b", "kind": "reblog",
+                                          "ts": 0}]}),
+    "posts by bloggers not in blogs": store_with(post={"blog_name": "z"}),
+}
+
+
 @pytest.fixture(scope="session")
 def hand_store_data():
     return {
@@ -91,7 +167,7 @@ def small_bundle():
     """A 60-blogger generated network with a trained model and threshold."""
     params = GeneratorParams(total_bloggers=60, rng_seed=5)
     store_data, truth = generate(params)
-    store = FixtureStore(store_data, validate=False)
+    store = FixtureStore(store_data)
     corpus, lexicon = bootstrap_exemplars(store, ["stargazing"], 80)
     model = train(corpus, order=3)
     seed_names = [n for n, label in truth.items() if label][:10]

@@ -75,7 +75,7 @@ def trained_setup(rng_seed, total_bloggers=500, corpus_target=400,
     """Generate a fixture, bootstrap, train, and derive the threshold."""
     params = GeneratorParams(total_bloggers=total_bloggers, rng_seed=rng_seed)
     store_data, truth = generate(params)
-    store = FixtureStore(store_data, validate=False)
+    store = FixtureStore(store_data)
     corpus, _ = bootstrap_exemplars(store, ["stargazing"], corpus_target)
     model = train(corpus, order=3)
     seeds = [name for name, label in truth.items() if label][:seed_blogger_count]
@@ -164,7 +164,7 @@ def test_criterion_4_self_avoidance_and_determinism():
             params = GeneratorParams(total_bloggers=30, rng_seed=1000 + i,
                                      notes_per_post=(2, 5))
             store_data, truth = generate(params)
-            store = FixtureStore(store_data, validate=False)
+            store = FixtureStore(store_data)
             corpus, _ = bootstrap_exemplars(store, ["stargazing"], 30)
             model = train(corpus, order=3)
             seeds = [n for n, label in truth.items() if label][:5]
@@ -290,7 +290,7 @@ def test_criterion_7_round_trips():
             params = GeneratorParams(total_bloggers=24, rng_seed=2000 + i,
                                      notes_per_post=(2, 4))
             store_data, truth = generate(params)
-            store = FixtureStore(store_data, validate=False)
+            store = FixtureStore(store_data)
             corpus, _ = bootstrap_exemplars(store, ["stargazing"], 24)
             model = train(corpus, order=3)
             seeds = [n for n, label in truth.items() if label][:4]

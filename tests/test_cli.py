@@ -11,6 +11,8 @@ import pytest
 from spiderveil.cli import main
 from spiderveil.socialgraph import import_json_edge_list
 
+from conftest import MALFORMED_STORES
+
 
 def run(argv):
     """Invoke the CLI in-process, capturing stdout."""
@@ -242,6 +244,28 @@ class TestCrawl:
                        "--store", str(pipeline.store),
                        "--model", str(pipeline.root / "model.json")])
         assert code == 3
+
+    @pytest.mark.parametrize("name", ["top level is a list", "posts missing",
+                                      "note kind unknown", "duplicate post ids"])
+    def test_malformed_store(self, pipeline, tmp_path, capsys, name):
+        store = tmp_path / "store.json"
+        store.write_text(json.dumps(MALFORMED_STORES[name]))
+        code, _ = run(["--out-dir", str(tmp_path), "crawl",
+                       "--store", str(store),
+                       "--model", str(pipeline.root / "model.json"),
+                       "--threshold", "-2.0"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: bad fixture store: ")
+
+    def test_threshold_file_not_an_object(self, pipeline, tmp_path, capsys):
+        threshold_file = tmp_path / "threshold.json"
+        threshold_file.write_text("[1]")
+        code, _ = run(["--out-dir", str(tmp_path), "crawl",
+                       "--store", str(pipeline.store),
+                       "--model", str(pipeline.root / "model.json"),
+                       "--threshold-file", str(threshold_file)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: threshold file")
 
     def test_explicit_threshold_flag(self, pipeline, tmp_path):
         code, stdout = run(["--out-dir", str(tmp_path), "crawl",

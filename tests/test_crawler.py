@@ -1,14 +1,22 @@
 import copy
 import http.server
 import json
+import os
 import random
+import subprocess
+import sys
 import threading
 from collections import deque
+from pathlib import Path
 from urllib.parse import parse_qsl, unquote, urlsplit
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import spiderveil
+from spiderveil import crawler as crawler_module
 from spiderveil.corpus import NoteKind, NoteRecord, Post
 from spiderveil.crawler import (PROPAGATION_CAP, CrawlConfig, CrawlResult,
                                 CrawlSession, FixtureStore, FrontierEntry,
@@ -22,7 +30,7 @@ from spiderveil.errors import (GraphFormatError, NotFoundError,
 from spiderveil.langmodel import Verdict
 from spiderveil.socialgraph import CommunityGraph
 
-from conftest import HAND_BODIES, make_post
+from conftest import EDGE_STORES, HAND_BODIES, MALFORMED_STORES, make_post
 from oracles import propagate_oracle, random_digraph
 
 
@@ -62,7 +70,32 @@ class TestFixtureValidation:
         with pytest.raises(GraphFormatError):
             validate_fixture(data)
         with pytest.raises(GraphFormatError):
-            FixtureStore(data, validate=False)
+            FixtureStore(data)
+
+    @pytest.mark.parametrize("name", MALFORMED_STORES)
+    def test_malformed_store_rejected(self, name, tmp_path):
+        document = MALFORMED_STORES[name]
+        with pytest.raises(GraphFormatError, match="^bad fixture store: "):
+            validate_fixture(document)
+        path = tmp_path / "store.json"
+        path.write_text(json.dumps(document), encoding="utf-8")
+        with pytest.raises(GraphFormatError):
+            FixtureStore.load(path)
+
+    @pytest.mark.parametrize("name", EDGE_STORES)
+    def test_edge_store_accepted(self, name):
+        FixtureStore(EDGE_STORES[name])
+
+    def test_load_does_not_import_jsonschema(self, hand_store_data, tmp_path):
+        path = tmp_path / "store.json"
+        path.write_text(json.dumps(hand_store_data), encoding="utf-8")
+        probe = ("import sys; from spiderveil.crawler import FixtureStore; "
+                 "FixtureStore.load(sys.argv[1]); print('jsonschema' in sys.modules)")
+        src = str(Path(spiderveil.__file__).parents[1])
+        out = subprocess.run([sys.executable, "-c", probe, str(path)],
+                             capture_output=True, text=True, check=True,
+                             env={**os.environ, "PYTHONPATH": src})
+        assert out.stdout.strip() == "False"
 
     def test_post_from_record(self):
         kind, post = post_from_record(
@@ -77,6 +110,126 @@ class TestFixtureValidation:
     def test_post_from_record_rejects_garbage(self):
         with pytest.raises(GraphFormatError):
             post_from_record({"id": "p1", "type": "text"})
+
+
+# The JSON Schema that validate_fixture's explicit checks replaced, kept as
+# the oracle they must agree with.
+FIXTURE_SCHEMA = {
+    "type": "object",
+    "required": ["blogs", "posts"],
+    "properties": {
+        "blogs": {
+            "type": "array",
+            "items": {
+                "type": "object",
+                "required": ["name"],
+                "properties": {"name": {"type": "string", "minLength": 1}},
+            },
+        },
+        "posts": {
+            "type": "array",
+            "items": {
+                "type": "object",
+                "required": ["id", "blog_name", "type"],
+                "properties": {
+                    "id": {"type": "string", "minLength": 1},
+                    "blog_name": {"type": "string", "minLength": 1},
+                    "type": {"type": "string", "minLength": 1},
+                    "body": {"type": "string"},
+                    "caption": {"type": "string"},
+                    "slug": {"type": "string"},
+                    "tags": {"type": "array", "items": {"type": "string"}},
+                    "notes": {
+                        "type": "array",
+                        "items": {
+                            "type": "object",
+                            "required": ["blog_name", "kind"],
+                            "properties": {
+                                "blog_name": {"type": "string", "minLength": 1},
+                                "kind": {"enum": ["like", "reblog"]},
+                            },
+                        },
+                    },
+                },
+            },
+        },
+        "seed": {"type": "string", "minLength": 1},
+    },
+}
+
+
+@pytest.fixture(scope="module")
+def schema_accepts():
+    """The old verdict: the schema, then unique post ids."""
+    jsonschema = pytest.importorskip("jsonschema")
+
+    def accepts(document) -> bool:
+        try:
+            jsonschema.validate(document, FIXTURE_SCHEMA)
+        except jsonschema.ValidationError:
+            return False
+        ids = [post["id"] for post in document["posts"]]
+        return len(ids) == len(set(ids))
+
+    return accepts
+
+
+def checks_accept(document) -> bool:
+    try:
+        validate_fixture(document)
+    except GraphFormatError:
+        return False
+    return True
+
+
+def _mostly(strategy, anything):
+    return st.one_of(strategy, strategy, strategy, anything)
+
+
+def fixture_documents():
+    """Documents shaped like a store, with any field possibly of any type."""
+    anything = st.recursive(
+        st.one_of(st.none(), st.booleans(), st.integers(-1, 1),
+                  st.sampled_from(["", "a", "like", "reblog"])),
+        lambda inner: st.lists(inner, max_size=2)
+        | st.dictionaries(st.sampled_from(["name", "blog_name", "kind"]),
+                          inner, max_size=2),
+        max_leaves=4)
+    name = _mostly(st.sampled_from(["a", "b", ""]), anything)
+    text = _mostly(st.sampled_from(["x", ""]), anything)
+    note = _mostly(st.fixed_dictionaries({}, optional={
+        "blog_name": name,
+        "kind": _mostly(st.sampled_from(["like", "reblog", "favorite"]), anything),
+    }), anything)
+    post = _mostly(st.fixed_dictionaries({}, optional={
+        "id": _mostly(st.sampled_from(["p1", "p2", ""]), anything),
+        "blog_name": name, "type": text, "body": text, "caption": text,
+        "slug": text, "tags": _mostly(st.lists(text, max_size=2), anything),
+        "notes": _mostly(st.lists(note, max_size=2), anything),
+    }), anything)
+    blog = _mostly(st.fixed_dictionaries({}, optional={"name": name}), anything)
+    return _mostly(st.fixed_dictionaries({}, optional={
+        "blogs": _mostly(st.lists(blog, max_size=2), anything),
+        "posts": _mostly(st.lists(post, max_size=3), anything),
+        "seed": name,
+    }), anything)
+
+
+class TestFixtureChecksMatchSchema:
+    def test_tables_and_stores(self, schema_accepts, hand_store_data,
+                               small_bundle):
+        documents = {**MALFORMED_STORES, **EDGE_STORES,
+                     "hand store": hand_store_data,
+                     "generated store": small_bundle.store_data}
+        verdicts = {name: checks_accept(doc) for name, doc in documents.items()}
+        assert verdicts == {name: schema_accepts(doc)
+                            for name, doc in documents.items()}
+        assert sum(verdicts.values()) == len(EDGE_STORES) + 2
+
+    @given(document=fixture_documents())
+    @settings(max_examples=400, deadline=None)
+    def test_random_documents(self, schema_accepts, document):
+        assert checks_accept(document) == schema_accepts(document)
 
 
 class TestSliceNotes:
@@ -715,6 +868,31 @@ class TestGeneratedCrawls:
                        self._config(small_bundle,
                                     threshold=small_bundle.threshold.value + bump))
             assert set(hi.graph.nodes()) <= set(lo.graph.nodes())
+
+    def test_max_markov_builds_the_transition_matrix(self, small_bundle,
+                                                     monkeypatch):
+        built = []
+        original = crawler_module.build_transition_matrix
+
+        def counting(graph):
+            built.append(graph.node_count())
+            return original(graph)
+
+        monkeypatch.setattr(crawler_module, "build_transition_matrix", counting)
+        crawl(small_bundle.store, small_bundle.model, self._config(small_bundle))
+        assert built
+
+    def test_uniform_selection_skips_the_markov_mass(self, small_bundle,
+                                                     monkeypatch):
+        def refuse(graph):
+            raise AssertionError("uniform selection computed the Markov mass")
+
+        monkeypatch.setattr(crawler_module, "build_transition_matrix", refuse)
+        result = crawl(small_bundle.store, small_bundle.model,
+                       self._config(small_bundle,
+                                    selection_policy=SelectionPolicy.UNIFORM_RANDOM,
+                                    rng_seed=11))
+        assert result.graph.node_count() > 1
 
     def test_propagation_cap_bounds_step_count(self):
         assert PROPAGATION_CAP == 64
