@@ -263,7 +263,10 @@ def cmd_crawl(args, config: dict) -> int:
         raise CLIError(EXIT_EMPTY, "no model given (use --model)")
     if not Path(model_path).exists():
         raise CLIError(EXIT_IO, f"model not found: {model_path}")
-    model = load_model(model_path)
+    try:
+        model = load_model(model_path)
+    except ValueError as exc:
+        raise CLIError(EXIT_IO, f"bad model file: {exc}") from exc
 
     threshold = setting(args, config, "threshold")
     if threshold is None and args.threshold_file:

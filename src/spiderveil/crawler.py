@@ -46,16 +46,48 @@ def _nonempty_str(value) -> bool:
     return isinstance(value, str) and value != ""
 
 
+def check_post_record(post, where: str) -> None:
+    """Raise GraphFormatError unless ``post`` is a well-formed post record.
+
+    A post is an object with non-empty string ``id``, ``blog_name`` and
+    ``type``; ``body``, ``caption`` and ``slug`` are strings, ``tags`` an
+    array of strings and ``notes`` an array of objects with a non-empty
+    string ``blog_name`` and a ``kind`` of like or reblog, each when present.
+    Other keys are ignored.  ``where`` prefixes the message.
+    """
+    def bad(message: str) -> GraphFormatError:
+        return GraphFormatError(f"{where}{message}")
+
+    if not isinstance(post, dict):
+        raise bad(" is not an object")
+    for key in ("id", "blog_name", "type"):
+        if not _nonempty_str(post.get(key)):
+            raise bad(f" has no non-empty string {key!r}")
+    for key in ("body", "caption", "slug"):
+        if key in post and not isinstance(post[key], str):
+            raise bad(f".{key} is not a string")
+    if "tags" in post:
+        tags = post["tags"]
+        if not isinstance(tags, list) or not all(isinstance(t, str) for t in tags):
+            raise bad(".tags is not an array of strings")
+    if "notes" in post:
+        notes = post["notes"]
+        if not isinstance(notes, list):
+            raise bad(".notes is not an array")
+        for note in notes:
+            if not (isinstance(note, dict) and _nonempty_str(note.get("blog_name"))
+                    and note.get("kind") in NOTE_KINDS):
+                raise bad(" has a note without a non-empty string "
+                          "'blog_name' and a 'kind' of like or reblog")
+
+
 def validate_fixture(data) -> None:
     """Raise GraphFormatError unless ``data`` is a well-formed fixture store.
 
     The top level is an object holding ``blogs`` and ``posts`` arrays and an
     optional non-empty string ``seed``.  Every blog is an object with a
-    non-empty string ``name``.  Every post is an object with non-empty string
-    ``id``, ``blog_name`` and ``type``; ``body``, ``caption`` and ``slug`` are
-    strings, ``tags`` an array of strings and ``notes`` an array of objects
-    with a non-empty string ``blog_name`` and a ``kind`` of like or reblog,
-    each when present.  Post ids are unique.  Other keys are ignored.
+    non-empty string ``name``.  Every post passes check_post_record, and post
+    ids are unique.  Other keys are ignored.
     """
     def bad(message: str) -> GraphFormatError:
         return GraphFormatError(f"bad fixture store: {message}")
@@ -74,27 +106,7 @@ def validate_fixture(data) -> None:
             raise bad(f"blogs[{i}] has no non-empty string 'name'")
     seen: set[str] = set()
     for i, post in enumerate(data["posts"]):
-        if not isinstance(post, dict):
-            raise bad(f"posts[{i}] is not an object")
-        for key in ("id", "blog_name", "type"):
-            if not _nonempty_str(post.get(key)):
-                raise bad(f"posts[{i}] has no non-empty string {key!r}")
-        for key in ("body", "caption", "slug"):
-            if key in post and not isinstance(post[key], str):
-                raise bad(f"posts[{i}].{key} is not a string")
-        if "tags" in post:
-            tags = post["tags"]
-            if not isinstance(tags, list) or not all(isinstance(t, str) for t in tags):
-                raise bad(f"posts[{i}].tags is not an array of strings")
-        if "notes" in post:
-            notes = post["notes"]
-            if not isinstance(notes, list):
-                raise bad(f"posts[{i}].notes is not an array")
-            for note in notes:
-                if not (isinstance(note, dict) and _nonempty_str(note.get("blog_name"))
-                        and note.get("kind") in NOTE_KINDS):
-                    raise bad(f"posts[{i}] has a note without a non-empty string "
-                              f"'blog_name' and a 'kind' of like or reblog")
+        check_post_record(post, f"bad fixture store: posts[{i}]")
         if post["id"] in seen:
             raise bad(f"duplicate post id {post['id']!r}")
         seen.add(post["id"])
@@ -228,10 +240,15 @@ class HttpJsonStore:
             retries=self.retries)
 
     @staticmethod
-    def _parse_posts(payload: dict, type: str) -> list[Post]:
+    def _parse_posts(payload, type: str) -> list[Post]:
+        if not isinstance(payload, dict):
+            raise GraphFormatError("bad posts payload: not an object")
         records = payload.get("posts", [])
+        if not isinstance(records, list):
+            raise GraphFormatError("bad posts payload: 'posts' is not an array")
         out = []
-        for record in records:
+        for i, record in enumerate(records):
+            check_post_record(record, f"bad posts payload: posts[{i}]")
             post_type, post = post_from_record(record)
             if post_type == type:
                 out.append(post)
@@ -254,6 +271,8 @@ class HttpJsonStore:
     def notes(self, post_id: str, per_kind_limit: int | None = None) -> list[NoteRecord]:
         payload = self._get(f"/post/{quote(post_id)}/notes",
                             {"limit": per_kind_limit})
+        if not isinstance(payload, dict):
+            raise GraphFormatError("bad notes payload: not an object")
         try:
             notes = [NoteRecord(n["blog_name"], NoteKind(n["kind"]))
                      for n in payload.get("notes", [])]

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
+import numpy as np
+
 from .errors import ScoringError
 
 SENTINEL = "\x02"   # start-of-document padding character
@@ -71,6 +73,7 @@ class NGramModel:
         self.vocabulary = vocabulary
         self.trained_chars = trained_chars
         self._totals = {ctx: sum(row.values()) for ctx, row in counts.items()}
+        self._table = _LogTable(self)
 
     def probability(self, context: str, char: str) -> float:
         """Smoothed P(char | context); both already mapped to the vocabulary."""
@@ -104,16 +107,111 @@ class NGramModel:
         }
 
     @classmethod
-    def from_json_dict(cls, data: dict) -> "NGramModel":
+    def from_json_dict(cls, data) -> "NGramModel":
+        """Rebuild a model; ValueError names the first malformed part."""
+        if not isinstance(data, dict):
+            raise ValueError("model document is not a JSON object")
         if data.get("format") != MODEL_FORMAT:
             raise ValueError(f"not a {MODEL_FORMAT} document")
         if data.get("version") != MODEL_VERSION:
             raise ValueError(f"unsupported model version {data.get('version')!r}")
-        counts = {ctx: {ch: int(n) for ch, n in row.items()}
-                  for ctx, row in data["contexts"].items()}
-        return cls(order=int(data["order"]), alpha=float(data["alpha"]),
-                   counts=counts, vocabulary=frozenset(data["vocabulary"]),
-                   trained_chars=int(data["trained_chars"]))
+        missing = [key for key in ("order", "alpha", "vocabulary",
+                                   "trained_chars", "contexts") if key not in data]
+        if missing:
+            raise ValueError(f"model document lacks {', '.join(map(repr, missing))}")
+        order, alpha = data["order"], data["alpha"]
+        vocabulary, contexts = data["vocabulary"], data["contexts"]
+        if not _is_count(order):
+            raise ValueError("'order' is not an integer")
+        if (not isinstance(alpha, (int, float)) or isinstance(alpha, bool)
+                or not math.isfinite(alpha)):
+            raise ValueError("'alpha' is not a finite number")
+        if not (isinstance(vocabulary, list)
+                and all(isinstance(ch, str) for ch in vocabulary)):
+            raise ValueError("'vocabulary' is not an array of strings")
+        if not _is_count(data["trained_chars"]):
+            raise ValueError("'trained_chars' is not a non-negative integer")
+        if not (isinstance(contexts, dict)
+                and all(isinstance(row, dict) and all(map(_is_count, row.values()))
+                        for row in contexts.values())):
+            raise ValueError("'contexts' does not map each context to an object "
+                             "of non-negative integer counts")
+        return cls(order=order, alpha=float(alpha),
+                   counts={ctx: dict(row) for ctx, row in contexts.items()},
+                   vocabulary=frozenset(vocabulary),
+                   trained_chars=data["trained_chars"])
+
+
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+class _LogTable:
+    """log10 of every smoothed conditional a text can look up.
+
+    Every single character of the vocabulary, plus UNKNOWN and the SENTINEL
+    padding, gets an integer code in code-point order.  A trie of dense child
+    arrays, one per context position, maps the codes of a context to its row
+    of ``leaf``; node 0 stands for every unseen prefix and maps to itself.
+    Each cell holds exactly ``math.log10(model.probability(context, char))``,
+    so a sum over the table equals the per-character definition bit for bit.
+    Contexts and characters no text can reach (only a hand-edited model has
+    them) get no cell.  Memory is O(contexts x symbols).
+    """
+
+    def __init__(self, model: NGramModel):
+        chars = sorted(ch for ch in model.vocabulary if len(ch) == 1)
+        symbols = sorted(set(chars) | {UNKNOWN, SENTINEL})
+        code = {ch: i for i, ch in enumerate(symbols)}
+        self.width = width = len(symbols)
+        self.unknown = code[UNKNOWN]
+        # Code points of the vocabulary, ending in one no character has, so
+        # that searchsorted always lands on a valid index.
+        self.points = np.array([ord(ch) for ch in chars] + [0xFFFFFFFF], np.uint32)
+        self.codes = np.array([code[ch] for ch in chars] + [self.unknown], np.intp)
+        self.padding = np.full(model.order - 1, code[SENTINEL], np.intp)
+
+        contexts = sorted(ctx for ctx in model.counts
+                          if len(ctx) == model.order - 1
+                          and all(ch in code for ch in ctx))
+        self.levels = []
+        nodes = {"": 1}
+        for depth in range(1, model.order):
+            child = np.zeros((len(nodes) + 1, width), np.int32)
+            deeper: dict[str, int] = {}
+            for ctx in contexts:
+                prefix = ctx[:depth]
+                if prefix not in deeper:
+                    deeper[prefix] = len(deeper) + 1
+                    child[nodes[prefix[:-1]], code[prefix[-1]]] = deeper[prefix]
+            self.levels.append(child.ravel())
+            nodes = deeper
+
+        smoothing = model.alpha * (len(model.vocabulary) + 1)
+        leaf = np.empty((len(nodes) + 1, width))
+        leaf[0] = math.log10(model.alpha / smoothing)
+        for ctx, node in nodes.items():
+            denom = model._totals.get(ctx, 0) + smoothing
+            leaf[node] = math.log10(model.alpha / denom)
+            for ch, count in model.counts.get(ctx, {}).items():
+                if ch in code:
+                    leaf[node, code[ch]] = math.log10((count + model.alpha) / denom)
+        self.leaf = leaf.ravel()
+
+    def mean_log10(self, text: str) -> float:
+        points = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), np.uint32)
+        slots = np.searchsorted(self.points, points)
+        codes = self.codes[slots]
+        codes[self.points[slots] != points] = self.unknown
+        padded = np.concatenate((self.padding, codes))
+        n = len(points)
+        node = 1
+        for depth, child in enumerate(self.levels):
+            node = child[node * self.width + padded[depth:depth + n]]
+        values = self.leaf[node * self.width + codes]
+        # A running sum, left to right like the per-character loop; np.sum
+        # (pairwise) or math.fsum would change the last bits.
+        return float(np.cumsum(values)[-1]) / n
 
 
 def train(corpus, order: int = 3, alpha: float = 1.0) -> NGramModel:
@@ -154,17 +252,13 @@ def score_text(model: NGramModel, text: str) -> RelevanceScore:
     """Mean log10 probability per character of ``text`` under ``model``.
 
     The text is expected to be normalized already; characters outside the
-    model vocabulary fall into the unknown bucket.
+    model vocabulary fall into the unknown bucket.  Each character costs a few
+    lookups in the model's log10 table; the result is bit-identical to summing
+    ``math.log10(model.probability(context, char))`` left to right.
     """
     if not text:
         raise ScoringError("cannot score empty text")
-    mapped = "".join(model.map_char(c) for c in text)
-    padded = SENTINEL * (model.order - 1) + mapped
-    total = 0.0
-    for i in range(model.order - 1, len(padded)):
-        context = padded[i - model.order + 1:i]
-        total += math.log10(model.probability(context, padded[i]))
-    return RelevanceScore(total / len(text))
+    return RelevanceScore(model._table.mean_log10(text))
 
 
 def score_blogger(model: NGramModel, posts) -> RelevanceScore:

@@ -96,6 +96,24 @@ MALFORMED_STORES = {
                                             make_post("p1", "b", "y")]),
 }
 
+# The malformed stores that break a rule of their only post, as bare records.
+MALFORMED_POSTS = {
+    name: doc["posts"][0] for name, doc in MALFORMED_STORES.items()
+    if isinstance(doc, dict) and isinstance(doc.get("posts"), list)
+    and len(doc["posts"]) == 1 and dict(doc, posts=None) == dict(store_with(), posts=None)
+}
+
+
+class FakeSession:
+    """Stands in for requests.Session: every GET answers 200 with ``payload``."""
+
+    def __init__(self, payload):
+        self.payload = payload
+
+    def get(self, url, params=None, timeout=None):
+        return SimpleNamespace(status_code=200, json=lambda: self.payload)
+
+
 # Documents at the edge of the rules that must still be accepted.
 EDGE_STORES = {
     "empty arrays": {"blogs": [], "posts": []},

@@ -2,12 +2,17 @@
 
 Each oracle takes the graph as (nodes, edges) primitives and answers by a
 deliberately different route than the library: matrix closures, exhaustive
-path enumeration, and direct formula evaluation.
+path enumeration, and direct formula evaluation.  The scorer's oracle is the
+per-character loop that defines a score.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+
+from spiderveil.langmodel import SENTINEL
 
 INF = float("inf")
 
@@ -170,3 +175,18 @@ def random_digraph(rng, max_nodes=8, edge_prob=0.3):
             if src != dst and rng.random() < edge_prob:
                 edges.add((src, dst))
     return nodes, sorted(edges)
+
+
+def reference_score_text(model, text: str) -> float:
+    """Mean log10 probability per character, one probability() call each.
+
+    Sums left to right with plain float addition; the library's table scorer
+    must return exactly this value.
+    """
+    mapped = "".join(model.map_char(c) for c in text)
+    padded = SENTINEL * (model.order - 1) + mapped
+    total = 0.0
+    for i in range(model.order - 1, len(padded)):
+        context = padded[i - model.order + 1:i]
+        total += math.log10(model.probability(context, padded[i]))
+    return total / len(text)

@@ -8,10 +8,12 @@ from xml.etree import ElementTree
 
 import pytest
 
+from spiderveil import cli
 from spiderveil.cli import main
+from spiderveil.crawler import HttpJsonStore
 from spiderveil.socialgraph import import_json_edge_list
 
-from conftest import MALFORMED_STORES
+from conftest import MALFORMED_POSTS, MALFORMED_STORES, FakeSession
 
 
 def run(argv):
@@ -256,6 +258,39 @@ class TestCrawl:
                        "--threshold", "-2.0"])
         assert code == 2
         assert capsys.readouterr().err.startswith("error: bad fixture store: ")
+
+    @pytest.mark.parametrize("document", [
+        [1],
+        {"format": "spiderveil.ngram", "version": 1},
+        "non-integer count",
+        "wrong format",
+    ], ids=["list", "format and version only", "non-integer count", "wrong format"])
+    def test_malformed_model(self, pipeline, tmp_path, capsys, document):
+        good = json.loads((pipeline.root / "model.json").read_text())
+        if document == "non-integer count":
+            document = good
+            row = next(iter(document["contexts"].values()))
+            row[next(iter(row))] = "many"
+        elif document == "wrong format":
+            document = dict(good, format="something-else")
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(document))
+        code, _ = run(["--out-dir", str(tmp_path), "crawl",
+                       "--store", str(pipeline.store),
+                       "--model", str(model), "--threshold", "-2.0"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: bad model file: ")
+
+    def test_malformed_http_post(self, pipeline, tmp_path, capsys, monkeypatch):
+        payload = {"posts": [MALFORMED_POSTS["tags not an array"]]}
+        monkeypatch.setattr(cli, "HttpJsonStore", lambda url: HttpJsonStore(
+            url, backoff=0.0, session=FakeSession(payload)))
+        code, _ = run(["--out-dir", str(tmp_path), "crawl",
+                       "--url", "http://store.test",
+                       "--model", str(pipeline.root / "model.json"),
+                       "--threshold", "-2.0", "--seed-blogger", "a"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: bad posts payload: ")
 
     def test_threshold_file_not_an_object(self, pipeline, tmp_path, capsys):
         threshold_file = tmp_path / "threshold.json"

@@ -30,7 +30,8 @@ from spiderveil.errors import (GraphFormatError, NotFoundError,
 from spiderveil.langmodel import Verdict
 from spiderveil.socialgraph import CommunityGraph
 
-from conftest import EDGE_STORES, HAND_BODIES, MALFORMED_STORES, make_post
+from conftest import (EDGE_STORES, HAND_BODIES, MALFORMED_POSTS,
+                      MALFORMED_STORES, FakeSession, make_post)
 from oracles import propagate_oracle, random_digraph
 
 
@@ -81,6 +82,14 @@ class TestFixtureValidation:
         path.write_text(json.dumps(document), encoding="utf-8")
         with pytest.raises(GraphFormatError):
             FixtureStore.load(path)
+
+    def test_load_checks_each_post_once(self, hand_store_data, monkeypatch):
+        checked = []
+        check = crawler_module.check_post_record
+        monkeypatch.setattr(crawler_module, "check_post_record",
+                            lambda post, where: checked.append(post) or check(post, where))
+        FixtureStore(hand_store_data)
+        assert checked == hand_store_data["posts"]
 
     @pytest.mark.parametrize("name", EDGE_STORES)
     def test_edge_store_accepted(self, name):
@@ -423,6 +432,38 @@ class TestHttpJsonStore:
     def test_rejects_zero_retries(self):
         with pytest.raises(ValueError):
             HttpJsonStore("http://127.0.0.1:1", retries=0)
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED_POSTS))
+    def test_malformed_post_record(self, name):
+        store = HttpJsonStore("http://store.test",
+                              session=FakeSession({"posts": [MALFORMED_POSTS[name]]}))
+        with pytest.raises(GraphFormatError, match=r"bad posts payload: posts\[0\]"):
+            store.blogger_posts("a")
+        with pytest.raises(GraphFormatError):
+            store.tagged_posts("t")
+
+    @pytest.mark.parametrize("payload", [
+        {"posts": [{"id": 7, "blog_name": ["x"], "tags": "ab"}]},
+        {"posts": [{"id": "p1", "blog_name": "a", "type": "text", "body": 5}]},
+        {"posts": "p1"},
+        [],
+    ])
+    def test_malformed_posts_payload(self, payload):
+        store = HttpJsonStore("http://store.test", session=FakeSession(payload))
+        with pytest.raises(GraphFormatError, match="bad posts payload"):
+            store.blogger_posts("a")
+
+    def test_notes_payload_not_an_object(self):
+        store = HttpJsonStore("http://store.test", session=FakeSession([]))
+        with pytest.raises(GraphFormatError, match="bad notes payload"):
+            store.notes("p1")
+
+    def test_well_formed_payload_parses(self):
+        record = make_post("p1", "a", "some text", notes=[("b", "like")], tags=["T"])
+        store = HttpJsonStore("http://store.test",
+                              session=FakeSession({"posts": [record]}))
+        [post] = store.blogger_posts("a")
+        assert post == post_from_record(record)[1]
 
     def test_crawl_over_http_matches_fixture_store(self, hand_http,
                                                    hand_store, hand_model,

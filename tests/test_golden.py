@@ -1,0 +1,109 @@
+"""Replay of golden crawl traces pinned in ``tests/golden/``.
+
+Each trace runs the whole library pipeline on a small generated network
+(generate, bootstrap, train, threshold, crawl) and records the visit order,
+the ``repr`` of every score and verdict, the threshold, and the SHA-256 of
+``CrawlResult.canonical_bytes()`` and of the final checkpoint as ``crawl``
+writes it.  The files were recorded from the code before the table-driven
+scorer, so they pin every score to the last bit.  A trace that stops matching
+is a defect to explain; the recorder never overwrites a file.
+
+Record missing traces with ``PYTHONPATH=src python tests/test_golden.py``.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from spiderveil.corpus import bootstrap_exemplars, filter_english
+from spiderveil.crawler import (CrawlConfig, CrawlSession, FixtureStore,
+                                SelectionPolicy)
+from spiderveil.langmodel import compute_threshold, score_blogger, train
+from spiderveil.simnet import GeneratorParams, generate
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
+SEEDS = range(2, 12)
+POLICIES = tuple(SelectionPolicy)
+BLOGGERS = 60
+SEED_BLOGGERS = 10
+
+
+def trace_params(seed: int) -> dict:
+    """Model settings vary with the seed so every trie depth is pinned."""
+    return {"seed": seed, "bloggers": BLOGGERS, "order": 2 + seed % 3,
+            "alpha": (1.0, 0.5)[seed % 2]}
+
+
+def network(seed: int):
+    """Store, model and threshold of one pinned network."""
+    params = trace_params(seed)
+    store_data, truth = generate(GeneratorParams(total_bloggers=BLOGGERS,
+                                                 rng_seed=seed))
+    store = FixtureStore(store_data)
+    corpus, _ = bootstrap_exemplars(store, ["stargazing"], 80)
+    model = train(corpus, order=params["order"], alpha=params["alpha"])
+    seed_names = sorted(n for n, label in truth.items() if label)[:SEED_BLOGGERS]
+    threshold = compute_threshold(
+        score_blogger(model, filter_english(store.blogger_posts(n, limit=100)))
+        for n in seed_names)
+    return store, model, threshold
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def crawl_trace(store, model, threshold, seed: int,
+                policy: SelectionPolicy) -> dict:
+    config = CrawlConfig(seed=store.seed_blogger, threshold=threshold.value,
+                         ngram_order=model.order, selection_policy=policy,
+                         rng_seed=seed)
+    session = CrawlSession(store, model, config)
+    result = session.run()
+    checkpoint = json.dumps(session.checkpoint(), sort_keys=True, indent=1) + "\n"
+    return {
+        "params": {**trace_params(seed), "policy": policy.value},
+        "threshold": repr(threshold.value),
+        "visits": [[r.blog_name, repr(r.score), r.verdict.value]
+                   for r in result.visit_log],
+        "discarded": sorted(result.discarded),
+        "canonical_sha256": sha256(result.canonical_bytes()),
+        "checkpoint_sha256": sha256(checkpoint.encode("utf-8")),
+    }
+
+
+def golden_path(seed: int, policy: SelectionPolicy) -> Path:
+    return GOLDEN_DIR / f"{policy.value}-{seed:02d}.json"
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_golden_trace_replays(seed):
+    store, model, threshold = network(seed)
+    for policy in POLICIES:
+        expected = json.loads(golden_path(seed, policy).read_text(encoding="utf-8"))
+        assert crawl_trace(store, model, threshold, seed, policy) == expected
+
+
+def record() -> int:
+    GOLDEN_DIR.mkdir(exist_ok=True)
+    written = 0
+    for seed in SEEDS:
+        store, model, threshold = network(seed)
+        for policy in POLICIES:
+            path = golden_path(seed, policy)
+            if path.exists():
+                continue
+            trace = crawl_trace(store, model, threshold, seed, policy)
+            path.write_text(json.dumps(trace, indent=1) + "\n", encoding="utf-8")
+            written += 1
+    print(f"wrote {written} traces to {GOLDEN_DIR}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(record())

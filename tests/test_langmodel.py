@@ -14,6 +14,13 @@ from spiderveil.langmodel import (SENTINEL, UNKNOWN, NGramModel,
                                   train)
 
 from conftest import HAND_BODIES, HAND_TRAIN_DOCS
+from oracles import reference_score_text
+
+# Training characters, the control characters the model itself uses, a
+# non-BMP character and lone surrogates; texts add characters never trained.
+TRAIN_CHARS = ["a", "b", " ", "\u00e9", SENTINEL, UNKNOWN, "\U0001F600",
+               "\ud800", "\udc00"]
+TEXT_CHARS = TRAIN_CHARS + ["z", "\n", "\u4e2d", "\U0010FFFF", "\udfff"]
 
 
 @pytest.fixture
@@ -102,6 +109,54 @@ class TestScoreText:
         on_topic = score_text(hand_model, HAND_TRAIN_DOCS[0])
         gibberish = score_text(hand_model, "0123456789")
         assert on_topic.value > gibberish.value
+
+    @given(docs=st.lists(st.text(st.sampled_from(TRAIN_CHARS), max_size=30),
+                         min_size=1, max_size=4).filter(any),
+           texts=st.lists(st.text(st.sampled_from(TEXT_CHARS), min_size=1,
+                                  max_size=40), min_size=1, max_size=4),
+           order=st.integers(1, 5), alpha=st.sampled_from([0.5, 1.0, 2.5]))
+    @settings(max_examples=150, deadline=None)
+    def test_equals_reference_loop_exactly(self, docs, texts, order, alpha):
+        model = train(docs, order=order, alpha=alpha)
+        for text in texts + [text[:1] for text in texts]:
+            assert score_text(model, text).value == reference_score_text(model, text)
+
+    @given(contexts=st.dictionaries(
+               st.text(st.sampled_from(TEXT_CHARS), max_size=4),
+               st.dictionaries(st.text(st.sampled_from(TEXT_CHARS), min_size=1,
+                                       max_size=2),
+                               st.integers(0, 5), max_size=4),
+               max_size=8),
+           vocabulary=st.lists(st.text(st.sampled_from(TEXT_CHARS), min_size=1,
+                                       max_size=2), max_size=8),
+           text=st.text(st.sampled_from(TEXT_CHARS), min_size=1, max_size=30),
+           order=st.integers(1, 4), alpha=st.sampled_from([0.5, 1.0, 2.5]))
+    @settings(max_examples=150, deadline=None)
+    def test_hand_edited_model_equals_reference(self, contexts, vocabulary,
+                                                text, order, alpha):
+        # Rows of the wrong length, context or target characters outside the
+        # vocabulary and multi-character vocabulary entries are unreachable.
+        model = NGramModel.from_json_dict({
+            "format": "spiderveil.ngram", "version": 1, "order": order,
+            "alpha": alpha, "vocabulary": vocabulary, "trained_chars": 0,
+            "contexts": contexts})
+        assert score_text(model, text).value == reference_score_text(model, text)
+
+    def test_unreachable_rows_are_skipped(self):
+        doc = train(["abcab"], order=3).to_json_dict()
+        doc["contexts"]["zz"] = {"a": 4}
+        doc["contexts"]["abc"] = {"a": 1}
+        doc["contexts"]["ab"]["q"] = 7
+        doc["vocabulary"].remove(SENTINEL)
+        doc["vocabulary"].append("xy")
+        model = NGramModel.from_json_dict(doc)
+        for text in ["abcab", "zzzz", "q", "abqab", SENTINEL + "ab", "xy"]:
+            assert score_text(model, text).value == reference_score_text(model, text)
+
+    def test_table_grows_with_contexts_not_vocabulary_power(self):
+        model = train(HAND_TRAIN_DOCS, order=5)
+        symbols = len(model.vocabulary) + 1
+        assert model._table.leaf.size <= (len(model.counts) + 1) * symbols
 
     @given(st.text(alphabet="abcdefgh ", min_size=1, max_size=80))
     @settings(max_examples=60)
@@ -228,6 +283,34 @@ class TestSerialization:
         doc = abab_model.to_json_dict()
         doc["version"] = 99
         with pytest.raises(ValueError):
+            NGramModel.from_json_dict(doc)
+
+    @pytest.mark.parametrize("key", ["order", "alpha", "vocabulary",
+                                     "trained_chars", "contexts"])
+    def test_rejects_missing_field(self, abab_model, key):
+        doc = abab_model.to_json_dict()
+        del doc[key]
+        with pytest.raises(ValueError, match=repr(key)):
+            NGramModel.from_json_dict(doc)
+
+    @pytest.mark.parametrize("key, value", [
+        ("order", 0), ("order", 2.0), ("order", "2"), ("order", True),
+        ("alpha", 0), ("alpha", -1.0), ("alpha", "1"), ("alpha", float("nan")),
+        ("alpha", float("inf")),
+        ("vocabulary", "ab"), ("vocabulary", ["a", 1]),
+        ("trained_chars", -1), ("trained_chars", 4.5),
+        ("contexts", []), ("contexts", {"a": [2]}), ("contexts", {"a": {"b": 1.5}}),
+        ("contexts", {"a": {"b": "2"}}), ("contexts", {"a": {"b": -2}}),
+    ])
+    def test_rejects_malformed_field(self, abab_model, key, value):
+        doc = abab_model.to_json_dict()
+        doc[key] = value
+        with pytest.raises(ValueError):
+            NGramModel.from_json_dict(doc)
+
+    @pytest.mark.parametrize("doc", [[1], "model", None, 3])
+    def test_rejects_non_objects(self, doc):
+        with pytest.raises(ValueError, match="not a JSON object"):
             NGramModel.from_json_dict(doc)
 
 
