@@ -11,10 +11,9 @@ from .corpus import (ExemplarCorpus, LanguageVerdict, NoteKind, NoteRecord,
                      Post, TagLexicon, bootstrap_exemplars, detect_language,
                      filter_english, normalize_tag, normalize_text)
 from .crawler import (CrawlConfig, CrawlResult, CrawlSession, FixtureStore,
-                      FrontierEntry, HttpJsonStore, SelectionPolicy,
-                      StopReason, TransitionMatrix, build_transition_matrix,
-                      crawl, extract_frontiers, fetch_posts, propagate,
-                      select_next)
+                      HttpJsonStore, SelectionPolicy, StopReason,
+                      TransitionMatrix, build_transition_matrix, crawl,
+                      extract_frontiers, fetch_posts, propagate, select_next)
 from .errors import (GraphFormatError, NotFoundError, RetrievalError,
                      ScoringError, SelfLoopError, SpiderveilError)
 from .langmodel import (NGramModel, RelevanceScore, Threshold, Verdict,

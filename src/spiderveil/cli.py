@@ -22,7 +22,7 @@ from pathlib import Path
 
 from .corpus import NoteKind, bootstrap_exemplars, ExemplarCorpus, filter_english
 from .crawler import (CrawlConfig, CrawlSession, FixtureStore, HttpJsonStore,
-                      SelectionPolicy)
+                      SelectionPolicy, visit_log_from_json)
 from .errors import (GraphFormatError, NotFoundError, RetrievalError,
                      ScoringError, SpiderveilError)
 from .langmodel import (Verdict, compute_threshold, load_model, save_model,
@@ -356,13 +356,13 @@ def cmd_export(args, config: dict) -> int:
 
 
 def _predicted_from_document(data: dict) -> dict[str, Verdict]:
-    if "visit_log" not in data or "discarded" not in data:
+    if not isinstance(data, dict) or "visit_log" not in data \
+            or "discarded" not in data:
         raise CLIError(EXIT_IO,
                        "result file lacks visit_log/discarded fields")
-    predicted = {}
-    for name, _score, verdict in data["visit_log"]:
-        predicted[name] = Verdict(verdict)
-    for name in data["discarded"]:
+    visit_log, discarded = visit_log_from_json(data)
+    predicted = {record.blog_name: record.verdict for record in visit_log}
+    for name in discarded:
         predicted[name] = Verdict.UNKNOWN
     return predicted
 

@@ -16,6 +16,7 @@ import random
 import time
 from dataclasses import dataclass
 from enum import Enum
+from itertools import islice
 from pathlib import Path
 from urllib.parse import quote
 
@@ -343,25 +344,41 @@ class CrawlConfig:
         )
 
 
-@dataclass
-class FrontierEntry:
-    """A discovered but unvisited blogger and how they engaged."""
-    blog_name: str
-    relation: set[NoteKind]
-    parent: str
-
-    def __post_init__(self):
-        if self.blog_name == self.parent:
-            raise ValueError("frontier entry cannot point at its own parent")
-        if not self.relation:
-            raise ValueError("frontier entry needs at least one relation kind")
-
-
 @dataclass(frozen=True)
 class VisitRecord:
     blog_name: str
     score: float
     verdict: Verdict
+
+
+def visit_log_to_json(visit_log) -> list[list]:
+    """The visit log as JSON rows ``[blog_name, score, verdict]``."""
+    return [[r.blog_name, r.score, r.verdict.value] for r in visit_log]
+
+
+def visit_log_from_json(document: dict) -> tuple[list[VisitRecord], list[str]]:
+    """Parse the ``visit_log`` rows and ``discarded`` names of a document.
+
+    Raises GraphFormatError unless both are arrays, every row is
+    ``[name, score, verdict]`` with a string name, a number score and a known
+    verdict, and every discarded name is a string.
+    """
+    rows, discarded = document["visit_log"], document["discarded"]
+    if not isinstance(rows, list):
+        raise GraphFormatError("visit_log is not an array")
+    if not (isinstance(discarded, list)
+            and all(isinstance(name, str) for name in discarded)):
+        raise GraphFormatError("discarded is not an array of names")
+    visit_log = []
+    for row in rows:
+        if not (isinstance(row, list) and len(row) == 3
+                and isinstance(row[0], str)):
+            raise GraphFormatError(f"bad visit_log row {row!r}")
+        try:
+            visit_log.append(VisitRecord(row[0], float(row[1]), Verdict(row[2])))
+        except (TypeError, ValueError) as exc:
+            raise GraphFormatError(f"bad visit_log row {row!r}: {exc}") from exc
+    return visit_log, discarded
 
 
 @dataclass(frozen=True)
@@ -374,8 +391,7 @@ class CrawlResult:
     def to_json_dict(self) -> dict:
         return {
             "graph": self.graph.to_json_dict(),
-            "visit_log": [[r.blog_name, r.score, r.verdict.value]
-                          for r in self.visit_log],
+            "visit_log": visit_log_to_json(self.visit_log),
             "discarded": sorted(self.discarded),
             "stop_reason": self.stop_reason.value,
         }
@@ -386,11 +402,11 @@ class CrawlResult:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "CrawlResult":
+        visit_log, discarded = visit_log_from_json(data)
         return cls(
             graph=CommunityGraph.from_json_dict(data["graph"]),
-            visit_log=[VisitRecord(name, float(score), Verdict(verdict))
-                       for name, score, verdict in data["visit_log"]],
-            discarded=frozenset(data["discarded"]),
+            visit_log=visit_log,
+            discarded=frozenset(discarded),
             stop_reason=StopReason(data["stop_reason"]),
         )
 
@@ -458,78 +474,58 @@ def fetch_posts(source, blogger: str, config: CrawlConfig) -> list[Post]:
     return filter_english(posts[:config.posts_per_blogger])
 
 
-def extract_frontiers(blogger: str, posts, config: CrawlConfig) -> list[FrontierEntry]:
-    """Collect noting bloggers from ``posts`` as frontier entries.
+def extract_frontiers(blogger: str, posts,
+                      config: CrawlConfig) -> dict[str, set[NoteKind]]:
+    """Collect the bloggers noting ``posts``, each with their note kinds.
 
     Per post, up to ``frontier_width`` most-recent noters of each kind are
     taken; a noter appearing in both slices gets both labels and triggers one
-    extra pull: the next most-recent noter not already collected.  Entries
-    merge across posts by unioning relation kinds.  The blogger's own notes
-    are ignored.
+    extra pull: the next most-recent noter not already collected.  Kinds
+    merge across posts.  The blogger's own notes are ignored.
     """
     width = config.frontier_width
-    entries: dict[str, FrontierEntry] = {}
+    found: dict[str, set[NoteKind]] = {}
     for post in posts:
         notes = [n for n in post.notes if n.blog_name != blogger]
         likes = [n for n in notes if n.kind is NoteKind.LIKE][:width]
         reblogs = [n for n in notes if n.kind is NoteKind.REBLOG][:width]
         for note in likes + reblogs:
-            entry = entries.get(note.blog_name)
-            if entry is None:
-                entries[note.blog_name] = FrontierEntry(
-                    note.blog_name, {note.kind}, blogger)
-            else:
-                entry.relation.add(note.kind)
+            found.setdefault(note.blog_name, set()).add(note.kind)
         reblog_names = {n.blog_name for n in reblogs}
         duals = [name for name in dict.fromkeys(n.blog_name for n in likes)
                  if name in reblog_names]
         for _ in duals:
-            extra = next((n for n in notes if n.blog_name not in entries), None)
+            extra = next((n for n in notes if n.blog_name not in found), None)
             if extra is None:
                 break
-            entries[extra.blog_name] = FrontierEntry(
-                extra.blog_name, {extra.kind}, blogger)
-    return list(entries.values())
+            found[extra.blog_name] = {extra.kind}
+    return found
 
 
 def select_next(frontier, p, policy: SelectionPolicy, rng: random.Random,
-                graph: CommunityGraph | None = None,
-                parents=None) -> FrontierEntry:
-    """Pick the next frontier entry to visit.
+                graph: CommunityGraph) -> str:
+    """Pick the next blogger to visit from ``frontier``.
 
-    MaxMarkovProbability takes the entry with the most propagated mass; a
-    frontier node absent from the distribution inherits one walk step from
-    its discoverers: sum over parents of parent mass / parent out-degree.
-    Ties go to the earliest-inserted entry.  UniformRandom draws one float
-    from ``rng``.
+    ``frontier`` maps each unvisited blogger to the graph nodes that
+    discovered them.  MaxMarkovProbability gives each blogger one walk step
+    of mass from their discoverers, the sum over parents of parent mass /
+    parent out-degree, and takes the largest; ties go to the
+    earliest-inserted blogger.  UniformRandom draws one float from ``rng``.
     """
     if not frontier:
         raise ValueError("frontier is empty")
     if policy is SelectionPolicy.UNIFORM_RANDOM:
-        return frontier[int(rng.random() * len(frontier))]
+        return next(islice(frontier, int(rng.random() * len(frontier)), None))
 
     best = None
     best_mass = -1.0
-    for entry in frontier:
-        if entry.blog_name in p:
-            mass = p[entry.blog_name]
-        else:
-            discoverers = None
-            if parents is not None:
-                recorded = parents.get(entry.blog_name)
-                if recorded:
-                    discoverers = list(recorded)
-            if discoverers is None:
-                discoverers = [entry.parent]
-            mass = 0.0
-            for discoverer in discoverers:
-                out_degree = 0
-                if graph is not None and graph.has_node(discoverer):
-                    out_degree = graph.out_degree(discoverer)
-                mass += p.get(discoverer, 0.0) / max(out_degree, 1)
+    for target, parents in frontier.items():
+        mass = 0.0
+        for parent in parents:
+            mass += p.get(parent, 0.0) / max(graph.out_degree(parent), 1)
         if mass > best_mass:
             best_mass = mass
-            best = entry
+            best = target
     return best
 
 
@@ -548,10 +544,9 @@ class CrawlSession:
         self._visit_log: list[VisitRecord] = []
         self._discarded: dict[str, None] = {}
         self._processed: dict[str, None] = {}
-        self._frontier: list[FrontierEntry] = []
-        self._frontier_index: dict[str, FrontierEntry] = {}
-        # blogger -> every relevant parent that discovered them, with labels
-        self._pending: dict[str, dict[str, set[NoteKind]]] = {}
+        # Every discovered, unvisited blogger (the one picked next included,
+        # until visited) -> each graph node that discovered them -> labels.
+        self._frontier: dict[str, dict[str, set[NoteKind]]] = {}
         self._selections = 0
         self._current: str | None = config.seed
         self._stop: StopReason | None = None
@@ -579,12 +574,9 @@ class CrawlSession:
             policy = self._config.selection_policy
             # Uniform selection never reads the mass, so it is not computed.
             mass = {} if policy is SelectionPolicy.UNIFORM_RANDOM else self._distribution()
-            entry = select_next(self._frontier, mass, policy, self._rng,
-                                graph=self._graph, parents=self._pending)
+            self._current = select_next(self._frontier, mass, policy,
+                                        self._rng, self._graph)
             self._selections += 1
-            self._frontier.remove(entry)
-            del self._frontier_index[entry.blog_name]
-            self._current = entry.blog_name
         return self._stop is None
 
     def run(self, max_steps: int | None = None) -> CrawlResult | None:
@@ -606,6 +598,7 @@ class CrawlSession:
 
     def _visit(self, name: str) -> None:
         self._processed[name] = None
+        parents = self._frontier.pop(name, {})
         try:
             posts = fetch_posts(self._source, name, self._config)
             score = score_blogger(self._model, posts)
@@ -624,39 +617,31 @@ class CrawlSession:
         verdict = classify(score, self._config.threshold)
         self._visit_log.append(VisitRecord(name, score.value, verdict))
         if verdict is Verdict.RELEVANT:
-            self._admit(name, score.value, posts)
+            self._admit(name, score.value, posts, parents)
         else:
             self._discarded[name] = None
-            self._pending.pop(name, None)
 
     def _skip(self, name: str, reason: str) -> None:
         logger.warning("skipping %s: %s", name, reason)
         self._discarded[name] = None
-        self._pending.pop(name, None)
 
-    def _admit(self, name: str, score: float, posts) -> None:
+    def _admit(self, name: str, score: float, posts, parents) -> None:
         self._graph.add_node(name, Verdict.RELEVANT, score)
-        for parent, labels in self._pending.pop(name, {}).items():
-            for label in sorted(labels, key=lambda kind: kind.value):
-                self._graph.add_link(parent, name, label)
-        for entry in extract_frontiers(name, posts, self._config):
-            target = entry.blog_name
+        for parent, labels in parents.items():
+            self._link(parent, name, labels)
+        for target, labels in extract_frontiers(name, posts, self._config).items():
             if target in self._processed:
                 # Reappearing blogger: link if they made it into the graph,
                 # drop silently if they were discarded.
                 if self._graph.has_node(target):
-                    for label in sorted(entry.relation, key=lambda kind: kind.value):
-                        self._graph.add_link(name, target, label)
+                    self._link(name, target, labels)
                 continue
-            pending = self._pending.setdefault(target, {})
-            pending.setdefault(name, set()).update(entry.relation)
-            queued = self._frontier_index.get(target)
-            if queued is None:
-                queued = FrontierEntry(target, set(entry.relation), name)
-                self._frontier.append(queued)
-                self._frontier_index[target] = queued
-            else:
-                queued.relation |= entry.relation
+            self._frontier.setdefault(target, {}).setdefault(
+                name, set()).update(labels)
+
+    def _link(self, src: str, dst: str, labels) -> None:
+        for label in sorted(labels, key=lambda kind: kind.value):
+            self._graph.add_link(src, dst, label)
 
     def _distribution(self) -> dict[str, float]:
         if self._graph.node_count() == 0:
@@ -683,16 +668,20 @@ class CrawlSession:
             "current": self._current,
             "stop_reason": self._stop.value if self._stop is not None else None,
             "selections": self._selections,
-            "visit_log": [[r.blog_name, r.score, r.verdict.value]
-                          for r in self._visit_log],
+            "visit_log": visit_log_to_json(self._visit_log),
             "discarded": list(self._discarded),
             "processed": list(self._processed),
-            "frontier": [{"blog_name": e.blog_name,
-                          "relation": sorted(k.value for k in e.relation),
-                          "parent": e.parent} for e in self._frontier],
+            # Format 1 lists the unvisited bloggers apart from ``current``,
+            # each with all its labels and its first discoverer.
+            "frontier": [{"blog_name": target,
+                          "relation": sorted({k.value for labels in parents.values()
+                                              for k in labels}),
+                          "parent": next(iter(parents))}
+                         for target, parents in self._frontier.items()
+                         if target != self._current],
             "pending": {target: {parent: sorted(k.value for k in labels)
                                  for parent, labels in parents.items()}
-                        for target, parents in self._pending.items()},
+                        for target, parents in self._frontier.items()},
             "graph": self._graph.to_json_dict(),
         }
 
@@ -706,22 +695,24 @@ class CrawlSession:
                 f"unsupported checkpoint version {checkpoint.get('version')!r}")
         config = CrawlConfig.from_json_dict(checkpoint["config"])
         session = cls(source, model, config)
-        session._visit_log = [VisitRecord(name, float(score), Verdict(verdict))
-                              for name, score, verdict in checkpoint["visit_log"]]
-        session._discarded = dict.fromkeys(checkpoint["discarded"])
+        session._visit_log, discarded = visit_log_from_json(checkpoint)
+        session._discarded = dict.fromkeys(discarded)
         session._processed = dict.fromkeys(checkpoint["processed"])
-        session._frontier = []
-        session._frontier_index = {}
+        pending = {target: {parent: {NoteKind(k) for k in labels}
+                            for parent, labels in parents.items()}
+                   for target, parents in checkpoint["pending"].items()}
+        # The frontier list gives the selection order and each blogger's
+        # first discoverer; sorted keys may have reordered ``pending``.
         for item in checkpoint["frontier"]:
-            entry = FrontierEntry(item["blog_name"],
-                                  {NoteKind(k) for k in item["relation"]},
-                                  item["parent"])
-            session._frontier.append(entry)
-            session._frontier_index[entry.blog_name] = entry
-        session._pending = {
-            target: {parent: {NoteKind(k) for k in labels}
-                     for parent, labels in parents.items()}
-            for target, parents in checkpoint["pending"].items()}
+            target, first = item["blog_name"], item["parent"]
+            parents = pending.pop(target, None)
+            if parents is None or first not in parents:
+                raise GraphFormatError(
+                    f"frontier blogger {target!r} lacks pending parent {first!r}")
+            session._frontier[target] = {first: parents[first]} | parents
+        if set(pending) - {checkpoint["current"]}:
+            raise GraphFormatError("pending bloggers missing from the frontier")
+        session._frontier.update(pending)
         session._graph = CommunityGraph.from_json_dict(checkpoint["graph"])
         session._selections = int(checkpoint["selections"])
         session._current = checkpoint["current"]

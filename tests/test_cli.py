@@ -456,6 +456,22 @@ class TestEval:
                        "--truth", str(partial)])
         assert code == 3
 
+    @pytest.mark.parametrize("fields", [
+        {"visit_log": [[1]]},
+        {"visit_log": [["blogger-000", -2.0, "maybe"]]},
+        {"visit_log": 5},
+        {"discarded": 7},
+    ], ids=["short row", "unknown verdict", "log not a list",
+            "discarded not a list"])
+    def test_malformed_visit_log(self, pipeline, tmp_path, capsys, fields):
+        document = json.loads((pipeline.root / "crawl.json").read_text())
+        result = tmp_path / "crawl.json"
+        result.write_text(json.dumps({**document, **fields}))
+        code, _ = run(["--out-dir", str(tmp_path), "eval",
+                       "--result", str(result), "--truth", str(pipeline.truth)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestConfigFile:
     def test_config_supplies_paths(self, pipeline, tmp_path):

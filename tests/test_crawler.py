@@ -19,8 +19,8 @@ import spiderveil
 from spiderveil import crawler as crawler_module
 from spiderveil.corpus import NoteKind, NoteRecord, Post
 from spiderveil.crawler import (PROPAGATION_CAP, CrawlConfig, CrawlResult,
-                                CrawlSession, FixtureStore, FrontierEntry,
-                                HttpJsonStore, SelectionPolicy, StopReason,
+                                CrawlSession, FixtureStore, HttpJsonStore,
+                                SelectionPolicy, StopReason,
                                 VisitRecord, build_transition_matrix, crawl,
                                 extract_frontiers, fetch_posts,
                                 post_from_record, propagate, select_next,
@@ -33,6 +33,7 @@ from spiderveil.socialgraph import CommunityGraph
 from conftest import (EDGE_STORES, HAND_BODIES, MALFORMED_POSTS,
                       MALFORMED_STORES, FakeSession, make_post)
 from oracles import propagate_oracle, random_digraph
+from test_golden import checkpoint_bytes, crawl_session, network
 
 
 def note(name, kind):
@@ -510,11 +511,11 @@ class TestExtractFrontiers:
                              frontier_width=width)
         post = Post(id="p1", blog_name=blogger, body="b",
                     notes=tuple(note(n, k) for n, k in notes))
-        return extract_frontiers(blogger, [post], config)
+        return list(extract_frontiers(blogger, [post], config).items())
 
     def test_merges_kinds_per_noter(self):
         result = self.entries([("x", "like"), ("y", "reblog"), ("x", "reblog")])
-        assert [(e.blog_name, e.relation) for e in result] == [
+        assert result == [
             ("x", {NoteKind.LIKE, NoteKind.REBLOG}), ("y", {NoteKind.REBLOG})]
 
     def test_no_notes(self):
@@ -524,23 +525,22 @@ class TestExtractFrontiers:
         noters = [(f"fan{i:02d}", "like") for i in range(30)]
         result = self.entries(noters, width=25)
         assert len(result) == 25
-        assert result[0].blog_name == "fan00"
-        assert result[-1].blog_name == "fan24"
+        assert result[0][0] == "fan00"
+        assert result[-1][0] == "fan24"
 
     def test_dual_noter_pulls_one_extra(self):
         result = self.entries([("x", "like"), ("x", "reblog"),
                                ("y", "like"), ("z", "reblog")], width=1)
-        assert [(e.blog_name, e.relation) for e in result] == [
+        assert result == [
             ("x", {NoteKind.LIKE, NoteKind.REBLOG}), ("y", {NoteKind.LIKE})]
 
     def test_dual_with_nothing_left_to_pull(self):
         result = self.entries([("x", "like"), ("x", "reblog")], width=1)
-        assert [(e.blog_name, e.relation) for e in result] == [
-            ("x", {NoteKind.LIKE, NoteKind.REBLOG})]
+        assert result == [("x", {NoteKind.LIKE, NoteKind.REBLOG})]
 
     def test_own_notes_ignored(self):
         result = self.entries([("host", "like"), ("x", "reblog")])
-        assert [e.blog_name for e in result] == ["x"]
+        assert [name for name, _ in result] == ["x"]
 
     def test_entries_merge_across_posts(self):
         config = CrawlConfig(seed="seed", threshold=-3.0)
@@ -549,9 +549,8 @@ class TestExtractFrontiers:
                  Post(id="p2", blog_name="host", body="b",
                       notes=(note("x", "reblog"), note("y", "like")))]
         result = extract_frontiers("host", posts, config)
-        assert [(e.blog_name, e.relation) for e in result] == [
+        assert list(result.items()) == [
             ("x", {NoteKind.LIKE, NoteKind.REBLOG}), ("y", {NoteKind.LIKE})]
-        assert all(e.parent == "host" for e in result)
 
 
 class TestTransitionMatrix:
@@ -640,42 +639,52 @@ class TestPropagate:
 
 
 class TestSelectNext:
-    def entry(self, name, parent="seed"):
-        return FrontierEntry(name, {NoteKind.LIKE}, parent)
+    """``select_next`` over the session's map: target -> {parent: labels}."""
+
+    def frontier(self, *pairs):
+        return {target: {parent: {NoteKind.LIKE}} for target, parent in pairs}
+
+    def graph(self, *nodes):
+        graph = CommunityGraph()
+        for name in nodes:
+            graph.add_node(name)
+        return graph
 
     def test_empty_frontier_rejected(self):
         with pytest.raises(ValueError):
-            select_next([], {}, SelectionPolicy.MAX_MARKOV, random.Random(0))
+            select_next({}, {}, SelectionPolicy.MAX_MARKOV, random.Random(0),
+                        self.graph())
 
     def test_single_entry_both_policies(self):
-        frontier = [self.entry("only")]
+        frontier = self.frontier(("only", "seed"))
         for policy in SelectionPolicy:
             picked = select_next(frontier, {"seed": 1.0}, policy,
-                                 random.Random(3))
-            assert picked.blog_name == "only"
+                                 random.Random(3), self.graph("seed"))
+            assert picked == "only"
 
     def test_uniform_uses_exactly_one_draw(self):
-        frontier = [self.entry(f"blog{i}") for i in range(3)]
+        frontier = self.frontier(*((f"blog{i}", "seed") for i in range(3)))
         rng = random.Random(0)
-        picked = select_next(frontier, {}, SelectionPolicy.UNIFORM_RANDOM, rng)
+        picked = select_next(frontier, {}, SelectionPolicy.UNIFORM_RANDOM, rng,
+                             self.graph("seed"))
         twin = random.Random(0)
         expected_index = int(twin.random() * 3)
-        assert picked is frontier[expected_index]
+        assert picked == list(frontier)[expected_index]
         assert rng.random() == twin.random()  # both consumed just one float
 
     def test_markov_prefers_mass(self):
-        frontier = [self.entry("weak"), self.entry("strong")]
-        p = {"weak": 0.2, "strong": 0.7}
+        frontier = self.frontier(("weak", "pw"), ("strong", "ps"))
+        p = {"pw": 0.2, "ps": 0.7}
         picked = select_next(frontier, p, SelectionPolicy.MAX_MARKOV,
-                             random.Random(0))
-        assert picked.blog_name == "strong"
+                             random.Random(0), self.graph("pw", "ps"))
+        assert picked == "strong"
 
     def test_markov_tie_goes_to_earliest(self):
-        frontier = [self.entry("first"), self.entry("second")]
-        p = {"first": 0.5, "second": 0.5}
+        frontier = self.frontier(("first", "pa"), ("second", "pb"))
+        p = {"pa": 0.5, "pb": 0.5}
         picked = select_next(frontier, p, SelectionPolicy.MAX_MARKOV,
-                             random.Random(0))
-        assert picked.blog_name == "first"
+                             random.Random(0), self.graph("pa", "pb"))
+        assert picked == "first"
 
     def test_unvisited_entry_inherits_from_parents(self):
         # f was discovered by both b and c; g only by b.  One walk step
@@ -684,12 +693,11 @@ class TestSelectNext:
         graph.add_link("b", "a", NoteKind.LIKE)
         graph.add_link("c", "a", NoteKind.LIKE)
         p = {"a": 0.2, "b": 0.5, "c": 0.3}
-        frontier = [self.entry("g", parent="b"), self.entry("f", parent="b")]
-        parents = {"f": {"b": {NoteKind.LIKE}, "c": {NoteKind.REBLOG}},
-                   "g": {"b": {NoteKind.LIKE}}}
+        frontier = {"g": {"b": {NoteKind.LIKE}},
+                    "f": {"b": {NoteKind.LIKE}, "c": {NoteKind.REBLOG}}}
         picked = select_next(frontier, p, SelectionPolicy.MAX_MARKOV,
-                             random.Random(0), graph=graph, parents=parents)
-        assert picked.blog_name == "f"
+                             random.Random(0), graph)
+        assert picked == "f"
 
     def test_inherited_mass_divides_by_out_degree(self):
         graph = CommunityGraph()
@@ -697,12 +705,11 @@ class TestSelectNext:
         graph.add_link("b", "c", NoteKind.LIKE)   # out-degree 2
         graph.add_link("d", "a", NoteKind.LIKE)   # out-degree 1
         p = {"a": 0.0, "b": 0.4, "c": 0.0, "d": 0.3}
-        frontier = [self.entry("from-b", parent="b"),
-                    self.entry("from-d", parent="d")]
+        frontier = self.frontier(("from-b", "b"), ("from-d", "d"))
         picked = select_next(frontier, p, SelectionPolicy.MAX_MARKOV,
-                             random.Random(0), graph=graph)
+                             random.Random(0), graph)
         # 0.4 / 2 = 0.2 versus 0.3 / 1 = 0.3
-        assert picked.blog_name == "from-d"
+        assert picked == "from-d"
 
 
 class TestConfig:
@@ -732,12 +739,6 @@ class TestConfig:
         assert config.frontier_width == 25
         assert config.posts_per_blogger == 100
         assert config.selection_policy is SelectionPolicy.MAX_MARKOV
-
-    def test_frontier_entry_validation(self):
-        with pytest.raises(ValueError):
-            FrontierEntry("a", {NoteKind.LIKE}, "a")
-        with pytest.raises(ValueError):
-            FrontierEntry("a", set(), "b")
 
 
 class TestCrawlResultSerialization:
@@ -964,6 +965,26 @@ class TestCheckpointResume:
         result = resumed.run()
         assert result.canonical_bytes() == expected.canonical_bytes()
 
+    @pytest.mark.parametrize("seed", [2, 3, 9])
+    @pytest.mark.parametrize("policy", list(SelectionPolicy))
+    @pytest.mark.parametrize("limit", [20, 1000])
+    def test_resume_through_sorted_json(self, seed, policy, limit):
+        # crawl writes checkpoints with sorted keys, which reorders each
+        # pending target's parents; resuming every 3 steps from such a
+        # document must still give the uninterrupted run's bytes.
+        store, model, threshold = network(seed)
+        whole = crawl_session(store, model, threshold, seed, policy,
+                              graph_size_limit=limit)
+        expected = whole.run()
+
+        session = crawl_session(store, model, threshold, seed, policy,
+                                graph_size_limit=limit)
+        while session.run(max_steps=3) is None:
+            frozen = json.loads(json.dumps(session.checkpoint(), sort_keys=True))
+            session = CrawlSession.resume(store, model, frozen)
+        assert session.result().canonical_bytes() == expected.canonical_bytes()
+        assert checkpoint_bytes(session) == checkpoint_bytes(whole)
+
     def test_checkpoint_of_finished_run(self, hand_store, hand_model,
                                         hand_config):
         session = CrawlSession(hand_store, hand_model, hand_config)
@@ -993,6 +1014,31 @@ class TestCheckpointResume:
             CrawlSession.resume(hand_store, hand_model,
                                 {"format": "spiderveil.checkpoint",
                                  "version": 99})
+
+    def _frozen_midway(self, bundle) -> dict:
+        session = self._session(bundle)
+        session.run(max_steps=3)
+        frozen = session.checkpoint()
+        assert frozen["frontier"] and frozen["current"] in frozen["pending"]
+        return frozen
+
+    def test_resume_rejects_frontier_without_pending(self, small_bundle):
+        frozen = self._frozen_midway(small_bundle)
+        del frozen["pending"][frozen["frontier"][0]["blog_name"]]
+        with pytest.raises(GraphFormatError):
+            CrawlSession.resume(small_bundle.store, small_bundle.model, frozen)
+
+    def test_resume_rejects_parent_outside_pending(self, small_bundle):
+        frozen = self._frozen_midway(small_bundle)
+        frozen["frontier"][0]["parent"] = "nobody"
+        with pytest.raises(GraphFormatError):
+            CrawlSession.resume(small_bundle.store, small_bundle.model, frozen)
+
+    def test_resume_rejects_pending_outside_frontier(self, small_bundle):
+        frozen = self._frozen_midway(small_bundle)
+        frozen["pending"]["stranger"] = {frozen["config"]["seed"]: ["like"]}
+        with pytest.raises(GraphFormatError):
+            CrawlSession.resume(small_bundle.store, small_bundle.model, frozen)
 
     def test_result_before_finish_rejected(self, hand_store, hand_model,
                                            hand_config):

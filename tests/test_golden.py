@@ -5,8 +5,12 @@ Each trace runs the whole library pipeline on a small generated network
 the ``repr`` of every score and verdict, the threshold, and the SHA-256 of
 ``CrawlResult.canonical_bytes()`` and of the final checkpoint as ``crawl``
 writes it.  The files were recorded from the code before the table-driven
-scorer, so they pin every score to the last bit.  A trace that stops matching
-is a defect to explain; the recorder never overwrites a file.
+scorer, so they pin every score to the last bit.  Every one of those crawls
+exhausts its frontier, so ``size_limited.json`` also pins the checkpoint of
+the same crawls stopped at 10 and at 20 graph nodes, where ``frontier`` and
+``pending`` are not empty (except for six crawls at 20 nodes); it was
+recorded before the crawl state became one frontier map.  A trace that stops matching is a defect to explain; the recorder never
+overwrites a file.
 
 Record missing traces with ``PYTHONPATH=src python tests/test_golden.py``.
 """
@@ -31,6 +35,8 @@ SEEDS = range(2, 12)
 POLICIES = tuple(SelectionPolicy)
 BLOGGERS = 60
 SEED_BLOGGERS = 10
+SIZE_LIMITS = (10, 20)
+LIMITED_PATH = GOLDEN_DIR / "size_limited.json"
 
 
 def trace_params(seed: int) -> dict:
@@ -58,14 +64,24 @@ def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def crawl_trace(store, model, threshold, seed: int,
-                policy: SelectionPolicy) -> dict:
+def crawl_session(store, model, threshold, seed: int, policy: SelectionPolicy,
+                  **limits) -> CrawlSession:
     config = CrawlConfig(seed=store.seed_blogger, threshold=threshold.value,
                          ngram_order=model.order, selection_policy=policy,
-                         rng_seed=seed)
-    session = CrawlSession(store, model, config)
+                         rng_seed=seed, **limits)
+    return CrawlSession(store, model, config)
+
+
+def checkpoint_bytes(session: CrawlSession) -> bytes:
+    """The checkpoint as ``crawl`` writes it to crawl.json."""
+    text = json.dumps(session.checkpoint(), sort_keys=True, indent=1) + "\n"
+    return text.encode("utf-8")
+
+
+def crawl_trace(store, model, threshold, seed: int,
+                policy: SelectionPolicy) -> dict:
+    session = crawl_session(store, model, threshold, seed, policy)
     result = session.run()
-    checkpoint = json.dumps(session.checkpoint(), sort_keys=True, indent=1) + "\n"
     return {
         "params": {**trace_params(seed), "policy": policy.value},
         "threshold": repr(threshold.value),
@@ -73,8 +89,22 @@ def crawl_trace(store, model, threshold, seed: int,
                    for r in result.visit_log],
         "discarded": sorted(result.discarded),
         "canonical_sha256": sha256(result.canonical_bytes()),
-        "checkpoint_sha256": sha256(checkpoint.encode("utf-8")),
+        "checkpoint_sha256": sha256(checkpoint_bytes(session)),
     }
+
+
+def limited_checkpoints(seed: int) -> dict[str, str]:
+    """Checkpoint SHA-256 of the crawls stopped at each of SIZE_LIMITS nodes."""
+    store, model, threshold = network(seed)
+    pins = {}
+    for policy in POLICIES:
+        for limit in SIZE_LIMITS:
+            session = crawl_session(store, model, threshold, seed, policy,
+                                    graph_size_limit=limit)
+            session.run()
+            name = f"{golden_path(seed, policy).stem}-limit{limit}"
+            pins[name] = sha256(checkpoint_bytes(session))
+    return pins
 
 
 def golden_path(seed: int, policy: SelectionPolicy) -> Path:
@@ -89,6 +119,13 @@ def test_golden_trace_replays(seed):
         assert crawl_trace(store, model, threshold, seed, policy) == expected
 
 
+@pytest.mark.parametrize("seed", SEEDS)
+def test_size_limited_checkpoint_replays(seed):
+    expected = json.loads(LIMITED_PATH.read_text(encoding="utf-8"))
+    pins = limited_checkpoints(seed)
+    assert pins == {name: expected[name] for name in pins}
+
+
 def record() -> int:
     GOLDEN_DIR.mkdir(exist_ok=True)
     written = 0
@@ -101,7 +138,14 @@ def record() -> int:
             trace = crawl_trace(store, model, threshold, seed, policy)
             path.write_text(json.dumps(trace, indent=1) + "\n", encoding="utf-8")
             written += 1
-    print(f"wrote {written} traces to {GOLDEN_DIR}")
+    if not LIMITED_PATH.exists():
+        pins = {}
+        for seed in SEEDS:
+            pins.update(limited_checkpoints(seed))
+        LIMITED_PATH.write_text(json.dumps(pins, indent=1) + "\n",
+                                encoding="utf-8")
+        written += 1
+    print(f"wrote {written} files to {GOLDEN_DIR}")
     return 0
 
 
