@@ -688,36 +688,41 @@ class CrawlSession:
     @classmethod
     def resume(cls, source, model: NGramModel, checkpoint: dict) -> "CrawlSession":
         """Rebuild a session; finishing it matches an uninterrupted run."""
-        if checkpoint.get("format") != CHECKPOINT_FORMAT:
+        if (not isinstance(checkpoint, dict)
+                or checkpoint.get("format") != CHECKPOINT_FORMAT):
             raise GraphFormatError("not a crawl checkpoint document")
         if checkpoint.get("version") != CHECKPOINT_VERSION:
             raise GraphFormatError(
                 f"unsupported checkpoint version {checkpoint.get('version')!r}")
-        config = CrawlConfig.from_json_dict(checkpoint["config"])
-        session = cls(source, model, config)
-        session._visit_log, discarded = visit_log_from_json(checkpoint)
-        session._discarded = dict.fromkeys(discarded)
-        session._processed = dict.fromkeys(checkpoint["processed"])
-        pending = {target: {parent: {NoteKind(k) for k in labels}
-                            for parent, labels in parents.items()}
-                   for target, parents in checkpoint["pending"].items()}
-        # The frontier list gives the selection order and each blogger's
-        # first discoverer; sorted keys may have reordered ``pending``.
-        for item in checkpoint["frontier"]:
-            target, first = item["blog_name"], item["parent"]
-            parents = pending.pop(target, None)
-            if parents is None or first not in parents:
+        try:
+            config = CrawlConfig.from_json_dict(checkpoint["config"])
+            session = cls(source, model, config)
+            session._visit_log, discarded = visit_log_from_json(checkpoint)
+            session._discarded = dict.fromkeys(discarded)
+            session._processed = dict.fromkeys(checkpoint["processed"])
+            pending = {target: {parent: {NoteKind(k) for k in labels}
+                                for parent, labels in parents.items()}
+                       for target, parents in checkpoint["pending"].items()}
+            # The frontier list gives the selection order and each blogger's
+            # first discoverer; sorted keys may have reordered ``pending``.
+            for item in checkpoint["frontier"]:
+                target, first = item["blog_name"], item["parent"]
+                parents = pending.pop(target, None)
+                if parents is None or first not in parents:
+                    raise GraphFormatError(f"frontier blogger {target!r} "
+                                           f"lacks pending parent {first!r}")
+                session._frontier[target] = {first: parents[first]} | parents
+            if set(pending) - {checkpoint["current"]}:
                 raise GraphFormatError(
-                    f"frontier blogger {target!r} lacks pending parent {first!r}")
-            session._frontier[target] = {first: parents[first]} | parents
-        if set(pending) - {checkpoint["current"]}:
-            raise GraphFormatError("pending bloggers missing from the frontier")
-        session._frontier.update(pending)
-        session._graph = CommunityGraph.from_json_dict(checkpoint["graph"])
-        session._selections = int(checkpoint["selections"])
-        session._current = checkpoint["current"]
-        stop = checkpoint.get("stop_reason")
-        session._stop = StopReason(stop) if stop is not None else None
+                    "pending bloggers missing from the frontier")
+            session._frontier.update(pending)
+            session._graph = CommunityGraph.from_json_dict(checkpoint["graph"])
+            session._selections = int(checkpoint["selections"])
+            session._current = checkpoint["current"]
+            stop = checkpoint.get("stop_reason")
+            session._stop = StopReason(stop) if stop is not None else None
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+            raise GraphFormatError(f"bad checkpoint document: {exc!r}") from exc
         # Replay consumed randomness: uniform selection draws one float each.
         if config.selection_policy is SelectionPolicy.UNIFORM_RANDOM:
             for _ in range(session._selections):

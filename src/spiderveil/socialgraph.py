@@ -13,9 +13,9 @@ Measurement conventions:
 
 from __future__ import annotations
 
+import heapq
 import json
 import re
-from collections import deque
 from dataclasses import dataclass
 from xml.etree import ElementTree
 
@@ -219,31 +219,37 @@ def scc_count(graph: CommunityGraph) -> int:
     return len(strongly_connected_components(graph))
 
 
-def _bfs_depths(start: str, adjacency: dict[str, list[str]]) -> dict[str, int]:
-    depths = {start: 0}
-    queue = deque([start])
-    while queue:
-        node = queue.popleft()
-        for nxt in adjacency[node]:
-            if nxt not in depths:
-                depths[nxt] = depths[node] + 1
-                queue.append(nxt)
-    return depths
+def _successor_ids(graph: CommunityGraph) -> list[list[int]]:
+    """Successor lists over node ids, the positions in ``graph.nodes()``."""
+    index = {node: i for i, node in enumerate(graph.nodes())}
+    return [[index[succ] for succ in graph.successors(node)] for node in index]
+
+
+def _depth_counts(start: int, adjacency: list[list[int]]) -> list[int]:
+    """Number of nodes at each BFS depth from ``start`` (depth 0 holds it)."""
+    seen = [False] * len(adjacency)
+    seen[start] = True
+    layer = [start]
+    counts = []
+    while layer:
+        counts.append(len(layer))
+        following = []
+        for node in layer:
+            for nxt in adjacency[node]:
+                if not seen[nxt]:
+                    seen[nxt] = True
+                    following.append(nxt)
+        layer = following
+    return counts
 
 
 def diameter(graph: CommunityGraph) -> int:
     """Longest shortest directed path over reachable ordered pairs."""
-    nodes = graph.nodes()
-    if not nodes:
+    if graph.node_count() == 0:
         raise ValueError("diameter of an empty graph is undefined")
-    adjacency = {v: graph.successors(v) for v in nodes}
-    best = 0
-    for start in nodes:
-        depths = _bfs_depths(start, adjacency)
-        local = max(depths.values())
-        if local > best:
-            best = local
-    return best
+    adjacency = _successor_ids(graph)
+    return max(len(_depth_counts(start, adjacency)) - 1
+               for start in range(len(adjacency)))
 
 
 def avg_clustering(graph: CommunityGraph) -> float:
@@ -271,52 +277,61 @@ def avg_clustering(graph: CommunityGraph) -> float:
 
 
 def betweenness(graph: CommunityGraph) -> dict[str, float]:
-    """Unnormalized directed shortest-path betweenness (Brandes accumulation)."""
+    """Unnormalized directed shortest-path betweenness (Brandes accumulation).
+
+    O(N·E) over node ids.  Sources, BFS visits and dependency sums follow
+    node and edge insertion order, which fixes the order of every float sum.
+    """
     nodes = graph.nodes()
-    adjacency = {v: graph.successors(v) for v in nodes}
-    centrality = {v: 0.0 for v in nodes}
-    for source in nodes:
-        order: list[str] = []
-        preds: dict[str, list[str]] = {v: [] for v in nodes}
-        sigma = {v: 0 for v in nodes}
+    adjacency = _successor_ids(graph)
+    count = len(nodes)
+    centrality = [0.0] * count
+    for source in range(count):
+        preds: list[list[int] | None] = [None] * count
+        sigma = [0] * count
         sigma[source] = 1
-        dist = {v: -1 for v in nodes}
+        dist = [-1] * count
         dist[source] = 0
-        queue = deque([source])
-        while queue:
-            node = queue.popleft()
-            order.append(node)
+        order = [source]
+        for node in order:  # BFS: ``order`` is also the queue
+            depth = dist[node] + 1
+            paths = sigma[node]
             for nxt in adjacency[node]:
                 if dist[nxt] < 0:
-                    dist[nxt] = dist[node] + 1
-                    queue.append(nxt)
-                if dist[nxt] == dist[node] + 1:
-                    sigma[nxt] += sigma[node]
+                    dist[nxt] = depth
+                    sigma[nxt] = paths
+                    preds[nxt] = [node]
+                    order.append(nxt)
+                elif dist[nxt] == depth:
+                    sigma[nxt] += paths
                     preds[nxt].append(node)
-        delta = {v: 0.0 for v in nodes}
-        while order:
-            node = order.pop()
+        delta = [0.0] * count
+        for i in range(len(order) - 1, 0, -1):
+            node = order[i]
+            paths = sigma[node]
+            share = 1.0 + delta[node]
             for pred in preds[node]:
-                delta[pred] += sigma[pred] / sigma[node] * (1.0 + delta[node])
-            if node != source:
-                centrality[node] += delta[node]
-    return centrality
+                delta[pred] += sigma[pred] / paths * share
+            centrality[node] += delta[node]
+    return dict(zip(nodes, centrality))
 
 
 def closeness_in(graph: CommunityGraph) -> dict[str, float]:
     """In-closeness: nodes reaching v divided by their summed distances."""
     nodes = graph.nodes()
-    predecessors: dict[str, list[str]] = {v: [] for v in nodes}
-    for src, dst, _ in graph.edges():
-        predecessors[dst].append(src)
+    predecessors: list[list[int]] = [[] for _ in nodes]
+    for src, targets in enumerate(_successor_ids(graph)):
+        for dst in targets:
+            predecessors[dst].append(src)
     closeness = {}
-    for node in nodes:
-        depths = _bfs_depths(node, predecessors)
-        reaching = len(depths) - 1
+    for node_id, node in enumerate(nodes):
+        counts = _depth_counts(node_id, predecessors)
+        reaching = sum(counts) - 1
         if reaching == 0:
             closeness[node] = 0.0
         else:
-            closeness[node] = reaching / sum(depths.values())
+            distance = sum(depth * n for depth, n in enumerate(counts))
+            closeness[node] = reaching / distance
     return closeness
 
 
@@ -366,57 +381,70 @@ def detect_communities(graph: CommunityGraph) -> Partition:
     """Greedy agglomeration: merge the community pair with the best
     modularity gain until no merge improves it.  Deterministic given node
     insertion order; the result never has lower modularity than singletons.
+
+    The heap form of Clauset, Newman & Moore (2004): communities start as
+    node ids, and a lazy max-heap of ``(-gain, a, b)`` with ``a < b`` yields
+    the best gain, ties going to the smallest pair.  Merging b into a (a < b
+    survives) leaves other pairs' gains as they were and lowers the gain of
+    each pair of a's whose edge count did not change, so only the pairs that
+    took over b's edges are pushed.  A popped entry of two live communities
+    whose gain is out of date goes back with its current gain; every live
+    pair thus keeps an entry at or above its gain, and the first entry
+    popped whose gain is current is the best pair.
     """
     nodes = graph.nodes()
-    community_of = {node: i for i, node in enumerate(nodes)}
-    adjacency = graph.undirected_adjacency()
-    edges = _undirected_edges(graph)
-    m = len(edges)
+    # links[a][b]: undirected edges between communities a and b.
+    links: list[dict[int, int]] = [{} for _ in nodes]
+    for src, targets in enumerate(_successor_ids(graph)):
+        for dst in targets:
+            links[src][dst] = links[dst][src] = 1
+    degree = [len(neighbours) for neighbours in links]
+    m = sum(degree) // 2
     if m == 0:
-        return Partition(assignment=community_of)
-
-    degree = {i: len(adjacency[node]) for i, node in enumerate(nodes)}
-    between: dict[tuple[int, int], int] = {}
-    for u, v in edges:
-        a, b = community_of[u], community_of[v]
-        if a != b:
-            key = (a, b) if a < b else (b, a)
-            between[key] = between.get(key, 0) + 1
+        return Partition(assignment={node: i for i, node in enumerate(nodes)})
 
     two_m = 2.0 * m
-    while between:
-        best_gain = 1e-12
-        best_pair = None
-        for pair in sorted(between):
-            a, b = pair
-            gain = between[pair] / m - 2.0 * (degree[a] / two_m) * (degree[b] / two_m)
-            if gain > best_gain:
-                best_gain = gain
-                best_pair = pair
-        if best_pair is None:
-            break
-        a, b = best_pair
-        degree[a] += degree.pop(b)
-        for node, community in community_of.items():
-            if community == b:
-                community_of[node] = a
-        merged: dict[tuple[int, int], int] = {}
-        for (x, y), count in between.items():
-            x = a if x == b else x
-            y = a if y == b else y
-            if x == y:
-                continue
-            key = (x, y) if x < y else (y, x)
-            merged[key] = merged.get(key, 0) + count
-        between = merged
 
+    def gain(a: int, b: int) -> float:
+        return links[a][b] / m - 2.0 * (degree[a] / two_m) * (degree[b] / two_m)
+
+    members: list[list[int] | None] = [[i] for i in range(len(nodes))]
+    heap = [(-gain(a, b), a, b)
+            for a, neighbours in enumerate(links) for b in neighbours if a < b]
+    heapq.heapify(heap)
+    while heap:
+        negative, a, b = heapq.heappop(heap)
+        if members[a] is None or members[b] is None:
+            continue
+        current = gain(a, b)
+        if -negative != current:
+            heapq.heappush(heap, (-current, a, b))
+            continue
+        if current <= 1e-12:
+            break
+        # Merge b into a; every pair of b's becomes a pair of a's.
+        survivor = links[a]
+        del survivor[b]
+        del links[b][a]
+        degree[a] += degree[b]
+        for x, count in links[b].items():
+            neighbours = links[x]
+            del neighbours[b]
+            neighbours[a] = survivor[x] = survivor.get(x, 0) + count
+            pair = (a, x) if a < x else (x, a)
+            heapq.heappush(heap, (-gain(*pair), *pair))
+        links[b] = {}
+        members[a].extend(members[b])
+        members[b] = None
+
+    community_of = [0] * len(nodes)
+    for community, group in enumerate(members):
+        for node_id in group or ():
+            community_of[node_id] = community
     relabel: dict[int, int] = {}
-    for node in nodes:
-        community = community_of[node]
-        if community not in relabel:
-            relabel[community] = len(relabel)
-        community_of[node] = relabel[community]
-    return Partition(assignment=community_of)
+    return Partition(assignment={
+        node: relabel.setdefault(community, len(relabel))
+        for node, community in zip(nodes, community_of)})
 
 
 @dataclass(frozen=True)
@@ -462,7 +490,7 @@ def measure(graph: CommunityGraph) -> GraphMeasurements:
     """All measurements at once.  A graph without edges gets modularity 0."""
     if graph.node_count() == 0:
         raise ValueError("cannot measure an empty graph")
-    if _undirected_edges(graph):
+    if graph.edge_count():
         quality = modularity(graph, detect_communities(graph))
     else:
         quality = 0.0

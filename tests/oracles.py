@@ -3,16 +3,19 @@
 Each oracle takes the graph as (nodes, edges) primitives and answers by a
 deliberately different route than the library: matrix closures, exhaustive
 path enumeration, and direct formula evaluation.  The scorer's oracle is the
-per-character loop that defines a score.
+per-character loop that defines a score; the betweenness and community
+oracles are the name-keyed loops that the int-indexed library code replaced.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 
 import numpy as np
 
 from spiderveil.langmodel import SENTINEL
+from spiderveil.socialgraph import Partition
 
 INF = float("inf")
 
@@ -190,3 +193,102 @@ def reference_score_text(model, text: str) -> float:
         context = padded[i - model.order + 1:i]
         total += math.log10(model.probability(context, padded[i]))
     return total / len(text)
+
+
+def reference_betweenness(graph) -> dict[str, float]:
+    """Unnormalized directed betweenness by Brandes accumulation over name-keyed
+    dicts; the library's int-indexed version must return exactly these values.
+    """
+    nodes = graph.nodes()
+    adjacency = {v: graph.successors(v) for v in nodes}
+    centrality = {v: 0.0 for v in nodes}
+    for source in nodes:
+        order: list[str] = []
+        preds: dict[str, list[str]] = {v: [] for v in nodes}
+        sigma = {v: 0 for v in nodes}
+        sigma[source] = 1
+        dist = {v: -1 for v in nodes}
+        dist[source] = 0
+        queue = deque([source])
+        while queue:
+            node = queue.popleft()
+            order.append(node)
+            for nxt in adjacency[node]:
+                if dist[nxt] < 0:
+                    dist[nxt] = dist[node] + 1
+                    queue.append(nxt)
+                if dist[nxt] == dist[node] + 1:
+                    sigma[nxt] += sigma[node]
+                    preds[nxt].append(node)
+        delta = {v: 0.0 for v in nodes}
+        while order:
+            node = order.pop()
+            for pred in preds[node]:
+                delta[pred] += sigma[pred] / sigma[node] * (1.0 + delta[node])
+            if node != source:
+                centrality[node] += delta[node]
+    return centrality
+
+
+def _undirected_edges(graph) -> set[tuple[str, str]]:
+    edges = set()
+    for src, dst, _ in graph.edges():
+        edges.add((src, dst) if src <= dst else (dst, src))
+    return edges
+
+
+def reference_detect_communities(graph) -> Partition:
+    """Greedy agglomeration that rescans every community pair in sorted order
+    on each merge; the library's heap-ordered merge must return exactly this
+    partition.
+    """
+    nodes = graph.nodes()
+    community_of = {node: i for i, node in enumerate(nodes)}
+    adjacency = graph.undirected_adjacency()
+    edges = _undirected_edges(graph)
+    m = len(edges)
+    if m == 0:
+        return Partition(assignment=community_of)
+
+    degree = {i: len(adjacency[node]) for i, node in enumerate(nodes)}
+    between: dict[tuple[int, int], int] = {}
+    for u, v in edges:
+        a, b = community_of[u], community_of[v]
+        if a != b:
+            key = (a, b) if a < b else (b, a)
+            between[key] = between.get(key, 0) + 1
+
+    two_m = 2.0 * m
+    while between:
+        best_gain = 1e-12
+        best_pair = None
+        for pair in sorted(between):
+            a, b = pair
+            gain = between[pair] / m - 2.0 * (degree[a] / two_m) * (degree[b] / two_m)
+            if gain > best_gain:
+                best_gain = gain
+                best_pair = pair
+        if best_pair is None:
+            break
+        a, b = best_pair
+        degree[a] += degree.pop(b)
+        for node, community in community_of.items():
+            if community == b:
+                community_of[node] = a
+        merged: dict[tuple[int, int], int] = {}
+        for (x, y), count in between.items():
+            x = a if x == b else x
+            y = a if y == b else y
+            if x == y:
+                continue
+            key = (x, y) if x < y else (y, x)
+            merged[key] = merged.get(key, 0) + count
+        between = merged
+
+    relabel: dict[int, int] = {}
+    for node in nodes:
+        community = community_of[node]
+        if community not in relabel:
+            relabel[community] = len(relabel)
+        community_of[node] = relabel[community]
+    return Partition(assignment=community_of)

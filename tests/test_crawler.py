@@ -1040,6 +1040,22 @@ class TestCheckpointResume:
         with pytest.raises(GraphFormatError):
             CrawlSession.resume(small_bundle.store, small_bundle.model, frozen)
 
+    MALFORMED_CHECKPOINTS = {
+        "format-and-version-only": lambda doc: {
+            "format": doc["format"], "version": doc["version"]},
+        "pending-not-an-object": lambda doc: {**doc, "pending": [1]},
+        "frontier-item-without-name": lambda doc: {**doc, "frontier": [
+            {"relation": ["like"], "parent": doc["config"]["seed"]}]},
+        "processed-not-an-array": lambda doc: {**doc, "processed": 5},
+    }
+
+    @pytest.mark.parametrize("edit", MALFORMED_CHECKPOINTS)
+    def test_resume_rejects_malformed_fields(self, small_bundle, edit):
+        edited = self.MALFORMED_CHECKPOINTS[edit]
+        frozen = edited(self._frozen_midway(small_bundle))
+        with pytest.raises(GraphFormatError):
+            CrawlSession.resume(small_bundle.store, small_bundle.model, frozen)
+
     def test_result_before_finish_rejected(self, hand_store, hand_model,
                                            hand_config):
         session = CrawlSession(hand_store, hand_model, hand_config)

@@ -9,8 +9,11 @@ scorer, so they pin every score to the last bit.  Every one of those crawls
 exhausts its frontier, so ``size_limited.json`` also pins the checkpoint of
 the same crawls stopped at 10 and at 20 graph nodes, where ``frontier`` and
 ``pending`` are not empty (except for six crawls at 20 nodes); it was
-recorded before the crawl state became one frontier map.  A trace that stops matching is a defect to explain; the recorder never
-overwrites a file.
+recorded before the crawl state became one frontier map.  ``measure.json``
+pins the measurements of every crawl's graph (the ``repr`` of each field and
+the SHA-256 of the partition and of the per-node betweenness and closeness);
+it was recorded before the metrics ran over integer node ids.  A trace that
+stops matching is a defect to explain; the recorder never overwrites a file.
 
 Record missing traces with ``PYTHONPATH=src python tests/test_golden.py``.
 """
@@ -29,6 +32,8 @@ from spiderveil.crawler import (CrawlConfig, CrawlSession, FixtureStore,
                                 SelectionPolicy)
 from spiderveil.langmodel import compute_threshold, score_blogger, train
 from spiderveil.simnet import GeneratorParams, generate
+from spiderveil.socialgraph import (betweenness, closeness_in,
+                                    detect_communities, measure)
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 SEEDS = range(2, 12)
@@ -37,6 +42,7 @@ BLOGGERS = 60
 SEED_BLOGGERS = 10
 SIZE_LIMITS = (10, 20)
 LIMITED_PATH = GOLDEN_DIR / "size_limited.json"
+MEASURE_PATH = GOLDEN_DIR / "measure.json"
 
 
 def trace_params(seed: int) -> dict:
@@ -107,6 +113,28 @@ def limited_checkpoints(seed: int) -> dict[str, str]:
     return pins
 
 
+def json_sha256(value) -> str:
+    return sha256(json.dumps(value).encode("utf-8"))
+
+
+def graph_measurements(seed: int) -> dict[str, dict]:
+    """Measurements of each policy's crawl graph, every float as its repr."""
+    store, model, threshold = network(seed)
+    pins = {}
+    for policy in POLICIES:
+        graph = crawl_session(store, model, threshold, seed, policy).run().graph
+        fields = measure(graph).to_json_dict()
+        pins[golden_path(seed, policy).stem] = {
+            **{name: repr(value) for name, value in fields.items()},
+            "partition_sha256": json_sha256(detect_communities(graph).assignment),
+            "betweenness_sha256": json_sha256(
+                [repr(value) for value in betweenness(graph).values()]),
+            "closeness_sha256": json_sha256(
+                [repr(value) for value in closeness_in(graph).values()]),
+        }
+    return pins
+
+
 def golden_path(seed: int, policy: SelectionPolicy) -> Path:
     return GOLDEN_DIR / f"{policy.value}-{seed:02d}.json"
 
@@ -126,6 +154,13 @@ def test_size_limited_checkpoint_replays(seed):
     assert pins == {name: expected[name] for name in pins}
 
 
+@pytest.mark.parametrize("seed", SEEDS)
+def test_graph_measurements_replay(seed):
+    expected = json.loads(MEASURE_PATH.read_text(encoding="utf-8"))
+    pins = graph_measurements(seed)
+    assert pins == {name: expected[name] for name in pins}
+
+
 def record() -> int:
     GOLDEN_DIR.mkdir(exist_ok=True)
     written = 0
@@ -138,12 +173,14 @@ def record() -> int:
             trace = crawl_trace(store, model, threshold, seed, policy)
             path.write_text(json.dumps(trace, indent=1) + "\n", encoding="utf-8")
             written += 1
-    if not LIMITED_PATH.exists():
+    for path, pin in ((LIMITED_PATH, limited_checkpoints),
+                      (MEASURE_PATH, graph_measurements)):
+        if path.exists():
+            continue
         pins = {}
         for seed in SEEDS:
-            pins.update(limited_checkpoints(seed))
-        LIMITED_PATH.write_text(json.dumps(pins, indent=1) + "\n",
-                                encoding="utf-8")
+            pins.update(pin(seed))
+        path.write_text(json.dumps(pins, indent=1) + "\n", encoding="utf-8")
         written += 1
     print(f"wrote {written} files to {GOLDEN_DIR}")
     return 0

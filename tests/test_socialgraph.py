@@ -3,6 +3,8 @@ import random
 import xml.etree.ElementTree as ElementTree
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spiderveil.corpus import NoteKind
 from spiderveil.errors import GraphFormatError, SelfLoopError
@@ -17,7 +19,8 @@ from spiderveil.socialgraph import (CommunityGraph, GraphMeasurements,
 
 from oracles import (avg_clustering_oracle, betweenness_oracle,
                      closeness_in_oracle, diameter_oracle, modularity_oracle,
-                     random_digraph, scc_count_oracle)
+                     random_digraph, reference_betweenness,
+                     reference_detect_communities, scc_count_oracle)
 
 
 def build_graph(nodes, edges, label=NoteKind.LIKE):
@@ -316,6 +319,78 @@ class TestDetectCommunities:
     def test_partition_covers_all_nodes(self):
         graph = two_triangles()
         assert set(detect_communities(graph).assignment) == set(graph.nodes())
+
+
+def _random_edges(count, rnd):
+    density = rnd.choice([0.02, 0.05, 0.1, 0.3, 0.6])
+    return [(i, j) for i in range(count) for j in range(count)
+            if i != j and rnd.random() < density]
+
+
+def _cycle_edges(count, rnd):
+    return [(i, (i + 1) % count) for i in range(count)]
+
+
+def _bipartite_edges(count, rnd):
+    left = rnd.randint(1, count - 1)
+    return [(i, j) for i in range(left) for j in range(left, count)]
+
+
+def _clique_edges(count, rnd):
+    size = rnd.randint(2, 6)
+    whole = count - count % size  # nodes past the last full clique stay alone
+    return [(i, j) for i in range(whole) for j in range(whole)
+            if i != j and i // size == j // size]
+
+
+def _star_edges(count, rnd):
+    return [(0, i) for i in range(1, count)]
+
+
+SHAPES = {"random": _random_edges, "cycle": _cycle_edges,
+          "bipartite": _bipartite_edges, "cliques": _clique_edges,
+          "star": _star_edges}
+
+
+@st.composite
+def shaped_digraphs(draw):
+    """Random digraphs up to 60 nodes and tie-heavy shapes (cycles, complete
+    bipartite graphs, disjoint equal cliques, stars), with edges optionally
+    reversed or doubled, nodes named and inserted in a shuffled order."""
+    shape = draw(st.sampled_from(sorted(SHAPES)))
+    count = draw(st.integers(2, 60 if shape == "random" else 24))
+    rnd = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    edges = SHAPES[shape](count, rnd)
+    direction = draw(st.sampled_from(["forward", "reversed", "both"]))
+    if direction == "reversed":
+        edges = [(j, i) for i, j in edges]
+    elif direction == "both":
+        edges = edges + [(j, i) for i, j in edges]
+    names = [f"v{i:02d}" for i in range(count)]
+    rnd.shuffle(names)
+    nodes = list(names)
+    rnd.shuffle(nodes)
+    rnd.shuffle(edges)
+    return nodes, [(names[i], names[j]) for i, j in edges]
+
+
+class TestMatchesReference:
+    """The int-indexed metrics equal the name-keyed loops they replaced."""
+
+    @given(shaped_digraphs())
+    @settings(max_examples=150, deadline=None)
+    def test_partition_equals_reference(self, shaped):
+        graph = build_graph(*shaped)
+        found = detect_communities(graph).assignment
+        expected = reference_detect_communities(graph).assignment
+        assert list(found.items()) == list(expected.items())
+
+    @given(shaped_digraphs())
+    @settings(max_examples=150, deadline=None)
+    def test_betweenness_equals_reference(self, shaped):
+        graph = build_graph(*shaped)
+        assert list(betweenness(graph).items()) == \
+            list(reference_betweenness(graph).items())
 
 
 class TestMeasure:
