@@ -231,9 +231,9 @@ def cmd_train(args, config: dict) -> int:
         store = open_store(args, config)
         scored: list[tuple[float, str]] = []
         for name in seed_names:
-            posts = filter_english(
+            kept = filter_english(
                 store.blogger_posts(name, limit=args.posts, type="text"))
-            score = score_blogger(model, posts)
+            score = score_blogger(model, kept)
             scored.append((score.value, name))
         scored.sort()
         print("seed blogger scores (ascending):")

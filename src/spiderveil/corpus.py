@@ -19,7 +19,6 @@ from .errors import RetrievalError
 _MARKUP_RE = re.compile(r"<[^>]*>")
 # \t \n \r \f \v count as whitespace and collapse below; the rest is junk.
 _CONTROL_RE = re.compile(r"[\x00-\x08\x0e-\x1f\x7f]")
-_WHITESPACE_RE = re.compile(r"\s+")
 _TOKEN_RE = re.compile(r"\w+", re.UNICODE)
 
 # Function words only.  Content words would drag topical text toward an
@@ -38,12 +37,13 @@ ENGLISH_FUNCTION_WORDS = frozenset("""
 def normalize_text(raw: str) -> str:
     """Lowercase, strip markup tags and control bytes, collapse whitespace.
 
-    Idempotent: normalizing twice gives the same string.
+    Idempotent: normalizing twice gives the same string.  ``str.split()``
+    splits on exactly the characters ``\\s`` matches in a ``str`` pattern, so
+    joining its pieces by single spaces collapses and trims whitespace.
     """
-    text = _MARKUP_RE.sub(" ", raw)
+    text = _MARKUP_RE.sub(" ", raw) if "<" in raw else raw
     text = _CONTROL_RE.sub("", text)
-    text = _WHITESPACE_RE.sub(" ", text)
-    return text.strip().lower()
+    return " ".join(text.split()).lower()
 
 
 def normalize_tag(tag: str) -> str:
@@ -124,16 +124,18 @@ class Post:
         return normalize_text(self.body + " " + self.caption)
 
 
-def filter_english(posts, detector=None) -> list[Post]:
+def filter_english(posts, detector=None) -> list[tuple[Post, str]]:
     """Keep posts whose combined text reads as English; order preserved.
 
-    Undetermined posts (too short to judge) are retained.
+    Each kept post comes paired with its normalized text, computed once here
+    so that scoring need not normalize again.  Undetermined posts (too short
+    to judge) are retained.
     """
     kept = []
     for post in posts:
-        verdict = detect_language(post.normalized_text(), detector)
-        if verdict is not LanguageVerdict.NON_ENGLISH:
-            kept.append(post)
+        text = post.normalized_text()
+        if detect_language(text, detector) is not LanguageVerdict.NON_ENGLISH:
+            kept.append((post, text))
     return kept
 
 

@@ -201,8 +201,9 @@ class HttpJsonStore:
     """Read-only JSON client speaking the fixture schema over HTTP.
 
     Endpoints: /tagged/{tag}, /blog/{name}/posts, /post/{id}/notes, each
-    accepting a ``limit`` query parameter.  Transient failures are retried;
-    404 means the blogger or post does not exist.
+    accepting a ``limit`` query parameter.  Transient failures (network
+    errors, 429, 5xx, unreadable JSON) are retried; 404 means the blogger or
+    post does not exist, and any other 4xx fails at once.
     """
 
     def __init__(self, base_url: str, timeout: float = 5.0, retries: int = 3,
@@ -225,15 +226,19 @@ class HttpJsonStore:
             except requests.RequestException as exc:
                 failure = exc
             else:
-                if response.status_code == 404:
+                status = response.status_code
+                if status == 404:
                     raise NotFoundError(f"{path} not found")
-                if response.status_code == 200:
+                if 400 <= status < 500 and status != 429:
+                    raise RetrievalError(f"GET {path} failed: HTTP {status}",
+                                         retries=attempt)
+                if status == 200:
                     try:
                         return response.json()
                     except ValueError as exc:
                         failure = exc
                 else:
-                    failure = RuntimeError(f"HTTP {response.status_code}")
+                    failure = RuntimeError(f"HTTP {status}")
             if attempt < self.retries and self.backoff > 0:
                 time.sleep(self.backoff * attempt)
         raise RetrievalError(
@@ -467,8 +472,12 @@ def propagate(p0, matrix: TransitionMatrix, k: int) -> np.ndarray:
 # -- crawl steps --------------------------------------------------------------
 
 
-def fetch_posts(source, blogger: str, config: CrawlConfig) -> list[Post]:
-    """The blogger's newest text posts, capped and language-filtered."""
+def fetch_posts(source, blogger: str,
+                config: CrawlConfig) -> list[tuple[Post, str]]:
+    """The blogger's newest text posts, capped and language-filtered.
+
+    Each kept post comes paired with its normalized text.
+    """
     posts = source.blogger_posts(blogger, limit=config.posts_per_blogger,
                                  type="text")
     return filter_english(posts[:config.posts_per_blogger])
@@ -517,12 +526,14 @@ def select_next(frontier, p, policy: SelectionPolicy, rng: random.Random,
     if policy is SelectionPolicy.UNIFORM_RANDOM:
         return next(islice(frontier, int(rng.random() * len(frontier)), None))
 
+    # Each parent's share is divided once, not once per target it found.
+    shares = {node: p[node] / max(graph.out_degree(node), 1) for node in p}
     best = None
     best_mass = -1.0
     for target, parents in frontier.items():
         mass = 0.0
         for parent in parents:
-            mass += p.get(parent, 0.0) / max(graph.out_degree(parent), 1)
+            mass += shares.get(parent, 0.0)
         if mass > best_mass:
             best_mass = mass
             best = target
@@ -550,6 +561,10 @@ class CrawlSession:
         self._selections = 0
         self._current: str | None = config.seed
         self._stop: StopReason | None = None
+        # The last Markov mass and the (node count, edge count, step count)
+        # it was computed for.  Never checkpointed.
+        self._mass_key: tuple[int, int, int] | None = None
+        self._mass: dict[str, float] = {}
 
     @property
     def config(self) -> CrawlConfig:
@@ -600,8 +615,8 @@ class CrawlSession:
         self._processed[name] = None
         parents = self._frontier.pop(name, {})
         try:
-            posts = fetch_posts(self._source, name, self._config)
-            score = score_blogger(self._model, posts)
+            kept = fetch_posts(self._source, name, self._config)
+            score = score_blogger(self._model, kept)
         except NotFoundError:
             if name == self._config.seed:
                 raise
@@ -617,7 +632,7 @@ class CrawlSession:
         verdict = classify(score, self._config.threshold)
         self._visit_log.append(VisitRecord(name, score.value, verdict))
         if verdict is Verdict.RELEVANT:
-            self._admit(name, score.value, posts, parents)
+            self._admit(name, score.value, [post for post, _ in kept], parents)
         else:
             self._discarded[name] = None
 
@@ -644,6 +659,20 @@ class CrawlSession:
             self._graph.add_link(src, dst, label)
 
     def _distribution(self) -> dict[str, float]:
+        """The seed's mass after min(visits, PROPAGATION_CAP) walk steps.
+
+        The graph only grows, so equal node and edge counts mean the same
+        nodes and successor lists in the same order; with the same step
+        count the last mass is reused as it is.
+        """
+        steps = min(len(self._visit_log), PROPAGATION_CAP)
+        key = (self._graph.node_count(), self._graph.edge_count(), steps)
+        if key != self._mass_key:
+            self._mass = self._propagated_mass(steps)
+            self._mass_key = key
+        return self._mass
+
+    def _propagated_mass(self, steps: int) -> dict[str, float]:
         if self._graph.node_count() == 0:
             return {}
         matrix = build_transition_matrix(self._graph)
@@ -653,7 +682,6 @@ class CrawlSession:
         except ValueError:
             # Seed was never admitted; fall back to a uniform start.
             p0[:] = 1.0 / len(matrix.ordering)
-        steps = min(len(self._visit_log), PROPAGATION_CAP)
         mass = propagate(p0, matrix, steps)
         return dict(zip(matrix.ordering, mass.tolist()))
 
@@ -699,7 +727,18 @@ class CrawlSession:
             session = cls(source, model, config)
             session._visit_log, discarded = visit_log_from_json(checkpoint)
             session._discarded = dict.fromkeys(discarded)
-            session._processed = dict.fromkeys(checkpoint["processed"])
+            processed, selections = checkpoint["processed"], checkpoint["selections"]
+            if not (isinstance(processed, list)
+                    and all(isinstance(name, str) for name in processed)):
+                raise GraphFormatError("processed is not an array of names")
+            if (not isinstance(selections, int) or isinstance(selections, bool)
+                    or selections < 0):
+                raise GraphFormatError(
+                    f"selections {selections!r} is not a non-negative integer")
+            if not (checkpoint["current"] is None
+                    or isinstance(checkpoint["current"], str)):
+                raise GraphFormatError("current is neither a name nor null")
+            session._processed = dict.fromkeys(processed)
             pending = {target: {parent: {NoteKind(k) for k in labels}
                                 for parent, labels in parents.items()}
                        for target, parents in checkpoint["pending"].items()}
@@ -717,7 +756,7 @@ class CrawlSession:
                     "pending bloggers missing from the frontier")
             session._frontier.update(pending)
             session._graph = CommunityGraph.from_json_dict(checkpoint["graph"])
-            session._selections = int(checkpoint["selections"])
+            session._selections = selections
             session._current = checkpoint["current"]
             stop = checkpoint.get("stop_reason")
             session._stop = StopReason(stop) if stop is not None else None

@@ -261,14 +261,14 @@ def score_text(model: NGramModel, text: str) -> RelevanceScore:
     return RelevanceScore(model._table.mean_log10(text))
 
 
-def score_blogger(model: NGramModel, posts) -> RelevanceScore:
+def score_blogger(model: NGramModel, kept) -> RelevanceScore:
     """Score a blogger's whole output as one text.
 
-    Equals score_text of the posts' normalized texts joined by newlines;
-    character weighting therefore favors longer posts.
+    ``kept`` holds (post, normalized text) pairs as ``filter_english``
+    returns them.  Equals score_text of the non-empty texts joined by
+    newlines; character weighting therefore favors longer posts.
     """
-    texts = [post.normalized_text() for post in posts]
-    texts = [t for t in texts if t]
+    texts = [text for _, text in kept if text]
     if not texts:
         raise ScoringError("blogger has no scoreable text")
     return score_text(model, "\n".join(texts))

@@ -24,6 +24,14 @@ from .errors import GraphFormatError, SelfLoopError
 from .langmodel import Verdict
 
 
+def _node_name(value) -> str:
+    """``value`` if it is a non-empty string, else GraphFormatError."""
+    if not isinstance(value, str) or not value:
+        raise GraphFormatError(
+            f"bad graph document: node id {value!r} is not a non-empty string")
+    return value
+
+
 class CommunityGraph:
     """Directed graph; at most one edge per ordered pair, with a label set."""
 
@@ -152,12 +160,13 @@ class CommunityGraph:
         try:
             for node in data["nodes"]:
                 verdict = node.get("verdict")
-                graph.add_node(node["id"],
+                graph.add_node(_node_name(node["id"]),
                                Verdict(verdict) if verdict is not None else None,
                                node.get("score"))
             for edge in data["edges"]:
+                src, dst = _node_name(edge["src"]), _node_name(edge["dst"])
                 for label in edge["labels"]:
-                    graph.add_link(edge["src"], edge["dst"], NoteKind(label))
+                    graph.add_link(src, dst, NoteKind(label))
         except (KeyError, TypeError, ValueError, SelfLoopError) as exc:
             raise GraphFormatError(f"bad graph document: {exc}") from exc
         return graph

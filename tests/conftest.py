@@ -166,8 +166,8 @@ def hand_model():
 def hand_threshold(hand_store, hand_model):
     """Midpoint between the astronomy and cooking score clusters."""
     def blogger_score(name):
-        posts = filter_english(hand_store.blogger_posts(name, limit=100))
-        return score_blogger(hand_model, posts).value
+        kept = filter_english(hand_store.blogger_posts(name, limit=100))
+        return score_blogger(hand_model, kept).value
 
     on = [blogger_score(n) for n in ("alpha", "bravo", "carol", "dave")]
     off = [blogger_score(n) for n in ("xena", "yuri")]
@@ -191,8 +191,8 @@ def small_bundle():
     seed_names = [n for n, label in truth.items() if label][:10]
     scores = []
     for name in seed_names:
-        posts = filter_english(store.blogger_posts(name, limit=100))
-        scores.append(score_blogger(model, posts))
+        kept = filter_english(store.blogger_posts(name, limit=100))
+        scores.append(score_blogger(model, kept))
     threshold = compute_threshold(scores)
     return SimpleNamespace(params=params, store_data=store_data, truth=truth,
                            store=store, model=model, threshold=threshold,

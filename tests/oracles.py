@@ -4,12 +4,14 @@ Each oracle takes the graph as (nodes, edges) primitives and answers by a
 deliberately different route than the library: matrix closures, exhaustive
 path enumeration, and direct formula evaluation.  The scorer's oracle is the
 per-character loop that defines a score; the betweenness and community
-oracles are the name-keyed loops that the int-indexed library code replaced.
+oracles are the name-keyed loops that the int-indexed library code replaced;
+the normalizer's oracle is the three-substitution form it replaced.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from collections import deque
 
 import numpy as np
@@ -193,6 +195,18 @@ def reference_score_text(model, text: str) -> float:
         context = padded[i - model.order + 1:i]
         total += math.log10(model.probability(context, padded[i]))
     return total / len(text)
+
+
+def reference_normalize_text(raw: str) -> str:
+    """Markup, control bytes and whitespace runs replaced by three regex
+    substitutions, then trimmed and lowercased.
+
+    ``normalize_text`` must return exactly this string.
+    """
+    text = re.sub(r"<[^>]*>", " ", raw)
+    text = re.sub(r"[\x00-\x08\x0e-\x1f\x7f]", "", text)
+    text = re.sub(r"\s+", " ", text)
+    return text.strip().lower()
 
 
 def reference_betweenness(graph) -> dict[str, float]:

@@ -324,6 +324,21 @@ class TestCrawl:
                 (tmp_path / "b" / name).read_bytes()
 
 
+# Graph documents whose node ids or edge ends are not non-empty strings.
+NON_STRING_ID_GRAPHS = {
+    "integer node and edge source": {
+        "nodes": [{"id": 5}, {"id": "b"}],
+        "edges": [{"src": 5, "dst": "b", "labels": ["like"]}]},
+    "integer edge target": {
+        "nodes": [{"id": "a"}, {"id": "b"}],
+        "edges": [{"src": "a", "dst": 7, "labels": ["like"]}]},
+    "empty node id": {"nodes": [{"id": ""}], "edges": []},
+    "list edge source without labels": {
+        "nodes": [{"id": "a"}],
+        "edges": [{"src": ["a"], "dst": "a", "labels": []}]},
+}
+
+
 class TestAnalyze:
     @pytest.fixture()
     def cycle_file(self, tmp_path):
@@ -375,6 +390,14 @@ class TestAnalyze:
                        str(tmp_path / "absent.json")])
         assert code == 2
 
+    @pytest.mark.parametrize("name", sorted(NON_STRING_ID_GRAPHS))
+    def test_non_string_node_ids(self, tmp_path, capsys, name):
+        path = tmp_path / "graph.json"
+        path.write_text(json.dumps(NON_STRING_ID_GRAPHS[name]))
+        code, _ = run(["--out-dir", str(tmp_path / "out"), "analyze", str(path)])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+
 
 class TestExport:
     def test_dot_and_graphml(self, pipeline, tmp_path):
@@ -399,6 +422,18 @@ class TestExport:
         exported = import_json_edge_list(
             (tmp_path / "graph.json").read_bytes())
         assert exported == original
+
+    @pytest.mark.parametrize("fmt", ["json", "graphml", "dot"])
+    @pytest.mark.parametrize("name", sorted(NON_STRING_ID_GRAPHS))
+    def test_non_string_node_ids(self, tmp_path, capsys, fmt, name):
+        path = tmp_path / "graph.json"
+        path.write_text(json.dumps(NON_STRING_ID_GRAPHS[name]))
+        out = tmp_path / "out"
+        code, _ = run(["--out-dir", str(out), "export", str(path),
+                       "--format", fmt])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+        assert not (out / f"graph.{fmt}").exists()
 
     def test_unknown_format_rejected_by_parser(self, pipeline, tmp_path):
         with pytest.raises(SystemExit):

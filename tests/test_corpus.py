@@ -1,3 +1,6 @@
+import re
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,6 +11,15 @@ from spiderveil.corpus import (ExemplarCorpus, LanguageVerdict, NoteKind,
                                detect_language, filter_english, normalize_tag,
                                normalize_text)
 from spiderveil.errors import RetrievalError
+
+from oracles import reference_normalize_text
+
+ALL_CHARACTERS = "".join(map(chr, range(sys.maxunicode + 1)))
+UNICODE_WHITESPACE = [c for c in ALL_CHARACTERS if c.isspace()]
+# Control bytes, markup brackets and characters whose lowercase form differs
+# in length or script from the original.
+AWKWARD = ([chr(c) for c in range(0x20)] + ["\x7f", "<", ">", "A", "Z", "\u0130",
+           "\u03a3", "\u01c5", "\u1e9e", "\u2126", "\u212a", "\u0345", "\xdf"])
 
 
 def _post(pid="p1", blog="someone", body="", caption="", tags=(), notes=()):
@@ -32,6 +44,20 @@ class TestNormalizeText:
     def test_idempotent(self, raw):
         once = normalize_text(raw)
         assert normalize_text(once) == once
+
+    def test_split_and_regex_agree_on_whitespace(self):
+        # str.split() and \s in a str pattern must name the same characters.
+        assert re.findall(r"\s", ALL_CHARACTERS) == UNICODE_WHITESPACE
+        assert {"\x1c", "\x1f", "\x85", "\xa0", "\u2028", "\u3000"} <= set(
+            UNICODE_WHITESPACE)
+
+    @given(st.text(alphabet=st.one_of(st.sampled_from(UNICODE_WHITESPACE),
+                                      st.sampled_from(AWKWARD),
+                                      st.characters()),
+                   max_size=200))
+    @settings(max_examples=500)
+    def test_matches_the_three_regex_form(self, raw):
+        assert normalize_text(raw) == reference_normalize_text(raw)
 
 
 class TestNormalizeTag:
@@ -64,20 +90,21 @@ class TestFilterEnglish:
     def test_drops_non_english(self):
         english = _post("p1", body="the quick brown fox jumps over the lazy dog")
         german = _post("p2", body="der schnelle braune fuchs springt über den faulen hund")
-        assert filter_english([english, german]) == [english]
+        assert filter_english([english, german]) == [
+            (english, "the quick brown fox jumps over the lazy dog")]
 
     def test_empty(self):
         assert filter_english([]) == []
 
     def test_short_post_retained(self):
         stub = _post("p1", body="hi")
-        assert filter_english([stub]) == [stub]
+        assert filter_english([stub]) == [(stub, "hi")]
 
     def test_idempotent(self):
         posts = [_post("p1", body="the quick brown fox jumps over the lazy dog"),
                  _post("p2", body="ein kurzer deutscher satz ohne englische woerter")]
         once = filter_english(posts)
-        assert filter_english(once) == once
+        assert filter_english([post for post, _ in once]) == once
 
 
 class TestPost:

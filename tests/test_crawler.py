@@ -8,6 +8,7 @@ import sys
 import threading
 from collections import deque
 from pathlib import Path
+from types import SimpleNamespace
 from urllib.parse import parse_qsl, unquote, urlsplit
 
 import numpy as np
@@ -33,7 +34,7 @@ from spiderveil.socialgraph import CommunityGraph
 from conftest import (EDGE_STORES, HAND_BODIES, MALFORMED_POSTS,
                       MALFORMED_STORES, FakeSession, make_post)
 from oracles import propagate_oracle, random_digraph
-from test_golden import checkpoint_bytes, crawl_session, network
+from test_golden import SEEDS, checkpoint_bytes, crawl_session, network
 
 
 def note(name, kind):
@@ -430,6 +431,27 @@ class TestHttpJsonStore:
             server.shutdown()
             server.server_close()
 
+    @pytest.mark.parametrize("status, calls", [
+        (400, 1), (403, 1), (410, 1), (429, 3), (500, 3), (503, 3)])
+    def test_only_transient_statuses_are_retried(self, monkeypatch, status, calls):
+        class StatusSession:
+            calls = 0
+
+            def get(self, url, params=None, timeout=None):
+                self.calls += 1
+                return SimpleNamespace(status_code=status, json=lambda: {})
+
+        sleeps = []
+        monkeypatch.setattr(crawler_module.time, "sleep", sleeps.append)
+        session = StatusSession()
+        store = HttpJsonStore("http://store.test", retries=3, backoff=0.5,
+                              session=session)
+        with pytest.raises(RetrievalError, match=f"HTTP {status}") as err:
+            store.blogger_posts("a")
+        assert session.calls == calls
+        assert err.value.retries == calls
+        assert len(sleeps) == calls - 1
+
     def test_rejects_zero_retries(self):
         with pytest.raises(ValueError):
             HttpJsonStore("http://127.0.0.1:1", retries=0)
@@ -483,8 +505,8 @@ class TestFetchPosts:
                           make_post("p2", "a", "hidden", type="photo"),
                           make_post("p3", "a", "four five six")]}
         store = FixtureStore(data)
-        posts = fetch_posts(store, "a", hand_config)
-        assert [p.id for p in posts] == ["p1", "p3"]
+        kept = fetch_posts(store, "a", hand_config)
+        assert [p.id for p, _ in kept] == ["p1", "p3"]
 
     def test_respects_posts_per_blogger(self, hand_threshold):
         config = CrawlConfig(seed="a", threshold=hand_threshold,
@@ -492,8 +514,8 @@ class TestFetchPosts:
         data = {"blogs": [{"name": "a"}],
                 "posts": [make_post(f"p{i}", "a", f"body {i}")
                           for i in range(5)]}
-        posts = fetch_posts(FixtureStore(data), "a", config)
-        assert [p.id for p in posts] == ["p0", "p1"]
+        kept = fetch_posts(FixtureStore(data), "a", config)
+        assert [p.id for p, _ in kept] == ["p0", "p1"]
 
     def test_drops_non_english_posts(self, hand_config):
         data = {"blogs": [{"name": "a"}],
@@ -501,8 +523,9 @@ class TestFetchPosts:
                                     "the stars are bright and the moon is out"),
                           make_post("p2", "a",
                                     "der mond scheint hell über dem stillen wald")]}
-        posts = fetch_posts(FixtureStore(data), "a", hand_config)
-        assert [p.id for p in posts] == ["p1"]
+        kept = fetch_posts(FixtureStore(data), "a", hand_config)
+        assert [(p.id, text) for p, text in kept] == [
+            ("p1", "the stars are bright and the moon is out")]
 
 
 class TestExtractFrontiers:
@@ -940,6 +963,78 @@ class TestGeneratedCrawls:
         assert PROPAGATION_CAP == 64
 
 
+def fresh_mass(graph, seed: str, visits: int) -> dict[str, float]:
+    """The Markov mass computed from scratch with the reference pair."""
+    matrix = build_transition_matrix(graph)
+    p0 = np.zeros(len(matrix.ordering))
+    if seed in matrix.ordering:
+        p0[matrix.ordering.index(seed)] = 1.0
+    else:
+        p0[:] = 1.0 / len(matrix.ordering)
+    mass = propagate(p0, matrix, min(visits, PROPAGATION_CAP))
+    return dict(zip(matrix.ordering, mass.tolist()))
+
+
+class TestMarkovMassReuse:
+    """The session reuses its last mass while the graph and step count hold;
+    every mass select_next receives must equal a fresh propagation."""
+
+    def _check(self, monkeypatch, store, model, threshold, seed, cut):
+        sessions, counts = [], {"selections": 0, "builds": 0}
+        select, build = crawler_module.select_next, build_transition_matrix
+
+        def checking_select(frontier, p, policy, rng, graph):
+            session = sessions[-1]
+            assert p == fresh_mass(graph, session.config.seed,
+                                   len(session._visit_log))
+            counts["selections"] += 1
+            return select(frontier, p, policy, rng, graph)
+
+        def counting_build(graph):
+            counts["builds"] += 1
+            return build(graph)
+
+        monkeypatch.setattr(crawler_module, "select_next", checking_select)
+        monkeypatch.setattr(crawler_module, "build_transition_matrix",
+                            counting_build)
+        policy = SelectionPolicy.MAX_MARKOV
+        whole = crawl_session(store, model, threshold, seed, policy)
+        sessions.append(whole)
+        expected = whole.run()
+
+        partial = crawl_session(store, model, threshold, seed, policy)
+        sessions.append(partial)
+        partial.run(max_steps=cut)
+        frozen = json.loads(json.dumps(partial.checkpoint(), sort_keys=True))
+        resumed = CrawlSession.resume(store, model, frozen)
+        sessions.append(resumed)
+        assert resumed.run().canonical_bytes() == expected.canonical_bytes()
+        assert checkpoint_bytes(resumed) == checkpoint_bytes(whole)
+        return counts
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_golden_crawls(self, monkeypatch, seed):
+        store, model, threshold = network(seed)
+        counts = self._check(monkeypatch, store, model, threshold, seed, cut=5)
+        assert counts["selections"] > 0
+
+    def test_crawl_past_the_propagation_cap(self, monkeypatch):
+        # 200 bloggers: the crawl makes more than PROPAGATION_CAP visits.
+        store, model, threshold = network(3, bloggers=200)
+        counts = self._check(monkeypatch, store, model, threshold, seed=3, cut=80)
+        # Past the cap a visit that admits nobody leaves the mass as it was.
+        assert counts["builds"] < counts["selections"]
+
+    def test_mass_is_not_checkpointed(self, small_bundle):
+        config = CrawlConfig(seed=small_bundle.seed_names[0],
+                             threshold=small_bundle.threshold.value)
+        session = CrawlSession(small_bundle.store, small_bundle.model, config)
+        session.run(max_steps=5)
+        resumed = CrawlSession.resume(small_bundle.store, small_bundle.model,
+                                      session.checkpoint())
+        assert resumed._mass_key is None and resumed._mass == {}
+
+
 class TestCheckpointResume:
     def _session(self, bundle, **overrides):
         config_kwargs = dict(seed=bundle.seed_names[0],
@@ -1047,6 +1142,14 @@ class TestCheckpointResume:
         "frontier-item-without-name": lambda doc: {**doc, "frontier": [
             {"relation": ["like"], "parent": doc["config"]["seed"]}]},
         "processed-not-an-array": lambda doc: {**doc, "processed": 5},
+        "processed-name-not-a-string": lambda doc: {
+            **doc, "processed": doc["processed"] + [5]},
+        "discarded-name-not-a-string": lambda doc: {
+            **doc, "discarded": doc["discarded"] + [5]},
+        "selections-negative": lambda doc: {**doc, "selections": -3},
+        "selections-not-an-integer": lambda doc: {**doc, "selections": 2.5},
+        "selections-a-string": lambda doc: {**doc, "selections": "2"},
+        "current-not-a-name": lambda doc: {**doc, "current": 5},
     }
 
     @pytest.mark.parametrize("edit", MALFORMED_CHECKPOINTS)

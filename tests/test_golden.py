@@ -51,10 +51,10 @@ def trace_params(seed: int) -> dict:
             "alpha": (1.0, 0.5)[seed % 2]}
 
 
-def network(seed: int):
+def network(seed: int, bloggers: int = BLOGGERS):
     """Store, model and threshold of one pinned network."""
     params = trace_params(seed)
-    store_data, truth = generate(GeneratorParams(total_bloggers=BLOGGERS,
+    store_data, truth = generate(GeneratorParams(total_bloggers=bloggers,
                                                  rng_seed=seed))
     store = FixtureStore(store_data)
     corpus, _ = bootstrap_exemplars(store, ["stargazing"], 80)

@@ -166,36 +166,38 @@ class TestScoreText:
 
 
 class TestScoreBlogger:
-    def _post(self, pid, body):
-        return Post(id=pid, blog_name="someone", body=body)
+    def _kept(self, *bodies):
+        """(post, normalized text) pairs, as filter_english returns them."""
+        posts = [Post(id=f"p{i}", blog_name="someone", body=body)
+                 for i, body in enumerate(bodies)]
+        return [(post, post.normalized_text()) for post in posts]
 
     def test_single_post_equals_score_text(self, hand_model):
-        post = self._post("p1", HAND_BODIES["alpha"])
-        blogger = score_blogger(hand_model, [post])
-        direct = score_text(hand_model, post.normalized_text())
+        kept = self._kept(HAND_BODIES["alpha"])
+        blogger = score_blogger(hand_model, kept)
+        direct = score_text(hand_model, kept[0][0].normalized_text())
         assert blogger == direct
 
     def test_posts_join_with_newline(self, hand_model):
-        posts = [self._post("p1", "stars shine"), self._post("p2", "dark sky")]
+        kept = self._kept("stars shine", "dark sky")
         joined = score_text(hand_model, "stars shine\ndark sky")
-        assert score_blogger(hand_model, posts) == joined
+        assert score_blogger(hand_model, kept) == joined
 
     def test_two_copies_differ_from_one(self, hand_model):
-        one = score_blogger(hand_model, [self._post("p1", "stars shine")])
-        two = score_blogger(hand_model, [self._post("p1", "stars shine"),
-                                         self._post("p2", "stars shine")])
+        one = score_blogger(hand_model, self._kept("stars shine"))
+        two = score_blogger(hand_model, self._kept("stars shine", "stars shine"))
         assert one != two  # the newline window changes the mean
 
     def test_unscoreable_blogger(self, hand_model):
         with pytest.raises(ScoringError):
             score_blogger(hand_model, [])
         with pytest.raises(ScoringError):
-            score_blogger(hand_model, [self._post("p1", "<br>")])
+            score_blogger(hand_model, self._kept("<br>"))
 
     def test_empty_posts_skipped(self, hand_model):
-        posts = [self._post("p1", ""), self._post("p2", "stars shine")]
+        kept = self._kept("", "stars shine")
         direct = score_text(hand_model, "stars shine")
-        assert score_blogger(hand_model, posts) == direct
+        assert score_blogger(hand_model, kept) == direct
 
 
 class TestThreshold:
