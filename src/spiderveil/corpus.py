@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 
-from .errors import RetrievalError
+from .errors import GraphFormatError, RetrievalError
 
 _MARKUP_RE = re.compile(r"<[^>]*>")
 # \t \n \r \f \v count as whitespace and collapse below; the rest is junk.
@@ -76,7 +76,7 @@ class StopwordRatioDetector:
         tokens = _TOKEN_RE.findall(text.lower())
         if not tokens:
             return LanguageVerdict.UNDETERMINED
-        hits = sum(1 for t in tokens if t in self.stopwords)
+        hits = sum(map(self.stopwords.__contains__, tokens))
         if hits / len(tokens) >= self.ratio:
             return LanguageVerdict.ENGLISH
         return LanguageVerdict.NON_ENGLISH
@@ -202,12 +202,30 @@ class ExemplarCorpus:
 
     @classmethod
     def load(cls, path) -> "ExemplarCorpus":
+        """Read the lines ``save`` writes; blank lines are skipped.
+
+        Raises GraphFormatError for a file that is not UTF-8 and for a line
+        that is not a JSON object with string ``id`` and ``text``.
+        """
+        try:
+            content = Path(path).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise GraphFormatError(f"corpus file is not UTF-8: {exc}") from exc
         documents, ids = [], []
-        for line in Path(path).read_text(encoding="utf-8").splitlines():
+        for number, line in enumerate(content.splitlines(), 1):
             line = line.strip()
             if not line:
                 continue
-            record = json.loads(line)
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise GraphFormatError(f"bad corpus line {number}: {exc}") from exc
+            if not isinstance(record, dict):
+                raise GraphFormatError(f"bad corpus line {number}: not an object")
+            for key in ("id", "text"):
+                if not isinstance(record.get(key), str):
+                    raise GraphFormatError(
+                        f"bad corpus line {number}: no string {key!r}")
             ids.append(record["id"])
             documents.append(record["text"])
         return cls(documents=documents, document_ids=ids,

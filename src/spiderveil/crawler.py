@@ -144,57 +144,76 @@ def slice_notes(notes, per_kind_limit: int | None) -> list[NoteRecord]:
 class FixtureStore:
     """Data source backed by one JSON document.
 
-    Post arrays are ordered most-recent-first, so "the newest N" is a prefix
+    The store owns the document it is given.  Every record is checked when
+    the store is made, and the blogger, tag and id indexes are built then;
+    a post is parsed from its record (notes included) only when an accessor
+    first returns it, and later requests return the same object.  Post
+    arrays are ordered most-recent-first, so "the newest N" is a prefix
     slice.  Responses are deterministic for identical requests.
     """
 
     def __init__(self, data: dict):
         validate_fixture(data)
-        self._posts: list[tuple[str, Post]] = []
+        self._records: list[dict] = data["posts"]
+        self._posts: list[Post | None] = [None] * len(self._records)
+        self._types: list[str] = []
         self._by_id: dict[str, int] = {}
         self._by_blogger: dict[str, list[int]] = {}
         self._by_tag: dict[str, list[int]] = {}
         self._blogs = {blog["name"] for blog in data["blogs"]}
         self.seed_blogger: str | None = data.get("seed")
-        for record in data["posts"]:
-            post_type, post = post_from_record(record)
-            index = len(self._posts)
-            self._posts.append((post_type, post))
-            self._by_id[post.id] = index
-            self._by_blogger.setdefault(post.blog_name, []).append(index)
-            for tag in post.tags:
-                self._by_tag.setdefault(tag, []).append(index)
+        for index, record in enumerate(self._records):
+            self._types.append(record["type"])
+            self._by_id[record["id"]] = index
+            self._by_blogger.setdefault(record["blog_name"], []).append(index)
+            for raw in record.get("tags", ()):
+                tag = normalize_tag(raw)
+                if tag:
+                    self._by_tag.setdefault(tag, []).append(index)
 
     @classmethod
     def load(cls, path) -> "FixtureStore":
         try:
             data = json.loads(Path(path).read_text(encoding="utf-8"))
+        except UnicodeDecodeError as exc:
+            raise GraphFormatError(f"store file is not UTF-8: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise GraphFormatError(f"store file is not valid JSON: {exc}") from exc
         return cls(data)
+
+    def _post(self, index: int) -> Post:
+        post = self._posts[index]
+        if post is None:
+            post = self._posts[index] = post_from_record(self._records[index])[1]
+        return post
+
+    def _typed_posts(self, indexes: list[int], limit: int | None,
+                     type: str) -> list[Post]:
+        types = self._types
+        chosen = [i for i in indexes if types[i] == type]
+        if limit is not None:
+            chosen = chosen[:limit]
+        return [self._post(i) for i in chosen]
 
     def blog_names(self) -> list[str]:
         return sorted(self._blogs | set(self._by_blogger))
 
     def tagged_posts(self, tag: str, limit: int | None = None,
                      type: str = "text") -> list[Post]:
-        indexes = self._by_tag.get(normalize_tag(tag), [])
-        posts = [self._posts[i][1] for i in indexes if self._posts[i][0] == type]
-        return posts[:limit] if limit is not None else posts
+        return self._typed_posts(self._by_tag.get(normalize_tag(tag), []),
+                                 limit, type)
 
     def blogger_posts(self, blog_name: str, limit: int | None = None,
                       type: str = "text") -> list[Post]:
         if blog_name not in self._blogs and blog_name not in self._by_blogger:
             raise NotFoundError(f"unknown blogger {blog_name!r}")
-        indexes = self._by_blogger.get(blog_name, [])
-        posts = [self._posts[i][1] for i in indexes if self._posts[i][0] == type]
-        return posts[:limit] if limit is not None else posts
+        return self._typed_posts(self._by_blogger.get(blog_name, []), limit, type)
 
     def notes(self, post_id: str, per_kind_limit: int | None = None) -> list[NoteRecord]:
         index = self._by_id.get(post_id)
         if index is None:
             raise NotFoundError(f"unknown post {post_id!r}")
-        return slice_notes(self._posts[index][1].notes, per_kind_limit)
+        return slice_notes(self._post(index).notes, per_kind_limit)
 
 
 class HttpJsonStore:

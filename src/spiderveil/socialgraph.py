@@ -605,7 +605,10 @@ def export_graph(graph: CommunityGraph, fmt: str) -> bytes:
 def import_json_edge_list(data) -> CommunityGraph:
     """Inverse of the json export; accepts bytes, str, or a parsed dict."""
     if isinstance(data, (bytes, bytearray)):
-        data = data.decode("utf-8")
+        try:
+            data = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise GraphFormatError(f"JSON edge list is not UTF-8: {exc}") from exc
     if isinstance(data, str):
         try:
             data = json.loads(data)

@@ -5,7 +5,8 @@ deliberately different route than the library: matrix closures, exhaustive
 path enumeration, and direct formula evaluation.  The scorer's oracle is the
 per-character loop that defines a score; the betweenness and community
 oracles are the name-keyed loops that the int-indexed library code replaced;
-the normalizer's oracle is the three-substitution form it replaced.
+the normalizer's oracle is the three-substitution form it replaced; the
+fixture store's oracle parses every post at load, as the lazy store replaced.
 """
 
 from __future__ import annotations
@@ -16,6 +17,9 @@ from collections import deque
 
 import numpy as np
 
+from spiderveil.corpus import NoteRecord, Post, normalize_tag
+from spiderveil.crawler import post_from_record, slice_notes, validate_fixture
+from spiderveil.errors import NotFoundError
 from spiderveil.langmodel import SENTINEL
 from spiderveil.socialgraph import Partition
 
@@ -306,3 +310,52 @@ def reference_detect_communities(graph) -> Partition:
             relabel[community] = len(relabel)
         community_of[node] = relabel[community]
     return Partition(assignment=community_of)
+
+
+class EagerFixtureStore:
+    """Fixture store that parses every post when it is made.
+
+    ``FixtureStore`` must answer every request with equal posts and notes.
+    Post arrays are ordered most-recent-first, so "the newest N" is a prefix
+    slice.  Responses are deterministic for identical requests.
+    """
+
+    def __init__(self, data: dict):
+        validate_fixture(data)
+        self._posts: list[tuple[str, Post]] = []
+        self._by_id: dict[str, int] = {}
+        self._by_blogger: dict[str, list[int]] = {}
+        self._by_tag: dict[str, list[int]] = {}
+        self._blogs = {blog["name"] for blog in data["blogs"]}
+        self.seed_blogger: str | None = data.get("seed")
+        for record in data["posts"]:
+            post_type, post = post_from_record(record)
+            index = len(self._posts)
+            self._posts.append((post_type, post))
+            self._by_id[post.id] = index
+            self._by_blogger.setdefault(post.blog_name, []).append(index)
+            for tag in post.tags:
+                self._by_tag.setdefault(tag, []).append(index)
+
+    def blog_names(self) -> list[str]:
+        return sorted(self._blogs | set(self._by_blogger))
+
+    def tagged_posts(self, tag: str, limit: int | None = None,
+                     type: str = "text") -> list[Post]:
+        indexes = self._by_tag.get(normalize_tag(tag), [])
+        posts = [self._posts[i][1] for i in indexes if self._posts[i][0] == type]
+        return posts[:limit] if limit is not None else posts
+
+    def blogger_posts(self, blog_name: str, limit: int | None = None,
+                      type: str = "text") -> list[Post]:
+        if blog_name not in self._blogs and blog_name not in self._by_blogger:
+            raise NotFoundError(f"unknown blogger {blog_name!r}")
+        indexes = self._by_blogger.get(blog_name, [])
+        posts = [self._posts[i][1] for i in indexes if self._posts[i][0] == type]
+        return posts[:limit] if limit is not None else posts
+
+    def notes(self, post_id: str, per_kind_limit: int | None = None) -> list[NoteRecord]:
+        index = self._by_id.get(post_id)
+        if index is None:
+            raise NotFoundError(f"unknown post {post_id!r}")
+        return slice_notes(self._posts[index][1].notes, per_kind_limit)

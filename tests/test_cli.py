@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import re
 from contextlib import redirect_stdout
 from math import fsum
@@ -7,6 +8,8 @@ from types import SimpleNamespace
 from xml.etree import ElementTree
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spiderveil import cli
 from spiderveil.cli import main
@@ -201,6 +204,25 @@ class TestTrain:
         code, _ = run(["--out-dir", str(tmp_path), "train",
                        "--corpus", str(tmp_path / "absent.ndjson")])
         assert code == 2
+
+    @pytest.mark.parametrize("line, problem", [
+        ('[1]', "not an object"),
+        ('"text"', "not an object"),
+        ('{"id": "b"}', "no string 'text'"),
+        ('{"id": "b", "text": 5}', "no string 'text'"),
+        ('{"text": "x"}', "no string 'id'"),
+        ('{"id": 1, "text": "x"}', "no string 'id'"),
+        ('{broken', "Expecting property name enclosed in double quotes: "
+                    "line 1 column 2 (char 1)"),
+    ], ids=["list", "string", "text missing", "text not a string",
+            "id missing", "id not a string", "not JSON"])
+    def test_malformed_corpus_line(self, tmp_path, capsys, line, problem):
+        corpus = tmp_path / "corpus.ndjson"
+        corpus.write_text('{"id": "a", "text": "the stars"}\n\n' + line + "\n")
+        code, _ = run(["--out-dir", str(tmp_path), "train",
+                       "--corpus", str(corpus)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: bad corpus line 3: {problem}\n"
 
 
 class TestCrawl:
@@ -547,3 +569,110 @@ class TestManifest:
         names = {str(tmp_path / "store.json"), str(tmp_path / "truth.json")}
         assert set(manifest["output_paths"]) == names
         assert manifest["started_at"].endswith("+00:00")
+
+
+# Every file-taking flag, given a file that starts with the bytes \xff\xfe
+# (``bad``); the other inputs come from the shared pipeline run.
+NOT_UTF8_ARGV = {
+    "--config": lambda bad, p: ["--config", bad, "eval", "--matrix", "1,1,1,1"],
+    "gen --params": lambda bad, p: ["gen", "--params", bad],
+    "bootstrap --store": lambda bad, p: ["bootstrap", "--store", bad,
+                                         "--tag", "stargazing"],
+    "train --corpus": lambda bad, p: ["train", "--corpus", bad],
+    "train --seed-bloggers": lambda bad, p: [
+        "train", "--corpus", str(p.root / "corpus.ndjson"),
+        "--seed-bloggers", bad, "--store", str(p.store)],
+    "train --store": lambda bad, p: [
+        "train", "--corpus", str(p.root / "corpus.ndjson"),
+        "--seed-bloggers", str(p.seeds_file), "--store", bad],
+    "crawl --store": lambda bad, p: ["crawl", "--store", bad,
+                                     "--model", str(p.root / "model.json")],
+    "crawl --model": lambda bad, p: ["crawl", "--store", str(p.store),
+                                     "--model", bad],
+    "crawl --threshold-file": lambda bad, p: [
+        "crawl", "--store", str(p.store), "--model", str(p.root / "model.json"),
+        "--threshold-file", bad],
+    "analyze": lambda bad, p: ["analyze", bad],
+    "export": lambda bad, p: ["export", bad, "--format", "dot"],
+    "eval --result": lambda bad, p: ["eval", "--result", bad,
+                                     "--truth", str(p.truth)],
+    "eval --truth": lambda bad, p: ["eval", "--result", str(p.root / "crawl.json"),
+                                    "--truth", bad],
+}
+
+
+@pytest.mark.parametrize("flag", NOT_UTF8_ARGV)
+def test_non_utf8_input_is_an_input_error(pipeline, tmp_path, capsys, flag):
+    bad = tmp_path / "input.json"
+    bad.write_bytes(b"\xff\xfe{}")
+    argv = NOT_UTF8_ARGV[flag](str(bad), pipeline)
+    code, _ = run(["--out-dir", str(tmp_path / "out")] + argv)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "can't decode byte 0xff" in err
+
+
+def reference_json(obj) -> str:
+    return json.dumps(obj, sort_keys=True, indent=1)
+
+
+def outcome(encode, obj):
+    """The text ``encode`` returns, or the type and message of what it raises."""
+    try:
+        return encode(obj)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+# Any code point, lone surrogates included.
+any_text = st.text(st.characters(exclude_categories=()), max_size=12)
+json_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(),
+    st.integers(min_value=-10 ** 40, max_value=10 ** 40),
+    st.floats(), st.sampled_from([-0.0, math.nan, math.inf, -math.inf]),
+    any_text)
+# Keys other than strings, and tuples, only ever reach the fallback.
+other_keys = st.one_of(st.integers(), st.floats(), st.booleans(), st.none())
+json_documents = st.recursive(
+    json_scalars,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.dictionaries(any_text, children, max_size=4),
+        st.lists(children, max_size=3).map(tuple),
+        st.dictionaries(other_keys, children, max_size=3),
+        st.dictionaries(st.one_of(any_text, other_keys), children, max_size=3)),
+    max_leaves=30)
+
+
+class TestJsonText:
+    @given(document=json_documents)
+    @settings(max_examples=600, deadline=None)
+    def test_equals_json_dumps(self, document):
+        assert outcome(cli.json_text, document) == outcome(reference_json, document)
+
+    @pytest.mark.parametrize("document", [
+        {}, [], [[]], {"a": {}}, {"a": [{}, []]}, "", 0, -0.0, math.nan,
+        10 ** 30, True, None, "\U0001f30c \ud800 caf\u00e9 \"\\\n"])
+    def test_edge_documents(self, document):
+        assert cli.json_text(document) == reference_json(document)
+
+    @pytest.mark.parametrize("document", [
+        {"a": [1, {"b": object()}]}, {"a": {1, 2}}, [b"bytes"],
+        {"a": 1, 2: "b"}])
+    def test_errors_match_json_dumps(self, document):
+        expected = outcome(reference_json, document)
+        assert isinstance(expected, tuple) and expected[0] is TypeError
+        assert outcome(cli.json_text, document) == expected
+
+    def test_circular_reference(self):
+        document = {"a": []}
+        document["a"].append(document)
+        assert outcome(cli.json_text, document) == (
+            ValueError, "Circular reference detected")
+
+    def test_generated_store_and_checkpoint(self, pipeline, tmp_path):
+        for name in ("store.json", "crawl.json", "truth.json", "manifest.json"):
+            document = json.loads((pipeline.root / name).read_text())
+            path = tmp_path / name
+            cli.write_json(path, document)
+            assert path.read_text() == reference_json(document) + "\n"

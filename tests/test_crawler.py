@@ -33,7 +33,7 @@ from spiderveil.socialgraph import CommunityGraph
 
 from conftest import (EDGE_STORES, HAND_BODIES, MALFORMED_POSTS,
                       MALFORMED_STORES, FakeSession, make_post)
-from oracles import propagate_oracle, random_digraph
+from oracles import EagerFixtureStore, propagate_oracle, random_digraph
 from test_golden import SEEDS, checkpoint_bytes, crawl_session, network
 
 
@@ -314,6 +314,90 @@ class TestFixtureStore:
         path.write_text("{broken", encoding="utf-8")
         with pytest.raises(GraphFormatError):
             FixtureStore.load(path)
+
+
+# Tags that normalize to one tag, to nothing, or repeat on one post.
+ODD_TAG_STORE = {
+    "blogs": [{"name": "a"}, {"name": "b"}],
+    "posts": [make_post("p1", "a", "one", tags=["Stars", "#stars", " ", ""],
+                        notes=[("b", "like"), ("b", "reblog"), ("c", "like")]),
+              make_post("p2", "b", "two", tags=["moon", "#Stars"], type="photo"),
+              make_post("p3", "a", "three", tags=["MOON"],
+                        notes=[("a", "reblog")])],
+}
+
+
+class TestLazyPosts:
+    """The store checks every record at load but parses a post only when an
+    accessor first returns it."""
+
+    @pytest.fixture()
+    def built(self, monkeypatch):
+        """Ids of the records ``post_from_record`` parses, in call order."""
+        ids = []
+        parse = crawler_module.post_from_record
+        monkeypatch.setattr(crawler_module, "post_from_record",
+                            lambda record: ids.append(record["id"]) or parse(record))
+        return ids
+
+    def test_load_parses_no_post(self, built, small_bundle, tmp_path):
+        path = tmp_path / "store.json"
+        path.write_text(json.dumps(small_bundle.store_data), encoding="utf-8")
+        store = FixtureStore.load(path)
+        assert store.blog_names()
+        assert built == []
+
+    def test_blogger_posts_parses_that_blogger_once(self, built, small_bundle):
+        store = FixtureStore(small_bundle.store_data)
+        name = small_bundle.seed_names[0]
+        own = [r["id"] for r in small_bundle.store_data["posts"]
+               if r["blog_name"] == name]
+        assert own
+        first = store.blogger_posts(name)
+        assert built == own
+        second = store.blogger_posts(name)
+        assert built == own
+        assert len(second) == len(first)
+        assert all(a is b for a, b in zip(first, second))
+        store.notes(own[0])
+        assert built == own
+
+    def test_type_and_limit_parse_only_what_is_returned(self, built):
+        store = FixtureStore(ODD_TAG_STORE)
+        assert [p.id for p in store.blogger_posts("a", limit=1)] == ["p1"]
+        assert built == ["p1"]
+        assert [p.id for p in store.tagged_posts("stars")] == ["p1", "p1"]
+        assert built == ["p1"]
+        assert [p.id for p in store.tagged_posts("moon", type="photo")] == ["p2"]
+        assert built == ["p1", "p2"]
+
+    @pytest.mark.parametrize("which", ["hand", "generated", "odd tags"])
+    def test_answers_like_the_eager_store(self, which, hand_store_data,
+                                          small_bundle):
+        data = {"hand": hand_store_data, "generated": small_bundle.store_data,
+                "odd tags": ODD_TAG_STORE}[which]
+        lazy, eager = FixtureStore(data), EagerFixtureStore(data)
+        assert lazy.seed_blogger == eager.seed_blogger
+        assert lazy.blog_names() == eager.blog_names()
+        raw_tags = {tag for r in data["posts"] for tag in r.get("tags", ())}
+        for tag in sorted(raw_tags) + ["#STARGAZING", "absent", ""]:
+            for kind in ("text", "photo"):
+                for limit in (None, 0, 1, 3):
+                    assert lazy.tagged_posts(tag, limit, kind) \
+                        == eager.tagged_posts(tag, limit, kind)
+        for name in eager.blog_names():
+            for limit in (None, 1, 5):
+                assert lazy.blogger_posts(name, limit) \
+                    == eager.blogger_posts(name, limit)
+        for record in data["posts"]:
+            for per_kind in (None, 0, 1, 2):
+                assert lazy.notes(record["id"], per_kind) \
+                    == eager.notes(record["id"], per_kind)
+        for store in (lazy, eager):
+            with pytest.raises(NotFoundError):
+                store.notes("absent")
+            with pytest.raises(NotFoundError):
+                store.blogger_posts("absent")
 
 
 def serve_fixture(store_data, flaky=None):

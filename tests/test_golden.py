@@ -27,6 +27,7 @@ from pathlib import Path
 
 import pytest
 
+from spiderveil.cli import json_text
 from spiderveil.corpus import bootstrap_exemplars, filter_english
 from spiderveil.crawler import (CrawlConfig, CrawlSession, FixtureStore,
                                 SelectionPolicy)
@@ -79,9 +80,9 @@ def crawl_session(store, model, threshold, seed: int, policy: SelectionPolicy,
 
 
 def checkpoint_bytes(session: CrawlSession) -> bytes:
-    """The checkpoint as ``crawl`` writes it to crawl.json."""
-    text = json.dumps(session.checkpoint(), sort_keys=True, indent=1) + "\n"
-    return text.encode("utf-8")
+    """The checkpoint as ``crawl`` writes it to crawl.json, through the
+    command line's own JSON writer."""
+    return (json_text(session.checkpoint()) + "\n").encode("utf-8")
 
 
 def crawl_trace(store, model, threshold, seed: int,

@@ -3,8 +3,10 @@
 ``perfbench/tracer.py`` wraps ``crawler.filter_english`` (reading the fetched
 post list as argument 0), ``crawler.score_blogger`` and ``Post.normalized_text``,
 and flags the Markov mass ``select_next`` receives when it is read through
-``p[...]``, ``p.get`` or ``in``.  A traced smoke run shows whether those sites
-still see the crawl's work.
+``p[...]``, ``p.get`` or ``in``.  It also times ``FixtureStore.load``, the
+``crawler.validate_fixture`` global the store calls, and ``cli.write_json``.
+A traced smoke run shows whether those sites still see the pipeline's work:
+three store loads (bootstrap, train, crawl), each validated, and JSON written.
 """
 
 from __future__ import annotations
@@ -30,3 +32,6 @@ def test_traced_longposts_smoke_run():
     metrics = summary["metrics"]
     assert metrics["corpus.normalize_per_post"]["value"] == 1.0
     assert metrics["crawler.distribution_used_ratio"]["value"] > 0
+    assert metrics["crawler.store_loads"]["value"] == 3
+    assert metrics["crawler.validate_s"]["value"] > 0
+    assert metrics["cli.json_write_s"]["value"] > 0
