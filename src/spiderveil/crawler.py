@@ -41,6 +41,8 @@ PROPAGATION_CAP = 64
 # A tuple, not a set: membership compares with ==, so an unhashable kind is
 # rejected instead of raising TypeError.
 NOTE_KINDS = tuple(kind.value for kind in NoteKind)
+# The kind of a checked note record, found without the Enum call's lookup.
+_NOTE_KIND_OF = {kind.value: kind for kind in NoteKind}
 
 
 def _nonempty_str(value) -> bool:
@@ -76,7 +78,8 @@ def check_post_record(post, where: str) -> None:
         if not isinstance(notes, list):
             raise bad(".notes is not an array")
         for note in notes:
-            if not (isinstance(note, dict) and _nonempty_str(note.get("blog_name"))
+            name = note.get("blog_name") if isinstance(note, dict) else None
+            if not (isinstance(name, str) and name != ""
                     and note.get("kind") in NOTE_KINDS):
                 raise bad(" has a note without a non-empty string "
                           "'blog_name' and a 'kind' of like or reblog")
@@ -116,7 +119,7 @@ def validate_fixture(data) -> None:
 def post_from_record(record: dict) -> tuple[str, Post]:
     """Parse one store record into (post type, Post)."""
     try:
-        notes = tuple(NoteRecord(n["blog_name"], NoteKind(n["kind"]))
+        notes = tuple(NoteRecord(n["blog_name"], _NOTE_KIND_OF[n["kind"]])
                       for n in record.get("notes", []))
         tags = tuple(t for t in (normalize_tag(raw) for raw in record.get("tags", ())) if t)
         post = Post(id=str(record["id"]), blog_name=record["blog_name"],

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -227,20 +228,25 @@ def train(corpus, order: int = 3, alpha: float = 1.0) -> NGramModel:
     if alpha <= 0:
         raise ValueError("alpha must be positive")
 
-    counts: dict[str, dict[str, int]] = {}
+    # Counter tallies the windows in C and keeps them in first-seen order,
+    # so contexts and rows enter ``counts`` in the order a left-to-right walk
+    # over every character of every document would add them.
+    windows: Counter[str] = Counter()
     vocabulary = {SENTINEL}
     trained_chars = 0
+    padding = SENTINEL * (order - 1)
     for doc in documents:
         if not doc:
             continue
         vocabulary.update(doc)
-        padded = SENTINEL * (order - 1) + doc
-        for i in range(order - 1, len(padded)):
-            context = padded[i - order + 1:i]
-            row = counts.setdefault(context, {})
-            char = padded[i]
-            row[char] = row.get(char, 0) + 1
-            trained_chars += 1
+        padded = padding + doc
+        n = len(doc)
+        windows.update(map(padded.__getitem__,
+                           map(slice, range(n), range(order, n + order))))
+        trained_chars += n
+    counts: dict[str, dict[str, int]] = {}
+    for window, count in windows.items():
+        counts.setdefault(window[:-1], {})[window[-1]] = count
     if trained_chars == 0:
         raise ValueError("corpus has no non-empty documents")
     return NGramModel(order=order, alpha=alpha, counts=counts,

@@ -13,6 +13,7 @@ import random
 from dataclasses import dataclass, field
 
 from .corpus import ENGLISH_FUNCTION_WORDS
+from .errors import GraphFormatError
 from .langmodel import Verdict
 
 # Fraction of tokens in every generated post drawn from the vocabulary's
@@ -100,22 +101,50 @@ class GeneratorParams:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "GeneratorParams":
+        """Parameters from a decoded JSON object; absent keys keep defaults.
+
+        A value of the wrong JSON type raises GraphFormatError naming its
+        key; a value of the right type outside its range raises ValueError
+        from the constructor.  Other keys are ignored.
+        """
+        def bad(key: str, what: str) -> GraphFormatError:
+            return GraphFormatError(f"bad generator params: {key!r} is not {what}")
+
         kwargs = {}
         for key in ("total_bloggers", "rng_seed", "posts_per_blogger"):
             if key in data:
+                if not _is_json_integer(data[key]):
+                    raise bad(key, "an integer")
                 kwargs[key] = int(data[key])
         for key in ("relevant_fraction", "mixing_prob", "intra_community_note_bias"):
             if key in data:
-                kwargs[key] = float(data[key])
+                value = data[key]
+                if not isinstance(value, (int, float)) or isinstance(value, bool):
+                    raise bad(key, "a number")
+                kwargs[key] = float(value)
         for key in ("on_topic_vocab", "off_topic_vocab", "on_topic_tags",
                     "off_topic_tags"):
             if key in data:
-                kwargs[key] = tuple(data[key])
+                value = data[key]
+                if not (isinstance(value, list)
+                        and all(isinstance(item, str) for item in value)):
+                    raise bad(key, "an array of strings")
+                kwargs[key] = tuple(value)
         for key in ("notes_per_post", "words_per_post"):
             if key in data:
-                low, high = data[key]
-                kwargs[key] = (int(low), int(high))
+                value = data[key]
+                if not (isinstance(value, list) and len(value) == 2
+                        and all(map(_is_json_integer, value))):
+                    raise bad(key, "an array of two integers")
+                kwargs[key] = (int(value[0]), int(value[1]))
         return cls(**kwargs)
+
+
+def _is_json_integer(value) -> bool:
+    """True for an int, or a float with no fractional part, but not a bool."""
+    if isinstance(value, bool):
+        return False
+    return isinstance(value, int) or (isinstance(value, float) and value.is_integer())
 
 
 def relevant_count(params: GeneratorParams) -> int:
@@ -133,14 +162,49 @@ def _split_vocab(vocab) -> tuple[list[str], list[str]]:
     return content, glue
 
 
+# The two helpers below make the draws of ``Random.randrange(n)`` and
+# ``Random.shuffle`` without their per-call Python frames.  On CPython
+# 3.10-3.13 both reduce to ``Random._randbelow_with_getrandbits``: draw
+# ``n.bit_length()`` bits and draw again while the value is >= n.  The tests
+# compare both against the interpreter's own ``randrange`` and ``shuffle``,
+# values and final state, so an interpreter that draws differently fails
+# there instead of writing a different store.
+
+
+def _draw_items(getrandbits, pool, count: int) -> list:
+    """``[pool[rng.randrange(len(pool))] for _ in range(count)]``; the pool
+    must be non-empty unless ``count`` is 0."""
+    n = len(pool)
+    k = n.bit_length()
+    out = []
+    append = out.append
+    for _ in range(count):
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        append(pool[r])
+    return out
+
+
+def _shuffle(getrandbits, items: list) -> None:
+    """``rng.shuffle(items)``: Fisher-Yates from the last slot down."""
+    for i in range(len(items) - 1, 0, -1):
+        n = i + 1
+        k = n.bit_length()
+        j = getrandbits(k)
+        while j >= n:
+            j = getrandbits(k)
+        items[i], items[j] = items[j], items[i]
+
+
 def _compose_post(rng: random.Random, content: list[str], glue: list[str],
                   words_range: tuple[int, int]) -> str:
+    getrandbits = rng.getrandbits
     count = rng.randint(*words_range)
     glue_count = round(GLUE_RATE * count) if glue else 0
-    tokens = [content[rng.randrange(len(content))]
-              for _ in range(count - glue_count)]
-    tokens += [glue[rng.randrange(len(glue))] for _ in range(glue_count)]
-    rng.shuffle(tokens)
+    tokens = _draw_items(getrandbits, content, count - glue_count)
+    tokens += _draw_items(getrandbits, glue, glue_count)
+    _shuffle(getrandbits, tokens)
     return " ".join(tokens)
 
 
@@ -178,9 +242,13 @@ def generate(params: GeneratorParams) -> tuple[dict, dict[str, bool]]:
     post_serial = 0
     for index, name in enumerate(names):
         is_relevant = truth[name]
-        same_pool = [n for n in (relevant_names if is_relevant else decoy_names)
-                     if n != name]
-        other_pool = decoy_names if is_relevant else relevant_names
+        # Names are unique, so the blogger sits at one known slot of its
+        # community: relevant bloggers first, decoys after them.
+        if is_relevant:
+            community, slot, other_pool = relevant_names, index, decoy_names
+        else:
+            community, slot, other_pool = decoy_names, index - n_relevant, relevant_names
+        same_pool = community[:slot] + community[slot + 1:]
         for _ in range(params.posts_per_blogger):
             mixed = (is_relevant and name != seed_name
                      and rng.random() < params.mixing_prob)

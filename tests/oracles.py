@@ -6,12 +6,15 @@ path enumeration, and direct formula evaluation.  The scorer's oracle is the
 per-character loop that defines a score; the betweenness and community
 oracles are the name-keyed loops that the int-indexed library code replaced;
 the normalizer's oracle is the three-substitution form it replaced; the
-fixture store's oracle parses every post at load, as the lazy store replaced.
+fixture store's oracle parses every post at load, as the lazy store replaced;
+the generator's oracle draws through ``randrange`` and ``shuffle``, and the
+trainer's oracle counts one character at a time.
 """
 
 from __future__ import annotations
 
 import math
+import random
 import re
 from collections import deque
 
@@ -21,6 +24,7 @@ from spiderveil.corpus import NoteRecord, Post, normalize_tag
 from spiderveil.crawler import post_from_record, slice_notes, validate_fixture
 from spiderveil.errors import NotFoundError
 from spiderveil.langmodel import SENTINEL
+from spiderveil.simnet import GLUE_RATE, _split_vocab, relevant_count
 from spiderveil.socialgraph import Partition
 
 INF = float("inf")
@@ -359,3 +363,115 @@ class EagerFixtureStore:
         if index is None:
             raise NotFoundError(f"unknown post {post_id!r}")
         return slice_notes(self._posts[index][1].notes, per_kind_limit)
+
+
+def reference_train_counts(documents, order: int) -> tuple[dict, int]:
+    """(counts, trained_chars) by one dict update per character, left to right.
+
+    ``train`` must build equal counts with contexts and rows in this
+    insertion order.
+    """
+    counts: dict[str, dict[str, int]] = {}
+    trained_chars = 0
+    for doc in documents:
+        if not doc:
+            continue
+        padded = SENTINEL * (order - 1) + doc
+        for i in range(order - 1, len(padded)):
+            context = padded[i - order + 1:i]
+            row = counts.setdefault(context, {})
+            char = padded[i]
+            row[char] = row.get(char, 0) + 1
+            trained_chars += 1
+    return counts, trained_chars
+
+
+def _reference_compose_post(rng: random.Random, content: list[str], glue: list[str],
+                            words_range: tuple[int, int]) -> str:
+    count = rng.randint(*words_range)
+    glue_count = round(GLUE_RATE * count) if glue else 0
+    tokens = [content[rng.randrange(len(content))]
+              for _ in range(count - glue_count)]
+    tokens += [glue[rng.randrange(len(glue))] for _ in range(glue_count)]
+    rng.shuffle(tokens)
+    return " ".join(tokens)
+
+
+def reference_generate(params) -> tuple[dict, dict[str, bool]]:
+    """The generator drawing every word through ``Random.randrange`` and
+    ``Random.shuffle``, and rescanning the community for each blogger's pool.
+
+    ``generate`` must return an equal store and truth map for every params.
+    """
+    n_relevant = relevant_count(params)
+    if n_relevant < 1 or n_relevant >= params.total_bloggers:
+        raise ValueError("params leave one community empty")
+    rng = random.Random(params.rng_seed)
+    width = max(3, len(str(params.total_bloggers - 1)))
+    names = [f"blogger-{i:0{width}d}" for i in range(params.total_bloggers)]
+    truth = {name: i < n_relevant for i, name in enumerate(names)}
+    relevant_names = names[:n_relevant]
+    decoy_names = names[n_relevant:]
+    seed_name = relevant_names[0]
+
+    on_content, on_glue = _split_vocab(params.on_topic_vocab)
+    off_content, off_glue = _split_vocab(params.off_topic_vocab)
+    note_low, note_high = params.notes_per_post
+
+    posts = []
+    post_serial = 0
+    for index, name in enumerate(names):
+        is_relevant = truth[name]
+        same_pool = [n for n in (relevant_names if is_relevant else decoy_names)
+                     if n != name]
+        other_pool = decoy_names if is_relevant else relevant_names
+        for _ in range(params.posts_per_blogger):
+            mixed = (is_relevant and name != seed_name
+                     and rng.random() < params.mixing_prob)
+            if is_relevant and not mixed:
+                content, glue, tag_pool = on_content, on_glue, params.on_topic_tags
+            elif is_relevant:
+                content, glue, tag_pool = off_content, off_glue, ()
+            else:
+                content, glue, tag_pool = off_content, off_glue, params.off_topic_tags
+            body = _reference_compose_post(rng, content, glue, params.words_per_post)
+
+            tags: list[str] = []
+            if tag_pool:
+                tags.append(tag_pool[rng.randrange(len(tag_pool))])
+                if len(tag_pool) > 1 and rng.random() < 0.5:
+                    remaining = [t for t in tag_pool if t != tags[0]]
+                    tags.append(remaining[rng.randrange(len(remaining))])
+
+            note_count = note_high if name == seed_name else rng.randint(note_low, note_high)
+            notes = []
+            seen_notes = set()
+            for _ in range(note_count):
+                pool = same_pool if rng.random() < params.intra_community_note_bias else other_pool
+                if not pool:
+                    pool = other_pool or same_pool
+                if not pool:
+                    continue
+                noter = pool[rng.randrange(len(pool))]
+                kind = "like" if rng.random() < 0.5 else "reblog"
+                if (noter, kind) in seen_notes:
+                    continue
+                seen_notes.add((noter, kind))
+                notes.append({"blog_name": noter, "kind": kind})
+
+            posts.append({
+                "id": f"post-{post_serial:05d}",
+                "blog_name": name,
+                "type": "text",
+                "body": body,
+                "tags": tags,
+                "notes": notes,
+            })
+            post_serial += 1
+
+    store = {
+        "blogs": [{"name": name} for name in names],
+        "posts": posts,
+        "seed": seed_name,
+    }
+    return store, truth

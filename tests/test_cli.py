@@ -109,6 +109,56 @@ class TestGen:
                        "--fraction", "1.5"])
         assert code == 4
 
+    # (params document, exit code, key the error names); a wrong JSON type
+    # exits 2, a value of the right type outside its range exits 4.
+    @pytest.mark.parametrize("params,code,key", [
+        ({"words_per_post": 5}, 2, "words_per_post"),
+        ({"words_per_post": [1]}, 2, "words_per_post"),
+        ({"words_per_post": [1, 2, 3]}, 2, "words_per_post"),
+        ({"notes_per_post": [1, 2.5]}, 2, "notes_per_post"),
+        ({"notes_per_post": [True, 2]}, 2, "notes_per_post"),
+        ({"notes_per_post": ["1", 2]}, 2, "notes_per_post"),
+        ({"on_topic_vocab": 5}, 2, "on_topic_vocab"),
+        ({"on_topic_vocab": "abc"}, 2, "on_topic_vocab"),
+        ({"on_topic_vocab": ["x", 1]}, 2, "on_topic_vocab"),
+        ({"off_topic_vocab": None}, 2, "off_topic_vocab"),
+        ({"on_topic_tags": [["a"]]}, 2, "on_topic_tags"),
+        ({"off_topic_tags": "ab"}, 2, "off_topic_tags"),
+        ({"relevant_fraction": None}, 2, "relevant_fraction"),
+        ({"mixing_prob": True}, 2, "mixing_prob"),
+        ({"intra_community_note_bias": "0.5"}, 2, "intra_community_note_bias"),
+        ({"total_bloggers": "x"}, 2, "total_bloggers"),
+        ({"total_bloggers": 2.7}, 2, "total_bloggers"),
+        ({"total_bloggers": None}, 2, "total_bloggers"),
+        ({"rng_seed": [1]}, 2, "rng_seed"),
+        ({"posts_per_blogger": True}, 2, "posts_per_blogger"),
+        ({"words_per_post": [0, 5]}, 4, "words_per_post"),
+        ({"notes_per_post": [5, 2]}, 4, "notes_per_post"),
+        ({"total_bloggers": 1}, 4, "total_bloggers"),
+        ({"posts_per_blogger": 0}, 4, "posts_per_blogger"),
+        ({"relevant_fraction": 1.5}, 4, "relevant_fraction"),
+        ({"on_topic_tags": []}, 4, "tag pools"),
+    ])
+    def test_bad_params_exit_with_an_error_line(self, tmp_path, capsys,
+                                                params, code, key):
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps(params))
+        out_dir = tmp_path / "out"
+        assert run(["--out-dir", str(out_dir), "gen", "--params", str(path)])[0] == code
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key in err
+        assert "Traceback" not in err
+        assert not (out_dir / "manifest.json").exists()
+
+    def test_integral_float_params_are_integers(self, tmp_path):
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps({"total_bloggers": 20.0,
+                                    "notes_per_post": [1.0, 3]}))
+        code, stdout = run(["--out-dir", str(tmp_path), "gen",
+                            "--params", str(path)])
+        assert code == 0
+        assert "bloggers: 20 (relevant 10)" in stdout
+
 
 class TestBootstrap:
     def test_outputs_and_round_lines(self, pipeline):

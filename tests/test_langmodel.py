@@ -14,7 +14,7 @@ from spiderveil.langmodel import (SENTINEL, UNKNOWN, NGramModel,
                                   train)
 
 from conftest import HAND_BODIES, HAND_TRAIN_DOCS
-from oracles import reference_score_text
+from oracles import reference_score_text, reference_train_counts
 
 # Training characters, the control characters the model itself uses, a
 # non-BMP character and lone surrogates; texts add characters never trained.
@@ -57,6 +57,25 @@ class TestTrain:
 
     def test_skips_empty_documents(self):
         assert train(["", "ab"], order=2) == train(["ab"], order=2)
+
+    @given(docs=st.lists(st.one_of(st.just(""),
+                                   st.text(st.sampled_from(TEXT_CHARS), max_size=40)),
+                         min_size=1, max_size=6),
+           order=st.integers(1, 5))
+    @settings(max_examples=300, deadline=None)
+    def test_counts_equal_per_character_loop(self, docs, order):
+        counts, trained_chars = reference_train_counts(docs, order)
+        if not trained_chars:
+            with pytest.raises(ValueError):
+                train(docs, order=order)
+            return
+        model = train(docs, order=order)
+        assert model.trained_chars == trained_chars
+        # equal, and built in the same insertion order
+        assert model.counts == counts
+        assert list(model.counts) == list(counts)
+        assert [list(row) for row in model.counts.values()] == \
+            [list(row) for row in counts.values()]
 
     def test_accepts_corpus_object(self):
         corpus = ExemplarCorpus(documents=["abab"], document_ids=["p1"],

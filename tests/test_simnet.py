@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,9 +10,12 @@ from spiderveil.crawler import CrawlConfig, crawl, validate_fixture
 from spiderveil.langmodel import Verdict
 from spiderveil.simnet import (DEFAULT_OFF_TOPIC_VOCAB,
                                DEFAULT_ON_TOPIC_VOCAB, ConfusionMatrix,
-                               GeneratorParams, evaluate, generate,
-                               relevant_count, report_from_matrix, truncate2,
+                               GeneratorParams, _draw_items, _shuffle,
+                               evaluate, generate, relevant_count,
+                               report_from_matrix, truncate2,
                                truth_from_json_dict, truth_to_json_dict)
+
+from oracles import reference_generate
 
 
 def small_params(**overrides):
@@ -221,6 +226,88 @@ class TestGenerate:
         with pytest.raises(ValueError):
             generate(GeneratorParams(total_bloggers=3,
                                      relevant_fraction=0.1))
+
+
+# Pool sizes at and beside powers of two: a draw below 2**j - 1 almost never
+# redraws, one below 2**j or 2**j + 1 redraws about half the time.
+POOL_SIZES = (1, 2, 3, 4, 7, 8, 9, 63, 64, 65)
+GLUE_WORDS = sorted(ENGLISH_FUNCTION_WORDS)
+
+
+@st.composite
+def generator_params(draw):
+    total = draw(st.integers(2, 60))
+    n_relevant = draw(st.integers(1, total - 1))
+    # floor(total * fraction) lands on n_relevant
+    fraction = (n_relevant + 0.5) / total
+
+    def vocab(prefix, glue_words):
+        content = [f"{prefix}{i}" for i in range(draw(st.sampled_from((0,) + POOL_SIZES)))]
+        glue = glue_words[:draw(st.sampled_from((0,) + POOL_SIZES[:7]))]
+        return tuple(content + glue) or (f"{prefix}0",)
+
+    def word_range():
+        return draw(st.one_of(st.integers(1, 30).map(lambda n: (n, n)),
+                              st.integers(1, 30).map(lambda n: (1, n)),
+                              st.tuples(st.integers(1, 15), st.integers(0, 15))
+                              .map(lambda t: (t[0], t[0] + t[1]))))
+
+    def probability():
+        return draw(st.one_of(st.sampled_from((0.0, 1.0)), st.floats(0.0, 1.0)))
+
+    def tags(prefix):
+        return tuple(f"{prefix}{i}" for i in range(draw(st.integers(1, 3))))
+
+    return GeneratorParams(
+        total_bloggers=total, relevant_fraction=fraction,
+        on_topic_vocab=vocab("on", GLUE_WORDS[:49]),
+        off_topic_vocab=vocab("off", GLUE_WORDS[49:]),
+        mixing_prob=probability(), intra_community_note_bias=probability(),
+        notes_per_post=draw(st.tuples(st.integers(1, 4), st.integers(0, 4))
+                            .map(lambda t: (t[0], t[0] + t[1]))),
+        rng_seed=draw(st.integers(0, 2 ** 64)),
+        posts_per_blogger=draw(st.integers(1, 3)),
+        words_per_post=word_range(),
+        on_topic_tags=tags("ontag"), off_topic_tags=tags("offtag"))
+
+
+class TestDrawsMatchRandom:
+    """The generator's inlined draws against the interpreter's own Random."""
+
+    BOUNDS = list(range(1, 301)) + [2 ** k + d for k in range(1, 21) for d in (-1, 1)]
+
+    @given(params=generator_params())
+    @settings(max_examples=150, deadline=None)
+    def test_generate_equals_reference(self, params):
+        assert generate(params) == reference_generate(params)
+
+    def test_workload_shapes_equal_reference(self):
+        for seed in (3, 11):
+            for params in (GeneratorParams(total_bloggers=300, rng_seed=seed),
+                           GeneratorParams(total_bloggers=60, rng_seed=seed,
+                                           posts_per_blogger=10,
+                                           words_per_post=(150, 250))):
+                assert generate(params) == reference_generate(params)
+
+    def test_draw_equals_randrange(self):
+        for n in self.BOUNDS:
+            ours, theirs = random.Random(n), random.Random(n)
+            drawn = _draw_items(ours.getrandbits, range(n), 40)
+            assert drawn == [theirs.randrange(n) for _ in range(40)], n
+            assert ours.getstate() == theirs.getstate(), n
+
+    def test_shuffle_equals_random_shuffle(self):
+        # Shuffling a list of length L draws below every bound 2..L, so the
+        # last length covers every bound up to 2**20 + 1 in one pass.
+        lengths = ([0] + [n for n in self.BOUNDS if n <= 2 ** 12 + 1]
+                   + [2 ** 20 + 1])
+        for n in lengths:
+            ours, theirs = random.Random(n), random.Random(n)
+            mine, reference = list(range(n)), list(range(n))
+            _shuffle(ours.getrandbits, mine)
+            theirs.shuffle(reference)
+            assert mine == reference, n
+            assert ours.getstate() == theirs.getstate(), n
 
 
 class TestTruthSerialization:
