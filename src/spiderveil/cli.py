@@ -24,10 +24,10 @@ from pathlib import Path
 
 from .corpus import NoteKind, bootstrap_exemplars, ExemplarCorpus, filter_english
 from .crawler import (CrawlConfig, CrawlSession, FixtureStore, HttpJsonStore,
-                      SelectionPolicy, visit_log_from_json)
+                      SelectionPolicy, predicted_verdicts, visit_log_from_json)
 from .errors import (GraphFormatError, NotFoundError, RetrievalError,
                      ScoringError, SpiderveilError)
-from .langmodel import (Verdict, compute_threshold, load_model, save_model,
+from .langmodel import (compute_threshold, load_model, save_model,
                         score_blogger, train)
 from .simnet import (ConfusionMatrix, GeneratorParams, evaluate, generate,
                      report_from_matrix, truth_from_json_dict,
@@ -297,8 +297,7 @@ def cmd_train(args, config: dict) -> int:
         store = open_store(args, config)
         scored: list[tuple[float, str]] = []
         for name in seed_names:
-            kept = filter_english(
-                store.blogger_posts(name, limit=args.posts, type="text"))
+            kept = filter_english(store.blogger_posts(name, limit=args.posts))
             score = score_blogger(model, kept)
             scored.append((score.value, name))
         scored.sort()
@@ -347,21 +346,18 @@ def cmd_crawl(args, config: dict) -> int:
     seed_blogger = setting(args, config, "seed_blogger")
     if seed_blogger is None and isinstance(store, FixtureStore):
         seed_blogger = store.seed_blogger
-    if not seed_blogger:
+    if seed_blogger in (None, ""):
         raise CLIError(EXIT_EMPTY, "no seed blogger given (use --seed-blogger)")
 
-    crawl_config = CrawlConfig(
-        seed=seed_blogger,
-        threshold=float(threshold),
-        graph_size_limit=int(setting(args, config, "graph_size", "graph_size_limit", 1000)),
-        frontier_width=int(setting(args, config, "width", "frontier_width", 25)),
-        posts_per_blogger=int(setting(args, config, "posts", "posts_per_blogger", 100)),
-        ngram_order=model.order,
-        selection_policy=SelectionPolicy(
-            setting(args, config, "policy", "selection_policy",
-                    SelectionPolicy.MAX_MARKOV.value)),
-        rng_seed=int(setting(args, config, "seed", "rng_seed", 0) or 0),
-    )
+    values = {"seed": seed_blogger, "threshold": threshold,
+              "ngram_order": model.order}
+    for name, key in (("graph_size", "graph_size_limit"), ("width", "frontier_width"),
+                      ("posts", "posts_per_blogger"), ("policy", "selection_policy"),
+                      ("seed", "rng_seed")):
+        value = setting(args, config, name, key)
+        if value is not None:
+            values[key] = value
+    crawl_config = CrawlConfig.from_json_dict(values)
 
     crawl_path = out_dir / "crawl.json"
     graph_paths = {fmt: out_dir / f"graph.{ext}"
@@ -421,18 +417,6 @@ def cmd_export(args, config: dict) -> int:
     return EXIT_OK
 
 
-def _predicted_from_document(data: dict) -> dict[str, Verdict]:
-    if not isinstance(data, dict) or "visit_log" not in data \
-            or "discarded" not in data:
-        raise CLIError(EXIT_IO,
-                       "result file lacks visit_log/discarded fields")
-    visit_log, discarded = visit_log_from_json(data)
-    predicted = {record.blog_name: record.verdict for record in visit_log}
-    for name in discarded:
-        predicted[name] = Verdict.UNKNOWN
-    return predicted
-
-
 def cmd_eval(args, config: dict) -> int:
     if args.matrix:
         parts = args.matrix.split(",")
@@ -448,9 +432,16 @@ def cmd_eval(args, config: dict) -> int:
         if not args.result or not args.truth:
             raise CLIError(EXIT_EMPTY,
                            "eval needs --matrix or both --result and --truth")
-        predicted = _predicted_from_document(read_json(args.result))
+        result = read_json(args.result)
+        if not (isinstance(result, dict) and "visit_log" in result
+                and "discarded" in result):
+            raise CLIError(EXIT_IO, "result file lacks visit_log/discarded fields")
+        predicted = predicted_verdicts(*visit_log_from_json(result))
         try:
             truth = truth_from_json_dict(read_json(args.truth))
+        except ValueError as exc:
+            raise CLIError(EXIT_IO, f"bad truth file: {exc}") from exc
+        try:
             matrix, report = evaluate(predicted, truth)
         except ValueError as exc:
             raise CLIError(EXIT_EMPTY, str(exc)) from exc

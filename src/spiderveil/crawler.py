@@ -14,7 +14,7 @@ import logging
 import math
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from itertools import islice
 from pathlib import Path
@@ -26,6 +26,7 @@ import requests
 from .corpus import NoteKind, NoteRecord, Post, filter_english, normalize_tag
 from .errors import GraphFormatError, NotFoundError, RetrievalError, ScoringError
 from .langmodel import NGramModel, Verdict, classify, score_blogger
+from .simnet import _is_json_integer
 from .socialgraph import CommunityGraph
 
 logger = logging.getLogger("spiderveil.crawler")
@@ -116,42 +117,35 @@ def validate_fixture(data) -> None:
         seen.add(post["id"])
 
 
-def post_from_record(record: dict) -> tuple[str, Post]:
-    """Parse one store record into (post type, Post)."""
+def post_from_record(record: dict) -> Post:
+    """Parse one store record into a Post."""
     try:
         notes = tuple(NoteRecord(n["blog_name"], _NOTE_KIND_OF[n["kind"]])
                       for n in record.get("notes", []))
         tags = tuple(t for t in (normalize_tag(raw) for raw in record.get("tags", ())) if t)
-        post = Post(id=str(record["id"]), blog_name=record["blog_name"],
+        return Post(id=str(record["id"]), blog_name=record["blog_name"],
                     body=record.get("body", ""), caption=record.get("caption", ""),
                     slug=record.get("slug", ""), tags=tags, notes=notes)
     except (KeyError, TypeError, ValueError) as exc:
         raise GraphFormatError(f"bad post record: {exc}") from exc
-    return record.get("type", "text"), post
 
 
-def slice_notes(notes, per_kind_limit: int | None) -> list[NoteRecord]:
-    """First ``per_kind_limit`` notes of each kind, original order kept."""
-    if per_kind_limit is None:
-        return list(notes)
-    taken: dict[NoteKind, int] = {}
-    out = []
-    for note in notes:
-        count = taken.get(note.kind, 0)
-        if count < per_kind_limit:
-            out.append(note)
-            taken[note.kind] = count + 1
-    return out
+# -- data sources -------------------------------------------------------------
+#
+# A data source answers two requests: ``blogger_posts(name, limit=None)``
+# (NotFoundError for an unknown blogger) and ``tagged_posts(tag, limit=None)``.
+# Each returns at most ``limit`` text posts, newest first, with their notes
+# embedded; posts of any other type are never returned.
 
 
 class FixtureStore:
     """Data source backed by one JSON document.
 
     The store owns the document it is given.  Every record is checked when
-    the store is made, and the blogger, tag and id indexes are built then;
-    a post is parsed from its record (notes included) only when an accessor
-    first returns it, and later requests return the same object.  Post
-    arrays are ordered most-recent-first, so "the newest N" is a prefix
+    the store is made, and the text posts are indexed by blogger and by tag
+    then; a post is parsed from its record (notes included) only when a
+    request first returns it, and later requests return the same object.
+    Post arrays are ordered most-recent-first, so "the newest N" is a prefix
     slice.  Responses are deterministic for identical requests.
     """
 
@@ -159,15 +153,15 @@ class FixtureStore:
         validate_fixture(data)
         self._records: list[dict] = data["posts"]
         self._posts: list[Post | None] = [None] * len(self._records)
-        self._types: list[str] = []
-        self._by_id: dict[str, int] = {}
         self._by_blogger: dict[str, list[int]] = {}
         self._by_tag: dict[str, list[int]] = {}
+        # A blogger with posts of other types only is known and has no posts.
         self._blogs = {blog["name"] for blog in data["blogs"]}
+        self._blogs.update(record["blog_name"] for record in self._records)
         self.seed_blogger: str | None = data.get("seed")
         for index, record in enumerate(self._records):
-            self._types.append(record["type"])
-            self._by_id[record["id"]] = index
+            if record["type"] != "text":
+                continue
             self._by_blogger.setdefault(record["blog_name"], []).append(index)
             for raw in record.get("tags", ()):
                 tag = normalize_tag(raw)
@@ -187,45 +181,26 @@ class FixtureStore:
     def _post(self, index: int) -> Post:
         post = self._posts[index]
         if post is None:
-            post = self._posts[index] = post_from_record(self._records[index])[1]
+            post = self._posts[index] = post_from_record(self._records[index])
         return post
 
-    def _typed_posts(self, indexes: list[int], limit: int | None,
-                     type: str) -> list[Post]:
-        types = self._types
-        chosen = [i for i in indexes if types[i] == type]
-        if limit is not None:
-            chosen = chosen[:limit]
-        return [self._post(i) for i in chosen]
+    def tagged_posts(self, tag: str, limit: int | None = None) -> list[Post]:
+        indexes = self._by_tag.get(normalize_tag(tag), [])
+        return [self._post(i) for i in indexes[:limit]]
 
-    def blog_names(self) -> list[str]:
-        return sorted(self._blogs | set(self._by_blogger))
-
-    def tagged_posts(self, tag: str, limit: int | None = None,
-                     type: str = "text") -> list[Post]:
-        return self._typed_posts(self._by_tag.get(normalize_tag(tag), []),
-                                 limit, type)
-
-    def blogger_posts(self, blog_name: str, limit: int | None = None,
-                      type: str = "text") -> list[Post]:
-        if blog_name not in self._blogs and blog_name not in self._by_blogger:
+    def blogger_posts(self, blog_name: str, limit: int | None = None) -> list[Post]:
+        if blog_name not in self._blogs:
             raise NotFoundError(f"unknown blogger {blog_name!r}")
-        return self._typed_posts(self._by_blogger.get(blog_name, []), limit, type)
-
-    def notes(self, post_id: str, per_kind_limit: int | None = None) -> list[NoteRecord]:
-        index = self._by_id.get(post_id)
-        if index is None:
-            raise NotFoundError(f"unknown post {post_id!r}")
-        return slice_notes(self._post(index).notes, per_kind_limit)
+        return [self._post(i) for i in self._by_blogger.get(blog_name, [])[:limit]]
 
 
 class HttpJsonStore:
     """Read-only JSON client speaking the fixture schema over HTTP.
 
-    Endpoints: /tagged/{tag}, /blog/{name}/posts, /post/{id}/notes, each
-    accepting a ``limit`` query parameter.  Transient failures (network
-    errors, 429, 5xx, unreadable JSON) are retried; 404 means the blogger or
-    post does not exist, and any other 4xx fails at once.
+    Endpoints: /tagged/{tag} and /blog/{name}/posts, each asked for
+    ``type=text`` and, when given, ``limit``.  Transient failures (network
+    errors, 429, 5xx, unreadable JSON) are retried; 404 means the blogger
+    does not exist, and any other 4xx fails at once.
     """
 
     def __init__(self, base_url: str, timeout: float = 5.0, retries: int = 3,
@@ -267,46 +242,25 @@ class HttpJsonStore:
             f"GET {path} failed after {self.retries} attempts: {failure}",
             retries=self.retries)
 
-    @staticmethod
-    def _parse_posts(payload, type: str) -> list[Post]:
+    def _text_posts(self, path: str, limit: int | None) -> list[Post]:
+        # The type goes on the wire because a server applies ``limit`` after
+        # its type filter; records of another type are still dropped here.
+        payload = self._get(path, {"limit": limit, "type": "text"})
         if not isinstance(payload, dict):
             raise GraphFormatError("bad posts payload: not an object")
         records = payload.get("posts", [])
         if not isinstance(records, list):
             raise GraphFormatError("bad posts payload: 'posts' is not an array")
-        out = []
         for i, record in enumerate(records):
             check_post_record(record, f"bad posts payload: posts[{i}]")
-            post_type, post = post_from_record(record)
-            if post_type == type:
-                out.append(post)
-        return out
+        return [post_from_record(record) for record in records
+                if record["type"] == "text"][:limit]
 
-    def tagged_posts(self, tag: str, limit: int | None = None,
-                     type: str = "text") -> list[Post]:
-        payload = self._get(f"/tagged/{quote(normalize_tag(tag))}",
-                            {"limit": limit, "type": type})
-        posts = self._parse_posts(payload, type)
-        return posts[:limit] if limit is not None else posts
+    def tagged_posts(self, tag: str, limit: int | None = None) -> list[Post]:
+        return self._text_posts(f"/tagged/{quote(normalize_tag(tag))}", limit)
 
-    def blogger_posts(self, blog_name: str, limit: int | None = None,
-                      type: str = "text") -> list[Post]:
-        payload = self._get(f"/blog/{quote(blog_name)}/posts",
-                            {"limit": limit, "type": type})
-        posts = self._parse_posts(payload, type)
-        return posts[:limit] if limit is not None else posts
-
-    def notes(self, post_id: str, per_kind_limit: int | None = None) -> list[NoteRecord]:
-        payload = self._get(f"/post/{quote(post_id)}/notes",
-                            {"limit": per_kind_limit})
-        if not isinstance(payload, dict):
-            raise GraphFormatError("bad notes payload: not an object")
-        try:
-            notes = [NoteRecord(n["blog_name"], NoteKind(n["kind"]))
-                     for n in payload.get("notes", [])]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise GraphFormatError(f"bad notes payload: {exc}") from exc
-        return slice_notes(notes, per_kind_limit)
+    def blogger_posts(self, blog_name: str, limit: int | None = None) -> list[Post]:
+        return self._text_posts(f"/blog/{quote(blog_name)}/posts", limit)
 
 
 # -- crawl configuration ------------------------------------------------------
@@ -358,17 +312,33 @@ class CrawlConfig:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "CrawlConfig":
-        return cls(
-            seed=data["seed"],
-            threshold=float(data["threshold"]),
-            graph_size_limit=int(data.get("graph_size_limit", 1000)),
-            frontier_width=int(data.get("frontier_width", 25)),
-            posts_per_blogger=int(data.get("posts_per_blogger", 100)),
-            ngram_order=int(data.get("ngram_order", 3)),
-            selection_policy=SelectionPolicy(
-                data.get("selection_policy", SelectionPolicy.MAX_MARKOV.value)),
-            rng_seed=int(data.get("rng_seed", 0)),
-        )
+        """A config from a decoded JSON object; absent keys keep the defaults.
+
+        ``seed`` and ``threshold`` are required.  A value of the wrong JSON
+        type raises GraphFormatError naming its key; a value of the right
+        type outside its range raises ValueError.  Other keys are ignored.
+        """
+        def bad(key: str, what: str) -> GraphFormatError:
+            return GraphFormatError(f"bad crawl config: {key!r} is not {what}")
+
+        kwargs = {f.name: data[f.name] for f in fields(cls) if f.name in data}
+        if not isinstance(kwargs.get("seed"), str):
+            raise bad("seed", "a string")
+        threshold = kwargs.get("threshold")
+        if not isinstance(threshold, (int, float)) or isinstance(threshold, bool):
+            raise bad("threshold", "a number")
+        kwargs["threshold"] = float(threshold)
+        for key in ("graph_size_limit", "frontier_width", "posts_per_blogger",
+                    "ngram_order", "rng_seed"):
+            if key in kwargs:
+                if not _is_json_integer(kwargs[key]):
+                    raise bad(key, "an integer")
+                kwargs[key] = int(kwargs[key])
+        if "selection_policy" in kwargs:
+            if not isinstance(kwargs["selection_policy"], str):
+                raise bad("selection_policy", "a string")
+            kwargs["selection_policy"] = SelectionPolicy(kwargs["selection_policy"])
+        return cls(**kwargs)
 
 
 @dataclass(frozen=True)
@@ -438,11 +408,15 @@ class CrawlResult:
         )
 
     def predicted_verdicts(self) -> dict[str, Verdict]:
-        """Per-blogger verdicts for evaluation; discards count as Unknown."""
-        predicted = {r.blog_name: r.verdict for r in self.visit_log}
-        for name in self.discarded:
-            predicted[name] = Verdict.UNKNOWN
-        return predicted
+        return predicted_verdicts(self.visit_log, self.discarded)
+
+
+def predicted_verdicts(visit_log, discarded) -> dict[str, Verdict]:
+    """Per-blogger verdicts for evaluation; discards count as Unknown."""
+    predicted = {r.blog_name: r.verdict for r in visit_log}
+    for name in discarded:
+        predicted[name] = Verdict.UNKNOWN
+    return predicted
 
 
 # -- transition matrix --------------------------------------------------------
@@ -500,9 +474,8 @@ def fetch_posts(source, blogger: str,
 
     Each kept post comes paired with its normalized text.
     """
-    posts = source.blogger_posts(blogger, limit=config.posts_per_blogger,
-                                 type="text")
-    return filter_english(posts[:config.posts_per_blogger])
+    return filter_english(
+        source.blogger_posts(blogger, limit=config.posts_per_blogger))
 
 
 def extract_frontiers(blogger: str, posts,
@@ -522,9 +495,9 @@ def extract_frontiers(blogger: str, posts,
         reblogs = [n for n in notes if n.kind is NoteKind.REBLOG][:width]
         for note in likes + reblogs:
             found.setdefault(note.blog_name, set()).add(note.kind)
-        reblog_names = {n.blog_name for n in reblogs}
+        rebloggers = {n.blog_name for n in reblogs}
         duals = [name for name in dict.fromkeys(n.blog_name for n in likes)
-                 if name in reblog_names]
+                 if name in rebloggers]
         for _ in duals:
             extra = next((n for n in notes if n.blog_name not in found), None)
             if extra is None:

@@ -98,6 +98,8 @@ class GeneratorParams:
             raise ValueError("posts_per_blogger must be >= 1")
         if not self.on_topic_tags or not self.off_topic_tags:
             raise ValueError("tag pools must be non-empty")
+        if not 1 <= relevant_count(self) < self.total_bloggers:
+            raise ValueError("params leave one community empty")
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "GeneratorParams":
@@ -224,8 +226,6 @@ def generate(params: GeneratorParams) -> tuple[dict, dict[str, bool]]:
     carry no tags.
     """
     n_relevant = relevant_count(params)
-    if n_relevant < 1 or n_relevant >= params.total_bloggers:
-        raise ValueError("params leave one community empty")
     rng = random.Random(params.rng_seed)
     width = max(3, len(str(params.total_bloggers - 1)))
     names = [f"blogger-{i:0{width}d}" for i in range(params.total_bloggers)]
@@ -307,6 +307,8 @@ def truth_to_json_dict(truth: dict[str, bool]) -> dict[str, str]:
 
 
 def truth_from_json_dict(data: dict) -> dict[str, bool]:
+    if not isinstance(data, dict):
+        raise ValueError("truth is not an object")
     out = {}
     for name, label in data.items():
         if isinstance(label, bool):

@@ -20,8 +20,8 @@ from collections import deque
 
 import numpy as np
 
-from spiderveil.corpus import NoteRecord, Post, normalize_tag
-from spiderveil.crawler import post_from_record, slice_notes, validate_fixture
+from spiderveil.corpus import Post, normalize_tag
+from spiderveil.crawler import post_from_record, validate_fixture
 from spiderveil.errors import NotFoundError
 from spiderveil.langmodel import SENTINEL
 from spiderveil.simnet import GLUE_RATE, _split_vocab, relevant_count
@@ -317,52 +317,36 @@ def reference_detect_communities(graph) -> Partition:
 
 
 class EagerFixtureStore:
-    """Fixture store that parses every post when it is made.
+    """Fixture store that parses every text post when it is made.
 
-    ``FixtureStore`` must answer every request with equal posts and notes.
-    Post arrays are ordered most-recent-first, so "the newest N" is a prefix
-    slice.  Responses are deterministic for identical requests.
+    It answers only the two requests of the data-source contract, so a
+    caller that needs anything more fails on it.  ``FixtureStore`` must
+    answer every request with equal posts.  Post arrays are ordered
+    most-recent-first, so "the newest N" is a prefix slice.
     """
 
     def __init__(self, data: dict):
         validate_fixture(data)
-        self._posts: list[tuple[str, Post]] = []
-        self._by_id: dict[str, int] = {}
-        self._by_blogger: dict[str, list[int]] = {}
-        self._by_tag: dict[str, list[int]] = {}
+        self._by_blogger: dict[str, list[Post]] = {}
+        self._by_tag: dict[str, list[Post]] = {}
         self._blogs = {blog["name"] for blog in data["blogs"]}
         self.seed_blogger: str | None = data.get("seed")
         for record in data["posts"]:
-            post_type, post = post_from_record(record)
-            index = len(self._posts)
-            self._posts.append((post_type, post))
-            self._by_id[post.id] = index
-            self._by_blogger.setdefault(post.blog_name, []).append(index)
+            self._blogs.add(record["blog_name"])
+            if record["type"] != "text":
+                continue
+            post = post_from_record(record)
+            self._by_blogger.setdefault(post.blog_name, []).append(post)
             for tag in post.tags:
-                self._by_tag.setdefault(tag, []).append(index)
+                self._by_tag.setdefault(tag, []).append(post)
 
-    def blog_names(self) -> list[str]:
-        return sorted(self._blogs | set(self._by_blogger))
+    def tagged_posts(self, tag: str, limit: int | None = None) -> list[Post]:
+        return self._by_tag.get(normalize_tag(tag), [])[:limit]
 
-    def tagged_posts(self, tag: str, limit: int | None = None,
-                     type: str = "text") -> list[Post]:
-        indexes = self._by_tag.get(normalize_tag(tag), [])
-        posts = [self._posts[i][1] for i in indexes if self._posts[i][0] == type]
-        return posts[:limit] if limit is not None else posts
-
-    def blogger_posts(self, blog_name: str, limit: int | None = None,
-                      type: str = "text") -> list[Post]:
-        if blog_name not in self._blogs and blog_name not in self._by_blogger:
+    def blogger_posts(self, blog_name: str, limit: int | None = None) -> list[Post]:
+        if blog_name not in self._blogs:
             raise NotFoundError(f"unknown blogger {blog_name!r}")
-        indexes = self._by_blogger.get(blog_name, [])
-        posts = [self._posts[i][1] for i in indexes if self._posts[i][0] == type]
-        return posts[:limit] if limit is not None else posts
-
-    def notes(self, post_id: str, per_kind_limit: int | None = None) -> list[NoteRecord]:
-        index = self._by_id.get(post_id)
-        if index is None:
-            raise NotFoundError(f"unknown post {post_id!r}")
-        return slice_notes(self._posts[index][1].notes, per_kind_limit)
+        return self._by_blogger.get(blog_name, [])[:limit]
 
 
 def reference_train_counts(documents, order: int) -> tuple[dict, int]:

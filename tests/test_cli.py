@@ -17,6 +17,7 @@ from spiderveil.crawler import HttpJsonStore
 from spiderveil.socialgraph import import_json_edge_list
 
 from conftest import MALFORMED_POSTS, MALFORMED_STORES, FakeSession
+from oracles import EagerFixtureStore
 
 
 def run(argv):
@@ -138,6 +139,9 @@ class TestGen:
         ({"posts_per_blogger": 0}, 4, "posts_per_blogger"),
         ({"relevant_fraction": 1.5}, 4, "relevant_fraction"),
         ({"on_topic_tags": []}, 4, "tag pools"),
+        ({"total_bloggers": 3, "relevant_fraction": 0.1}, 4, "community empty"),
+        ({"total_bloggers": 10, "relevant_fraction": 0.9999999999}, 4,
+         "community empty"),
     ])
     def test_bad_params_exit_with_an_error_line(self, tmp_path, capsys,
                                                 params, code, key):
@@ -563,6 +567,19 @@ class TestEval:
                        "--truth", str(partial)])
         assert code == 3
 
+    @pytest.mark.parametrize("truth", [[["blogger-000", "relevant"]],
+                                       {"blogger-000": "maybe"},
+                                       {"blogger-000": 1}],
+                             ids=["list", "junk label", "number label"])
+    def test_malformed_truth(self, pipeline, tmp_path, capsys, truth):
+        path = tmp_path / "truth.json"
+        path.write_text(json.dumps(truth))
+        code, _ = run(["--out-dir", str(tmp_path), "eval",
+                       "--result", str(pipeline.root / "crawl.json"),
+                       "--truth", str(path)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: bad truth file: ")
+
     @pytest.mark.parametrize("fields", [
         {"visit_log": [[1]]},
         {"visit_log": [["blogger-000", -2.0, "maybe"]]},
@@ -601,12 +618,86 @@ class TestConfigFile:
                        "--tag", "stargazing", "--target", "5"])
         assert code == 0
 
+    def test_integral_float_settings_are_integers(self, pipeline, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"store": str(pipeline.store),
+                                      "model": str(pipeline.root / "model.json"),
+                                      "threshold": -1, "graph_size_limit": 4.0,
+                                      "rng_seed": 3.0}))
+        code, _ = run(["--config", str(config), "--out-dir", str(tmp_path), "crawl"])
+        assert code == 0
+        written = json.loads((tmp_path / "crawl.json").read_text())["config"]
+        assert (written["graph_size_limit"], written["rng_seed"]) == (4, 3)
+        assert written["threshold"] == -1.0
+
+    # (config entries, exit code, text the error names); a wrong JSON type
+    # exits 2, a value of the right type outside its range exits 4.
+    @pytest.mark.parametrize("entries,code,key", [
+        ({"graph_size_limit": [1]}, 2, "graph_size_limit"),
+        ({"graph_size_limit": 2.9}, 2, "graph_size_limit"),
+        ({"graph_size_limit": True}, 2, "graph_size_limit"),
+        ({"graph_size_limit": "x"}, 2, "graph_size_limit"),
+        ({"frontier_width": "3"}, 2, "frontier_width"),
+        ({"posts_per_blogger": 1.5}, 2, "posts_per_blogger"),
+        ({"rng_seed": False}, 2, "rng_seed"),
+        ({"threshold": [1]}, 2, "threshold"),
+        ({"threshold": "-0.6"}, 2, "threshold"),
+        ({"threshold": True}, 2, "threshold"),
+        ({"seed_blogger": 5}, 2, "seed"),
+        ({"selection_policy": 1}, 2, "selection_policy"),
+        ({"graph_size_limit": 0}, 4, "graph_size_limit"),
+        ({"selection_policy": "greedy"}, 4, "greedy"),
+    ])
+    def test_bad_crawl_settings(self, pipeline, tmp_path, capsys, entries,
+                                code, key):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"store": str(pipeline.store),
+                                      "model": str(pipeline.root / "model.json"),
+                                      "threshold": -0.6, **entries}))
+        out_dir = tmp_path / "out"
+        assert run(["--config", str(config), "--out-dir", str(out_dir),
+                    "crawl"])[0] == code
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key in err
+        assert "Traceback" not in err
+        assert not (out_dir / "manifest.json").exists()
+
     def test_malformed_config(self, tmp_path):
         config = tmp_path / "config.json"
         config.write_text("[1, 2]")
         code, _ = run(["--config", str(config), "--out-dir", str(tmp_path),
                        "eval", "--matrix", "1,1,1,1"])
         assert code == 2
+
+
+class TestDataSourceContract:
+    def test_two_request_source_writes_the_same_files(self, pipeline, tmp_path,
+                                                      monkeypatch):
+        """bootstrap, train's seed scoring and crawl need only blogger_posts
+        and tagged_posts, with no type keyword."""
+        eager = EagerFixtureStore(json.loads(pipeline.store.read_text()))
+        monkeypatch.setattr(cli, "open_store", lambda args, config: eager)
+        out = str(tmp_path)
+        steps = [
+            ["bootstrap", "--tag", "stargazing", "--target", "80"],
+            ["train", "--corpus", str(tmp_path / "corpus.ndjson"),
+             "--seed-bloggers", str(pipeline.seeds_file)],
+            ["crawl", "--model", str(tmp_path / "model.json"),
+             "--threshold-file", str(tmp_path / "model.threshold.json"),
+             "--seed-blogger", "blogger-000"],
+        ]
+        stdouts = []
+        for argv in steps:
+            code, stdout = run(["--out-dir", out] + argv)
+            assert code == 0
+            stdouts.append(stdout.replace(out, str(pipeline.root)))
+        assert stdouts == [pipeline.boot_stdout, pipeline.train_stdout,
+                           pipeline.crawl_stdout]
+        for name in ("corpus.ndjson", "corpus.lexicon.json", "model.json",
+                     "model.threshold.json", "crawl.json", "graph.json",
+                     "graph.dot", "graph.graphml"):
+            assert (tmp_path / name).read_bytes() == \
+                (pipeline.root / name).read_bytes(), name
 
 
 class TestManifest:

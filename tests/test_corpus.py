@@ -163,7 +163,7 @@ class _ListStore:
     def __init__(self, posts_by_tag):
         self.posts_by_tag = posts_by_tag
 
-    def tagged_posts(self, tag, limit=None, type="text"):
+    def tagged_posts(self, tag, limit=None):
         posts = self.posts_by_tag.get(tag, [])
         return posts[:limit] if limit is not None else posts
 
@@ -220,7 +220,7 @@ class TestBootstrap:
 
     def test_retrieval_error_carries_tag(self):
         class FailingStore:
-            def tagged_posts(self, tag, limit=None, type="text"):
+            def tagged_posts(self, tag, limit=None):
                 raise RetrievalError("backend down", retries=3)
 
         with pytest.raises(RetrievalError) as err:

@@ -18,14 +18,15 @@ from hypothesis import strategies as st
 
 import spiderveil
 from spiderveil import crawler as crawler_module
-from spiderveil.corpus import NoteKind, NoteRecord, Post
+from spiderveil.corpus import NoteKind, NoteRecord, Post, bootstrap_exemplars
 from spiderveil.crawler import (PROPAGATION_CAP, CrawlConfig, CrawlResult,
                                 CrawlSession, FixtureStore, HttpJsonStore,
                                 SelectionPolicy, StopReason,
                                 VisitRecord, build_transition_matrix, crawl,
                                 extract_frontiers, fetch_posts,
-                                post_from_record, propagate, select_next,
-                                slice_notes, validate_fixture)
+                                post_from_record, predicted_verdicts,
+                                propagate, select_next, validate_fixture,
+                                visit_log_from_json)
 from spiderveil.errors import (GraphFormatError, NotFoundError,
                                RetrievalError)
 from spiderveil.langmodel import Verdict
@@ -34,7 +35,8 @@ from spiderveil.socialgraph import CommunityGraph
 from conftest import (EDGE_STORES, HAND_BODIES, MALFORMED_POSTS,
                       MALFORMED_STORES, FakeSession, make_post)
 from oracles import EagerFixtureStore, propagate_oracle, random_digraph
-from test_golden import SEEDS, checkpoint_bytes, crawl_session, network
+from test_golden import (SEEDS, checkpoint_bytes, crawl_session, crawl_trace,
+                         golden_path, network)
 
 
 def note(name, kind):
@@ -109,11 +111,10 @@ class TestFixtureValidation:
         assert out.stdout.strip() == "False"
 
     def test_post_from_record(self):
-        kind, post = post_from_record(
+        post = post_from_record(
             {"id": "p9", "blog_name": "a", "type": "photo",
              "caption": "hi", "tags": ["#Foo ", ""],
              "notes": [{"blog_name": "b", "kind": "like"}]})
-        assert kind == "photo"
         assert post.caption == "hi"
         assert post.tags == ("foo",)
         assert post.notes == (note("b", "like"),)
@@ -243,22 +244,6 @@ class TestFixtureChecksMatchSchema:
         assert checks_accept(document) == schema_accepts(document)
 
 
-class TestSliceNotes:
-    NOTES = [note("a", "like"), note("b", "reblog"), note("c", "like"),
-             note("d", "like"), note("e", "reblog")]
-
-    def test_per_kind_prefix(self):
-        assert slice_notes(self.NOTES, 2) == [
-            note("a", "like"), note("b", "reblog"), note("c", "like"),
-            note("e", "reblog")]
-
-    def test_no_limit(self):
-        assert slice_notes(self.NOTES, None) == self.NOTES
-
-    def test_zero(self):
-        assert slice_notes(self.NOTES, 0) == []
-
-
 class TestFixtureStore:
     def test_type_filter(self):
         data = {"blogs": [{"name": "a"}],
@@ -267,7 +252,7 @@ class TestFixtureStore:
                           make_post("p3", "a", "three")]}
         store = FixtureStore(data)
         assert [p.id for p in store.blogger_posts("a")] == ["p1", "p3"]
-        assert [p.id for p in store.blogger_posts("a", type="photo")] == ["p2"]
+        assert [p.id for p in store.blogger_posts("a", limit=2)] == ["p1", "p3"]
 
     def test_limit_is_a_prefix_of_newest(self):
         data = {"blogs": [{"name": "a"}],
@@ -286,14 +271,15 @@ class TestFixtureStore:
         store = FixtureStore({"blogs": [{"name": "quiet"}], "posts": []})
         assert store.blogger_posts("quiet") == []
 
-    def test_notes_endpoint(self, hand_store):
-        assert hand_store.notes("p3") == [note("dave", "like"),
-                                          note("dave", "reblog"),
-                                          note("xena", "like")]
-        assert hand_store.notes("p3", per_kind_limit=1) == [
-            note("dave", "like"), note("dave", "reblog")]
-        with pytest.raises(NotFoundError):
-            hand_store.notes("p999")
+    def test_blogger_with_photo_posts_only_is_known(self):
+        store = FixtureStore({"blogs": [],
+                              "posts": [make_post("p1", "a", "x", type="photo")]})
+        assert store.blogger_posts("a") == []
+
+    def test_notes_come_embedded(self, hand_store):
+        [post] = hand_store.blogger_posts("carol")
+        assert post.notes == (note("dave", "like"), note("dave", "reblog"),
+                              note("xena", "like"))
 
     def test_tagged_posts(self):
         data = {"blogs": [{"name": "a"}],
@@ -306,8 +292,8 @@ class TestFixtureStore:
 
     def test_seed_and_blog_names(self, hand_store):
         assert hand_store.seed_blogger == "alpha"
-        assert hand_store.blog_names() == ["alpha", "bravo", "carol",
-                                           "dave", "xena", "yuri"]
+        for name in ("alpha", "bravo", "carol", "dave", "xena", "yuri"):
+            assert [p.blog_name for p in hand_store.blogger_posts(name)] == [name]
 
     def test_load_rejects_bad_json(self, tmp_path):
         path = tmp_path / "store.json"
@@ -344,7 +330,7 @@ class TestLazyPosts:
         path = tmp_path / "store.json"
         path.write_text(json.dumps(small_bundle.store_data), encoding="utf-8")
         store = FixtureStore.load(path)
-        assert store.blog_names()
+        assert store.seed_blogger == small_bundle.store_data["seed"]
         assert built == []
 
     def test_blogger_posts_parses_that_blogger_once(self, built, small_bundle):
@@ -359,8 +345,6 @@ class TestLazyPosts:
         assert built == own
         assert len(second) == len(first)
         assert all(a is b for a, b in zip(first, second))
-        store.notes(own[0])
-        assert built == own
 
     def test_type_and_limit_parse_only_what_is_returned(self, built):
         store = FixtureStore(ODD_TAG_STORE)
@@ -368,8 +352,17 @@ class TestLazyPosts:
         assert built == ["p1"]
         assert [p.id for p in store.tagged_posts("stars")] == ["p1", "p1"]
         assert built == ["p1"]
-        assert [p.id for p in store.tagged_posts("moon", type="photo")] == ["p2"]
-        assert built == ["p1", "p2"]
+        assert [p.id for p in store.tagged_posts("moon")] == ["p3"]
+        assert built == ["p1", "p3"]
+
+    def test_photo_posts_are_never_returned_or_parsed(self, built):
+        store = FixtureStore(ODD_TAG_STORE)
+        returned = [p.id for tag in ("moon", "stars", "#Stars", "MOON")
+                    for p in store.tagged_posts(tag)]
+        returned += [p.id for name in ("a", "b") for p in store.blogger_posts(name)]
+        assert store.blogger_posts("b") == []
+        assert "p2" not in returned
+        assert "p2" not in built
 
     @pytest.mark.parametrize("which", ["hand", "generated", "odd tags"])
     def test_answers_like_the_eager_store(self, which, hand_store_data,
@@ -378,36 +371,34 @@ class TestLazyPosts:
                 "odd tags": ODD_TAG_STORE}[which]
         lazy, eager = FixtureStore(data), EagerFixtureStore(data)
         assert lazy.seed_blogger == eager.seed_blogger
-        assert lazy.blog_names() == eager.blog_names()
         raw_tags = {tag for r in data["posts"] for tag in r.get("tags", ())}
         for tag in sorted(raw_tags) + ["#STARGAZING", "absent", ""]:
-            for kind in ("text", "photo"):
-                for limit in (None, 0, 1, 3):
-                    assert lazy.tagged_posts(tag, limit, kind) \
-                        == eager.tagged_posts(tag, limit, kind)
-        for name in eager.blog_names():
+            for limit in (None, 0, 1, 3):
+                assert lazy.tagged_posts(tag, limit) \
+                    == eager.tagged_posts(tag, limit)
+        names = {b["name"] for b in data["blogs"]} | {r["blog_name"]
+                                                     for r in data["posts"]}
+        for name in sorted(names):
             for limit in (None, 1, 5):
                 assert lazy.blogger_posts(name, limit) \
                     == eager.blogger_posts(name, limit)
-        for record in data["posts"]:
-            for per_kind in (None, 0, 1, 2):
-                assert lazy.notes(record["id"], per_kind) \
-                    == eager.notes(record["id"], per_kind)
         for store in (lazy, eager):
-            with pytest.raises(NotFoundError):
-                store.notes("absent")
             with pytest.raises(NotFoundError):
                 store.blogger_posts("absent")
 
 
 def serve_fixture(store_data, flaky=None):
-    """Tiny HTTP twin of FixtureStore; ``flaky`` maps path -> 500 count."""
+    """Tiny HTTP twin of FixtureStore; ``flaky`` maps path -> 500 count.
+
+    Like a real server it applies ``limit`` after its ``type`` filter.  The
+    server's ``requests`` lists the (path, query parameters) of every GET.
+    """
     records_by_blog = {}
     for record in store_data["posts"]:
         records_by_blog.setdefault(record["blog_name"], []).append(record)
     blogs = {blog["name"] for blog in store_data["blogs"]}
-    notes_by_post = {r["id"]: r.get("notes", []) for r in store_data["posts"]}
     failures = dict(flaky or {})
+    requests = []
 
     class Handler(http.server.BaseHTTPRequestHandler):
         def log_message(self, *args):
@@ -425,6 +416,7 @@ def serve_fixture(store_data, flaky=None):
             parsed = urlsplit(self.path)
             path = unquote(parsed.path)
             params = dict(parse_qsl(parsed.query))
+            requests.append((path, params))
             if failures.get(path, 0) > 0:
                 failures[path] -= 1
                 self._send(500, {"error": "transient"})
@@ -436,27 +428,20 @@ def serve_fixture(store_data, flaky=None):
                     self._send(404)
                     return
                 records = records_by_blog.get(name, [])
-                if "type" in params:
-                    records = [r for r in records if r["type"] == params["type"]]
-                if "limit" in params:
-                    records = records[:int(params["limit"])]
-                self._send(200, {"posts": records})
-            elif len(parts) == 3 and parts[0] == "post" and parts[2] == "notes":
-                notes = notes_by_post.get(parts[1])
-                if notes is None:
-                    self._send(404)
-                else:
-                    self._send(200, {"notes": notes})
             elif len(parts) == 2 and parts[0] == "tagged":
                 records = [r for r in store_data["posts"]
                            if parts[1] in r.get("tags", [])]
-                if "limit" in params:
-                    records = records[:int(params["limit"])]
-                self._send(200, {"posts": records})
             else:
                 self._send(404)
+                return
+            if "type" in params:
+                records = [r for r in records if r["type"] == params["type"]]
+            if "limit" in params:
+                records = records[:int(params["limit"])]
+            self._send(200, {"posts": records})
 
     server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+    server.requests = requests
     threading.Thread(target=server.serve_forever, daemon=True).start()
     return server, failures
 
@@ -486,8 +471,9 @@ class TestHttpJsonStore:
     def test_notes_and_limit(self, hand_http):
         base, _ = hand_http
         store = HttpJsonStore(base, backoff=0.0)
-        assert store.notes("p3", per_kind_limit=1) == [
-            note("dave", "like"), note("dave", "reblog")]
+        [post] = store.blogger_posts("carol", limit=1)
+        assert post.notes == (note("dave", "like"), note("dave", "reblog"),
+                              note("xena", "like"))
 
     def test_transient_failures_are_retried(self, hand_store_data):
         server, failures = serve_fixture(hand_store_data,
@@ -560,17 +546,56 @@ class TestHttpJsonStore:
         with pytest.raises(GraphFormatError, match="bad posts payload"):
             store.blogger_posts("a")
 
-    def test_notes_payload_not_an_object(self):
-        store = HttpJsonStore("http://store.test", session=FakeSession([]))
-        with pytest.raises(GraphFormatError, match="bad notes payload"):
-            store.notes("p1")
-
     def test_well_formed_payload_parses(self):
         record = make_post("p1", "a", "some text", notes=[("b", "like")], tags=["T"])
         store = HttpJsonStore("http://store.test",
                               session=FakeSession({"posts": [record]}))
         [post] = store.blogger_posts("a")
-        assert post == post_from_record(record)[1]
+        assert post == post_from_record(record)
+
+    def test_requests_ask_for_text_posts_and_the_limit(self, hand_store_data,
+                                                       hand_model, hand_config):
+        data = copy.deepcopy(hand_store_data)
+        data["posts"].insert(0, make_post("p0", "alpha", "a photo",
+                                          tags=["stars"], type="photo"))
+        data["posts"][1]["tags"] = ["stars"]
+        server, _ = serve_fixture(data)
+        try:
+            store = HttpJsonStore(f"http://127.0.0.1:{server.server_address[1]}",
+                                  backoff=0.0)
+            # The server drops the photo before its limit, so one post is p1.
+            assert [p.id for p in store.blogger_posts("alpha", limit=1)] == ["p1"]
+            assert [p.id for p in store.tagged_posts("#Stars")] == ["p1"]
+            assert server.requests == [
+                ("/blog/alpha/posts", {"type": "text", "limit": "1"}),
+                ("/tagged/stars", {"type": "text"})]
+            del server.requests[:]
+            crawl(store, hand_model, hand_config)
+            bootstrap_exemplars(store, ["stars"], 7)
+        finally:
+            server.shutdown()
+            server.server_close()
+        blogs = [(path, params) for path, params in server.requests
+                 if path.startswith("/blog/")]
+        assert len(blogs) == len(HAND_BODIES)
+        assert all(params == {"type": "text", "limit": "100"}
+                   for _, params in blogs)
+        assert server.requests[len(blogs):] == [
+            ("/tagged/stars", {"type": "text", "limit": "7"})]
+
+    def test_other_post_types_are_dropped_unparsed(self, monkeypatch):
+        records = [make_post("p1", "a", "a photo", tags=["t"], type="photo"),
+                   make_post("p2", "a", "text two", tags=["t"]),
+                   make_post("p3", "a", "text three", tags=["t"])]
+        parsed = []
+        parse = crawler_module.post_from_record
+        monkeypatch.setattr(crawler_module, "post_from_record",
+                            lambda record: parsed.append(record["id"]) or parse(record))
+        store = HttpJsonStore("http://store.test",
+                              session=FakeSession({"posts": records}))
+        assert [p.id for p in store.blogger_posts("a")] == ["p2", "p3"]
+        assert [p.id for p in store.tagged_posts("t", limit=1)] == ["p2"]
+        assert "p1" not in parsed
 
     def test_crawl_over_http_matches_fixture_store(self, hand_http,
                                                    hand_store, hand_model,
@@ -580,6 +605,19 @@ class TestHttpJsonStore:
                             hand_config)
         local_result = crawl(hand_store, hand_model, hand_config)
         assert http_result.canonical_bytes() == local_result.canonical_bytes()
+
+
+class TestDataSourceContract:
+    """The pipeline needs only ``blogger_posts`` and ``tagged_posts`` without
+    a ``type`` keyword: bootstrap, seed scoring and the crawl replay the golden
+    traces on a source that offers nothing else."""
+
+    @pytest.mark.parametrize("seed", SEEDS[:3])
+    def test_golden_traces_on_two_request_source(self, seed):
+        store, model, threshold = network(seed, source=EagerFixtureStore)
+        for policy in SelectionPolicy:
+            expected = json.loads(golden_path(seed, policy).read_text(encoding="utf-8"))
+            assert crawl_trace(store, model, threshold, seed, policy) == expected
 
 
 class TestFetchPosts:
@@ -847,6 +885,36 @@ class TestConfig:
         assert config.posts_per_blogger == 100
         assert config.selection_policy is SelectionPolicy.MAX_MARKOV
 
+    @pytest.mark.parametrize("key,value", [
+        ("seed", 5), ("seed", None), ("threshold", "-2"), ("threshold", [1]),
+        ("threshold", True), ("threshold", None), ("graph_size_limit", 2.9),
+        ("graph_size_limit", True), ("frontier_width", "3"),
+        ("posts_per_blogger", None), ("ngram_order", [3]), ("rng_seed", False),
+        ("selection_policy", 1)])
+    def test_wrong_json_type_names_the_key(self, key, value):
+        with pytest.raises(GraphFormatError, match=f"^bad crawl config: '{key}'"):
+            CrawlConfig.from_json_dict({"seed": "a", "threshold": -2.0, key: value})
+
+    def test_required_keys(self):
+        with pytest.raises(GraphFormatError, match="'seed'"):
+            CrawlConfig.from_json_dict({"threshold": -2.0})
+        with pytest.raises(GraphFormatError, match="'threshold'"):
+            CrawlConfig.from_json_dict({"seed": "a"})
+
+    def test_integral_floats_are_integers(self):
+        config = CrawlConfig.from_json_dict(
+            {"seed": "a", "threshold": -2, "graph_size_limit": 7.0, "rng_seed": -1})
+        assert type(config.graph_size_limit) is int and config.graph_size_limit == 7
+        assert type(config.threshold) is float and config.rng_seed == -1
+
+    def test_resume_checks_config_types(self, hand_store, hand_model, hand_config):
+        session = CrawlSession(hand_store, hand_model, hand_config)
+        session.step()
+        checkpoint = session.checkpoint()
+        checkpoint["config"]["frontier_width"] = 2.5
+        with pytest.raises(GraphFormatError, match="'frontier_width'"):
+            CrawlSession.resume(hand_store, hand_model, checkpoint)
+
 
 class TestCrawlResultSerialization:
     def test_round_trip(self, hand_store, hand_model, hand_config):
@@ -866,6 +934,13 @@ class TestCrawlResultSerialization:
         assert predicted["xena"] is Verdict.UNKNOWN
         assert set(predicted) == {r.blog_name for r in result.visit_log} | \
             set(result.discarded)
+
+    def test_predicted_verdicts_from_a_checkpoint(self, hand_store, hand_model,
+                                                  hand_config):
+        session = CrawlSession(hand_store, hand_model, hand_config)
+        result = session.run()
+        rows = visit_log_from_json(json.loads(json.dumps(session.checkpoint())))
+        assert predicted_verdicts(*rows) == result.predicted_verdicts()
 
 
 class TestHandCrawl:
@@ -950,10 +1025,10 @@ class TestHandCrawl:
                 self.inner = inner
                 self.broken = broken
 
-            def blogger_posts(self, name, limit=None, type="text"):
+            def blogger_posts(self, name, limit=None):
                 if name == self.broken:
                     raise RetrievalError("boom", retries=3)
-                return self.inner.blogger_posts(name, limit=limit, type=type)
+                return self.inner.blogger_posts(name, limit=limit)
 
         config = CrawlConfig(seed="alpha", threshold=hand_threshold)
         result = crawl(Hostile(hand_store, "carol"), hand_model, config)

@@ -52,12 +52,13 @@ def trace_params(seed: int) -> dict:
             "alpha": (1.0, 0.5)[seed % 2]}
 
 
-def network(seed: int, bloggers: int = BLOGGERS):
-    """Store, model and threshold of one pinned network."""
+def network(seed: int, bloggers: int = BLOGGERS, source=FixtureStore):
+    """Store, model and threshold of one pinned network; ``source`` makes
+    the data source from the store document."""
     params = trace_params(seed)
     store_data, truth = generate(GeneratorParams(total_bloggers=bloggers,
                                                  rng_seed=seed))
-    store = FixtureStore(store_data)
+    store = source(store_data)
     corpus, _ = bootstrap_exemplars(store, ["stargazing"], 80)
     model = train(corpus, order=params["order"], alpha=params["alpha"])
     seed_names = sorted(n for n, label in truth.items() if label)[:SEED_BLOGGERS]
