@@ -29,9 +29,9 @@ from .errors import (GraphFormatError, NotFoundError, RetrievalError,
                      ScoringError, SpiderveilError)
 from .langmodel import (compute_threshold, load_model, save_model,
                         score_blogger, train)
-from .simnet import (ConfusionMatrix, GeneratorParams, evaluate, generate,
-                     report_from_matrix, truth_from_json_dict,
-                     truth_to_json_dict)
+from .simnet import (ConfusionMatrix, GeneratorParams, _is_json_integer,
+                     evaluate, generate, report_from_matrix,
+                     truth_from_json_dict, truth_to_json_dict)
 from .socialgraph import export_graph, import_json_edge_list, measure
 
 EXIT_OK = 0
@@ -179,11 +179,19 @@ def setting(args, config: dict, name: str, key: str | None = None, default=None)
     return config.get(key or name, default)
 
 
+def text_setting(args, config: dict, name: str):
+    """Flag value if given, else a config string; exit 2 on another type."""
+    value = setting(args, config, name)
+    if value is not None and not isinstance(value, str):
+        raise CLIError(EXIT_IO, f"bad config: {name!r} is not a string")
+    return value
+
+
 def open_store(args, config: dict):
-    url = setting(args, config, "url")
+    url = text_setting(args, config, "url")
     if url:
         return HttpJsonStore(url)
-    path = setting(args, config, "store") or os.environ.get("SPIDERVEIL_STORE")
+    path = text_setting(args, config, "store") or os.environ.get("SPIDERVEIL_STORE")
     if not path:
         raise CLIError(EXIT_EMPTY,
                        "no store given (use --store, config, or SPIDERVEIL_STORE)")
@@ -230,9 +238,14 @@ def cmd_bootstrap(args, config: dict) -> int:
     out_dir = ensure_out_dir(args)
     store = open_store(args, config)
     tags = args.tag or config.get("tags")
+    if not (tags is None or isinstance(tags, list)
+            and all(isinstance(tag, str) for tag in tags)):
+        raise CLIError(EXIT_IO, "bad config: 'tags' is not an array of strings")
     if not tags:
         raise CLIError(EXIT_EMPTY, "no seed tags given (use --tag)")
     target = setting(args, config, "target", default=100)
+    if not _is_json_integer(target):
+        raise CLIError(EXIT_IO, "bad config: 'target' is not an integer")
 
     corpus_path = Path(args.out) if args.out else out_dir / "corpus.ndjson"
     lexicon_path = corpus_path.with_name(corpus_path.stem + ".lexicon.json")
@@ -270,7 +283,7 @@ def _load_seed_bloggers(path) -> list[str]:
 
 def cmd_train(args, config: dict) -> int:
     out_dir = ensure_out_dir(args)
-    corpus_path = setting(args, config, "corpus")
+    corpus_path = text_setting(args, config, "corpus")
     if not corpus_path:
         raise CLIError(EXIT_EMPTY, "no corpus given (use --corpus)")
     if not Path(corpus_path).exists():
@@ -323,7 +336,7 @@ def cmd_train(args, config: dict) -> int:
 def cmd_crawl(args, config: dict) -> int:
     out_dir = ensure_out_dir(args)
     store = open_store(args, config)
-    model_path = setting(args, config, "model")
+    model_path = text_setting(args, config, "model")
     if not model_path:
         raise CLIError(EXIT_EMPTY, "no model given (use --model)")
     if not Path(model_path).exists():

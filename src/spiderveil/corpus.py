@@ -42,13 +42,28 @@ def normalize_text(raw: str) -> str:
     joining its pieces by single spaces collapses and trims whitespace.
     """
     text = _MARKUP_RE.sub(" ", raw) if "<" in raw else raw
-    text = _CONTROL_RE.sub("", text)
+    if not text.isprintable():
+        # Every character _CONTROL_RE matches is unprintable (category Cc).
+        text = _CONTROL_RE.sub("", text)
     return " ".join(text.split()).lower()
 
 
 def normalize_tag(tag: str) -> str:
     """Canonical tag form: lowercase, no leading '#', trimmed."""
     return tag.strip().lstrip("#").strip().lower()
+
+
+def _word_tokens(text: str) -> list[str]:
+    """The ``\\w+`` runs of ``text``, lowercased.
+
+    On ASCII letters and digits separated by spaces the runs are exactly the
+    space-separated pieces; anything else (tabs, ``_``, punctuation,
+    non-ASCII) goes through the regex.
+    """
+    text = text.lower()
+    if text.isascii() and text.encode().replace(b" ", b"").isalnum():
+        return text.split()
+    return _TOKEN_RE.findall(text)
 
 
 class LanguageVerdict(Enum):
@@ -73,7 +88,7 @@ class StopwordRatioDetector:
     def __call__(self, text: str) -> LanguageVerdict:
         if len(text) < self.min_length:
             return LanguageVerdict.UNDETERMINED
-        tokens = _TOKEN_RE.findall(text.lower())
+        tokens = _word_tokens(text)
         if not tokens:
             return LanguageVerdict.UNDETERMINED
         hits = sum(map(self.stopwords.__contains__, tokens))

@@ -369,7 +369,8 @@ def visit_log_from_json(document: dict) -> tuple[list[VisitRecord], list[str]]:
     visit_log = []
     for row in rows:
         if not (isinstance(row, list) and len(row) == 3
-                and isinstance(row[0], str)):
+                and isinstance(row[0], str) and isinstance(row[1], (int, float))
+                and not isinstance(row[1], bool)):
             raise GraphFormatError(f"bad visit_log row {row!r}")
         try:
             visit_log.append(VisitRecord(row[0], float(row[1]), Verdict(row[2])))

@@ -151,7 +151,8 @@ class _LogTable:
     """log10 of every smoothed conditional a text can look up.
 
     Every single character of the vocabulary, plus UNKNOWN and the SENTINEL
-    padding, gets an integer code in code-point order.  A trie of dense child
+    padding, gets an integer code in code-point order; one array indexed by
+    code point maps a text's characters to codes.  A trie of dense child
     arrays, one per context position, maps the codes of a context to its row
     of ``leaf``; node 0 stands for every unseen prefix and maps to itself.
     Each cell holds exactly ``math.log10(model.probability(context, char))``,
@@ -165,11 +166,11 @@ class _LogTable:
         symbols = sorted(set(chars) | {UNKNOWN, SENTINEL})
         code = {ch: i for i, ch in enumerate(symbols)}
         self.width = width = len(symbols)
-        self.unknown = code[UNKNOWN]
-        # Code points of the vocabulary, ending in one no character has, so
-        # that searchsorted always lands on a valid index.
-        self.points = np.array([ord(ch) for ch in chars] + [0xFFFFFFFF], np.uint32)
-        self.codes = np.array([code[ch] for ch in chars] + [self.unknown], np.intp)
+        # The code of every code point up to the vocabulary's largest, then
+        # one UNKNOWN slot that take(mode="clip") sends every larger point to.
+        self.lookup = np.full(ord(chars[-1]) + 2 if chars else 1, code[UNKNOWN],
+                              np.intp)
+        self.lookup[[ord(ch) for ch in chars]] = [code[ch] for ch in chars]
         self.padding = np.full(model.order - 1, code[SENTINEL], np.intp)
 
         contexts = sorted(ctx for ctx in model.counts
@@ -201,9 +202,7 @@ class _LogTable:
 
     def mean_log10(self, text: str) -> float:
         points = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), np.uint32)
-        slots = np.searchsorted(self.points, points)
-        codes = self.codes[slots]
-        codes[self.points[slots] != points] = self.unknown
+        codes = self.lookup.take(points, mode="clip")
         padded = np.concatenate((self.padding, codes))
         n = len(points)
         node = 1

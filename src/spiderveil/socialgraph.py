@@ -156,15 +156,24 @@ class CommunityGraph:
     def from_json_dict(cls, data: dict) -> "CommunityGraph":
         if not isinstance(data, dict) or "nodes" not in data or "edges" not in data:
             raise GraphFormatError("graph document needs 'nodes' and 'edges'")
+        if not (isinstance(data["nodes"], list) and isinstance(data["edges"], list)):
+            raise GraphFormatError("graph document 'nodes' and 'edges' are not arrays")
         graph = cls()
         try:
             for node in data["nodes"]:
-                verdict = node.get("verdict")
+                if not isinstance(node, dict):
+                    raise TypeError(f"node {node!r} is not an object")
+                verdict, score = node.get("verdict"), node.get("score")
+                if not (score is None or isinstance(score, (int, float))
+                        and not isinstance(score, bool)):
+                    raise TypeError(f"node score {score!r} is not a number")
                 graph.add_node(_node_name(node["id"]),
                                Verdict(verdict) if verdict is not None else None,
-                               node.get("score"))
+                               score)
             for edge in data["edges"]:
                 src, dst = _node_name(edge["src"]), _node_name(edge["dst"])
+                if not isinstance(edge["labels"], list):
+                    raise TypeError(f"edge labels {edge['labels']!r} are not an array")
                 for label in edge["labels"]:
                     graph.add_link(src, dst, NoteKind(label))
         except (KeyError, TypeError, ValueError, SelfLoopError) as exc:

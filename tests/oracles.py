@@ -6,6 +6,7 @@ path enumeration, and direct formula evaluation.  The scorer's oracle is the
 per-character loop that defines a score; the betweenness and community
 oracles are the name-keyed loops that the int-indexed library code replaced;
 the normalizer's oracle is the three-substitution form it replaced; the
+language detector's oracle tokenizes every text by one regex findall; the
 fixture store's oracle parses every post at load, as the lazy store replaced;
 the generator's oracle draws through ``randrange`` and ``shuffle``, and the
 trainer's oracle counts one character at a time.
@@ -20,7 +21,8 @@ from collections import deque
 
 import numpy as np
 
-from spiderveil.corpus import Post, normalize_tag
+from spiderveil.corpus import (ENGLISH_FUNCTION_WORDS, LanguageVerdict, Post,
+                               normalize_tag)
 from spiderveil.crawler import post_from_record, validate_fixture
 from spiderveil.errors import NotFoundError
 from spiderveil.langmodel import SENTINEL
@@ -215,6 +217,28 @@ def reference_normalize_text(raw: str) -> str:
     text = re.sub(r"[\x00-\x08\x0e-\x1f\x7f]", "", text)
     text = re.sub(r"\s+", " ", text)
     return text.strip().lower()
+
+
+def reference_word_tokens(text: str) -> list[str]:
+    """Every ``\\w+`` run of the lowercased text, by one regex findall."""
+    return re.findall(r"\w+", text.lower())
+
+
+def reference_detect_language(text: str, min_length: int = 20,
+                              ratio: float = 0.12) -> LanguageVerdict:
+    """The share of English function words among reference_word_tokens.
+
+    ``StopwordRatioDetector(min_length, ratio)`` must return this verdict.
+    """
+    if len(text) < min_length:
+        return LanguageVerdict.UNDETERMINED
+    tokens = reference_word_tokens(text)
+    if not tokens:
+        return LanguageVerdict.UNDETERMINED
+    hits = sum(1 for token in tokens if token in ENGLISH_FUNCTION_WORDS)
+    if hits / len(tokens) >= ratio:
+        return LanguageVerdict.ENGLISH
+    return LanguageVerdict.NON_ENGLISH
 
 
 def reference_betweenness(graph) -> dict[str, float]:

@@ -2,7 +2,7 @@ import io
 import json
 import math
 import re
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from math import fsum
 from types import SimpleNamespace
 from xml.etree import ElementTree
@@ -194,6 +194,43 @@ class TestBootstrap:
                        "--store", str(pipeline.store),
                        "--tag", "no-such-tag"])
         assert code == 3
+
+    # Each config document names the key the error line must name; --tag,
+    # --store and --target flags would override the config, so none is given.
+    @pytest.mark.parametrize("entries,key", [
+        ({"tags": "stargazing"}, "tags"),
+        ({"tags": ["stargazing", 5]}, "tags"),
+        ({"tags": False}, "tags"),
+        ({"store": 5}, "store"),
+        ({"store": ["store.json"]}, "store"),
+        ({"url": 5}, "url"),
+        ({"target": [1]}, "target"),
+        ({"target": "7"}, "target"),
+        ({"target": 2.9}, "target"),
+        ({"target": True}, "target"),
+        ({"target": None}, "target"),
+    ])
+    def test_bad_config_values(self, pipeline, tmp_path, capsys, entries, key):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"store": str(pipeline.store),
+                                      "tags": ["stargazing"], "target": 5,
+                                      **entries}))
+        out_dir = tmp_path / "out"
+        assert run(["--config", str(config), "--out-dir", str(out_dir),
+                    "bootstrap"])[0] == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad config: ") and repr(key) in err
+        assert not (out_dir / "manifest.json").exists()
+
+    def test_config_values(self, pipeline, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"store": str(pipeline.store),
+                                      "tags": ["stargazing"], "target": 400.0}))
+        code, stdout = run(["--config", str(config), "--out-dir", str(tmp_path),
+                            "bootstrap"])
+        assert code == 0
+        assert stdout.startswith("round 0: 1 tags (stargazing)")
+        assert "(target 400)" in stdout
 
     def test_store_from_environment(self, pipeline, tmp_path, monkeypatch):
         monkeypatch.setenv("SPIDERVEIL_STORE", str(pipeline.store))
@@ -415,6 +452,20 @@ NON_STRING_ID_GRAPHS = {
 }
 
 
+# Graph documents with a part of the wrong JSON type.
+WRONG_TYPED_GRAPHS = {
+    "nodes a string": {"nodes": "ab", "edges": []},
+    "nodes an object": {"nodes": {"a": {"id": "a"}}, "edges": []},
+    "node a number": {"nodes": [5], "edges": []},
+    "edges an object": {"nodes": [], "edges": {"src": "a"}},
+    "labels a string": {
+        "nodes": [{"id": "a"}, {"id": "b"}],
+        "edges": [{"src": "a", "dst": "b", "labels": "like"}]},
+    "score a string": {"nodes": [{"id": "a", "score": "-1.5"}], "edges": []},
+    "score a boolean": {"nodes": [{"id": "a", "score": True}], "edges": []},
+}
+
+
 class TestAnalyze:
     @pytest.fixture()
     def cycle_file(self, tmp_path):
@@ -517,6 +568,20 @@ class TestExport:
                  str(pipeline.root / "graph.json"), "--format", "gexf"])
 
 
+@pytest.mark.parametrize("command", [["analyze"], ["export", "--format", "json"],
+                                     ["export", "--format", "dot"]],
+                         ids=["analyze", "export json", "export dot"])
+@pytest.mark.parametrize("name", sorted(WRONG_TYPED_GRAPHS))
+def test_wrong_typed_graph(tmp_path, capsys, command, name):
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(WRONG_TYPED_GRAPHS[name]))
+    code, _ = run(["--out-dir", str(tmp_path / "out"), command[0], str(path),
+                   *command[1:]])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "graph document" in err
+
+
 GOLDEN_EVAL = """\
 confusion matrix
                     actual relevant  actual unknown
@@ -583,10 +648,12 @@ class TestEval:
     @pytest.mark.parametrize("fields", [
         {"visit_log": [[1]]},
         {"visit_log": [["blogger-000", -2.0, "maybe"]]},
+        {"visit_log": [["blogger-000", "-2.0", "relevant"]]},
+        {"visit_log": [["blogger-000", True, "relevant"]]},
         {"visit_log": 5},
         {"discarded": 7},
-    ], ids=["short row", "unknown verdict", "log not a list",
-            "discarded not a list"])
+    ], ids=["short row", "unknown verdict", "string score", "boolean score",
+            "log not a list", "discarded not a list"])
     def test_malformed_visit_log(self, pipeline, tmp_path, capsys, fields):
         document = json.loads((pipeline.root / "crawl.json").read_text())
         result = tmp_path / "crawl.json"
@@ -647,6 +714,9 @@ class TestConfigFile:
         ({"selection_policy": 1}, 2, "selection_policy"),
         ({"graph_size_limit": 0}, 4, "graph_size_limit"),
         ({"selection_policy": "greedy"}, 4, "greedy"),
+        ({"model": 5}, 2, "model"),
+        ({"store": {"path": "store.json"}}, 2, "store"),
+        ({"url": ["http://store.test"]}, 2, "url"),
     ])
     def test_bad_crawl_settings(self, pipeline, tmp_path, capsys, entries,
                                 code, key):
@@ -751,6 +821,139 @@ def test_non_utf8_input_is_an_input_error(pipeline, tmp_path, capsys, flag):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "can't decode byte 0xff" in err
+
+
+# Every file-taking flag: the argv around the file, a valid document to give
+# wrong-typed values to, and for each key it reads the JSON types that key
+# may hold.  A value of any other type must be rejected; ``None`` stands for
+# null.  --config runs under each command that reads it; --corpus files hold
+# one document per line.
+STR, NUM, LIST, DICT, NULL = (str,), (int, float), (list,), (dict,), (type(None),)
+MALFORMED_INPUTS = {
+    "--config bootstrap": (
+        lambda bad, p: ["--config", bad, "bootstrap"],
+        lambda p: {"store": str(p.store), "tags": ["stargazing"], "target": 5},
+        {"store": STR + NULL, "url": STR + NULL, "tags": LIST + NULL,
+         "target": NUM + NULL}),
+    "--config train": (
+        lambda bad, p: ["--config", bad, "train"],
+        lambda p: {"corpus": str(p.root / "corpus.ndjson")},
+        {"corpus": STR + NULL}),
+    "--config crawl": (
+        lambda bad, p: ["--config", bad, "crawl"],
+        lambda p: {"store": str(p.store), "model": str(p.root / "model.json"),
+                   "threshold": -0.6, "graph_size_limit": 4},
+        {"store": STR + NULL, "url": STR + NULL, "model": STR + NULL,
+         "threshold": NUM + NULL, "seed_blogger": STR + NULL,
+         "graph_size_limit": NUM + NULL, "frontier_width": NUM + NULL,
+         "posts_per_blogger": NUM + NULL, "rng_seed": NUM + NULL,
+         "selection_policy": STR + NULL}),
+    "--params": (
+        lambda bad, p: ["gen", "--params", bad],
+        lambda p: {"total_bloggers": 10},
+        {"total_bloggers": NUM, "relevant_fraction": NUM, "mixing_prob": NUM,
+         "intra_community_note_bias": NUM, "rng_seed": NUM,
+         "posts_per_blogger": NUM, "notes_per_post": LIST,
+         "words_per_post": LIST, "on_topic_vocab": LIST,
+         "off_topic_vocab": LIST, "on_topic_tags": LIST, "off_topic_tags": LIST}),
+    "--seed-bloggers": (
+        lambda bad, p: ["train", "--corpus", str(p.root / "corpus.ndjson"),
+                        "--seed-bloggers", bad, "--store", str(p.store)],
+        lambda p: {"bloggers": p.seeds},
+        {"bloggers": LIST}),
+    "--threshold-file": (
+        lambda bad, p: ["crawl", "--store", str(p.store),
+                        "--model", str(p.root / "model.json"),
+                        "--threshold-file", bad],
+        lambda p: {"threshold": -0.6},
+        {"threshold": NUM + NULL}),
+    "--model": (
+        lambda bad, p: ["crawl", "--store", str(p.store), "--model", bad,
+                        "--threshold", "-0.6"],
+        lambda p: json.loads((p.root / "model.json").read_text()),
+        {"format": STR, "version": NUM, "order": NUM, "alpha": NUM,
+         "vocabulary": LIST, "trained_chars": NUM, "contexts": DICT}),
+    "--result": (
+        lambda bad, p: ["eval", "--result", bad, "--truth", str(p.truth)],
+        lambda p: json.loads((p.root / "crawl.json").read_text()),
+        {"visit_log": LIST, "discarded": LIST}),
+    "--truth": (
+        lambda bad, p: ["eval", "--result", str(p.root / "crawl.json"),
+                        "--truth", bad],
+        lambda p: json.loads(p.truth.read_text()),
+        {"blogger-000": STR + (bool,), "blogger-001": STR + (bool,)}),
+    "--corpus": (
+        lambda bad, p: ["train", "--corpus", bad],
+        lambda p: {"id": "a", "text": "the stars"},
+        {"id": STR, "text": STR}),
+    "--store": (
+        lambda bad, p: ["crawl", "--store", bad,
+                        "--model", str(p.root / "model.json"), "--threshold", "-0.6"],
+        lambda p: json.loads(p.store.read_text()),
+        {"blogs": LIST, "posts": LIST, "seed": STR}),
+    "analyze": (
+        lambda bad, p: ["analyze", bad],
+        lambda p: json.loads((p.root / "graph.json").read_text()),
+        {"nodes": LIST, "edges": LIST}),
+    "export": (
+        lambda bad, p: ["export", bad, "--format", "graphml"],
+        lambda p: json.loads((p.root / "graph.json").read_text()),
+        {"nodes": LIST, "edges": LIST}),
+}
+
+any_json = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=4), children, max_size=3),
+    max_leaves=6)
+
+
+def _is_json(text: str) -> bool:
+    try:
+        json.loads(text)
+    except ValueError:
+        return False
+    return True
+
+
+def malformed_documents(types: dict):
+    """File contents: text that is not JSON, a list that is not all strings,
+    a string, a number, or entries to lay over a valid document, one or two
+    keys of ``types`` each with a value of a type it never holds."""
+    wrong_entry = st.sampled_from(sorted(types)).flatmap(
+        lambda key: any_json.filter(lambda value: not isinstance(value, types[key]))
+        .map(lambda value: (key, value)))
+    return st.one_of(
+        st.text(max_size=30).filter(lambda text: not _is_json(text)),
+        st.lists(any_json, min_size=1, max_size=4)
+        .filter(lambda items: not all(isinstance(x, str) for x in items))
+        .map(json.dumps),
+        st.text(max_size=10).map(json.dumps),
+        (st.integers() | st.floats()).map(json.dumps),
+        st.lists(wrong_entry, min_size=1, max_size=2).map(dict))
+
+
+@pytest.fixture(scope="module")
+def malformed_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("malformed")
+
+
+@pytest.mark.parametrize("flag", MALFORMED_INPUTS)
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_malformed_input_is_an_error_line(pipeline, malformed_dir, flag, data):
+    argv, base, types = MALFORMED_INPUTS[flag]
+    document = data.draw(malformed_documents(types))
+    if isinstance(document, dict):
+        document = json.dumps({**base(pipeline), **document})
+    path = malformed_dir / "input.json"
+    path.write_text(document, encoding="utf-8")
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code, _ = run(["--out-dir", str(malformed_dir / "out")]
+                      + argv(str(path), pipeline))
+    assert code in (2, 3, 4)
+    assert err.getvalue().startswith("error: ")
 
 
 def reference_json(obj) -> str:

@@ -1,18 +1,20 @@
 import re
+import string
 import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spiderveil.corpus import (ExemplarCorpus, LanguageVerdict, NoteKind,
-                               NoteRecord, Post, StopwordRatioDetector,
-                               TagLexicon, bootstrap_exemplars,
-                               detect_language, filter_english, normalize_tag,
-                               normalize_text)
+from spiderveil.corpus import (ENGLISH_FUNCTION_WORDS, ExemplarCorpus,
+                               LanguageVerdict, NoteKind, NoteRecord, Post,
+                               StopwordRatioDetector, TagLexicon, _word_tokens,
+                               bootstrap_exemplars, detect_language,
+                               filter_english, normalize_tag, normalize_text)
 from spiderveil.errors import RetrievalError
 
-from oracles import reference_normalize_text
+from oracles import (reference_detect_language, reference_normalize_text,
+                     reference_word_tokens)
 
 ALL_CHARACTERS = "".join(map(chr, range(sys.maxunicode + 1)))
 UNICODE_WHITESPACE = [c for c in ALL_CHARACTERS if c.isspace()]
@@ -20,6 +22,20 @@ UNICODE_WHITESPACE = [c for c in ALL_CHARACTERS if c.isspace()]
 # in length or script from the original.
 AWKWARD = ([chr(c) for c in range(0x20)] + ["\x7f", "<", ">", "A", "Z", "\u0130",
            "\u03a3", "\u01c5", "\u1e9e", "\u2126", "\u212a", "\u0345", "\xdf"])
+
+
+# Pieces of detector input: function words in mixed case, ASCII words and
+# digits, and characters that keep a text off the split path: "_", tabs and
+# newlines, punctuation, non-ASCII letters (the Kelvin sign lowercases to
+# ASCII "k", dotted capital I to "i" plus a combining dot) and Unicode digits.
+DETECTOR_PIECES = st.one_of(
+    st.sampled_from(sorted(ENGLISH_FUNCTION_WORDS) + ["The", "AND", "Of"]),
+    st.text(string.ascii_letters + string.digits, min_size=1, max_size=6),
+    st.sampled_from([" ", " ", "  ", "_", "\t", "\n", ".", ",", "!", "'", "-",
+                     "\u00e9", "\u0130", "\u00df", "\u212a", "\u0663",
+                     "\u00b2", "\uff13", "\u216b"]))
+DETECTOR_TEXTS = st.one_of(st.lists(DETECTOR_PIECES, max_size=30).map("".join),
+                           st.text(" ", max_size=30))
 
 
 def _post(pid="p1", blog="someone", body="", caption="", tags=(), notes=()):
@@ -84,6 +100,26 @@ class TestDetectLanguage:
     def test_custom_detector_threshold(self):
         lax = StopwordRatioDetector(min_length=1, ratio=0.0)
         assert detect_language("wszystko gra", lax) is LanguageVerdict.ENGLISH
+
+    @pytest.mark.parametrize("text, tokens", [
+        ("The sky AND the stars", ["the", "sky", "and", "the", "stars"]),
+        ("  a  b ", ["a", "b"]),
+        ("snake_case\tword", ["snake_case", "word"]),
+        ("caf\u00e9 \u0130x", ["caf\u00e9", "i", "x"]),
+        ("   ", []),
+    ])
+    def test_word_tokens(self, text, tokens):
+        assert _word_tokens(text) == tokens
+
+    @given(text=DETECTOR_TEXTS)
+    @settings(max_examples=500)
+    def test_matches_the_findall_detector(self, text):
+        assert _word_tokens(text) == reference_word_tokens(text)
+        for ratio in (0, 0.12, 0.5, 1):
+            for min_length in (0, 20):
+                detector = StopwordRatioDetector(min_length=min_length, ratio=ratio)
+                assert detector(text) is reference_detect_language(
+                    text, min_length, ratio)
 
 
 class TestFilterEnglish:

@@ -137,7 +137,11 @@ class TestScoreText:
     @settings(max_examples=150, deadline=None)
     def test_equals_reference_loop_exactly(self, docs, texts, order, alpha):
         model = train(docs, order=order, alpha=alpha)
-        for text in texts + [text[:1] for text in texts]:
+        # The sentinel, and code points just above and far above the largest
+        # one in the vocabulary, past the end of the code lookup array.
+        above = chr(ord(max(model.vocabulary)) + 1)
+        edges = [SENTINEL, above, "a" + above + SENTINEL + "\U0010FFFF"]
+        for text in texts + [text[:1] for text in texts] + edges:
             assert score_text(model, text).value == reference_score_text(model, text)
 
     @given(contexts=st.dictionaries(
@@ -169,13 +173,19 @@ class TestScoreText:
         doc["vocabulary"].remove(SENTINEL)
         doc["vocabulary"].append("xy")
         model = NGramModel.from_json_dict(doc)
-        for text in ["abcab", "zzzz", "q", "abqab", SENTINEL + "ab", "xy"]:
+        for text in ["abcab", "zzzz", "q", "abqab", SENTINEL + "ab", "xy", "d",
+                     "abd", "c\U0010FFFF" + SENTINEL]:
             assert score_text(model, text).value == reference_score_text(model, text)
 
     def test_table_grows_with_contexts_not_vocabulary_power(self):
         model = train(HAND_TRAIN_DOCS, order=5)
         symbols = len(model.vocabulary) + 1
         assert model._table.leaf.size <= (len(model.counts) + 1) * symbols
+
+    def test_code_lookup_ends_past_the_largest_code_point(self):
+        ascii_model = train(HAND_TRAIN_DOCS + ["~"], order=3)
+        assert ascii_model._table.lookup.size == ord("~") + 2 < 256
+        assert train(["a\U0001F600"])._table.lookup.size == 0x1F600 + 2
 
     @given(st.text(alphabet="abcdefgh ", min_size=1, max_size=80))
     @settings(max_examples=60)
