@@ -194,13 +194,22 @@ class FixtureStore:
         return [self._post(i) for i in self._by_blogger.get(blog_name, [])[:limit]]
 
 
+def _retry_after_seconds(headers) -> int:
+    """A ``Retry-After`` header's delay in seconds; 0 when it is absent, an
+    HTTP-date or malformed."""
+    value = headers.get("Retry-After", "").strip()
+    return int(value) if value.isascii() and value.isdigit() else 0
+
+
 class HttpJsonStore:
     """Read-only JSON client speaking the fixture schema over HTTP.
 
     Endpoints: /tagged/{tag} and /blog/{name}/posts, each asked for
     ``type=text`` and, when given, ``limit``.  Transient failures (network
-    errors, 429, 5xx, unreadable JSON) are retried; 404 means the blogger
-    does not exist, and any other 4xx fails at once.
+    errors, 429, 5xx, unreadable JSON) are retried after ``backoff * attempt``
+    seconds, or after a 429's or 503's ``Retry-After`` seconds when that is
+    longer; 404 means the blogger does not exist, and any other 4xx fails at
+    once.
     """
 
     def __init__(self, base_url: str, timeout: float = 5.0, retries: int = 3,
@@ -217,6 +226,7 @@ class HttpJsonStore:
         params = {k: v for k, v in params.items() if v is not None}
         failure: Exception | None = None
         for attempt in range(1, self.retries + 1):
+            wait = self.backoff * attempt
             try:
                 response = self._session.get(self.base_url + path, params=params,
                                              timeout=self.timeout)
@@ -236,8 +246,10 @@ class HttpJsonStore:
                         failure = exc
                 else:
                     failure = RuntimeError(f"HTTP {status}")
-            if attempt < self.retries and self.backoff > 0:
-                time.sleep(self.backoff * attempt)
+                    if status in (429, 503):
+                        wait = max(wait, _retry_after_seconds(response.headers))
+            if attempt < self.retries and wait > 0:
+                time.sleep(wait)
         raise RetrievalError(
             f"GET {path} failed after {self.retries} attempts: {failure}",
             retries=self.retries)

@@ -243,31 +243,63 @@ def _successor_ids(graph: CommunityGraph) -> list[list[int]]:
     return [[index[succ] for succ in graph.successors(node)] for node in index]
 
 
-def _depth_counts(start: int, adjacency: list[list[int]]) -> list[int]:
-    """Number of nodes at each BFS depth from ``start`` (depth 0 holds it)."""
-    seen = [False] * len(adjacency)
-    seen[start] = True
-    layer = [start]
-    counts = []
-    while layer:
-        counts.append(len(layer))
-        following = []
-        for node in layer:
+def _shortest_paths(graph: CommunityGraph
+                    ) -> tuple[dict[str, float], dict[str, float], int]:
+    """Betweenness, in-closeness and diameter from one BFS per source.
+
+    Brandes' accumulation, O(N·E) over node ids.  Sources, BFS visits and
+    dependency sums follow node and edge insertion order, which fixes the
+    order of every float sum.  The backward sweep also counts, for each node
+    v, the sources reaching it and the sum of their distances to it; both are
+    integers, so in-closeness is exact.  The last node a BFS visits is its
+    deepest, and the deepest of all is the diameter.
+    """
+    nodes = graph.nodes()
+    adjacency = _successor_ids(graph)
+    count = len(nodes)
+    centrality = [0.0] * count
+    reaching = [0] * count
+    distance = [0] * count
+    longest = 0
+    for source in range(count):
+        preds: list[list[int] | None] = [None] * count
+        sigma = [0] * count
+        sigma[source] = 1
+        dist = [-1] * count
+        dist[source] = 0
+        order = [source]
+        for node in order:  # BFS: ``order`` is also the queue
+            depth = dist[node] + 1
+            paths = sigma[node]
             for nxt in adjacency[node]:
-                if not seen[nxt]:
-                    seen[nxt] = True
-                    following.append(nxt)
-        layer = following
-    return counts
+                if dist[nxt] < 0:
+                    dist[nxt] = depth
+                    sigma[nxt] = paths
+                    preds[nxt] = [node]
+                    order.append(nxt)
+                elif dist[nxt] == depth:
+                    sigma[nxt] += paths
+                    preds[nxt].append(node)
+        longest = max(longest, dist[order[-1]])
+        delta = [0.0] * count
+        for i in range(len(order) - 1, 0, -1):
+            node = order[i]
+            paths = sigma[node]
+            share = 1.0 + delta[node]
+            for pred in preds[node]:
+                delta[pred] += sigma[pred] / paths * share
+            centrality[node] += delta[node]
+            reaching[node] += 1
+            distance[node] += dist[node]
+    closeness = [n / total if n else 0.0 for n, total in zip(reaching, distance)]
+    return dict(zip(nodes, centrality)), dict(zip(nodes, closeness)), longest
 
 
 def diameter(graph: CommunityGraph) -> int:
     """Longest shortest directed path over reachable ordered pairs."""
     if graph.node_count() == 0:
         raise ValueError("diameter of an empty graph is undefined")
-    adjacency = _successor_ids(graph)
-    return max(len(_depth_counts(start, adjacency)) - 1
-               for start in range(len(adjacency)))
+    return _shortest_paths(graph)[2]
 
 
 def avg_clustering(graph: CommunityGraph) -> float:
@@ -295,62 +327,13 @@ def avg_clustering(graph: CommunityGraph) -> float:
 
 
 def betweenness(graph: CommunityGraph) -> dict[str, float]:
-    """Unnormalized directed shortest-path betweenness (Brandes accumulation).
-
-    O(N·E) over node ids.  Sources, BFS visits and dependency sums follow
-    node and edge insertion order, which fixes the order of every float sum.
-    """
-    nodes = graph.nodes()
-    adjacency = _successor_ids(graph)
-    count = len(nodes)
-    centrality = [0.0] * count
-    for source in range(count):
-        preds: list[list[int] | None] = [None] * count
-        sigma = [0] * count
-        sigma[source] = 1
-        dist = [-1] * count
-        dist[source] = 0
-        order = [source]
-        for node in order:  # BFS: ``order`` is also the queue
-            depth = dist[node] + 1
-            paths = sigma[node]
-            for nxt in adjacency[node]:
-                if dist[nxt] < 0:
-                    dist[nxt] = depth
-                    sigma[nxt] = paths
-                    preds[nxt] = [node]
-                    order.append(nxt)
-                elif dist[nxt] == depth:
-                    sigma[nxt] += paths
-                    preds[nxt].append(node)
-        delta = [0.0] * count
-        for i in range(len(order) - 1, 0, -1):
-            node = order[i]
-            paths = sigma[node]
-            share = 1.0 + delta[node]
-            for pred in preds[node]:
-                delta[pred] += sigma[pred] / paths * share
-            centrality[node] += delta[node]
-    return dict(zip(nodes, centrality))
+    """Unnormalized directed shortest-path betweenness (Brandes accumulation)."""
+    return _shortest_paths(graph)[0]
 
 
 def closeness_in(graph: CommunityGraph) -> dict[str, float]:
     """In-closeness: nodes reaching v divided by their summed distances."""
-    nodes = graph.nodes()
-    predecessors: list[list[int]] = [[] for _ in nodes]
-    for src, targets in enumerate(_successor_ids(graph)):
-        for dst in targets:
-            predecessors[dst].append(src)
-    closeness = {}
-    for node_id, node in enumerate(nodes):
-        counts = _depth_counts(node_id, predecessors)
-        reaching = sum(counts) - 1
-        if reaching == 0:
-            closeness[node] = 0.0
-        else:
-            distance = sum(depth * n for depth, n in enumerate(counts))
-            closeness[node] = reaching / distance
-    return closeness
+    return _shortest_paths(graph)[1]
 
 
 @dataclass(frozen=True)
@@ -512,13 +495,12 @@ def measure(graph: CommunityGraph) -> GraphMeasurements:
         quality = modularity(graph, detect_communities(graph))
     else:
         quality = 0.0
-    central = betweenness(graph)
-    closeness = closeness_in(graph)
+    central, closeness, longest = _shortest_paths(graph)
     count = graph.node_count()
     return GraphMeasurements(
         node_count=count,
         edge_count=graph.edge_count(),
-        diameter=diameter(graph),
+        diameter=longest,
         scc_count=scc_count(graph),
         avg_clustering=avg_clustering(graph),
         modularity=quality,

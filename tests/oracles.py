@@ -5,11 +5,13 @@ deliberately different route than the library: matrix closures, exhaustive
 path enumeration, and direct formula evaluation.  The scorer's oracle is the
 per-character loop that defines a score; the betweenness and community
 oracles are the name-keyed loops that the int-indexed library code replaced;
-the normalizer's oracle is the three-substitution form it replaced; the
-language detector's oracle tokenizes every text by one regex findall; the
-fixture store's oracle parses every post at load, as the lazy store replaced;
-the generator's oracle draws through ``randrange`` and ``shuffle``, and the
-trainer's oracle counts one character at a time.
+the diameter and in-closeness oracles are the per-node BFS loops that the
+single shortest-path pass replaced; the normalizer's oracle is the
+three-substitution form it replaced; the language detector's oracle
+tokenizes every text by one regex findall; the fixture store's oracle parses
+every post at load, as the lazy store replaced; the generator's oracle draws
+through ``randrange`` and ``shuffle``, and the trainer's oracle counts one
+character at a time.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from spiderveil.crawler import post_from_record, validate_fixture
 from spiderveil.errors import NotFoundError
 from spiderveil.langmodel import SENTINEL
 from spiderveil.simnet import GLUE_RATE, _split_vocab, relevant_count
-from spiderveil.socialgraph import Partition
+from spiderveil.socialgraph import Partition, _successor_ids
 
 INF = float("inf")
 
@@ -274,6 +276,54 @@ def reference_betweenness(graph) -> dict[str, float]:
             if node != source:
                 centrality[node] += delta[node]
     return centrality
+
+
+def _depth_counts(start: int, adjacency: list[list[int]]) -> list[int]:
+    """Number of nodes at each BFS depth from ``start`` (depth 0 holds it)."""
+    seen = [False] * len(adjacency)
+    seen[start] = True
+    layer = [start]
+    counts = []
+    while layer:
+        counts.append(len(layer))
+        following = []
+        for node in layer:
+            for nxt in adjacency[node]:
+                if not seen[nxt]:
+                    seen[nxt] = True
+                    following.append(nxt)
+        layer = following
+    return counts
+
+
+def reference_diameter(graph) -> int:
+    """Longest shortest directed path over reachable ordered pairs, by one
+    layered BFS per node; the library's single Brandes pass must agree."""
+    if graph.node_count() == 0:
+        raise ValueError("diameter of an empty graph is undefined")
+    adjacency = _successor_ids(graph)
+    return max(len(_depth_counts(start, adjacency)) - 1
+               for start in range(len(adjacency)))
+
+
+def reference_closeness_in(graph) -> dict[str, float]:
+    """In-closeness by one layered BFS per node over the reversed graph; the
+    library's single forward pass must return exactly these values."""
+    nodes = graph.nodes()
+    predecessors: list[list[int]] = [[] for _ in nodes]
+    for src, targets in enumerate(_successor_ids(graph)):
+        for dst in targets:
+            predecessors[dst].append(src)
+    closeness = {}
+    for node_id, node in enumerate(nodes):
+        counts = _depth_counts(node_id, predecessors)
+        reaching = sum(counts) - 1
+        if reaching == 0:
+            closeness[node] = 0.0
+        else:
+            distance = sum(depth * n for depth, n in enumerate(counts))
+            closeness[node] = reaching / distance
+    return closeness
 
 
 def _undirected_edges(graph) -> set[tuple[str, str]]:

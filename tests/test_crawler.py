@@ -509,7 +509,8 @@ class TestHttpJsonStore:
 
             def get(self, url, params=None, timeout=None):
                 self.calls += 1
-                return SimpleNamespace(status_code=status, json=lambda: {})
+                return SimpleNamespace(status_code=status, headers={},
+                                       json=lambda: {})
 
         sleeps = []
         monkeypatch.setattr(crawler_module.time, "sleep", sleeps.append)
@@ -521,6 +522,52 @@ class TestHttpJsonStore:
         assert session.calls == calls
         assert err.value.retries == calls
         assert len(sleeps) == calls - 1
+
+    @pytest.mark.parametrize("status, retry_after, sleeps", [
+        (429, "2", [2, 2]),
+        (503, " 1 ", [1, 1]),
+        (503, "0", [0.5, 1.0]),
+        (500, "2", [0.5, 1.0]),
+        (429, None, [0.5, 1.0]),
+        (429, "Wed, 21 Oct 2015 07:28:00 GMT", [0.5, 1.0]),
+        (503, "-3", [0.5, 1.0]),
+        (503, "1.5", [0.5, 1.0]),
+        (429, "\u0662", [0.5, 1.0]),
+    ])
+    def test_retry_after_lengthens_the_wait(self, monkeypatch, status,
+                                            retry_after, sleeps):
+        headers = {} if retry_after is None else {"Retry-After": retry_after}
+
+        class ThrottledSession:
+            def get(self, url, params=None, timeout=None):
+                return SimpleNamespace(status_code=status, headers=headers,
+                                       json=lambda: {})
+
+        waits = []
+        monkeypatch.setattr(crawler_module.time, "sleep", waits.append)
+        store = HttpJsonStore("http://store.test", retries=3, backoff=0.5,
+                              session=ThrottledSession())
+        with pytest.raises(RetrievalError, match=f"HTTP {status}"):
+            store.blogger_posts("a")
+        assert waits == sleeps  # no wait after the last attempt
+
+    def test_retry_after_applies_without_backoff(self, monkeypatch):
+        responses = iter([
+            SimpleNamespace(status_code=429, headers={"Retry-After": "3"},
+                            json=lambda: {}),
+            SimpleNamespace(status_code=200, headers={},
+                            json=lambda: {"posts": []})])
+
+        class RecoveringSession:
+            def get(self, url, params=None, timeout=None):
+                return next(responses)
+
+        waits = []
+        monkeypatch.setattr(crawler_module.time, "sleep", waits.append)
+        store = HttpJsonStore("http://store.test", retries=2, backoff=0,
+                              session=RecoveringSession())
+        assert store.blogger_posts("a") == []
+        assert waits == [3]
 
     def test_rejects_zero_retries(self):
         with pytest.raises(ValueError):

@@ -20,7 +20,8 @@ from spiderveil.socialgraph import (CommunityGraph, GraphMeasurements,
 from oracles import (avg_clustering_oracle, betweenness_oracle,
                      closeness_in_oracle, diameter_oracle, modularity_oracle,
                      random_digraph, reference_betweenness,
-                     reference_detect_communities, scc_count_oracle)
+                     reference_closeness_in, reference_detect_communities,
+                     reference_diameter, scc_count_oracle)
 
 
 def build_graph(nodes, edges, label=NoteKind.LIKE):
@@ -34,6 +35,11 @@ def build_graph(nodes, edges, label=NoteKind.LIKE):
 
 def cycle3():
     return build_graph("abc", [("a", "b"), ("b", "c"), ("c", "a")])
+
+
+def sources_and_sinks():
+    """a and c feed b, which feeds the sink d; z is isolated."""
+    return build_graph("abcdz", [("a", "b"), ("c", "b"), ("b", "d")])
 
 
 def two_triangles():
@@ -170,10 +176,15 @@ class TestDiameter:
         assert diameter(build_graph("abc", [("a", "b"), ("b", "c")])) == 2
 
     def test_no_edges(self):
-        assert diameter(build_graph("ab", [])) == 0
+        for nodes in ("a", "ab", "abcde"):
+            assert diameter(build_graph(nodes, [])) == 0
+
+    def test_sinks_and_isolated_nodes(self):
+        assert diameter(sources_and_sinks()) == 2
 
     def test_empty_graph_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError,
+                           match="diameter of an empty graph is undefined"):
             diameter(CommunityGraph())
 
     def test_matches_oracle_on_random_graphs(self, rng):
@@ -212,6 +223,13 @@ class TestBetweenness:
         assert result["b"] == pytest.approx(0.5)
         assert result["c"] == pytest.approx(0.5)
 
+    def test_empty_graph(self):
+        assert betweenness(CommunityGraph()) == {}
+
+    def test_isolated_nodes(self):
+        assert betweenness(build_graph("abc", [])) == \
+            {"a": 0.0, "b": 0.0, "c": 0.0}
+
     def test_matches_oracle_on_random_graphs(self, rng):
         for _ in range(25):
             nodes, edges = random_digraph(rng)
@@ -228,6 +246,14 @@ class TestCloseness:
         assert result["a"] == 0.0
         assert result["b"] == 1.0          # one node at distance 1
         assert result["c"] == pytest.approx(2 / 3)
+
+    def test_empty_graph(self):
+        assert closeness_in(CommunityGraph()) == {}
+
+    def test_nothing_reaches_sources_or_isolated_nodes(self):
+        assert closeness_in(sources_and_sinks()) == {
+            "a": 0.0, "b": 1.0, "c": 0.0, "d": 3 / 5, "z": 0.0}
+        assert closeness_in(build_graph("ab", [])) == {"a": 0.0, "b": 0.0}
 
     def test_matches_oracle_on_random_graphs(self, rng):
         for _ in range(40):
@@ -392,6 +418,19 @@ class TestMatchesReference:
         assert list(betweenness(graph).items()) == \
             list(reference_betweenness(graph).items())
 
+    @given(shaped_digraphs())
+    @settings(max_examples=150, deadline=None)
+    def test_closeness_in_equals_reference(self, shaped):
+        graph = build_graph(*shaped)
+        assert list(closeness_in(graph).items()) == \
+            list(reference_closeness_in(graph).items())
+
+    @given(shaped_digraphs())
+    @settings(max_examples=150, deadline=None)
+    def test_diameter_equals_reference(self, shaped):
+        graph = build_graph(*shaped)
+        assert diameter(graph) == reference_diameter(graph)
+
 
 class TestMeasure:
     def test_three_cycle_summary(self):
@@ -418,6 +457,24 @@ class TestMeasure:
     def test_empty_graph_rejected(self):
         with pytest.raises(ValueError):
             measure(CommunityGraph())
+
+    @pytest.mark.parametrize("graph", [
+        cycle3(), two_triangles(), build_graph("abc", []),
+        sources_and_sinks()],
+        ids=["cycle", "triangles", "isolated", "sinks"])
+    def test_path_fields_equal_public_functions(self, graph):
+        result = measure(graph)
+        count = graph.node_count()
+        assert result.diameter == diameter(graph)
+        assert result.mean_in_betweenness == \
+            sum(betweenness(graph).values()) / count
+        assert result.mean_in_closeness == \
+            sum(closeness_in(graph).values()) / count
+
+    @given(shaped_digraphs())
+    @settings(max_examples=50, deadline=None)
+    def test_path_fields_equal_public_functions_on_shapes(self, shaped):
+        self.test_path_fields_equal_public_functions(build_graph(*shaped))
 
     def test_serialization_round_trip(self):
         summary = GraphMeasurements(node_count=27, edge_count=60, diameter=1,
