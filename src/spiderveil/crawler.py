@@ -194,11 +194,19 @@ class FixtureStore:
         return [self._post(i) for i in self._by_blogger.get(blog_name, [])[:limit]]
 
 
-def _retry_after_seconds(headers) -> int:
+# The longest ``Retry-After`` wait honoured; a server asking for more fails
+# the request at once instead of stalling the crawl.
+MAX_RETRY_AFTER_S = 60
+
+
+def _retry_after_seconds(headers) -> float:
     """A ``Retry-After`` header's delay in seconds; 0 when it is absent, an
-    HTTP-date or malformed."""
+    HTTP-date or malformed, and inf when it has more digits than any delay
+    under ``MAX_RETRY_AFTER_S`` (``int()`` refuses very long digit strings)."""
     value = headers.get("Retry-After", "").strip()
-    return int(value) if value.isascii() and value.isdigit() else 0
+    if not (value.isascii() and value.isdigit()):
+        return 0
+    return int(value) if len(value) <= 6 else math.inf
 
 
 class HttpJsonStore:
@@ -208,8 +216,8 @@ class HttpJsonStore:
     ``type=text`` and, when given, ``limit``.  Transient failures (network
     errors, 429, 5xx, unreadable JSON) are retried after ``backoff * attempt``
     seconds, or after a 429's or 503's ``Retry-After`` seconds when that is
-    longer; 404 means the blogger does not exist, and any other 4xx fails at
-    once.
+    longer; a ``Retry-After`` over ``MAX_RETRY_AFTER_S``, 404 (the blogger
+    does not exist) and any other 4xx fail at once.
     """
 
     def __init__(self, base_url: str, timeout: float = 5.0, retries: int = 3,
@@ -247,7 +255,12 @@ class HttpJsonStore:
                 else:
                     failure = RuntimeError(f"HTTP {status}")
                     if status in (429, 503):
-                        wait = max(wait, _retry_after_seconds(response.headers))
+                        delay = _retry_after_seconds(response.headers)
+                        if delay > MAX_RETRY_AFTER_S:
+                            raise RetrievalError(
+                                f"GET {path} failed: HTTP {status} with Retry-After"
+                                f" over {MAX_RETRY_AFTER_S} s", retries=attempt)
+                        wait = max(wait, delay)
             if attempt < self.retries and wait > 0:
                 time.sleep(wait)
         raise RetrievalError(

@@ -19,8 +19,9 @@ from hypothesis import strategies as st
 import spiderveil
 from spiderveil import crawler as crawler_module
 from spiderveil.corpus import NoteKind, NoteRecord, Post, bootstrap_exemplars
-from spiderveil.crawler import (PROPAGATION_CAP, CrawlConfig, CrawlResult,
-                                CrawlSession, FixtureStore, HttpJsonStore,
+from spiderveil.crawler import (MAX_RETRY_AFTER_S, PROPAGATION_CAP,
+                                CrawlConfig, CrawlResult, CrawlSession,
+                                FixtureStore, HttpJsonStore,
                                 SelectionPolicy, StopReason,
                                 VisitRecord, build_transition_matrix, crawl,
                                 extract_frontiers, fetch_posts,
@@ -533,6 +534,7 @@ class TestHttpJsonStore:
         (503, "-3", [0.5, 1.0]),
         (503, "1.5", [0.5, 1.0]),
         (429, "\u0662", [0.5, 1.0]),
+        (429, "60", [60, 60]),
     ])
     def test_retry_after_lengthens_the_wait(self, monkeypatch, status,
                                             retry_after, sleeps):
@@ -550,6 +552,32 @@ class TestHttpJsonStore:
         with pytest.raises(RetrievalError, match=f"HTTP {status}"):
             store.blogger_posts("a")
         assert waits == sleeps  # no wait after the last attempt
+
+    @pytest.mark.parametrize("status", [429, 503])
+    @pytest.mark.parametrize("retry_after", [
+        "61", "86400", "1000000", "10000000000",
+        pytest.param("9" * 5000, id="5000-digits")])
+    def test_retry_after_over_the_limit_fails_at_once(self, monkeypatch, status,
+                                                      retry_after):
+        class ThrottledSession:
+            calls = 0
+
+            def get(self, url, params=None, timeout=None):
+                self.calls += 1
+                return SimpleNamespace(status_code=status,
+                                       headers={"Retry-After": retry_after},
+                                       json=lambda: {})
+
+        waits = []
+        monkeypatch.setattr(crawler_module.time, "sleep", waits.append)
+        session = ThrottledSession()
+        store = HttpJsonStore("http://store.test", retries=3, backoff=0.5,
+                              session=session)
+        with pytest.raises(RetrievalError, match=f"HTTP {status} with Retry-After"
+                                                 f" over {MAX_RETRY_AFTER_S} s") as err:
+            store.blogger_posts("a")
+        assert session.calls == 1 and err.value.retries == 1
+        assert waits == []
 
     def test_retry_after_applies_without_backoff(self, monkeypatch):
         responses = iter([
