@@ -27,7 +27,7 @@ from .corpus import NoteKind, NoteRecord, Post, filter_english, normalize_tag
 from .errors import GraphFormatError, NotFoundError, RetrievalError, ScoringError
 from .langmodel import NGramModel, Verdict, classify, score_blogger
 from .simnet import _is_json_integer
-from .socialgraph import CommunityGraph
+from .socialgraph import CommunityGraph, LABEL_VALUES, kinds_mask, label_mask
 
 logger = logging.getLogger("spiderveil.crawler")
 
@@ -564,6 +564,14 @@ def select_next(frontier, p, policy: SelectionPolicy, rng: random.Random,
 # -- the crawl ----------------------------------------------------------------
 
 
+def _relation(parents: dict[str, int]) -> list[str]:
+    """The sorted values of every label that ``parents`` carry."""
+    mask = 0
+    for bits in parents.values():
+        mask |= bits
+    return list(LABEL_VALUES[mask])
+
+
 class CrawlSession:
     """A stepwise crawl whose full state can round-trip through JSON."""
 
@@ -577,8 +585,8 @@ class CrawlSession:
         self._discarded: dict[str, None] = {}
         self._processed: dict[str, None] = {}
         # Every discovered, unvisited blogger (the one picked next included,
-        # until visited) -> each graph node that discovered them -> labels.
-        self._frontier: dict[str, dict[str, set[NoteKind]]] = {}
+        # until visited) -> each graph node that discovered them -> label mask.
+        self._frontier: dict[str, dict[str, int]] = {}
         self._selections = 0
         self._current: str | None = config.seed
         self._stop: StopReason | None = None
@@ -662,22 +670,19 @@ class CrawlSession:
         self._discarded[name] = None
 
     def _admit(self, name: str, score: float, posts, parents) -> None:
-        self._graph.add_node(name, Verdict.RELEVANT, score)
-        for parent, labels in parents.items():
-            self._link(parent, name, labels)
+        graph = self._graph
+        graph.add_node(name, Verdict.RELEVANT, score)
+        for parent, mask in parents.items():
+            graph.add_labels(parent, name, mask)
         for target, labels in extract_frontiers(name, posts, self._config).items():
+            mask = kinds_mask(labels)
             if target in self._processed:
                 # Reappearing blogger: link if they made it into the graph,
                 # drop silently if they were discarded.
-                if self._graph.has_node(target):
-                    self._link(name, target, labels)
+                if graph.has_node(target):
+                    graph.add_labels(name, target, mask)
                 continue
-            self._frontier.setdefault(target, {}).setdefault(
-                name, set()).update(labels)
-
-    def _link(self, src: str, dst: str, labels) -> None:
-        for label in sorted(labels, key=lambda kind: kind.value):
-            self._graph.add_link(src, dst, label)
+            self._frontier.setdefault(target, {})[name] = mask
 
     def _distribution(self) -> dict[str, float]:
         """The seed's mass after min(visits, PROPAGATION_CAP) walk steps.
@@ -723,13 +728,12 @@ class CrawlSession:
             # Format 1 lists the unvisited bloggers apart from ``current``,
             # each with all its labels and its first discoverer.
             "frontier": [{"blog_name": target,
-                          "relation": sorted({k.value for labels in parents.values()
-                                              for k in labels}),
+                          "relation": _relation(parents),
                           "parent": next(iter(parents))}
                          for target, parents in self._frontier.items()
                          if target != self._current],
-            "pending": {target: {parent: sorted(k.value for k in labels)
-                                 for parent, labels in parents.items()}
+            "pending": {target: {parent: list(LABEL_VALUES[mask])
+                                 for parent, mask in parents.items()}
                         for target, parents in self._frontier.items()},
             "graph": self._graph.to_json_dict(),
         }
@@ -760,7 +764,7 @@ class CrawlSession:
                     or isinstance(checkpoint["current"], str)):
                 raise GraphFormatError("current is neither a name nor null")
             session._processed = dict.fromkeys(processed)
-            pending = {target: {parent: {NoteKind(k) for k in labels}
+            pending = {target: {parent: label_mask(labels)
                                 for parent, labels in parents.items()}
                        for target, parents in checkpoint["pending"].items()}
             # The frontier list gives the selection order and each blogger's

@@ -2,7 +2,7 @@
 
 Nodes are blogger names; an edge src -> dst means dst engaged with src's
 content (liked or reblogged it), so influence flows along edge direction.
-Edges carry the set of note kinds that produced them.
+Edges carry the note kinds that produced them, as a bitmask.
 
 Measurement conventions:
   * diameter ranges over ordered reachable pairs only,
@@ -32,12 +32,46 @@ def _node_name(value) -> str:
     return value
 
 
+# An edge's labels are a bitmask, one bit per note kind.  The tables map a
+# kind's value to its bit, and a mask to its kinds and to its sorted values
+# (the serialized form, which documents hold as a list of their own).
+LABEL_BIT = {kind.value: 1 << i for i, kind in enumerate(NoteKind)}
+LABEL_KINDS = tuple(frozenset(kind for kind in NoteKind
+                              if mask & LABEL_BIT[kind.value])
+                    for mask in range(1 << len(NoteKind)))
+LABEL_VALUES = tuple(tuple(sorted(kind.value for kind in kinds))
+                     for kinds in LABEL_KINDS)
+
+
+def label_mask(values) -> int:
+    """The mask of a JSON label array: a non-empty list of kind values."""
+    if not isinstance(values, list):
+        raise TypeError(f"labels {values!r} are not an array")
+    if not values:
+        raise ValueError("labels are an empty array")
+    mask = 0
+    for value in values:
+        try:
+            mask |= LABEL_BIT[value]
+        except (KeyError, TypeError):
+            raise ValueError(f"{value!r} is not a valid NoteKind") from None
+    return mask
+
+
+def kinds_mask(kinds) -> int:
+    """The mask of an iterable of NoteKind members."""
+    mask = 0
+    for kind in kinds:
+        mask |= LABEL_BIT[kind.value]
+    return mask
+
+
 class CommunityGraph:
-    """Directed graph; at most one edge per ordered pair, with a label set."""
+    """Directed graph; at most one edge per ordered pair, with a label mask."""
 
     def __init__(self):
         self._nodes: dict[str, dict] = {}
-        self._succ: dict[str, dict[str, set[NoteKind]]] = {}
+        self._succ: dict[str, dict[str, int]] = {}
 
     # -- construction -----------------------------------------------------
 
@@ -54,13 +88,20 @@ class CommunityGraph:
 
     def add_link(self, src: str, dst: str, label: NoteKind) -> None:
         """Add (or relabel) the edge src -> dst.  Self-loops are rejected."""
-        if src == dst:
-            raise SelfLoopError(f"self-loop on {src!r} rejected")
         if not isinstance(label, NoteKind):
             raise ValueError(f"edge label must be a NoteKind, got {label!r}")
+        self.add_labels(src, dst, LABEL_BIT[label.value])
+
+    def add_labels(self, src: str, dst: str, mask: int) -> None:
+        """Add the edge src -> dst, or OR ``mask`` into its labels."""
+        if src == dst:
+            raise SelfLoopError(f"self-loop on {src!r} rejected")
+        if not 0 < mask < len(LABEL_KINDS):
+            raise ValueError(f"edge label mask {mask!r} is out of range")
         self.add_node(src)
         self.add_node(dst)
-        self._succ[src].setdefault(dst, set()).add(label)
+        targets = self._succ[src]
+        targets[dst] = targets.get(dst, 0) | mask
 
     # -- accessors --------------------------------------------------------
 
@@ -79,14 +120,14 @@ class CommunityGraph:
     def edges(self):
         """Yield (src, dst, frozenset of labels) in insertion order."""
         for src, targets in self._succ.items():
-            for dst, labels in targets.items():
-                yield src, dst, frozenset(labels)
+            for dst, mask in targets.items():
+                yield src, dst, LABEL_KINDS[mask]
 
     def has_edge(self, src: str, dst: str) -> bool:
         return dst in self._succ.get(src, {})
 
     def labels(self, src: str, dst: str) -> frozenset[NoteKind]:
-        return frozenset(self._succ[src][dst])
+        return LABEL_KINDS[self._succ[src][dst]]
 
     def successors(self, name: str) -> list[str]:
         return list(self._succ.get(name, {}))
@@ -120,11 +161,8 @@ class CommunityGraph:
 
     def copy(self) -> "CommunityGraph":
         dup = CommunityGraph()
-        for name, attrs in self._nodes.items():
-            dup.add_node(name, attrs["verdict"], attrs["score"])
-        for src, dst, labels in self.edges():
-            for label in labels:
-                dup.add_link(src, dst, label)
+        dup._nodes = {name: dict(attrs) for name, attrs in self._nodes.items()}
+        dup._succ = {name: dict(targets) for name, targets in self._succ.items()}
         return dup
 
     def __eq__(self, other) -> bool:
@@ -143,22 +181,24 @@ class CommunityGraph:
                 "verdict": verdict.value if verdict is not None else None,
                 "score": attrs["score"],
             })
-        edges = []
-        for src, dst, labels in self.edges():
-            edges.append({
-                "src": src,
-                "dst": dst,
-                "labels": sorted(label.value for label in labels),
-            })
+        edges = [{"src": src, "dst": dst, "labels": list(LABEL_VALUES[mask])}
+                 for src, targets in self._succ.items()
+                 for dst, mask in targets.items()]
         return {"nodes": nodes, "edges": edges}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "CommunityGraph":
+        """Read a graph document in one pass over each array.
+
+        Listed nodes come first, then edge ends not listed, in edge order
+        with ``src`` before ``dst``.  A repeated edge ORs its labels.
+        """
         if not isinstance(data, dict) or "nodes" not in data or "edges" not in data:
             raise GraphFormatError("graph document needs 'nodes' and 'edges'")
         if not (isinstance(data["nodes"], list) and isinstance(data["edges"], list)):
             raise GraphFormatError("graph document 'nodes' and 'edges' are not arrays")
         graph = cls()
+        nodes, succ = graph._nodes, graph._succ
         try:
             for node in data["nodes"]:
                 if not isinstance(node, dict):
@@ -167,15 +207,24 @@ class CommunityGraph:
                 if not (score is None or isinstance(score, (int, float))
                         and not isinstance(score, bool)):
                     raise TypeError(f"node score {score!r} is not a number")
-                graph.add_node(_node_name(node["id"]),
-                               Verdict(verdict) if verdict is not None else None,
-                               score)
+                name = _node_name(node["id"])
+                if name in nodes:
+                    raise ValueError(f"node id {name!r} is listed twice")
+                nodes[name] = {
+                    "verdict": Verdict(verdict) if verdict is not None else None,
+                    "score": score}
+                succ[name] = {}
             for edge in data["edges"]:
                 src, dst = _node_name(edge["src"]), _node_name(edge["dst"])
-                if not isinstance(edge["labels"], list):
-                    raise TypeError(f"edge labels {edge['labels']!r} are not an array")
-                for label in edge["labels"]:
-                    graph.add_link(src, dst, NoteKind(label))
+                mask = label_mask(edge["labels"])
+                if src == dst:
+                    raise SelfLoopError(f"self-loop on {src!r} rejected")
+                for name in (src, dst):
+                    if name not in nodes:
+                        nodes[name] = {"verdict": None, "score": None}
+                        succ[name] = {}
+                targets = succ[src]
+                targets[dst] = targets.get(dst, 0) | mask
         except (KeyError, TypeError, ValueError, SelfLoopError) as exc:
             raise GraphFormatError(f"bad graph document: {exc}") from exc
         return graph

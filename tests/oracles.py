@@ -11,7 +11,8 @@ three-substitution form it replaced; the language detector's oracle
 tokenizes every text by one regex findall; the fixture store's oracle parses
 every post at load, as the lazy store replaced; the generator's oracle draws
 through ``randrange`` and ``shuffle``, and the trainer's oracle counts one
-character at a time.
+character at a time.  The graph and crawl-state oracles keep each edge's and
+each discoverer's labels as a set of kinds, as the bitmask form replaced.
 """
 
 from __future__ import annotations
@@ -23,13 +24,16 @@ from collections import deque
 
 import numpy as np
 
-from spiderveil.corpus import (ENGLISH_FUNCTION_WORDS, LanguageVerdict, Post,
-                               normalize_tag)
-from spiderveil.crawler import post_from_record, validate_fixture
-from spiderveil.errors import NotFoundError
-from spiderveil.langmodel import SENTINEL
+from spiderveil.corpus import (ENGLISH_FUNCTION_WORDS, LanguageVerdict,
+                               NoteKind, Post, normalize_tag)
+from spiderveil.crawler import (CHECKPOINT_FORMAT, CHECKPOINT_VERSION,
+                                CrawlSession, extract_frontiers,
+                                post_from_record, validate_fixture,
+                                visit_log_to_json)
+from spiderveil.errors import GraphFormatError, NotFoundError, SelfLoopError
+from spiderveil.langmodel import SENTINEL, Verdict
 from spiderveil.simnet import GLUE_RATE, _split_vocab, relevant_count
-from spiderveil.socialgraph import Partition, _successor_ids
+from spiderveil.socialgraph import Partition, _node_name, _successor_ids
 
 INF = float("inf")
 
@@ -533,3 +537,143 @@ def reference_generate(params) -> tuple[dict, dict[str, bool]]:
         "seed": seed_name,
     }
     return store, truth
+
+
+class ReferenceGraph:
+    """The set-labelled graph that ``CommunityGraph`` replaced, cut to what
+    serialization needs.
+
+    Each edge keeps a set of ``NoteKind``; ``from_json_dict`` adds one link
+    per label.  ``CommunityGraph`` must give equal documents, and read every
+    document this accepts (with non-empty labels and unique node ids) into
+    the same nodes and edges in the same order.
+    """
+
+    def __init__(self):
+        self._nodes: dict[str, dict] = {}
+        self._succ: dict[str, dict[str, set[NoteKind]]] = {}
+
+    def add_node(self, name: str, verdict: Verdict | None = None,
+                 score: float | None = None) -> None:
+        if not name:
+            raise ValueError("node name must be non-empty")
+        attrs = self._nodes.setdefault(name, {"verdict": None, "score": None})
+        if verdict is not None:
+            attrs["verdict"] = verdict
+        if score is not None:
+            attrs["score"] = score
+        self._succ.setdefault(name, {})
+
+    def add_link(self, src: str, dst: str, label: NoteKind) -> None:
+        if src == dst:
+            raise SelfLoopError(f"self-loop on {src!r} rejected")
+        if not isinstance(label, NoteKind):
+            raise ValueError(f"edge label must be a NoteKind, got {label!r}")
+        self.add_node(src)
+        self.add_node(dst)
+        self._succ[src].setdefault(dst, set()).add(label)
+
+    def nodes(self) -> list[str]:
+        return list(self._nodes)
+
+    def edges(self):
+        for src, targets in self._succ.items():
+            for dst, labels in targets.items():
+                yield src, dst, frozenset(labels)
+
+    def verdict(self, name: str) -> Verdict | None:
+        return self._nodes[name]["verdict"]
+
+    def score(self, name: str) -> float | None:
+        return self._nodes[name]["score"]
+
+    def to_json_dict(self) -> dict:
+        nodes = []
+        for name, attrs in self._nodes.items():
+            verdict = attrs["verdict"]
+            nodes.append({
+                "id": name,
+                "verdict": verdict.value if verdict is not None else None,
+                "score": attrs["score"],
+            })
+        edges = []
+        for src, dst, labels in self.edges():
+            edges.append({
+                "src": src,
+                "dst": dst,
+                "labels": sorted(label.value for label in labels),
+            })
+        return {"nodes": nodes, "edges": edges}
+
+    @classmethod
+    def from_json_dict(cls, data: dict) -> "ReferenceGraph":
+        if not isinstance(data, dict) or "nodes" not in data or "edges" not in data:
+            raise GraphFormatError("graph document needs 'nodes' and 'edges'")
+        if not (isinstance(data["nodes"], list) and isinstance(data["edges"], list)):
+            raise GraphFormatError("graph document 'nodes' and 'edges' are not arrays")
+        graph = cls()
+        try:
+            for node in data["nodes"]:
+                if not isinstance(node, dict):
+                    raise TypeError(f"node {node!r} is not an object")
+                verdict, score = node.get("verdict"), node.get("score")
+                if not (score is None or isinstance(score, (int, float))
+                        and not isinstance(score, bool)):
+                    raise TypeError(f"node score {score!r} is not a number")
+                graph.add_node(_node_name(node["id"]),
+                               Verdict(verdict) if verdict is not None else None,
+                               score)
+            for edge in data["edges"]:
+                src, dst = _node_name(edge["src"]), _node_name(edge["dst"])
+                if not isinstance(edge["labels"], list):
+                    raise TypeError(f"edge labels {edge['labels']!r} are not an array")
+                for label in edge["labels"]:
+                    graph.add_link(src, dst, NoteKind(label))
+        except (KeyError, TypeError, ValueError, SelfLoopError) as exc:
+            raise GraphFormatError(f"bad graph document: {exc}") from exc
+        return graph
+
+
+class ReferenceCrawlSession(CrawlSession):
+    """A crawl session whose frontier keeps each discoverer's labels as a set
+    of kinds and links one label at a time, with the checkpoint expressions
+    that read them; ``CrawlSession`` must write equal checkpoints."""
+
+    def _admit(self, name: str, score: float, posts, parents) -> None:
+        self._graph.add_node(name, Verdict.RELEVANT, score)
+        for parent, labels in parents.items():
+            self._link(parent, name, labels)
+        for target, labels in extract_frontiers(name, posts, self._config).items():
+            if target in self._processed:
+                if self._graph.has_node(target):
+                    self._link(name, target, labels)
+                continue
+            self._frontier.setdefault(target, {}).setdefault(
+                name, set()).update(labels)
+
+    def _link(self, src: str, dst: str, labels) -> None:
+        for label in sorted(labels, key=lambda kind: kind.value):
+            self._graph.add_link(src, dst, label)
+
+    def checkpoint(self) -> dict:
+        return {
+            "format": CHECKPOINT_FORMAT,
+            "version": CHECKPOINT_VERSION,
+            "config": self._config.to_json_dict(),
+            "current": self._current,
+            "stop_reason": self._stop.value if self._stop is not None else None,
+            "selections": self._selections,
+            "visit_log": visit_log_to_json(self._visit_log),
+            "discarded": list(self._discarded),
+            "processed": list(self._processed),
+            "frontier": [{"blog_name": target,
+                          "relation": sorted({k.value for labels in parents.values()
+                                              for k in labels}),
+                          "parent": next(iter(parents))}
+                         for target, parents in self._frontier.items()
+                         if target != self._current],
+            "pending": {target: {parent: sorted(k.value for k in labels)
+                                 for parent, labels in parents.items()}
+                        for target, parents in self._frontier.items()},
+            "graph": self._graph.to_json_dict(),
+        }

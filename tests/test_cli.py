@@ -452,7 +452,7 @@ NON_STRING_ID_GRAPHS = {
 }
 
 
-# Graph documents with a part of the wrong JSON type.
+# Graph documents with a part of the wrong JSON type or value.
 WRONG_TYPED_GRAPHS = {
     "nodes a string": {"nodes": "ab", "edges": []},
     "nodes an object": {"nodes": {"a": {"id": "a"}}, "edges": []},
@@ -463,6 +463,16 @@ WRONG_TYPED_GRAPHS = {
         "edges": [{"src": "a", "dst": "b", "labels": "like"}]},
     "score a string": {"nodes": [{"id": "a", "score": "-1.5"}], "edges": []},
     "score a boolean": {"nodes": [{"id": "a", "score": True}], "edges": []},
+    "edge without labels": {
+        "nodes": [{"id": "a"}],
+        "edges": [{"src": "a", "dst": "b", "labels": []}]},
+    "self-loop without labels": {
+        "nodes": [{"id": "c"}],
+        "edges": [{"src": "c", "dst": "c", "labels": []}]},
+    "node id listed twice": {
+        "nodes": [{"id": "a", "verdict": "relevant", "score": -0.5},
+                  {"id": "a", "verdict": None, "score": -0.9}],
+        "edges": []},
 }
 
 

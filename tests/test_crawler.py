@@ -35,7 +35,8 @@ from spiderveil.socialgraph import CommunityGraph
 
 from conftest import (EDGE_STORES, HAND_BODIES, MALFORMED_POSTS,
                       MALFORMED_STORES, FakeSession, make_post)
-from oracles import EagerFixtureStore, propagate_oracle, random_digraph
+from oracles import (EagerFixtureStore, ReferenceCrawlSession,
+                     propagate_oracle, random_digraph)
 from test_golden import (SEEDS, checkpoint_bytes, crawl_session, crawl_trace,
                          golden_path, network)
 
@@ -1384,6 +1385,9 @@ class TestCheckpointResume:
         "selections-not-an-integer": lambda doc: {**doc, "selections": 2.5},
         "selections-a-string": lambda doc: {**doc, "selections": "2"},
         "current-not-a-name": lambda doc: {**doc, "current": 5},
+        "pending-labels-empty": lambda doc: {**doc, "pending": {
+            target: dict.fromkeys(parents, [])
+            for target, parents in doc["pending"].items()}},
     }
 
     @pytest.mark.parametrize("edit", MALFORMED_CHECKPOINTS)
@@ -1392,6 +1396,20 @@ class TestCheckpointResume:
         frozen = edited(self._frozen_midway(small_bundle))
         with pytest.raises(GraphFormatError):
             CrawlSession.resume(small_bundle.store, small_bundle.model, frozen)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_checkpoints_equal_reference(self, seed):
+        # After every step of each golden crawl, the label-mask frontier
+        # and graph checkpoint as the set-labelled session's do.
+        store, model, threshold = network(seed)
+        for policy in SelectionPolicy:
+            session = crawl_session(store, model, threshold, seed, policy)
+            reference = ReferenceCrawlSession(store, model, session.config)
+            running = True
+            while running:
+                assert session.checkpoint() == reference.checkpoint()
+                running = session.step()
+                assert reference.step() == running
 
     def test_result_before_finish_rejected(self, hand_store, hand_model,
                                            hand_config):

@@ -17,9 +17,9 @@ from spiderveil.socialgraph import (CommunityGraph, GraphMeasurements,
                                     modularity, scc_count,
                                     strongly_connected_components)
 
-from oracles import (avg_clustering_oracle, betweenness_oracle,
-                     closeness_in_oracle, diameter_oracle, modularity_oracle,
-                     random_digraph, reference_betweenness,
+from oracles import (ReferenceGraph, avg_clustering_oracle,
+                     betweenness_oracle, closeness_in_oracle, diameter_oracle,
+                     modularity_oracle, random_digraph, reference_betweenness,
                      reference_closeness_in, reference_detect_communities,
                      reference_diameter, scc_count_oracle)
 
@@ -563,3 +563,79 @@ class TestExports:
         with pytest.raises(GraphFormatError):
             import_json_edge_list({"nodes": [], "edges": [
                 {"src": "a", "dst": "b", "labels": ["buy"]}]})
+        for edge in ({"src": "a", "dst": "b", "labels": []},
+                     {"src": "c", "dst": "c", "labels": []}):
+            with pytest.raises(GraphFormatError, match="empty array"):
+                import_json_edge_list({"nodes": [{"id": "a"}], "edges": [edge]})
+        with pytest.raises(GraphFormatError, match="'a' is listed twice"):
+            import_json_edge_list({"nodes": [
+                {"id": "a", "verdict": "relevant", "score": -0.5},
+                {"id": "a", "verdict": None, "score": -0.9}], "edges": []})
+
+
+NAMES = st.sampled_from("abcdefg")
+VERDICTS = st.sampled_from([None, *Verdict])
+SCORES = st.one_of(st.none(), st.integers(-3, 0),
+                   st.floats(-5.0, 0.0, allow_nan=False))
+
+
+@st.composite
+def graph_operations(draw):
+    """add_node and add_link calls over a small name pool, so links run
+    parallel and nodes often arrive only as link ends."""
+    calls = draw(st.lists(st.one_of(
+        st.tuples(st.just("add_node"), NAMES, VERDICTS, SCORES),
+        st.tuples(st.just("add_link"), NAMES, NAMES,
+                  st.sampled_from(list(NoteKind)))), max_size=40))
+    return [call for call in calls if call[0] == "add_node" or call[1] != call[2]]
+
+
+def apply_calls(graph, calls):
+    for method, *args in calls:
+        getattr(graph, method)(*args)
+    return graph
+
+
+@st.composite
+def graph_documents(draw):
+    """Graph documents with unique listed node ids, edges between listed
+    and unlisted names, repeated edges and unsorted or repeated labels."""
+    listed = draw(st.lists(NAMES, unique=True, max_size=5))
+    nodes = [{"id": name,
+              "verdict": draw(st.sampled_from([None, "relevant", "unknown"])),
+              "score": draw(SCORES)} for name in listed]
+    ends = st.sampled_from("abcdefghij")
+    edges = draw(st.lists(st.fixed_dictionaries({
+        "src": ends, "dst": ends,
+        "labels": st.lists(st.sampled_from(["like", "reblog"]), min_size=1,
+                           max_size=3)}), max_size=25))
+    return {"nodes": nodes, "edges": [e for e in edges if e["src"] != e["dst"]]}
+
+
+def graph_view(graph) -> tuple:
+    """Nodes with their attributes and edges with their labels, in order."""
+    return ([(name, graph.verdict(name), graph.score(name))
+             for name in graph.nodes()], list(graph.edges()))
+
+
+class TestSerializationMatchesReference:
+    """The label-mask graph reads and writes documents exactly as the
+    set-labelled graph it replaced."""
+
+    @given(graph_operations())
+    @settings(max_examples=200, deadline=None)
+    def test_to_json_dict_equals_reference(self, calls):
+        graph = apply_calls(CommunityGraph(), calls)
+        reference = apply_calls(ReferenceGraph(), calls)
+        assert graph_view(graph) == graph_view(reference)
+        assert graph.to_json_dict() == reference.to_json_dict()
+        again = CommunityGraph.from_json_dict(reference.to_json_dict())
+        assert again == graph and graph_view(again) == graph_view(graph)
+
+    @given(graph_documents())
+    @settings(max_examples=200, deadline=None)
+    def test_from_json_dict_equals_reference(self, doc):
+        graph = CommunityGraph.from_json_dict(doc)
+        reference = ReferenceGraph.from_json_dict(doc)
+        assert graph_view(graph) == graph_view(reference)
+        assert graph.to_json_dict() == reference.to_json_dict()
