@@ -291,6 +291,23 @@ def cmd_train(args, config: dict) -> int:
     corpus = ExemplarCorpus.load(corpus_path)
     if not corpus.documents:
         raise CLIError(EXIT_EMPTY, f"corpus {corpus_path} holds no documents")
+    order = setting(args, config, "order")
+    alpha = setting(args, config, "alpha")
+    posts = setting(args, config, "posts", "posts_per_blogger")
+    for key, value in (("order", order), ("posts_per_blogger", posts)):
+        if value is not None and not _is_json_integer(value):
+            raise CLIError(EXIT_IO, f"bad config: {key!r} is not an integer")
+    if type(alpha) not in (int, float, type(None)):
+        raise CLIError(EXIT_IO, "bad config: 'alpha' is not a number")
+    # Unset, order and alpha keep train's defaults and posts the crawl's.
+    options = {}
+    if order is not None:
+        options["order"] = int(order)
+    if alpha is not None:
+        options["alpha"] = float(alpha)
+    posts = CrawlConfig.posts_per_blogger if posts is None else int(posts)
+    if posts < 1:
+        raise CLIError(EXIT_DOMAIN, "posts per blogger must be >= 1")
 
     model_path = Path(args.out) if args.out else out_dir / "model.json"
     outputs = [model_path]
@@ -300,7 +317,7 @@ def cmd_train(args, config: dict) -> int:
         outputs.append(threshold_path)
     write_manifest(args, out_dir, outputs)
 
-    model = train(corpus, order=args.order, alpha=args.alpha)
+    model = train(corpus, **options)
     save_model(model, model_path)
     print(f"trained order-{model.order} model on {len(corpus.documents)} "
           f"documents ({model.trained_chars} characters)")
@@ -310,7 +327,7 @@ def cmd_train(args, config: dict) -> int:
         store = open_store(args, config)
         scored: list[tuple[float, str]] = []
         for name in seed_names:
-            kept = filter_english(store.blogger_posts(name, limit=args.posts))
+            kept = filter_english(store.blogger_posts(name, limit=posts))
             score = score_blogger(model, kept)
             scored.append((score.value, name))
         scored.sort()
@@ -421,9 +438,7 @@ def cmd_export(args, config: dict) -> int:
         raise CLIError(EXIT_IO, f"graph file not found: {path}")
     graph = import_json_edge_list(path.read_bytes())
     out_dir = ensure_out_dir(args)
-    extension = {"json": "json", "jsonedgelist": "json", "json-edge-list": "json",
-                 "graphml": "graphml", "dot": "dot"}.get(args.format, args.format)
-    out_path = Path(args.out) if args.out else out_dir / f"graph.{extension}"
+    out_path = Path(args.out) if args.out else out_dir / f"graph.{args.format}"
     write_manifest(args, out_dir, [out_path])
     atomic_write_bytes(out_path, export_graph(graph, args.format))
     print(f"wrote {out_path}")
@@ -508,12 +523,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train the n-gram relevance model")
     p.add_argument("--corpus", help="exemplar corpus (NDJSON)")
-    p.add_argument("--order", type=int, default=3, help="n-gram order")
-    p.add_argument("--alpha", type=float, default=1.0, help="additive smoothing")
+    p.add_argument("--order", type=int, help="n-gram order")
+    p.add_argument("--alpha", type=float, help="additive smoothing")
     p.add_argument("--seed-bloggers", help="JSON list of seed blogger names")
     p.add_argument("--store", help="fixture store path (for seed scoring)")
     p.add_argument("--url", help="HTTP store base URL (for seed scoring)")
-    p.add_argument("--posts", type=int, default=100,
+    p.add_argument("--posts", type=int,
                    help="posts per blogger when scoring seeds")
     p.add_argument("--out", help="model output path")
     p.set_defaults(func=cmd_train)

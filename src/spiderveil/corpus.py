@@ -32,6 +32,10 @@ ENGLISH_FUNCTION_WORDS = frozenset("""
     us very was we were what when where which who why will with would you
     your
 """.split())
+LANGUAGE_MIN_LENGTH = 20
+ENGLISH_RATIO = 0.12
+# Tag-expansion rounds of bootstrap_exemplars.
+BOOTSTRAP_ROUNDS = 4
 
 
 def normalize_text(raw: str) -> str:
@@ -72,37 +76,19 @@ class LanguageVerdict(Enum):
     UNDETERMINED = "undetermined"
 
 
-class StopwordRatioDetector:
-    """Default language heuristic: share of English function words among tokens.
-
-    Texts shorter than ``min_length`` characters (or with no word tokens) are
-    Undetermined rather than guessed at.
-    """
-
-    def __init__(self, min_length: int = 20, ratio: float = 0.12,
-                 stopwords: frozenset[str] = ENGLISH_FUNCTION_WORDS):
-        self.min_length = min_length
-        self.ratio = ratio
-        self.stopwords = stopwords
-
-    def __call__(self, text: str) -> LanguageVerdict:
-        if len(text) < self.min_length:
-            return LanguageVerdict.UNDETERMINED
-        tokens = _word_tokens(text)
-        if not tokens:
-            return LanguageVerdict.UNDETERMINED
-        hits = sum(map(self.stopwords.__contains__, tokens))
-        if hits / len(tokens) >= self.ratio:
-            return LanguageVerdict.ENGLISH
-        return LanguageVerdict.NON_ENGLISH
-
-
-DEFAULT_DETECTOR = StopwordRatioDetector()
-
-
-def detect_language(text: str, detector=None) -> LanguageVerdict:
-    """Run ``detector`` (any callable str -> LanguageVerdict) on ``text``."""
-    return (detector or DEFAULT_DETECTOR)(text)
+def detect_language(text: str) -> LanguageVerdict:
+    """English if at least ``ENGLISH_RATIO`` of the word tokens are English
+    function words; texts under ``LANGUAGE_MIN_LENGTH`` characters, or with no
+    word tokens, are Undetermined rather than guessed at."""
+    if len(text) < LANGUAGE_MIN_LENGTH:
+        return LanguageVerdict.UNDETERMINED
+    tokens = _word_tokens(text)
+    if not tokens:
+        return LanguageVerdict.UNDETERMINED
+    hits = sum(map(ENGLISH_FUNCTION_WORDS.__contains__, tokens))
+    if hits / len(tokens) >= ENGLISH_RATIO:
+        return LanguageVerdict.ENGLISH
+    return LanguageVerdict.NON_ENGLISH
 
 
 class NoteKind(Enum):
@@ -139,7 +125,7 @@ class Post:
         return normalize_text(self.body + " " + self.caption)
 
 
-def filter_english(posts, detector=None) -> list[tuple[Post, str]]:
+def filter_english(posts) -> list[tuple[Post, str]]:
     """Keep posts whose combined text reads as English; order preserved.
 
     Each kept post comes paired with its normalized text, computed once here
@@ -149,7 +135,7 @@ def filter_english(posts, detector=None) -> list[tuple[Post, str]]:
     kept = []
     for post in posts:
         text = post.normalized_text()
-        if detect_language(text, detector) is not LanguageVerdict.NON_ENGLISH:
+        if detect_language(text) is not LanguageVerdict.NON_ENGLISH:
             kept.append((post, text))
     return kept
 
@@ -170,33 +156,14 @@ class TagLexicon:
         self._generations[tag] = generation
         return True
 
-    def generation(self, tag: str) -> int:
-        return self._generations[normalize_tag(tag)]
-
-    def tags(self) -> list[str]:
-        return list(self._generations)
-
     def tags_in_generation(self, generation: int) -> list[str]:
         return [t for t, g in self._generations.items() if g == generation]
-
-    def __contains__(self, tag: str) -> bool:
-        return normalize_tag(tag) in self._generations
 
     def __len__(self) -> int:
         return len(self._generations)
 
-    def __iter__(self):
-        return iter(self._generations)
-
     def to_json_dict(self) -> dict:
         return dict(self._generations)
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "TagLexicon":
-        lex = cls()
-        for tag, generation in data.items():
-            lex.add(tag, int(generation))
-        return lex
 
 
 @dataclass
@@ -204,7 +171,6 @@ class ExemplarCorpus:
     """Normalized on-topic documents used to train the relevance model."""
     documents: list[str] = field(default_factory=list)
     document_ids: list[str] = field(default_factory=list)
-    source_tags: list[str] = field(default_factory=list)
     target_size: int = 0
 
     def save(self, path) -> None:
@@ -244,31 +210,30 @@ class ExemplarCorpus:
             ids.append(record["id"])
             documents.append(record["text"])
         return cls(documents=documents, document_ids=ids,
-                   source_tags=[], target_size=len(documents))
+                   target_size=len(documents))
 
 
-def bootstrap_exemplars(store, seed_tags, target_size: int, max_rounds: int = 4,
-                        detector=None) -> tuple[ExemplarCorpus, TagLexicon]:
+def bootstrap_exemplars(store, seed_tags,
+                        target_size: int) -> tuple[ExemplarCorpus, TagLexicon]:
     """Grow an exemplar corpus from seed tags by tag co-occurrence.
 
     Round g fetches posts for every generation-g tag, keeps normalized
     English texts (deduplicated by post id), and files unseen co-occurring
     tags under generation g+1.  Stops at ``target_size`` documents, after
-    ``max_rounds`` rounds, or when a round adds nothing.
+    ``BOOTSTRAP_ROUNDS`` rounds, or when a round adds nothing.
     """
     if target_size <= 0:
         raise ValueError("target_size must be positive")
-    lexicon = seed_tags if isinstance(seed_tags, TagLexicon) else TagLexicon(seed_tags)
+    lexicon = TagLexicon(seed_tags)
     if len(lexicon) == 0:
         raise ValueError("seed lexicon is empty")
 
     documents: list[str] = []
     document_ids: list[str] = []
     seen_ids: set[str] = set()
-    queried: list[str] = []
 
     generation = 0
-    for _ in range(max_rounds):
+    for _ in range(BOOTSTRAP_ROUNDS):
         current = lexicon.tags_in_generation(generation)
         if not current or len(documents) >= target_size:
             break
@@ -276,7 +241,6 @@ def bootstrap_exemplars(store, seed_tags, target_size: int, max_rounds: int = 4,
         for tag in current:
             if len(documents) >= target_size:
                 break
-            queried.append(tag)
             try:
                 posts = store.tagged_posts(tag, limit=target_size)
             except RetrievalError as err:
@@ -288,7 +252,7 @@ def bootstrap_exemplars(store, seed_tags, target_size: int, max_rounds: int = 4,
                 text = post.normalized_text()
                 if not text:
                     continue
-                if detect_language(text, detector) is LanguageVerdict.NON_ENGLISH:
+                if detect_language(text) is LanguageVerdict.NON_ENGLISH:
                     continue
                 seen_ids.add(post.id)
                 documents.append(text)
@@ -304,5 +268,5 @@ def bootstrap_exemplars(store, seed_tags, target_size: int, max_rounds: int = 4,
             break
 
     corpus = ExemplarCorpus(documents=documents, document_ids=document_ids,
-                            source_tags=queried, target_size=target_size)
+                            target_size=target_size)
     return corpus, lexicon

@@ -423,19 +423,6 @@ class CrawlResult:
         return json.dumps(self.to_json_dict(), sort_keys=True,
                           separators=(",", ":"), ensure_ascii=True).encode("utf-8")
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "CrawlResult":
-        visit_log, discarded = visit_log_from_json(data)
-        return cls(
-            graph=CommunityGraph.from_json_dict(data["graph"]),
-            visit_log=visit_log,
-            discarded=frozenset(discarded),
-            stop_reason=StopReason(data["stop_reason"]),
-        )
-
-    def predicted_verdicts(self) -> dict[str, Verdict]:
-        return predicted_verdicts(self.visit_log, self.discarded)
-
 
 def predicted_verdicts(visit_log, discarded) -> dict[str, Verdict]:
     """Per-blogger verdicts for evaluation; discards count as Unknown."""
@@ -775,6 +762,9 @@ class CrawlSession:
                 if parents is None or first not in parents:
                     raise GraphFormatError(f"frontier blogger {target!r} "
                                            f"lacks pending parent {first!r}")
+                if item["relation"] != _relation(parents):
+                    raise GraphFormatError(f"frontier blogger {target!r}: relation "
+                                           "differs from its pending labels")
                 session._frontier[target] = {first: parents[first]} | parents
             if set(pending) - {checkpoint["current"]}:
                 raise GraphFormatError(

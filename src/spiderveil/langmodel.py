@@ -84,9 +84,6 @@ class NGramModel:
         denom = total + self.alpha * (len(self.vocabulary) + 1)
         return (count + self.alpha) / denom
 
-    def map_char(self, char: str) -> str:
-        return char if char in self.vocabulary else UNKNOWN
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, NGramModel):
             return NotImplemented

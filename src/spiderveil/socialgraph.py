@@ -123,9 +123,6 @@ class CommunityGraph:
             for dst, mask in targets.items():
                 yield src, dst, LABEL_KINDS[mask]
 
-    def has_edge(self, src: str, dst: str) -> bool:
-        return dst in self._succ.get(src, {})
-
     def labels(self, src: str, dst: str) -> frozenset[NoteKind]:
         return LABEL_KINDS[self._succ[src][dst]]
 
@@ -158,12 +155,6 @@ class CommunityGraph:
                 sub.add_node(dst, self.verdict(dst), self.score(dst))
                 sub.add_link(src, dst, label)
         return sub
-
-    def copy(self) -> "CommunityGraph":
-        dup = CommunityGraph()
-        dup._nodes = {name: dict(attrs) for name, attrs in self._nodes.items()}
-        dup._succ = {name: dict(targets) for name, targets in self._succ.items()}
-        return dup
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CommunityGraph):
@@ -630,28 +621,23 @@ def _to_graphml(graph: CommunityGraph) -> bytes:
 
 def export_graph(graph: CommunityGraph, fmt: str) -> bytes:
     """Serialize to one of: json (edge list), graphml, dot."""
-    token = fmt.strip().lower()
-    if token in ("json", "jsonedgelist", "json-edge-list"):
+    if fmt == "json":
         payload = json.dumps(graph.to_json_dict(), sort_keys=True,
                              separators=(",", ":"), ensure_ascii=True)
         return payload.encode("utf-8")
-    if token == "graphml":
+    if fmt == "graphml":
         return _to_graphml(graph)
-    if token == "dot":
+    if fmt == "dot":
         return _to_dot(graph).encode("utf-8")
     raise GraphFormatError(f"unsupported export format {fmt!r}")
 
 
-def import_json_edge_list(data) -> CommunityGraph:
-    """Inverse of the json export; accepts bytes, str, or a parsed dict."""
-    if isinstance(data, (bytes, bytearray)):
-        try:
-            data = data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise GraphFormatError(f"JSON edge list is not UTF-8: {exc}") from exc
-    if isinstance(data, str):
-        try:
-            data = json.loads(data)
-        except json.JSONDecodeError as exc:
-            raise GraphFormatError(f"bad JSON edge list: {exc}") from exc
-    return CommunityGraph.from_json_dict(data)
+def import_json_edge_list(data: bytes) -> CommunityGraph:
+    """Inverse of the json export, from the file's bytes."""
+    try:
+        document = json.loads(data.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise GraphFormatError(f"JSON edge list is not UTF-8: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise GraphFormatError(f"bad JSON edge list: {exc}") from exc
+    return CommunityGraph.from_json_dict(document)

@@ -31,7 +31,7 @@ from spiderveil.crawler import (CHECKPOINT_FORMAT, CHECKPOINT_VERSION,
                                 post_from_record, validate_fixture,
                                 visit_log_to_json)
 from spiderveil.errors import GraphFormatError, NotFoundError, SelfLoopError
-from spiderveil.langmodel import SENTINEL, Verdict
+from spiderveil.langmodel import SENTINEL, UNKNOWN, Verdict
 from spiderveil.simnet import GLUE_RATE, _split_vocab, relevant_count
 from spiderveil.socialgraph import Partition, _node_name, _successor_ids
 
@@ -204,7 +204,7 @@ def reference_score_text(model, text: str) -> float:
     Sums left to right with plain float addition; the library's table scorer
     must return exactly this value.
     """
-    mapped = "".join(model.map_char(c) for c in text)
+    mapped = "".join(c if c in model.vocabulary else UNKNOWN for c in text)
     padded = SENTINEL * (model.order - 1) + mapped
     total = 0.0
     for i in range(model.order - 1, len(padded)):
@@ -234,7 +234,8 @@ def reference_detect_language(text: str, min_length: int = 20,
                               ratio: float = 0.12) -> LanguageVerdict:
     """The share of English function words among reference_word_tokens.
 
-    ``StopwordRatioDetector(min_length, ratio)`` must return this verdict.
+    ``detect_language`` must return this verdict with its constants
+    ``LANGUAGE_MIN_LENGTH`` and ``ENGLISH_RATIO`` set to these arguments.
     """
     if len(text) < min_length:
         return LanguageVerdict.UNDETERMINED

@@ -19,7 +19,7 @@ from spiderveil.cli import main
 from spiderveil.corpus import NoteKind, bootstrap_exemplars, filter_english
 from spiderveil.crawler import (CrawlConfig, CrawlSession, FixtureStore,
                                 SelectionPolicy, build_transition_matrix,
-                                crawl, propagate)
+                                crawl, predicted_verdicts, propagate)
 from spiderveil.langmodel import compute_threshold, score_blogger, train
 from spiderveil.simnet import GeneratorParams, evaluate, generate
 from spiderveil.socialgraph import (CommunityGraph, avg_clustering,
@@ -208,7 +208,8 @@ def test_criterion_5_planted_community_f_score():
             config = CrawlConfig(seed=store_data["seed"],
                                  threshold=threshold.value)
             result = crawl(store, model, config)
-            _, report = evaluate(result.predicted_verdicts(), truth)
+            _, report = evaluate(
+                predicted_verdicts(result.visit_log, result.discarded), truth)
             return report.f_score
 
         pinned = f_for(7)

@@ -315,6 +315,68 @@ class TestTrain:
         assert code == 2
         assert capsys.readouterr().err == f"error: bad corpus line 3: {problem}\n"
 
+    def test_config_values(self, pipeline, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"corpus": str(pipeline.root / "corpus.ndjson"),
+                                      "order": 2.0, "alpha": 1}))
+        code, stdout = run(["--config", str(config), "--out-dir", str(tmp_path),
+                            "train", "--alpha", "0.5"])
+        assert code == 0
+        assert "trained order-2 model" in stdout
+        model = json.loads((tmp_path / "model.json").read_text())
+        assert (model["order"], model["alpha"]) == (2, 0.5)
+
+    def test_posts_from_config_or_flag(self, pipeline, tmp_path):
+        # posts_per_blogger is the key crawl reads for its own --posts.
+        written = []
+        for name, config, flags in (
+                ("config", {"posts_per_blogger": 1}, []),
+                ("flag", {"posts_per_blogger": 7}, ["--posts", "1"]),
+                ("default", {"posts_per_blogger": None}, [])):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps({"store": str(pipeline.store), **config}))
+            out = tmp_path / name
+            assert run(["--config", str(path), "--out-dir", str(out), "train",
+                        "--corpus", str(pipeline.root / "corpus.ndjson"),
+                        "--seed-bloggers", str(pipeline.seeds_file)] + flags)[0] == 0
+            written.append((out / "model.threshold.json").read_bytes())
+        assert written[0] == written[1]
+        assert written[2] == (pipeline.root / "model.threshold.json").read_bytes()
+        assert written[0] != written[2]
+
+    # (config entries, exit code, key the error names); a wrong JSON type
+    # exits 2, a value of the right type outside its range exits 4.
+    @pytest.mark.parametrize("entries,code,key", [
+        ({"order": "3"}, 2, "order"),
+        ({"order": 2.5}, 2, "order"),
+        ({"order": True}, 2, "order"),
+        ({"order": [3]}, 2, "order"),
+        ({"alpha": "1.0"}, 2, "alpha"),
+        ({"alpha": False}, 2, "alpha"),
+        ({"alpha": {"value": 1}}, 2, "alpha"),
+        ({"posts_per_blogger": "100"}, 2, "posts_per_blogger"),
+        ({"posts_per_blogger": 1.5}, 2, "posts_per_blogger"),
+        ({"posts_per_blogger": True}, 2, "posts_per_blogger"),
+        ({"order": 0}, 4, "order"),
+        ({"alpha": 0}, 4, "alpha"),
+        ({"alpha": -1.5}, 4, "alpha"),
+        ({"posts_per_blogger": 0}, 4, "posts per blogger"),
+    ])
+    def test_bad_config_values(self, pipeline, tmp_path, capsys, entries, code,
+                               key):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"corpus": str(pipeline.root / "corpus.ndjson"),
+                                      **entries}))
+        out_dir = tmp_path / "out"
+        assert run(["--config", str(config), "--out-dir", str(out_dir),
+                    "train"])[0] == code
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key in err
+        assert "Traceback" not in err
+        if code == 2:
+            assert err.startswith("error: bad config: ")
+            assert not (out_dir / "manifest.json").exists()
+
 
 class TestCrawl:
     def test_artifacts(self, pipeline):
@@ -848,7 +910,8 @@ MALFORMED_INPUTS = {
     "--config train": (
         lambda bad, p: ["--config", bad, "train"],
         lambda p: {"corpus": str(p.root / "corpus.ndjson")},
-        {"corpus": STR + NULL}),
+        {"corpus": STR + NULL, "order": NUM + NULL, "alpha": NUM + NULL,
+         "posts_per_blogger": NUM + NULL}),
     "--config crawl": (
         lambda bad, p: ["--config", bad, "crawl"],
         lambda p: {"store": str(p.store), "model": str(p.root / "model.json"),

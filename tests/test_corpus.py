@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spiderveil.corpus import (ENGLISH_FUNCTION_WORDS, ExemplarCorpus,
-                               LanguageVerdict, NoteKind, NoteRecord, Post,
-                               StopwordRatioDetector, TagLexicon, _word_tokens,
+from spiderveil import corpus as corpus_module
+from spiderveil.corpus import (BOOTSTRAP_ROUNDS, ENGLISH_FUNCTION_WORDS,
+                               ExemplarCorpus, LanguageVerdict, NoteKind,
+                               NoteRecord, Post, TagLexicon, _word_tokens,
                                bootstrap_exemplars, detect_language,
                                filter_english, normalize_tag, normalize_text)
 from spiderveil.errors import RetrievalError
@@ -97,9 +98,12 @@ class TestDetectLanguage:
     def test_short_text_undetermined(self):
         assert detect_language("ok") is LanguageVerdict.UNDETERMINED
 
-    def test_custom_detector_threshold(self):
-        lax = StopwordRatioDetector(min_length=1, ratio=0.0)
-        assert detect_language("wszystko gra", lax) is LanguageVerdict.ENGLISH
+    def test_custom_detector_threshold(self, monkeypatch):
+        assert detect_language("wszystko gra") is LanguageVerdict.UNDETERMINED
+        monkeypatch.setattr(corpus_module, "LANGUAGE_MIN_LENGTH", 1)
+        assert detect_language("wszystko gra") is LanguageVerdict.NON_ENGLISH
+        monkeypatch.setattr(corpus_module, "ENGLISH_RATIO", 0.0)
+        assert detect_language("wszystko gra") is LanguageVerdict.ENGLISH
 
     @pytest.mark.parametrize("text, tokens", [
         ("The sky AND the stars", ["the", "sky", "and", "the", "stars"]),
@@ -115,11 +119,14 @@ class TestDetectLanguage:
     @settings(max_examples=500)
     def test_matches_the_findall_detector(self, text):
         assert _word_tokens(text) == reference_word_tokens(text)
+        assert detect_language(text) is reference_detect_language(text)
         for ratio in (0, 0.12, 0.5, 1):
             for min_length in (0, 20):
-                detector = StopwordRatioDetector(min_length=min_length, ratio=ratio)
-                assert detector(text) is reference_detect_language(
-                    text, min_length, ratio)
+                with pytest.MonkeyPatch.context() as patch:
+                    patch.setattr(corpus_module, "ENGLISH_RATIO", ratio)
+                    patch.setattr(corpus_module, "LANGUAGE_MIN_LENGTH", min_length)
+                    assert detect_language(text) is reference_detect_language(
+                        text, min_length, ratio)
 
 
 class TestFilterEnglish:
@@ -164,22 +171,22 @@ class TestTagLexicon:
     def test_first_generation_wins(self):
         lex = TagLexicon(["alpha"])
         assert not lex.add("alpha", 3)
-        assert lex.generation("alpha") == 0
         assert lex.add("beta", 1)
-        assert lex.tags() == ["alpha", "beta"]
+        assert lex.to_json_dict() == {"alpha": 0, "beta": 1}
 
     def test_generation_lookup(self):
         lex = TagLexicon(["a"])
         lex.add("b", 1)
         lex.add("c", 1)
         assert lex.tags_in_generation(1) == ["b", "c"]
-        assert "b" in lex and "#B" in lex
+        assert not lex.add("#B ", 2)
+        assert len(lex) == 3
 
-    def test_json_round_trip(self):
-        lex = TagLexicon(["a"])
-        lex.add("b", 2)
-        again = TagLexicon.from_json_dict(lex.to_json_dict())
-        assert again.to_json_dict() == {"a": 0, "b": 2}
+    def test_json_dict_holds_normalized_tags(self):
+        lex = TagLexicon(["#A"])
+        lex.add(" b", 2)
+        lex.add("", 3)
+        assert lex.to_json_dict() == {"a": 0, "b": 2}
 
 
 class TestExemplarCorpus:
@@ -212,10 +219,9 @@ class TestBootstrap:
         posts = [_post(f"p{i}", body=f"{ENGLISH_BODY} {i}", tags=("terrorism",))
                  for i in range(3)]
         store = _ListStore({"terrorism": posts})
-        corpus, lexicon = bootstrap_exemplars(store, ["terrorism"], 400,
-                                              max_rounds=1)
+        corpus, lexicon = bootstrap_exemplars(store, ["terrorism"], 400)
         assert len(corpus.documents) == 3
-        assert lexicon.tags() == ["terrorism"]
+        assert lexicon.to_json_dict() == {"terrorism": 0}
 
     def test_target_zero_rejected(self):
         with pytest.raises(ValueError):
@@ -264,15 +270,16 @@ class TestBootstrap:
         assert err.value.tag == "culprit"
 
     def test_max_rounds_bounds_expansion(self):
-        # Each tag's post introduces the next tag; only max_rounds fire.
+        # Each tag's post introduces the next tag; only BOOTSTRAP_ROUNDS fire.
+        assert BOOTSTRAP_ROUNDS == 4
         chain = {}
         for i in range(6):
             chain[f"t{i}"] = [_post(f"p{i}", body=f"{ENGLISH_BODY} {i}",
                                     tags=(f"t{i}", f"t{i + 1}"))]
         store = _ListStore(chain)
-        corpus, lexicon = bootstrap_exemplars(store, ["t0"], 100, max_rounds=3)
-        assert len(corpus.documents) == 3
-        assert "t3" in lexicon and "t4" not in lexicon
+        corpus, lexicon = bootstrap_exemplars(store, ["t0"], 100)
+        assert corpus.document_ids == ["p0", "p1", "p2", "p3"]
+        assert lexicon.to_json_dict() == {f"t{i}": i for i in range(5)}
 
 
 @settings(max_examples=30)

@@ -995,17 +995,20 @@ class TestConfig:
 class TestCrawlResultSerialization:
     def test_round_trip(self, hand_store, hand_model, hand_config):
         result = crawl(hand_store, hand_model, hand_config)
-        again = CrawlResult.from_json_dict(result.to_json_dict())
+        doc = json.loads(result.canonical_bytes())
+        visit_log, discarded = visit_log_from_json(doc)
+        again = CrawlResult(graph=CommunityGraph.from_json_dict(doc["graph"]),
+                            visit_log=visit_log, discarded=frozenset(discarded),
+                            stop_reason=StopReason(doc["stop_reason"]))
         assert again.graph == result.graph
         assert again.visit_log == result.visit_log
         assert again.discarded == result.discarded
-        assert again.stop_reason is result.stop_reason
         assert again.canonical_bytes() == result.canonical_bytes()
 
     def test_predicted_verdicts_cover_discards(self, hand_store, hand_model,
                                                hand_config):
         result = crawl(hand_store, hand_model, hand_config)
-        predicted = result.predicted_verdicts()
+        predicted = predicted_verdicts(result.visit_log, result.discarded)
         assert predicted["alpha"] is Verdict.RELEVANT
         assert predicted["xena"] is Verdict.UNKNOWN
         assert set(predicted) == {r.blog_name for r in result.visit_log} | \
@@ -1016,7 +1019,8 @@ class TestCrawlResultSerialization:
         session = CrawlSession(hand_store, hand_model, hand_config)
         result = session.run()
         rows = visit_log_from_json(json.loads(json.dumps(session.checkpoint())))
-        assert predicted_verdicts(*rows) == result.predicted_verdicts()
+        assert predicted_verdicts(*rows) == predicted_verdicts(
+            result.visit_log, result.discarded)
 
 
 class TestHandCrawl:
@@ -1368,6 +1372,31 @@ class TestCheckpointResume:
         frozen = self._frozen_midway(small_bundle)
         frozen["pending"]["stranger"] = {frozen["config"]["seed"]: ["like"]}
         with pytest.raises(GraphFormatError):
+            CrawlSession.resume(small_bundle.store, small_bundle.model, frozen)
+
+    def test_resume_rejects_relation_other_than_pending_labels(self,
+                                                               small_bundle):
+        frozen = self._frozen_midway(small_bundle)
+        nonsense = copy.deepcopy(frozen)
+        for item in nonsense["frontier"]:
+            item["relation"] = ["nonsense"]
+        with pytest.raises(GraphFormatError, match="relation"):
+            CrawlSession.resume(small_bundle.store, small_bundle.model, nonsense)
+        # The right labels unsorted, and a real label too many or too few.
+        relation = frozen["frontier"][0]["relation"]
+        for wrong in (relation[::-1] if len(relation) > 1 else relation * 2,
+                      ["like", "reblog"] if len(relation) == 1 else ["like"]):
+            edited = copy.deepcopy(frozen)
+            edited["frontier"][0]["relation"] = wrong
+            with pytest.raises(GraphFormatError, match="relation"):
+                CrawlSession.resume(small_bundle.store, small_bundle.model,
+                                    edited)
+
+    def test_resume_rejects_frontier_item_without_relation(self, small_bundle):
+        frozen = self._frozen_midway(small_bundle)
+        for item in frozen["frontier"]:
+            del item["relation"]
+        with pytest.raises(GraphFormatError, match="relation"):
             CrawlSession.resume(small_bundle.store, small_bundle.model, frozen)
 
     MALFORMED_CHECKPOINTS = {

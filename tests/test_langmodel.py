@@ -103,10 +103,6 @@ class TestProbability:
             mass = math.fsum(model.probability(context, c) for c in outcomes)
             assert mass == pytest.approx(1.0, abs=1e-12)
 
-    def test_map_char(self, abab_model):
-        assert abab_model.map_char("a") == "a"
-        assert abab_model.map_char("z") == UNKNOWN
-
 
 class TestScoreText:
     def test_hand_value(self, abab_model):

@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 
 from spiderveil.corpus import (ENGLISH_FUNCTION_WORDS, LanguageVerdict,
                                detect_language, normalize_text)
-from spiderveil.crawler import CrawlConfig, crawl, validate_fixture
+from spiderveil.crawler import (CrawlConfig, crawl, predicted_verdicts,
+                                validate_fixture)
 from spiderveil.langmodel import Verdict
 from spiderveil.simnet import (DEFAULT_OFF_TOPIC_VOCAB,
                                DEFAULT_ON_TOPIC_VOCAB, ConfusionMatrix,
@@ -468,8 +469,9 @@ class TestEvaluate:
         config = CrawlConfig(seed=small_bundle.seed_names[0],
                              threshold=small_bundle.threshold.value)
         result = crawl(small_bundle.store, small_bundle.model, config)
-        matrix, report = evaluate(result.predicted_verdicts(),
-                                  small_bundle.truth)
+        matrix, report = evaluate(
+            predicted_verdicts(result.visit_log, result.discarded),
+            small_bundle.truth)
         assert matrix.fp == 0, "one-class cut should not admit decoys"
         assert report.precision == 1.0
         assert report.f_score >= 0.6

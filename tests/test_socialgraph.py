@@ -91,13 +91,6 @@ class TestCommunityGraph:
         assert graph.successors("a") == ["b", "c"]
         assert graph.out_degree("c") == 0
 
-    def test_copy_is_deep_enough(self):
-        graph = cycle3()
-        dup = graph.copy()
-        assert dup == graph
-        dup.add_link("a", "d", NoteKind.LIKE)
-        assert not graph.has_node("d")
-
 
 class TestProject:
     def test_keeps_only_matching_edges_and_their_endpoints(self):
@@ -116,7 +109,7 @@ class TestProject:
         graph.add_link("a", "b", NoteKind.REBLOG)
         for kind in NoteKind:
             sub = graph.project(kind)
-            assert sub.has_edge("a", "b")
+            assert sub.successors("a") == ["b"]
             assert sub.labels("a", "b") == frozenset({kind})
 
     def test_projections_cover_every_edge(self, rng):
@@ -538,7 +531,7 @@ class TestExports:
         node = next(n for n in doc["nodes"] if n["id"] == "a")
         assert node["verdict"] == "relevant"
         assert node["score"] == -1.5
-        again = import_json_edge_list(doc)
+        again = CommunityGraph.from_json_dict(doc)
         assert again.verdict("a") is Verdict.RELEVANT
         assert again.score("a") == -1.5
 
@@ -553,22 +546,27 @@ class TestExports:
             export_graph(CommunityGraph(), "gexf")
 
     def test_malformed_documents_rejected(self):
+        def read(doc):
+            return import_json_edge_list(json.dumps(doc).encode("utf-8"))
+
         with pytest.raises(GraphFormatError):
-            import_json_edge_list("{not json")
+            import_json_edge_list(b"{not json")
+        with pytest.raises(GraphFormatError, match="not UTF-8"):
+            import_json_edge_list(b'{"nodes": ["\xff"], "edges": []}')
         with pytest.raises(GraphFormatError):
-            import_json_edge_list({"nodes": []})
+            read({"nodes": []})
         with pytest.raises(GraphFormatError):
-            import_json_edge_list({"nodes": [], "edges": [
+            read({"nodes": [], "edges": [
                 {"src": "a", "dst": "a", "labels": ["like"]}]})
         with pytest.raises(GraphFormatError):
-            import_json_edge_list({"nodes": [], "edges": [
+            read({"nodes": [], "edges": [
                 {"src": "a", "dst": "b", "labels": ["buy"]}]})
         for edge in ({"src": "a", "dst": "b", "labels": []},
                      {"src": "c", "dst": "c", "labels": []}):
             with pytest.raises(GraphFormatError, match="empty array"):
-                import_json_edge_list({"nodes": [{"id": "a"}], "edges": [edge]})
+                read({"nodes": [{"id": "a"}], "edges": [edge]})
         with pytest.raises(GraphFormatError, match="'a' is listed twice"):
-            import_json_edge_list({"nodes": [
+            read({"nodes": [
                 {"id": "a", "verdict": "relevant", "score": -0.5},
                 {"id": "a", "verdict": None, "score": -0.9}], "edges": []})
 
