@@ -172,11 +172,11 @@ def load_config(args) -> dict:
 
 
 def setting(args, config: dict, name: str, key: str | None = None, default=None):
-    """Flag value if given, else config value, else default."""
+    """Flag value if given, else a non-null config value, else default."""
     value = getattr(args, name, None)
-    if value is not None:
-        return value
-    return config.get(key or name, default)
+    if value is None:
+        value = config.get(key or name)
+    return default if value is None else value
 
 
 def text_setting(args, config: dict, name: str):

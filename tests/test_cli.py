@@ -208,7 +208,6 @@ class TestBootstrap:
         ({"target": "7"}, "target"),
         ({"target": 2.9}, "target"),
         ({"target": True}, "target"),
-        ({"target": None}, "target"),
     ])
     def test_bad_config_values(self, pipeline, tmp_path, capsys, entries, key):
         config = tmp_path / "config.json"
@@ -231,6 +230,21 @@ class TestBootstrap:
         assert code == 0
         assert stdout.startswith("round 0: 1 tags (stargazing)")
         assert "(target 400)" in stdout
+
+    def test_null_target_means_default(self, pipeline, tmp_path):
+        # As in crawl and train, a null setting is unset: the target is 100.
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"store": str(pipeline.store),
+                                      "tags": ["stargazing"], "target": None}))
+        code, stdout = run(["--config", str(config), "--out-dir",
+                            str(tmp_path / "null"), "bootstrap"])
+        assert code == 0
+        assert "(target 100)" in stdout
+        assert run(["--out-dir", str(tmp_path / "flag"), "bootstrap",
+                    "--store", str(pipeline.store), "--tag", "stargazing",
+                    "--target", "100"])[0] == 0
+        assert (tmp_path / "null" / "corpus.ndjson").read_bytes() == \
+            (tmp_path / "flag" / "corpus.ndjson").read_bytes()
 
     def test_store_from_environment(self, pipeline, tmp_path, monkeypatch):
         monkeypatch.setenv("SPIDERVEIL_STORE", str(pipeline.store))
@@ -361,18 +375,28 @@ class TestTrain:
         ({"alpha": 0}, 4, "alpha"),
         ({"alpha": -1.5}, 4, "alpha"),
         ({"posts_per_blogger": 0}, 4, "posts per blogger"),
+        # json.dumps writes these as NaN, Infinity and -Infinity.
+        ({"alpha": math.nan}, 4, "alpha"),
+        ({"alpha": math.inf}, 4, "alpha"),
+        ({"alpha": -math.inf}, 4, "alpha"),
+        # A list holds train flags given instead of config entries.
+        (["--alpha", "nan"], 4, "alpha"),
+        (["--alpha", "inf"], 4, "alpha"),
+        (["--alpha=-inf"], 4, "alpha"),
     ])
     def test_bad_config_values(self, pipeline, tmp_path, capsys, entries, code,
                                key):
+        flags = entries if isinstance(entries, list) else []
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"corpus": str(pipeline.root / "corpus.ndjson"),
-                                      **entries}))
+                                      **(entries if isinstance(entries, dict) else {})}))
         out_dir = tmp_path / "out"
         assert run(["--config", str(config), "--out-dir", str(out_dir),
-                    "train"])[0] == code
+                    "train", *flags])[0] == code
         err = capsys.readouterr().err
         assert err.startswith("error: ") and key in err
         assert "Traceback" not in err
+        assert not (out_dir / "model.json").exists()
         if code == 2:
             assert err.startswith("error: bad config: ")
             assert not (out_dir / "manifest.json").exists()

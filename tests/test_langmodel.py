@@ -21,6 +21,7 @@ from oracles import reference_score_text, reference_train_counts
 TRAIN_CHARS = ["a", "b", " ", "\u00e9", SENTINEL, UNKNOWN, "\U0001F600",
                "\ud800", "\udc00"]
 TEXT_CHARS = TRAIN_CHARS + ["z", "\n", "\u4e2d", "\U0010FFFF", "\udfff"]
+WINDOW_CHARS = TEXT_CHARS + [chr(0x1F600 + i) for i in range(1, 12)]
 
 
 @pytest.fixture
@@ -48,6 +49,13 @@ class TestTrain:
             train(["ab"], alpha=0.0)
         with pytest.raises(ValueError):
             train(["ab"], alpha=-1.0)
+        for alpha in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="alpha"):
+                train(["ab"], alpha=alpha)
+            with pytest.raises(ValueError, match="alpha"):
+                NGramModel(order=1, alpha=alpha, counts={"": {"a": 1}},
+                           vocabulary=frozenset({SENTINEL, "a"}),
+                           trained_chars=1)
 
     def test_rejects_empty_corpus(self):
         with pytest.raises(ValueError):
@@ -58,10 +66,18 @@ class TestTrain:
     def test_skips_empty_documents(self):
         assert train(["", "ab"], order=2) == train(["ab"], order=2)
 
-    @given(docs=st.lists(st.one_of(st.just(""),
-                                   st.text(st.sampled_from(TEXT_CHARS), max_size=40)),
-                         min_size=1, max_size=6),
-           order=st.integers(1, 5))
+    # Each corpus draws on a few of WINDOW_CHARS, so that windows which
+    # differ only in their first character are common.  WINDOW_CHARS hold
+    # SENTINEL and UNKNOWN, plus non-BMP characters that fill the high bits
+    # of the 21 train packs per character; windows of order 4 and up
+    # overflow an int64 and take the re-rank step.
+    @given(docs=st.lists(st.sampled_from(WINDOW_CHARS), min_size=1, max_size=4,
+                         unique=True).flatmap(
+               lambda alphabet: st.lists(
+                   st.one_of(st.just(""),
+                             st.text(st.sampled_from(alphabet), max_size=40)),
+                   min_size=1, max_size=6)),
+           order=st.integers(1, 8))
     @settings(max_examples=300, deadline=None)
     def test_counts_equal_per_character_loop(self, docs, order):
         counts, trained_chars = reference_train_counts(docs, order)
