@@ -49,6 +49,10 @@ def normalize_text(raw: str) -> str:
     if not text.isprintable():
         # Every character _CONTROL_RE matches is unprintable (category Cc).
         text = _CONTROL_RE.sub("", text)
+    elif not ("  " in text or text.startswith(" ") or text.endswith(" ")):
+        # The space is the only printable character str.split() splits on,
+        # so the text is already collapsed and trimmed.
+        return text.lower()
     return " ".join(text.split()).lower()
 
 
@@ -122,6 +126,9 @@ class Post:
 
     def normalized_text(self) -> str:
         """Body and caption joined by a space, then normalized."""
+        # A space after the body alone would only be trimmed again.
+        if not self.caption:
+            return normalize_text(self.body)
         return normalize_text(self.body + " " + self.caption)
 
 

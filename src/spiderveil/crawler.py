@@ -16,7 +16,8 @@ import random
 import time
 from dataclasses import dataclass, fields
 from enum import Enum
-from itertools import islice
+from itertools import chain, islice
+from operator import itemgetter
 from pathlib import Path
 from urllib.parse import quote
 
@@ -27,7 +28,8 @@ from .corpus import NoteKind, NoteRecord, Post, filter_english, normalize_tag
 from .errors import GraphFormatError, NotFoundError, RetrievalError, ScoringError
 from .langmodel import NGramModel, Verdict, classify, score_blogger
 from .simnet import _is_json_integer
-from .socialgraph import CommunityGraph, LABEL_VALUES, kinds_mask, label_mask
+from .socialgraph import (CommunityGraph, LABEL_VALUES, _successor_ids,
+                          kinds_mask, label_mask)
 
 logger = logging.getLogger("spiderveil.crawler")
 
@@ -44,6 +46,8 @@ PROPAGATION_CAP = 64
 NOTE_KINDS = tuple(kind.value for kind in NoteKind)
 # The kind of a checked note record, found without the Enum call's lookup.
 _NOTE_KIND_OF = {kind.value: kind for kind in NoteKind}
+# The (blog_name, kind value) pair a note record is interned under.
+_NOTE_KEY = itemgetter("blog_name", "kind")
 
 
 def _nonempty_str(value) -> bool:
@@ -117,11 +121,19 @@ def validate_fixture(data) -> None:
         seen.add(post["id"])
 
 
-def post_from_record(record: dict) -> Post:
-    """Parse one store record into a Post."""
+def post_from_record(record: dict, note_records: dict | None = None) -> Post:
+    """Parse one store record into a Post.
+
+    ``note_records`` maps (blog_name, kind value) pairs to the NoteRecord
+    made for them and takes in each one made here, so that a store passing
+    one table for all its posts holds one record per noter and kind.
+    """
+    if note_records is None:
+        note_records = {}
     try:
-        notes = tuple(NoteRecord(n["blog_name"], _NOTE_KIND_OF[n["kind"]])
-                      for n in record.get("notes", []))
+        notes = tuple(note_records.get(key) or note_records.setdefault(
+                          key, NoteRecord(key[0], _NOTE_KIND_OF[key[1]]))
+                      for key in map(_NOTE_KEY, record.get("notes", [])))
         tags = tuple(t for t in (normalize_tag(raw) for raw in record.get("tags", ())) if t)
         return Post(id=str(record["id"]), blog_name=record["blog_name"],
                     body=record.get("body", ""), caption=record.get("caption", ""),
@@ -145,6 +157,7 @@ class FixtureStore:
     the store is made, and the text posts are indexed by blogger and by tag
     then; a post is parsed from its record (notes included) only when a
     request first returns it, and later requests return the same object.
+    Posts share one NoteRecord per noter and kind.
     Post arrays are ordered most-recent-first, so "the newest N" is a prefix
     slice.  Responses are deterministic for identical requests.
     """
@@ -153,6 +166,7 @@ class FixtureStore:
         validate_fixture(data)
         self._records: list[dict] = data["posts"]
         self._posts: list[Post | None] = [None] * len(self._records)
+        self._note_records: dict[tuple[str, str], NoteRecord] = {}
         self._by_blogger: dict[str, list[int]] = {}
         self._by_tag: dict[str, list[int]] = {}
         # A blogger with posts of other types only is known and has no posts.
@@ -181,7 +195,8 @@ class FixtureStore:
     def _post(self, index: int) -> Post:
         post = self._posts[index]
         if post is None:
-            post = self._posts[index] = post_from_record(self._records[index])
+            post = self._posts[index] = post_from_record(self._records[index],
+                                                         self._note_records)
         return post
 
     def tagged_posts(self, tag: str, limit: int | None = None) -> list[Post]:
@@ -229,6 +244,7 @@ class HttpJsonStore:
         self.retries = retries
         self.backoff = backoff
         self._session = session or requests.Session()
+        self._note_records: dict[tuple[str, str], NoteRecord] = {}
 
     def _get(self, path: str, params: dict) -> dict:
         params = {k: v for k, v in params.items() if v is not None}
@@ -278,8 +294,9 @@ class HttpJsonStore:
             raise GraphFormatError("bad posts payload: 'posts' is not an array")
         for i, record in enumerate(records):
             check_post_record(record, f"bad posts payload: posts[{i}]")
-        return [post_from_record(record) for record in records
-                if record["type"] == "text"][:limit]
+        texts = [record for record in records if record["type"] == "text"]
+        return [post_from_record(record, self._note_records)
+                for record in texts[:limit]]
 
     def tagged_posts(self, tag: str, limit: int | None = None) -> list[Post]:
         return self._text_posts(f"/tagged/{quote(normalize_tag(tag))}", limit)
@@ -451,16 +468,16 @@ def build_transition_matrix(graph: CommunityGraph) -> TransitionMatrix:
     nodes = graph.nodes()
     if not nodes:
         raise ValueError("cannot build a transition matrix for an empty graph")
-    index = {name: i for i, name in enumerate(nodes)}
-    matrix = np.zeros((len(nodes), len(nodes)), dtype=float)
-    for i, name in enumerate(nodes):
-        successors = graph.successors(name)
-        if successors:
-            share = 1.0 / len(successors)
-            for succ in successors:
-                matrix[i, index[succ]] = share
-        else:
-            matrix[i, i] = 1.0
+    successors = _successor_ids(graph)
+    count = len(nodes)
+    degree = np.fromiter(map(len, successors), dtype=np.intp, count=count)
+    targets = np.fromiter(chain.from_iterable(successors), dtype=np.intp,
+                          count=int(degree.sum()))
+    sources = np.repeat(np.arange(count), degree)
+    matrix = np.zeros((count, count), dtype=float)
+    matrix[sources, targets] = (1.0 / np.maximum(degree, 1))[sources]
+    sinks = np.flatnonzero(degree == 0)
+    matrix[sinks, sinks] = 1.0
     return TransitionMatrix(ordering=nodes, entries=matrix)
 
 

@@ -17,7 +17,6 @@ import heapq
 import json
 import re
 from dataclasses import dataclass
-from xml.etree import ElementTree
 
 from .corpus import NoteKind
 from .errors import GraphFormatError, SelfLoopError
@@ -279,8 +278,9 @@ def scc_count(graph: CommunityGraph) -> int:
 
 def _successor_ids(graph: CommunityGraph) -> list[list[int]]:
     """Successor lists over node ids, the positions in ``graph.nodes()``."""
-    index = {node: i for i, node in enumerate(graph.nodes())}
-    return [[index[succ] for succ in graph.successors(node)] for node in index]
+    nodes, succ = graph.nodes(), graph._succ
+    index = dict(zip(nodes, range(len(nodes))))
+    return [list(map(index.__getitem__, succ[node])) for node in nodes]
 
 
 def _shortest_paths(graph: CommunityGraph
@@ -580,43 +580,55 @@ def _to_dot(graph: CommunityGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
+# What ElementTree wrote for the GraphML root, its keys and the start of its
+# graph element: one line after the declaration, empty elements as " />".
+_GRAPHML_HEAD = (
+    "<?xml version='1.0' encoding='UTF-8'?>\n"
+    '<graphml xmlns="http://graphml.graphdrawing.org/xmlns">'
+    '<key id="d_verdict" for="node" attr.name="verdict" attr.type="string" />'
+    '<key id="d_score" for="node" attr.name="score" attr.type="double" />'
+    '<key id="d_labels" for="edge" attr.name="labels" attr.type="string" />'
+    '<graph id="community" edgedefault="directed"')
+# ElementTree's attribute escapes, in its order: "&" goes first, so no entity
+# is escaped twice.
+_ATTRIBUTE_ESCAPES = (("&", "&amp;"), ("<", "&lt;"), (">", "&gt;"),
+                      ('"', "&quot;"), ("\r", "&#13;"), ("\n", "&#10;"),
+                      ("\t", "&#09;"))
+
+
+def _xml_attribute(text: str) -> str:
+    for char, entity in _ATTRIBUTE_ESCAPES:
+        if char in text:
+            text = text.replace(char, entity)
+    return text
+
+
 def _to_graphml(graph: CommunityGraph) -> bytes:
-    ns = "http://graphml.graphdrawing.org/xmlns"
-    ElementTree.register_namespace("", ns)
-    root = ElementTree.Element(f"{{{ns}}}graphml")
-    for key_id, target, name, kind in (
-            ("d_verdict", "node", "verdict", "string"),
-            ("d_score", "node", "score", "double"),
-            ("d_labels", "edge", "labels", "string")):
-        key = ElementTree.SubElement(root, f"{{{ns}}}key")
-        key.set("id", key_id)
-        key.set("for", target)
-        key.set("attr.name", name)
-        key.set("attr.type", kind)
-    container = ElementTree.SubElement(root, f"{{{ns}}}graph")
-    container.set("id", "community")
-    container.set("edgedefault", "directed")
-    for name in graph.nodes():
-        node = ElementTree.SubElement(container, f"{{{ns}}}node")
-        node.set("id", name)
-        verdict = graph.verdict(name)
-        if verdict is not None:
-            data = ElementTree.SubElement(node, f"{{{ns}}}data")
-            data.set("key", "d_verdict")
-            data.text = verdict.value
-        score = graph.score(name)
+    """The bytes ``ElementTree.tostring(..., encoding="UTF-8",
+    xml_declaration=True)`` gives for the graph's GraphML tree.
+
+    Names are escaped as ElementTree escapes attributes; verdicts, scores and
+    labels hold no character its text escapes touch.  A character UTF-8
+    cannot encode, a lone surrogate, becomes a character reference.
+    """
+    ids = {name: _xml_attribute(name) for name in graph._nodes}
+    parts = []
+    for name, attrs in graph._nodes.items():
+        verdict, score = attrs["verdict"], attrs["score"]
+        data = "" if verdict is None else (
+            f'<data key="d_verdict">{verdict.value}</data>')
         if score is not None:
-            data = ElementTree.SubElement(node, f"{{{ns}}}data")
-            data.set("key", "d_score")
-            data.text = repr(score)
-    for src, dst, labels in graph.edges():
-        edge = ElementTree.SubElement(container, f"{{{ns}}}edge")
-        edge.set("source", src)
-        edge.set("target", dst)
-        data = ElementTree.SubElement(edge, f"{{{ns}}}data")
-        data.set("key", "d_labels")
-        data.text = "|".join(sorted(label.value for label in labels))
-    return ElementTree.tostring(root, encoding="UTF-8", xml_declaration=True)
+            data += f'<data key="d_score">{score!r}</data>'
+        parts.append(f'<node id="{ids[name]}">{data}</node>' if data
+                     else f'<node id="{ids[name]}" />')
+    for src, targets in graph._succ.items():
+        for dst, mask in targets.items():
+            parts.append(f'<edge source="{ids[src]}" target="{ids[dst]}">'
+                         f'<data key="d_labels">{"|".join(LABEL_VALUES[mask])}'
+                         '</data></edge>')
+    body = f'>{"".join(parts)}</graph>' if parts else " />"
+    return (_GRAPHML_HEAD + body + "</graphml>").encode("utf-8",
+                                                         "xmlcharrefreplace")
 
 
 def export_graph(graph: CommunityGraph, fmt: str) -> bytes:

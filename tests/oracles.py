@@ -13,6 +13,9 @@ every post at load, as the lazy store replaced; the generator's oracle draws
 through ``randrange`` and ``shuffle``, and the trainer's oracle counts one
 character at a time.  The graph and crawl-state oracles keep each edge's and
 each discoverer's labels as a set of kinds, as the bitmask form replaced.
+The transition-matrix oracle assigns one matrix cell per edge, and the
+GraphML oracle builds and writes an ElementTree, as the array scatter and
+the string writer replaced.
 """
 
 from __future__ import annotations
@@ -21,15 +24,16 @@ import math
 import random
 import re
 from collections import deque
+from xml.etree import ElementTree
 
 import numpy as np
 
 from spiderveil.corpus import (ENGLISH_FUNCTION_WORDS, LanguageVerdict,
                                NoteKind, Post, normalize_tag)
 from spiderveil.crawler import (CHECKPOINT_FORMAT, CHECKPOINT_VERSION,
-                                CrawlSession, extract_frontiers,
-                                post_from_record, validate_fixture,
-                                visit_log_to_json)
+                                CrawlSession, TransitionMatrix,
+                                extract_frontiers, post_from_record,
+                                validate_fixture, visit_log_to_json)
 from spiderveil.errors import GraphFormatError, NotFoundError, SelfLoopError
 from spiderveil.langmodel import SENTINEL, UNKNOWN, Verdict
 from spiderveil.simnet import GLUE_RATE, _split_vocab, relevant_count
@@ -184,6 +188,29 @@ def modularity_oracle(nodes, edges, assignment) -> float:
 def propagate_oracle(p0, matrix, k: int):
     """p0 . M^k through numpy's explicit matrix power."""
     return np.asarray(p0, dtype=float) @ np.linalg.matrix_power(matrix, k)
+
+
+def reference_transition_matrix(graph) -> TransitionMatrix:
+    """One matrix cell per edge, as the scatter over successor-id arrays
+    replaced; ``build_transition_matrix`` must give an equal matrix.
+
+    A node without out-edges keeps its mass (self-loop entry), which keeps
+    every row summing to one.
+    """
+    nodes = graph.nodes()
+    if not nodes:
+        raise ValueError("cannot build a transition matrix for an empty graph")
+    index = {name: i for i, name in enumerate(nodes)}
+    matrix = np.zeros((len(nodes), len(nodes)), dtype=float)
+    for i, name in enumerate(nodes):
+        successors = graph.successors(name)
+        if successors:
+            share = 1.0 / len(successors)
+            for succ in successors:
+                matrix[i, index[succ]] = share
+        else:
+            matrix[i, i] = 1.0
+    return TransitionMatrix(ordering=nodes, entries=matrix)
 
 
 def random_digraph(rng, max_nodes=8, edge_prob=0.3):
@@ -538,6 +565,48 @@ def reference_generate(params) -> tuple[dict, dict[str, bool]]:
         "seed": seed_name,
     }
     return store, truth
+
+
+def reference_graphml(graph) -> bytes:
+    """The GraphML tree built and written by ElementTree, as the string
+    writer replaced; ``export_graph(graph, "graphml")`` must return exactly
+    these bytes."""
+    ns = "http://graphml.graphdrawing.org/xmlns"
+    ElementTree.register_namespace("", ns)
+    root = ElementTree.Element(f"{{{ns}}}graphml")
+    for key_id, target, name, kind in (
+            ("d_verdict", "node", "verdict", "string"),
+            ("d_score", "node", "score", "double"),
+            ("d_labels", "edge", "labels", "string")):
+        key = ElementTree.SubElement(root, f"{{{ns}}}key")
+        key.set("id", key_id)
+        key.set("for", target)
+        key.set("attr.name", name)
+        key.set("attr.type", kind)
+    container = ElementTree.SubElement(root, f"{{{ns}}}graph")
+    container.set("id", "community")
+    container.set("edgedefault", "directed")
+    for name in graph.nodes():
+        node = ElementTree.SubElement(container, f"{{{ns}}}node")
+        node.set("id", name)
+        verdict = graph.verdict(name)
+        if verdict is not None:
+            data = ElementTree.SubElement(node, f"{{{ns}}}data")
+            data.set("key", "d_verdict")
+            data.text = verdict.value
+        score = graph.score(name)
+        if score is not None:
+            data = ElementTree.SubElement(node, f"{{{ns}}}data")
+            data.set("key", "d_score")
+            data.text = repr(score)
+    for src, dst, labels in graph.edges():
+        edge = ElementTree.SubElement(container, f"{{{ns}}}edge")
+        edge.set("source", src)
+        edge.set("target", dst)
+        data = ElementTree.SubElement(edge, f"{{{ns}}}data")
+        data.set("key", "d_labels")
+        data.text = "|".join(sorted(label.value for label in labels))
+    return ElementTree.tostring(root, encoding="UTF-8", xml_declaration=True)
 
 
 class ReferenceGraph:

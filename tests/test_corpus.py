@@ -35,6 +35,21 @@ DETECTOR_PIECES = st.one_of(
     st.sampled_from([" ", " ", "  ", "_", "\t", "\n", ".", ",", "!", "'", "-",
                      "\u00e9", "\u0130", "\u00df", "\u212a", "\u0663",
                      "\u00b2", "\uff13", "\u216b"]))
+# Normalizer input: any text; printable words joined by single spaces,
+# which take the branch that only lowercases; and printable words among runs
+# of spaces and every other character str.split() splits on, leading and
+# trailing ones included.
+PRINTABLE_WORDS = st.text(
+    st.one_of(st.characters(exclude_categories=(
+        "Cc", "Cf", "Cs", "Co", "Cn", "Zs", "Zl", "Zp")), st.sampled_from("<>")),
+    min_size=1, max_size=8)
+SEPARATORS = st.sampled_from([" ", " ", " ", "  ", "   "] + UNICODE_WHITESPACE)
+NORMALIZE_INPUTS = st.one_of(
+    st.text(alphabet=st.one_of(st.sampled_from(UNICODE_WHITESPACE),
+                               st.sampled_from(AWKWARD), st.characters()),
+            max_size=200),
+    st.lists(PRINTABLE_WORDS, max_size=12).map(" ".join),
+    st.lists(st.one_of(PRINTABLE_WORDS, SEPARATORS), max_size=24).map("".join))
 DETECTOR_TEXTS = st.one_of(st.lists(DETECTOR_PIECES, max_size=30).map("".join),
                            st.text(" ", max_size=30))
 
@@ -68,13 +83,21 @@ class TestNormalizeText:
         assert {"\x1c", "\x1f", "\x85", "\xa0", "\u2028", "\u3000"} <= set(
             UNICODE_WHITESPACE)
 
-    @given(st.text(alphabet=st.one_of(st.sampled_from(UNICODE_WHITESPACE),
-                                      st.sampled_from(AWKWARD),
-                                      st.characters()),
-                   max_size=200))
+    @given(NORMALIZE_INPUTS)
     @settings(max_examples=500)
     def test_matches_the_three_regex_form(self, raw):
         assert normalize_text(raw) == reference_normalize_text(raw)
+
+    @pytest.mark.parametrize("raw, expected", [
+        # Printable, single-spaced and trimmed: lowercased as it is.
+        ("Ab \u0130 c>D", "ab i\u0307 c>d"),
+        ("a<b>c", "a c"),
+        # Anything else is split and re-joined.
+        (" a", "a"), ("a ", "a"), ("a  b", "a b"), ("a\u3000b", "a b"),
+        ("a\x85b", "a b"), ("a\x1cb", "ab"), ("a<b> c", "a c"),
+    ])
+    def test_both_branches(self, raw, expected):
+        assert normalize_text(raw) == reference_normalize_text(raw) == expected
 
 
 class TestNormalizeTag:
@@ -160,6 +183,27 @@ class TestPost:
     def test_normalized_text_joins_body_and_caption(self):
         post = _post(body="<p>Star</p>", caption="  Gazing ")
         assert post.normalized_text() == "star gazing"
+
+    @pytest.mark.parametrize("body, caption, expected", [
+        ("Star Gazing", "", "star gazing"),
+        ("Star Gazing ", "", "star gazing"),
+        ("a <b", "", "a <b"),
+        # Markup spanning the join is one tag.
+        ("a <b", "c> d", "a d"),
+        ("", "", ""),
+        ("", "Gazing", "gazing"),
+    ])
+    def test_normalized_text_cases(self, body, caption, expected):
+        post = _post(body=body, caption=caption)
+        assert post.normalized_text() == expected
+        assert expected == reference_normalize_text(body + " " + caption)
+
+    @given(NORMALIZE_INPUTS, st.one_of(st.just(""), NORMALIZE_INPUTS))
+    @settings(max_examples=300)
+    def test_normalized_text_matches_the_joined_reference(self, body, caption):
+        post = _post(body=body, caption=caption)
+        assert post.normalized_text() == reference_normalize_text(
+            body + " " + caption)
 
     def test_note_records(self):
         note = NoteRecord("friend", NoteKind.LIKE)

@@ -36,7 +36,8 @@ from spiderveil.socialgraph import CommunityGraph
 from conftest import (EDGE_STORES, HAND_BODIES, MALFORMED_POSTS,
                       MALFORMED_STORES, FakeSession, make_post)
 from oracles import (EagerFixtureStore, ReferenceCrawlSession,
-                     propagate_oracle, random_digraph)
+                     propagate_oracle, random_digraph,
+                     reference_transition_matrix)
 from test_golden import (SEEDS, checkpoint_bytes, crawl_session, crawl_trace,
                          golden_path, network)
 
@@ -315,6 +316,17 @@ ODD_TAG_STORE = {
 }
 
 
+# One noter and kind on posts by two bloggers, and under one tag.
+SHARED_NOTER_STORE = {
+    "blogs": [{"name": "a"}, {"name": "b"}],
+    "posts": [make_post("p1", "a", "one", tags=["t"],
+                        notes=[("c", "like"), ("c", "reblog")]),
+              make_post("p2", "b", "two", tags=["t"],
+                        notes=[("d", "like"), ("c", "like")]),
+              make_post("p3", "a", "three", notes=[("c", "reblog")])],
+}
+
+
 class TestLazyPosts:
     """The store checks every record at load but parses a post only when an
     accessor first returns it."""
@@ -325,7 +337,8 @@ class TestLazyPosts:
         ids = []
         parse = crawler_module.post_from_record
         monkeypatch.setattr(crawler_module, "post_from_record",
-                            lambda record: ids.append(record["id"]) or parse(record))
+                            lambda record, note_records:
+                            ids.append(record["id"]) or parse(record, note_records))
         return ids
 
     def test_load_parses_no_post(self, built, small_bundle, tmp_path):
@@ -365,6 +378,21 @@ class TestLazyPosts:
         assert store.blogger_posts("b") == []
         assert "p2" not in returned
         assert "p2" not in built
+
+    def test_posts_share_note_records(self, built):
+        store = FixtureStore(SHARED_NOTER_STORE)
+        p1, p3 = store.blogger_posts("a")
+        [p2] = store.tagged_posts("t", limit=2)[1:]
+        assert built == ["p1", "p3", "p2"]
+        assert p1.notes[0] is p2.notes[1]
+        assert p1.notes[1] is p3.notes[0]
+        assert p1.notes[0] is not p1.notes[1]
+        assert [(n.blog_name, n.kind) for n in p1.notes + p2.notes] == [
+            ("c", NoteKind.LIKE), ("c", NoteKind.REBLOG),
+            ("d", NoteKind.LIKE), ("c", NoteKind.LIKE)]
+        eager = EagerFixtureStore(SHARED_NOTER_STORE)
+        assert [p1, p3] == eager.blogger_posts("a")
+        assert [p2] == eager.blogger_posts("b")
 
     @pytest.mark.parametrize("which", ["hand", "generated", "odd tags"])
     def test_answers_like_the_eager_store(self, which, hand_store_data,
@@ -666,12 +694,26 @@ class TestHttpJsonStore:
         parsed = []
         parse = crawler_module.post_from_record
         monkeypatch.setattr(crawler_module, "post_from_record",
-                            lambda record: parsed.append(record["id"]) or parse(record))
+                            lambda record, note_records:
+                            parsed.append(record["id"]) or parse(record, note_records))
         store = HttpJsonStore("http://store.test",
                               session=FakeSession({"posts": records}))
         assert [p.id for p in store.blogger_posts("a")] == ["p2", "p3"]
+        assert parsed == ["p2", "p3"]
+        # A limit parses only the posts it returns.
         assert [p.id for p in store.tagged_posts("t", limit=1)] == ["p2"]
-        assert "p1" not in parsed
+        assert parsed == ["p2", "p3", "p2"]
+
+    def test_requests_share_note_records(self):
+        store = HttpJsonStore(
+            "http://store.test",
+            session=FakeSession({"posts": SHARED_NOTER_STORE["posts"]}))
+        first = store.blogger_posts("a")
+        second = store.tagged_posts("t")
+        assert first == second
+        assert first[0] is not second[0]
+        assert first[0].notes[0] is first[1].notes[1] is second[0].notes[0]
+        assert first[0].notes[1] is second[2].notes[0]
 
     def test_crawl_over_http_matches_fixture_store(self, hand_http,
                                                    hand_store, hand_model,
@@ -807,6 +849,34 @@ class TestTransitionMatrix:
     def test_empty_graph_rejected(self):
         with pytest.raises(ValueError):
             build_transition_matrix(CommunityGraph())
+
+    def test_equals_per_edge_loop(self, rng):
+        seen = set()
+        for _ in range(60):
+            nodes, edges = random_digraph(
+                rng, max_nodes=12, edge_prob=rng.choice([0.1, 0.3, 0.6]))
+            graph = CommunityGraph()
+            # The other nodes arrive as edge ends, or not at all.
+            listed = rng.sample(nodes, rng.randint(0, len(nodes)))
+            for node_name in listed:
+                graph.add_node(node_name)
+            rng.shuffle(edges)
+            for src, dst in edges:
+                graph.add_labels(src, dst, rng.randint(1, 3))
+            if graph.node_count() == 0:
+                continue
+            for node_name in graph.nodes():
+                if node_name not in listed:
+                    seen.add("edge end")
+                if not graph.successors(node_name):
+                    seen.add("sink")
+                    if not any(node_name == dst for _, dst in edges):
+                        seen.add("isolated")
+            matrix = build_transition_matrix(graph)
+            reference = reference_transition_matrix(graph)
+            assert matrix.ordering == reference.ordering
+            assert np.array_equal(matrix.entries, reference.entries)
+        assert seen == {"edge end", "sink", "isolated"}
 
 
 class TestPropagate:

@@ -4,9 +4,11 @@
 post list as argument 0), ``crawler.score_blogger`` and ``Post.normalized_text``,
 and flags the Markov mass ``select_next`` receives when it is read through
 ``p[...]``, ``p.get`` or ``in``.  It also times ``FixtureStore.load``, the
-``crawler.validate_fixture`` global the store calls, and ``cli.write_json``.
-A traced smoke run shows whether those sites still see the pipeline's work:
-three store loads (bootstrap, train, crawl), each validated, and JSON written.
+``crawler.validate_fixture`` global the store calls, ``cli.write_json``, the
+``crawler.build_transition_matrix`` global the session calls and the
+``export_graph`` of ``cli``.  A traced smoke run shows whether those sites
+still see the pipeline's work: three store loads (bootstrap, train, crawl),
+each validated, JSON written, transition matrices built and graphs exported.
 """
 
 from __future__ import annotations
@@ -35,3 +37,5 @@ def test_traced_longposts_smoke_run():
     assert metrics["crawler.store_loads"]["value"] == 3
     assert metrics["crawler.validate_s"]["value"] > 0
     assert metrics["cli.json_write_s"]["value"] > 0
+    assert metrics["crawler.transition_cells"]["value"] > 0
+    assert metrics["socialgraph.export_bytes"]["value"] > 0

@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 from spiderveil.corpus import NoteKind
 from spiderveil.errors import GraphFormatError, SelfLoopError
 from spiderveil.langmodel import Verdict
-from spiderveil.socialgraph import (CommunityGraph, GraphMeasurements,
-                                    Partition, avg_clustering, betweenness,
+from spiderveil.socialgraph import (LABEL_KINDS, CommunityGraph,
+                                    GraphMeasurements, Partition,
+                                    avg_clustering, betweenness,
                                     closeness_in, detect_communities,
                                     diameter, export_graph,
                                     import_json_edge_list, measure,
@@ -21,7 +22,7 @@ from oracles import (ReferenceGraph, avg_clustering_oracle,
                      betweenness_oracle, closeness_in_oracle, diameter_oracle,
                      modularity_oracle, random_digraph, reference_betweenness,
                      reference_closeness_in, reference_detect_communities,
-                     reference_diameter, scc_count_oracle)
+                     reference_diameter, reference_graphml, scc_count_oracle)
 
 
 def build_graph(nodes, edges, label=NoteKind.LIKE):
@@ -637,3 +638,44 @@ class TestSerializationMatchesReference:
         reference = ReferenceGraph.from_json_dict(doc)
         assert graph_view(graph) == graph_view(reference)
         assert graph.to_json_dict() == reference.to_json_dict()
+
+
+# Name characters the GraphML writer escapes or encodes apart: the XML
+# specials, tab, newline and CR, the other C0 controls, non-BMP characters
+# and lone surrogates, among any other characters.
+GRAPHML_CHARACTERS = st.one_of(
+    st.sampled_from(list("&<>\"'\t\n\r") + [chr(c) for c in range(0x20)]),
+    st.characters(min_codepoint=0x10000),
+    st.sampled_from(["\ud800", "\udbff", "\udc00", "\udfff"]),
+    st.characters())
+
+
+@st.composite
+def graphml_graphs(draw):
+    """Graphs over awkward names, nodes with and without a verdict or a
+    score, some only edge ends, and edges with every label mask."""
+    names = draw(st.lists(st.text(GRAPHML_CHARACTERS, min_size=1, max_size=5),
+                          unique=True, min_size=1, max_size=6))
+    pick = st.sampled_from(names)
+    graph = CommunityGraph()
+    for name in draw(st.lists(pick, max_size=6)):
+        graph.add_node(name, draw(VERDICTS), draw(SCORES))
+    masks = st.sampled_from(range(1, len(LABEL_KINDS)))
+    for src, dst, mask in draw(st.lists(st.tuples(pick, pick, masks),
+                                        max_size=12)):
+        if src != dst:
+            graph.add_labels(src, dst, mask)
+    return graph
+
+
+class TestGraphmlMatchesReference:
+    """The string GraphML writer returns the bytes ElementTree wrote."""
+
+    @given(graphml_graphs())
+    @settings(max_examples=300, deadline=None)
+    def test_export_equals_reference(self, graph):
+        assert export_graph(graph, "graphml") == reference_graphml(graph)
+
+    def test_empty_graph_equals_reference(self):
+        graph = CommunityGraph()
+        assert export_graph(graph, "graphml") == reference_graphml(graph)
