@@ -16,7 +16,7 @@ import random
 import time
 from dataclasses import dataclass, fields
 from enum import Enum
-from itertools import chain, islice
+from itertools import islice
 from operator import itemgetter
 from pathlib import Path
 from urllib.parse import quote
@@ -28,7 +28,7 @@ from .corpus import NoteKind, NoteRecord, Post, filter_english, normalize_tag
 from .errors import GraphFormatError, NotFoundError, RetrievalError, ScoringError
 from .langmodel import NGramModel, Verdict, classify, score_blogger
 from .simnet import _is_json_integer
-from .socialgraph import (CommunityGraph, LABEL_VALUES, _successor_ids,
+from .socialgraph import (CommunityGraph, LABEL_VALUES, _successor_arrays,
                           kinds_mask, label_mask)
 
 logger = logging.getLogger("spiderveil.crawler")
@@ -138,7 +138,8 @@ def post_from_record(record: dict, note_records: dict | None = None) -> Post:
         return Post(id=str(record["id"]), blog_name=record["blog_name"],
                     body=record.get("body", ""), caption=record.get("caption", ""),
                     slug=record.get("slug", ""), tags=tags, notes=notes)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        # AttributeError: a tag that is not a string has no ``strip``.
         raise GraphFormatError(f"bad post record: {exc}") from exc
 
 
@@ -468,11 +469,9 @@ def build_transition_matrix(graph: CommunityGraph) -> TransitionMatrix:
     nodes = graph.nodes()
     if not nodes:
         raise ValueError("cannot build a transition matrix for an empty graph")
-    successors = _successor_ids(graph)
+    indptr, targets = _successor_arrays(graph)
     count = len(nodes)
-    degree = np.fromiter(map(len, successors), dtype=np.intp, count=count)
-    targets = np.fromiter(chain.from_iterable(successors), dtype=np.intp,
-                          count=int(degree.sum()))
+    degree = np.diff(indptr)
     sources = np.repeat(np.arange(count), degree)
     matrix = np.zeros((count, count), dtype=float)
     matrix[sources, targets] = (1.0 / np.maximum(degree, 1))[sources]

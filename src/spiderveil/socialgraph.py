@@ -17,6 +17,9 @@ import heapq
 import json
 import re
 from dataclasses import dataclass
+from itertools import chain
+
+import numpy as np
 
 from .corpus import NoteKind
 from .errors import GraphFormatError, SelfLoopError
@@ -276,63 +279,145 @@ def scc_count(graph: CommunityGraph) -> int:
     return len(strongly_connected_components(graph))
 
 
-def _successor_ids(graph: CommunityGraph) -> list[list[int]]:
-    """Successor lists over node ids, the positions in ``graph.nodes()``."""
+def _successor_arrays(graph: CommunityGraph) -> tuple[np.ndarray, np.ndarray]:
+    """The graph in CSR form over node ids, the positions in ``graph.nodes()``.
+
+    Node i's successors are ``indices[indptr[i]:indptr[i + 1]]``, in edge
+    insertion order.  ``_succ`` holds the nodes in ``_nodes`` order.
+    """
     nodes, succ = graph.nodes(), graph._succ
     index = dict(zip(nodes, range(len(nodes))))
-    return [list(map(index.__getitem__, succ[node])) for node in nodes]
+    indptr = np.zeros(len(nodes) + 1, dtype=np.intp)
+    np.cumsum(np.fromiter(map(len, succ.values()), dtype=np.intp,
+                          count=len(nodes)), out=indptr[1:])
+    indices = np.fromiter(map(index.__getitem__,
+                              chain.from_iterable(succ.values())),
+                          dtype=np.intp, count=int(indptr[-1]))
+    return indptr, indices
+
+
+# Entries one batch of sources may hold: a batch of B sources keys its nodes
+# and edges as ``row * N + node``, so it keeps B·N entries per node array and
+# a copy of the graph's B·E edges, and each source's BFS crosses an edge at
+# most once.  2**16 gives a 500-node, 4000-edge graph batches of 16 sources
+# and a traced peak under 3 MB; below 2**16 nodes and edges it also keeps
+# every key, and so every discovery rank, in 16 bits.
+_BATCH_ENTRIES = 1 << 16
+
+# float64 holds every integer below 2**53; a batch whose largest path count
+# reaches it counts its paths again as Python ints.
+_EXACT_PATHS = 2.0 ** 53
+
+
+def _batch_paths(indptr: np.ndarray, indices: np.ndarray, roots: np.ndarray,
+                 size: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """Brandes' dependencies and the distances from each of ``roots``.
+
+    ``indptr``/``indices`` hold one copy of the graph per batch row, over the
+    keys ``row * N + node``; ``roots`` are the sources' keys, one per row, and
+    ``size`` is the number of keys the rows span.  Returns (delta, dist,
+    depth) over those keys: each source's own dependency is 0.0, unreached
+    keys are at distance -1 and ``depth`` is the deepest level any source
+    reached.
+
+    The pass runs one BFS level of every source at a time.  The frontier's
+    out-edges are gathered in frontier order, so a node's first discoverer
+    is its first edge position, and the new frontier comes out in the order
+    the one-source loop appends it.  The backward sweep adds each level's
+    dependencies in decreasing discovery order of the edge heads, the loop's
+    order, so every float sum rounds as the loop's does.
+    """
+    dist = np.full(size, -1, dtype=np.intp)
+    sigma = np.zeros(size)
+    dist[roots] = 0
+    sigma[roots] = 1.0
+    unset = np.iinfo(np.intp).max
+    discoverer = np.full(size, unset)
+    rank_type = np.min_scalar_type(size)  # 16-bit ranks sort by radix
+    levels = []  # per level: (tails, heads) of its DAG edges, in sweep order
+    frontier = roots
+    depth = 0
+    while True:
+        starts = indptr[frontier]
+        degree = indptr[frontier + 1] - starts
+        ends = np.cumsum(degree)
+        heads = indices[np.arange(ends[-1])
+                        + np.repeat(starts - ends + degree, degree)]
+        # np.compress is several times faster than a scattered boolean index.
+        fresh = dist[heads] < 0
+        heads = np.compress(fresh, heads)
+        if not heads.size:
+            break
+        tails = np.compress(fresh, np.repeat(frontier, degree))
+        position = np.arange(heads.size)
+        np.minimum.at(discoverer, heads, position)
+        first = discoverer[heads]
+        discoverer[heads] = unset
+        found = first == position
+        frontier = np.compress(found, heads)
+        rank = (np.cumsum(found) - 1)[first]
+        depth += 1
+        dist[frontier] = depth
+        sigma[frontier] = np.bincount(rank, weights=sigma[tails],
+                                      minlength=frontier.size)
+        # Edges sharing a head feed different tails, so their order is free.
+        order = np.argsort(rank.astype(rank_type), kind="stable")[::-1]
+        levels.append((tails[order], heads[order]))
+
+    paths = sigma
+    if sigma.max() >= _EXACT_PATHS:  # int / int rounds as the loop's does
+        paths = np.zeros(size, dtype=object)
+        paths[roots] = 1
+        for tails, heads in levels:
+            np.add.at(paths, heads, paths[tails])
+
+    delta = np.zeros(size)
+    for tails, heads in reversed(levels):
+        ratio = np.asarray(paths[tails] / paths[heads], dtype=float)
+        np.add.at(delta, tails, ratio * (1.0 + delta[heads]))
+    delta[roots] = 0.0
+    return delta, dist, depth
 
 
 def _shortest_paths(graph: CommunityGraph
                     ) -> tuple[dict[str, float], dict[str, float], int]:
     """Betweenness, in-closeness and diameter from one BFS per source.
 
-    Brandes' accumulation, O(N·E) over node ids.  Sources, BFS visits and
-    dependency sums follow node and edge insertion order, which fixes the
-    order of every float sum.  The backward sweep also counts, for each node
-    v, the sources reaching it and the sum of their distances to it; both are
-    integers, so in-closeness is exact.  The last node a BFS visits is its
-    deepest, and the deepest of all is the diameter.
+    Brandes' accumulation, O(N·E) over node ids, run for a batch of sources
+    at a time (``_batch_paths``).  Sources, BFS visits and dependency sums
+    follow node and edge insertion order, which fixes the order of every
+    float sum: the batches' dependencies are added to the betweenness one
+    source at a time, in source order.  For each node v the sources reaching
+    it and the sum of their distances to it are integers, so in-closeness is
+    exact.  The deepest level of all is the diameter.
     """
     nodes = graph.nodes()
-    adjacency = _successor_ids(graph)
     count = len(nodes)
-    centrality = [0.0] * count
-    reaching = [0] * count
-    distance = [0] * count
+    indptr, indices = _successor_arrays(graph)
+    edges = len(indices)
+    batch = max(1, min(count, _BATCH_ENTRIES // max(edges, count, 1)))
+    rows = np.arange(batch)[:, None]
+    batch_indptr = np.append(indptr[:-1] + edges * rows, edges * batch)
+    batch_indices = (indices + count * rows).ravel()
+    centrality = np.zeros(count)
+    reaching = np.zeros(count, dtype=np.int64)
+    distance = np.zeros(count, dtype=np.int64)
     longest = 0
-    for source in range(count):
-        preds: list[list[int] | None] = [None] * count
-        sigma = [0] * count
-        sigma[source] = 1
-        dist = [-1] * count
-        dist[source] = 0
-        order = [source]
-        for node in order:  # BFS: ``order`` is also the queue
-            depth = dist[node] + 1
-            paths = sigma[node]
-            for nxt in adjacency[node]:
-                if dist[nxt] < 0:
-                    dist[nxt] = depth
-                    sigma[nxt] = paths
-                    preds[nxt] = [node]
-                    order.append(nxt)
-                elif dist[nxt] == depth:
-                    sigma[nxt] += paths
-                    preds[nxt].append(node)
-        longest = max(longest, dist[order[-1]])
-        delta = [0.0] * count
-        for i in range(len(order) - 1, 0, -1):
-            node = order[i]
-            paths = sigma[node]
-            share = 1.0 + delta[node]
-            for pred in preds[node]:
-                delta[pred] += sigma[pred] / paths * share
-            centrality[node] += delta[node]
-            reaching[node] += 1
-            distance[node] += dist[node]
-    closeness = [n / total if n else 0.0 for n, total in zip(reaching, distance)]
-    return dict(zip(nodes, centrality)), dict(zip(nodes, closeness)), longest
+    for first in range(0, count, batch):
+        sources = np.arange(first, min(first + batch, count))
+        delta, dist, depth = _batch_paths(
+            batch_indptr, batch_indices,
+            np.arange(sources.size) * count + sources, sources.size * count)
+        for row in delta.reshape(sources.size, count):
+            centrality += row
+        dist = dist.reshape(sources.size, count)
+        reaching += (dist > 0).sum(axis=0)
+        distance += dist.clip(min=0).sum(axis=0)
+        longest = max(longest, depth)
+    closeness = [n / total if n else 0.0
+                 for n, total in zip(reaching.tolist(), distance.tolist())]
+    return (dict(zip(nodes, centrality.tolist())), dict(zip(nodes, closeness)),
+            longest)
 
 
 def diameter(graph: CommunityGraph) -> int:
@@ -436,9 +521,10 @@ def detect_communities(graph: CommunityGraph) -> Partition:
     nodes = graph.nodes()
     # links[a][b]: undirected edges between communities a and b.
     links: list[dict[int, int]] = [{} for _ in nodes]
-    for src, targets in enumerate(_successor_ids(graph)):
-        for dst in targets:
-            links[src][dst] = links[dst][src] = 1
+    indptr, indices = _successor_arrays(graph)
+    sources = np.repeat(np.arange(len(nodes)), np.diff(indptr))
+    for src, dst in zip(sources.tolist(), indices.tolist()):
+        links[src][dst] = links[dst][src] = 1
     degree = [len(neighbours) for neighbours in links]
     m = sum(degree) // 2
     if m == 0:

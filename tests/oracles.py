@@ -6,9 +6,11 @@ path enumeration, and direct formula evaluation.  The scorer's oracle is the
 per-character loop that defines a score; the betweenness and community
 oracles are the name-keyed loops that the int-indexed library code replaced;
 the diameter and in-closeness oracles are the per-node BFS loops that the
-single shortest-path pass replaced; the normalizer's oracle is the
-three-substitution form it replaced; the language detector's oracle
-tokenizes every text by one regex findall; the fixture store's oracle parses
+single shortest-path pass replaced, and the shortest-path oracle is that
+pass as a loop over one source at a time, as the batched numpy form
+replaced; the normalizer's oracle is the three-substitution form it
+replaced; the language detector's oracle tokenizes every text by one regex
+findall; the fixture store's oracle parses
 every post at load, as the lazy store replaced; the generator's oracle draws
 through ``randrange`` and ``shuffle``, and the trainer's oracle counts one
 character at a time.  The graph and crawl-state oracles keep each edge's and
@@ -37,7 +39,7 @@ from spiderveil.crawler import (CHECKPOINT_FORMAT, CHECKPOINT_VERSION,
 from spiderveil.errors import GraphFormatError, NotFoundError, SelfLoopError
 from spiderveil.langmodel import SENTINEL, UNKNOWN, Verdict
 from spiderveil.simnet import GLUE_RATE, _split_vocab, relevant_count
-from spiderveil.socialgraph import Partition, _node_name, _successor_ids
+from spiderveil.socialgraph import Partition, _node_name
 
 INF = float("inf")
 
@@ -308,6 +310,67 @@ def reference_betweenness(graph) -> dict[str, float]:
             if node != source:
                 centrality[node] += delta[node]
     return centrality
+
+
+def _successor_ids(graph) -> list[list[int]]:
+    """Successor lists over node ids, the positions in ``graph.nodes()``."""
+    nodes, succ = graph.nodes(), graph._succ
+    index = dict(zip(nodes, range(len(nodes))))
+    return [list(map(index.__getitem__, succ[node])) for node in nodes]
+
+
+def reference_shortest_paths(graph
+                             ) -> tuple[dict[str, float], dict[str, float], int]:
+    """Betweenness, in-closeness and diameter from one BFS per source, one
+    source at a time over Python lists with exact integer path counts; the
+    library's batched numpy pass must return exactly these values.
+
+    Brandes' accumulation, O(N·E) over node ids.  Sources, BFS visits and
+    dependency sums follow node and edge insertion order, which fixes the
+    order of every float sum.  The backward sweep also counts, for each node
+    v, the sources reaching it and the sum of their distances to it; both are
+    integers, so in-closeness is exact.  The last node a BFS visits is its
+    deepest, and the deepest of all is the diameter.
+    """
+    nodes = graph.nodes()
+    adjacency = _successor_ids(graph)
+    count = len(nodes)
+    centrality = [0.0] * count
+    reaching = [0] * count
+    distance = [0] * count
+    longest = 0
+    for source in range(count):
+        preds: list[list[int] | None] = [None] * count
+        sigma = [0] * count
+        sigma[source] = 1
+        dist = [-1] * count
+        dist[source] = 0
+        order = [source]
+        for node in order:  # BFS: ``order`` is also the queue
+            depth = dist[node] + 1
+            paths = sigma[node]
+            for nxt in adjacency[node]:
+                if dist[nxt] < 0:
+                    dist[nxt] = depth
+                    sigma[nxt] = paths
+                    preds[nxt] = [node]
+                    order.append(nxt)
+                elif dist[nxt] == depth:
+                    sigma[nxt] += paths
+                    preds[nxt].append(node)
+        longest = max(longest, dist[order[-1]])
+        delta = [0.0] * count
+        for i in range(len(order) - 1, 0, -1):
+            node = order[i]
+            paths = sigma[node]
+            share = 1.0 + delta[node]
+            for pred in preds[node]:
+                delta[pred] += sigma[pred] / paths * share
+            centrality[node] += delta[node]
+            reaching[node] += 1
+            distance[node] += dist[node]
+    closeness = [n / total if n else 0.0 for n, total in zip(reaching, distance)]
+    return dict(zip(nodes, centrality)), dict(zip(nodes, closeness)), longest
 
 
 def _depth_counts(start: int, adjacency: list[list[int]]) -> list[int]:

@@ -126,6 +126,10 @@ class TestFixtureValidation:
         with pytest.raises(GraphFormatError):
             post_from_record({"id": "p1", "type": "text"})
 
+    def test_post_from_record_rejects_non_string_tag(self):
+        with pytest.raises(GraphFormatError, match="^bad post record: "):
+            post_from_record({"id": "p", "blog_name": "a", "tags": [5]})
+
 
 # The JSON Schema that validate_fixture's explicit checks replaced, kept as
 # the oracle they must agree with.

@@ -1,11 +1,13 @@
 import json
 import random
+import tracemalloc
 import xml.etree.ElementTree as ElementTree
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spiderveil import socialgraph
 from spiderveil.corpus import NoteKind
 from spiderveil.errors import GraphFormatError, SelfLoopError
 from spiderveil.langmodel import Verdict
@@ -22,7 +24,8 @@ from oracles import (ReferenceGraph, avg_clustering_oracle,
                      betweenness_oracle, closeness_in_oracle, diameter_oracle,
                      modularity_oracle, random_digraph, reference_betweenness,
                      reference_closeness_in, reference_detect_communities,
-                     reference_diameter, reference_graphml, scc_count_oracle)
+                     reference_diameter, reference_graphml,
+                     reference_shortest_paths, scc_count_oracle)
 
 
 def build_graph(nodes, edges, label=NoteKind.LIKE):
@@ -424,6 +427,89 @@ class TestMatchesReference:
     def test_diameter_equals_reference(self, shaped):
         graph = build_graph(*shaped)
         assert diameter(graph) == reference_diameter(graph)
+
+
+def fans_past_2_53():
+    """A source s whose path counts pass 2**53, with a side path that meets
+    them: 40 fans of three nodes between hubs give the last hub 3**40 paths
+    from s, and a plain path of the same length joins it at x.  float64 sums
+    of these counts round, and so would the betweenness built on them."""
+    graph = CommunityGraph()
+    hub = "s"
+    for layer in range(40):
+        for k in range(3):
+            graph.add_link(hub, f"f{layer}_{k}", NoteKind.LIKE)
+            graph.add_link(f"f{layer}_{k}", f"h{layer}", NoteKind.LIKE)
+        hub = f"h{layer}"
+    side = "s"
+    for i in range(80):
+        graph.add_link(side, f"p{i}", NoteKind.LIKE)
+        side = f"p{i}"
+    graph.add_link(hub, "x", NoteKind.LIKE)
+    graph.add_link(side, "x", NoteKind.LIKE)
+    return graph
+
+
+class TestBatchedShortestPaths:
+    """The batched numpy pass equals the one-source loop it replaced, bit for
+    bit, whatever the number of sources per batch."""
+
+    @staticmethod
+    def assert_equals_reference(graph, batch=None):
+        with pytest.MonkeyPatch.context() as patch:
+            if batch is not None:
+                budget = max(graph.edge_count(), graph.node_count(), 1)
+                patch.setattr(socialgraph, "_BATCH_ENTRIES", batch * budget)
+            central, closeness, longest = socialgraph._shortest_paths(graph)
+        expected = reference_shortest_paths(graph)
+        assert list(central.items()) == list(expected[0].items())
+        assert list(closeness.items()) == list(expected[1].items())
+        assert longest == expected[2]
+
+    @given(shaped_digraphs(), st.sampled_from([None, 1, 2, 7]))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_reference(self, shaped, batch):
+        self.assert_equals_reference(build_graph(*shaped), batch)
+
+    @pytest.mark.parametrize("batch", [None, 1, 2, 7])
+    def test_path_counts_past_2_53(self, batch):
+        self.assert_equals_reference(fans_past_2_53(), batch)
+
+    def test_float_counts_would_round_past_2_53(self):
+        """The graph above tests the Python-int recount: float64 counts
+        would give it a different betweenness."""
+        graph = fans_past_2_53()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(socialgraph, "_EXACT_PATHS", float("inf"))
+            central = socialgraph._shortest_paths(graph)[0]
+        assert central != reference_shortest_paths(graph)[0]
+
+    @pytest.mark.parametrize("batch", [None, 1, 2, 7])
+    @pytest.mark.parametrize("graph", [
+        CommunityGraph(), build_graph("abcde", []),
+        build_graph("abcxyz", [("a", "x"), ("b", "x"), ("a", "y"),
+                               ("c", "z"), ("b", "z")])],
+        ids=["empty", "isolated", "sinks"])
+    def test_degenerate_graphs(self, graph, batch):
+        self.assert_equals_reference(graph, batch)
+
+    def test_memory_stays_small(self):
+        """500 nodes and about 4000 edges stay under 8 MB traced; all
+        sources at once would take over 50 MB."""
+        rnd = random.Random(7)
+        names = [f"b{i:03d}" for i in range(500)]
+        edges = {(src, dst) for src, dst in
+                 ((rnd.choice(names), rnd.choice(names)) for _ in range(4100))
+                 if src != dst}
+        graph = build_graph(names, sorted(edges))
+        assert 3900 <= graph.edge_count() <= 4100
+        tracemalloc.start()
+        try:
+            socialgraph._shortest_paths(graph)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20
 
 
 class TestMeasure:
