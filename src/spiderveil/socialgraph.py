@@ -140,14 +140,6 @@ class CommunityGraph:
     def score(self, name: str) -> float | None:
         return self._nodes[name]["score"]
 
-    def undirected_adjacency(self) -> dict[str, set[str]]:
-        """Neighbor sets of the undirected simplification (no self-loops)."""
-        adjacency = {v: set() for v in self._nodes}
-        for src, dst, _ in self.edges():
-            adjacency[src].add(dst)
-            adjacency[dst].add(src)
-        return adjacency
-
     def project(self, label: NoteKind) -> "CommunityGraph":
         """Subgraph of edges carrying ``label``; only their endpoints remain."""
         sub = CommunityGraph()
@@ -301,7 +293,8 @@ def _successor_arrays(graph: CommunityGraph) -> tuple[np.ndarray, np.ndarray]:
 # a copy of the graph's B·E edges, and each source's BFS crosses an edge at
 # most once.  2**16 gives a 500-node, 4000-edge graph batches of 16 sources
 # and a traced peak under 3 MB; below 2**16 nodes and edges it also keeps
-# every key, and so every discovery rank, in 16 bits.
+# every key, and so every discovery rank, in 16 bits.  ``avg_clustering``
+# ANDs the bit rows of at most this many bytes at a time.
 _BATCH_ENTRIES = 1 << 16
 
 # float64 holds every integer below 2**53; a batch whose largest path count
@@ -427,28 +420,79 @@ def diameter(graph: CommunityGraph) -> int:
     return _shortest_paths(graph)[2]
 
 
+def _undirected_pairs(graph: CommunityGraph) -> tuple[np.ndarray, np.ndarray]:
+    """The undirected simplification's edges as node id pairs (lo, hi).
+
+    Each pair appears once, with lo < hi, and the pairs are sorted.  They are
+    deduplicated as sorted ``lo * N + hi`` keys, not by ``np.unique``: with
+    numpy 2.4 on a 2-core Xeon its first call in a process takes 10-17 ms,
+    more than clustering and modularity together on a 100-node graph.
+    """
+    indptr, indices = _successor_arrays(graph)
+    count = len(indptr) - 1
+    sources = np.repeat(np.arange(count), np.diff(indptr))
+    keys = np.minimum(sources, indices) * count + np.maximum(sources, indices)
+    keys.sort()
+    first = np.ones(keys.size, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    return np.divmod(keys[first], max(count, 1))
+
+
+def _sum_in_order(values) -> float:
+    """``values`` added one at a time, left to right.
+
+    The builtin ``sum`` of floats is compensated from Python 3.12, and numpy
+    sums in pairs, so either could change the last bit of a result.
+    """
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
+# The number of set bits of each byte value.
+_POPCOUNT = np.array([bin(byte).count("1") for byte in range(256)],
+                     dtype=np.uint8)
+
+
 def avg_clustering(graph: CommunityGraph) -> float:
     """Mean local clustering coefficient on the undirected simplification.
 
     Nodes with fewer than two neighbors contribute 0.
+
+    A node's links are the triangles through it, and the common neighbours of
+    an edge's ends are the triangles through that edge (Latapy, 2008).  Each
+    node's neighbours are one row of bits, ``n * ceil(n / 8)`` bytes in all,
+    and an edge's common neighbours are the set bits of its ends' rows ANDed,
+    counted a batch of edges at a time.  Coefficients are added in node
+    order, so the mean is the pairwise loop's to the last bit.
     """
-    nodes = graph.nodes()
-    if not nodes:
+    count = graph.node_count()
+    if not count:
         return 0.0
-    adjacency = graph.undirected_adjacency()
-    total = 0.0
-    for node in nodes:
-        neighbors = list(adjacency[node])
-        degree = len(neighbors)
-        if degree < 2:
-            continue
-        links = 0
-        for i in range(degree):
-            for j in range(i + 1, degree):
-                if neighbors[j] in adjacency[neighbors[i]]:
-                    links += 1
-        total += 2.0 * links / (degree * (degree - 1))
-    return total / len(nodes)
+    lo, hi = _undirected_pairs(graph)
+    width = (count + 7) // 8
+    rows = np.zeros(count * width, dtype=np.uint8)
+    for a, b in ((lo, hi), (hi, lo)):
+        np.bitwise_or.at(rows, a * width + (b >> 3),
+                         np.left_shift(1, b & 7).astype(np.uint8))
+    rows = rows.reshape(count, width)
+    common = np.empty(lo.size, dtype=np.intp)
+    batch = max(1, _BATCH_ENTRIES // width)
+    for first in range(0, lo.size, batch):
+        part = slice(first, first + batch)
+        common[part] = _POPCOUNT[rows[lo[part]] & rows[hi[part]]].sum(
+            axis=1, dtype=np.intp)
+    ends = np.concatenate((lo, hi))
+    degree = np.bincount(ends, minlength=count)
+    # Each triangle through a node is counted once by each of its two edges.
+    links = np.bincount(ends, weights=np.concatenate((common, common)),
+                        minlength=count) / 2
+    pairs = degree * (degree - 1)
+    clustered = pairs > 0
+    coefficients = np.zeros(count)
+    coefficients[clustered] = 2.0 * links[clustered] / pairs[clustered]
+    return _sum_in_order(coefficients.tolist()) / count
 
 
 def betweenness(graph: CommunityGraph) -> dict[str, float]:
@@ -470,36 +514,30 @@ class Partition:
         return len(set(self.assignment.values()))
 
 
-def _undirected_edges(graph: CommunityGraph) -> set[tuple[str, str]]:
-    edges = set()
-    for src, dst, _ in graph.edges():
-        edges.add((src, dst) if src <= dst else (dst, src))
-    return edges
-
-
 def modularity(graph: CommunityGraph, partition: Partition | dict) -> float:
-    """Newman modularity of the partition on the undirected simplification."""
+    """Newman modularity of the partition on the undirected simplification.
+
+    Community labels may be any hashable values; they are numbered in the
+    order their first node appears, and their terms are added in that order.
+    """
     assignment = partition.assignment if isinstance(partition, Partition) else partition
+    numbers: dict = {}
+    community = []
     for node in graph.nodes():
         if node not in assignment:
             raise ValueError(f"partition misses node {node!r}")
-    edges = _undirected_edges(graph)
-    m = len(edges)
+        community.append(numbers.setdefault(assignment[node], len(numbers)))
+    lo, hi = _undirected_pairs(graph)
+    m = lo.size
     if m == 0:
         raise ValueError("modularity is undefined for a graph without edges")
-    adjacency = graph.undirected_adjacency()
-    intra: dict[int, int] = {}
-    degree_sum: dict[int, int] = {}
-    for node in graph.nodes():
-        community = assignment[node]
-        degree_sum[community] = degree_sum.get(community, 0) + len(adjacency[node])
-    for u, v in edges:
-        if assignment[u] == assignment[v]:
-            community = assignment[u]
-            intra[community] = intra.get(community, 0) + 1
+    community = np.array(community, dtype=np.intp)
+    a, b = community[lo], community[hi]
+    degree_sum = np.bincount(np.concatenate((a, b)), minlength=len(numbers))
+    intra = np.bincount(np.compress(a == b, a), minlength=len(numbers))
     quality = 0.0
-    for community, degrees in degree_sum.items():
-        quality += intra.get(community, 0) / m - (degrees / (2.0 * m)) ** 2
+    for inner, degrees in zip(intra.tolist(), degree_sum.tolist()):
+        quality += inner / m - (degrees / (2.0 * m)) ** 2
     return quality
 
 
@@ -630,18 +668,18 @@ def measure(graph: CommunityGraph) -> GraphMeasurements:
         scc_count=scc_count(graph),
         avg_clustering=avg_clustering(graph),
         modularity=quality,
-        mean_in_betweenness=sum(central.values()) / count,
-        mean_in_closeness=sum(closeness.values()) / count,
+        mean_in_betweenness=_sum_in_order(central.values()) / count,
+        mean_in_closeness=_sum_in_order(closeness.values()) / count,
     )
 
 
 # -- exports ----------------------------------------------------------------
 
-_PLAIN_ID_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$|^-?(\.\d+|\d+(\.\d*)?)$")
+_PLAIN_ID_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|-?(\.\d+|\d+(\.\d*)?)")
 
 
 def _dot_id(name: str) -> str:
-    if _PLAIN_ID_RE.match(name):
+    if _PLAIN_ID_RE.fullmatch(name):
         return name
     escaped = name.replace("\\", "\\\\").replace('"', '\\"')
     return f'"{escaped}"'

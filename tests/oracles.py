@@ -4,7 +4,9 @@ Each oracle takes the graph as (nodes, edges) primitives and answers by a
 deliberately different route than the library: matrix closures, exhaustive
 path enumeration, and direct formula evaluation.  The scorer's oracle is the
 per-character loop that defines a score; the betweenness and community
-oracles are the name-keyed loops that the int-indexed library code replaced;
+oracles are the name-keyed loops that the int-indexed library code replaced,
+and the clustering and modularity oracles are the neighbour-set loops that
+the undirected pair arrays replaced;
 the diameter and in-closeness oracles are the per-node BFS loops that the
 single shortest-path pass replaced, and the shortest-path oracle is that
 pass as a loop over one source at a time, as the batched numpy form
@@ -421,11 +423,71 @@ def reference_closeness_in(graph) -> dict[str, float]:
     return closeness
 
 
+def _undirected_adjacency(graph) -> dict[str, set[str]]:
+    """Neighbor sets of the undirected simplification (no self-loops)."""
+    adjacency = {v: set() for v in graph.nodes()}
+    for src, dst, _ in graph.edges():
+        adjacency[src].add(dst)
+        adjacency[dst].add(src)
+    return adjacency
+
+
 def _undirected_edges(graph) -> set[tuple[str, str]]:
     edges = set()
     for src, dst, _ in graph.edges():
         edges.add((src, dst) if src <= dst else (dst, src))
     return edges
+
+
+def reference_avg_clustering(graph) -> float:
+    """Mean local clustering coefficient by testing every neighbour pair of
+    every node; the library's bit-row triangle count must return exactly
+    this value.  Nodes with fewer than two neighbors contribute 0.
+    """
+    nodes = graph.nodes()
+    if not nodes:
+        return 0.0
+    adjacency = _undirected_adjacency(graph)
+    total = 0.0
+    for node in nodes:
+        neighbors = list(adjacency[node])
+        degree = len(neighbors)
+        if degree < 2:
+            continue
+        links = 0
+        for i in range(degree):
+            for j in range(i + 1, degree):
+                if neighbors[j] in adjacency[neighbors[i]]:
+                    links += 1
+        total += 2.0 * links / (degree * (degree - 1))
+    return total / len(nodes)
+
+
+def reference_modularity(graph, partition) -> float:
+    """Newman modularity over name-keyed dicts of the undirected edges; the
+    library's array form must return exactly this value."""
+    assignment = partition.assignment if isinstance(partition, Partition) else partition
+    for node in graph.nodes():
+        if node not in assignment:
+            raise ValueError(f"partition misses node {node!r}")
+    edges = _undirected_edges(graph)
+    m = len(edges)
+    if m == 0:
+        raise ValueError("modularity is undefined for a graph without edges")
+    adjacency = _undirected_adjacency(graph)
+    intra: dict[int, int] = {}
+    degree_sum: dict[int, int] = {}
+    for node in graph.nodes():
+        community = assignment[node]
+        degree_sum[community] = degree_sum.get(community, 0) + len(adjacency[node])
+    for u, v in edges:
+        if assignment[u] == assignment[v]:
+            community = assignment[u]
+            intra[community] = intra.get(community, 0) + 1
+    quality = 0.0
+    for community, degrees in degree_sum.items():
+        quality += intra.get(community, 0) / m - (degrees / (2.0 * m)) ** 2
+    return quality
 
 
 def reference_detect_communities(graph) -> Partition:
@@ -435,7 +497,7 @@ def reference_detect_communities(graph) -> Partition:
     """
     nodes = graph.nodes()
     community_of = {node: i for i, node in enumerate(nodes)}
-    adjacency = graph.undirected_adjacency()
+    adjacency = _undirected_adjacency(graph)
     edges = _undirected_edges(graph)
     m = len(edges)
     if m == 0:

@@ -1,4 +1,6 @@
+import builtins
 import json
+import math
 import random
 import tracemalloc
 import xml.etree.ElementTree as ElementTree
@@ -24,7 +26,8 @@ from oracles import (ReferenceGraph, avg_clustering_oracle,
                      betweenness_oracle, closeness_in_oracle, diameter_oracle,
                      modularity_oracle, random_digraph, reference_betweenness,
                      reference_closeness_in, reference_detect_communities,
-                     reference_diameter, reference_graphml,
+                     reference_avg_clustering, reference_diameter,
+                     reference_graphml, reference_modularity,
                      reference_shortest_paths, scc_count_oracle)
 
 
@@ -35,6 +38,13 @@ def build_graph(nodes, edges, label=NoteKind.LIKE):
     for src, dst in edges:
         graph.add_link(src, dst, label)
     return graph
+
+
+def left_to_right(values) -> float:
+    total = 0.0
+    for value in values:
+        total += value
+    return total
 
 
 def cycle3():
@@ -205,6 +215,25 @@ class TestClustering:
             mine = avg_clustering(build_graph(nodes, edges))
             assert mine == pytest.approx(avg_clustering_oracle(nodes, edges),
                                          abs=1e-9)
+
+    def test_memory_stays_small(self):
+        """2000 nodes and about 20000 edges stay under 3 MB traced (about
+        1.9 MB measured): the bit rows take 0.5 MB, where a dense N x N bool
+        matrix would take 3.8 MB and a float one 30 MB."""
+        rnd = random.Random(7)
+        names = [f"b{i:04d}" for i in range(2000)]
+        edges = {(src, dst) for src, dst in
+                 ((rnd.choice(names), rnd.choice(names)) for _ in range(20100))
+                 if src != dst}
+        graph = build_graph(names, sorted(edges))
+        assert 19900 <= graph.edge_count() <= 20100
+        tracemalloc.start()
+        try:
+            avg_clustering(graph)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 2 ** 20
 
 
 class TestBetweenness:
@@ -397,6 +426,36 @@ def shaped_digraphs(draw):
     return nodes, [(names[i], names[j]) for i, j in edges]
 
 
+@st.composite
+def mixed_digraphs(draw):
+    """Up to 40 nodes, so a node's neighbour bits span bytes, with no edge,
+    one edge, or edges at a random density and some reversed too, so that
+    pairs are reciprocal.  Some nodes are listed without edges, and some
+    appear only as edge ends."""
+    count = draw(st.integers(0, 40))
+    rnd = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    names = [f"v{i:02d}" for i in range(count)]
+    size = draw(st.sampled_from(["none", "one", "many"])) if count > 1 else "none"
+    if size == "none":
+        edges = []
+    elif size == "one":
+        edges = [tuple(rnd.sample(names, 2))]
+    else:
+        density = rnd.choice([0.05, 0.15, 0.4, 0.8])
+        edges = [(src, dst) for src in names for dst in names
+                 if src != dst and rnd.random() < density]
+        edges += [(dst, src) for src, dst in edges if rnd.random() < 0.3]
+    rnd.shuffle(edges)
+    listed = [name for name in names if rnd.random() < 0.6]
+    rnd.shuffle(listed)
+    return listed, edges
+
+
+# Community labels of several hashable types, negative ints among them.
+COMMUNITY_LABELS = st.one_of(st.text(max_size=2), st.integers(-3, 3),
+                             st.tuples(st.integers(-2, 1), st.text(max_size=1)))
+
+
 class TestMatchesReference:
     """The int-indexed metrics equal the name-keyed loops they replaced."""
 
@@ -427,6 +486,50 @@ class TestMatchesReference:
     def test_diameter_equals_reference(self, shaped):
         graph = build_graph(*shaped)
         assert diameter(graph) == reference_diameter(graph)
+
+    @given(st.one_of(shaped_digraphs(), mixed_digraphs()),
+           st.sampled_from([None, 1, 2, 7]))
+    @settings(max_examples=200, deadline=None)
+    def test_avg_clustering_equals_reference(self, graph_case, batch):
+        """Equal whatever the number of edges per batch of bit-row ANDs."""
+        graph = build_graph(*graph_case)
+        with pytest.MonkeyPatch.context() as patch:
+            if batch is not None:
+                width = (graph.node_count() + 7) // 8
+                patch.setattr(socialgraph, "_BATCH_ENTRIES", batch * width)
+            found = avg_clustering(graph)
+        assert found == reference_avg_clustering(graph)
+
+    @given(st.one_of(shaped_digraphs(), mixed_digraphs()),
+           st.lists(COMMUNITY_LABELS, min_size=1, max_size=5),
+           st.randoms(use_true_random=False), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_modularity_equals_reference(self, graph_case, labels, rnd,
+                                         wrapped):
+        graph = build_graph(*graph_case)
+        assignment = {node: rnd.choice(labels) for node in graph.nodes()}
+        assignment["not-a-node"] = rnd.choice(labels)
+        partition = Partition(assignment) if wrapped else assignment
+        if graph.edge_count():
+            assert modularity(graph, partition) == \
+                reference_modularity(graph, partition)
+        else:
+            with pytest.raises(ValueError, match="without edges"):
+                modularity(graph, partition)
+
+    @pytest.mark.parametrize("graph_case", [
+        ([], []), (["a"], []), ("abc", []), ("ab", [("a", "b")]),
+        ("abcdefghijk", [("a", "b"), ("b", "a"), ("b", "c"), ("c", "a"),
+                         ("k", "j"), ("j", "x"), ("x", "k"), ("k", "x")])],
+        ids=["empty", "single", "isolated", "one-edge", "reciprocal"])
+    def test_small_cases_equal_reference(self, graph_case):
+        graph = build_graph(*graph_case)
+        assert avg_clustering(graph) == reference_avg_clustering(graph)
+        if graph.edge_count():
+            labels = {node: ("t", i % 2) for i, node in
+                      enumerate(graph.nodes())}
+            assert modularity(graph, labels) == \
+                reference_modularity(graph, labels)
 
 
 def fans_past_2_53():
@@ -547,14 +650,42 @@ class TestMeasure:
         count = graph.node_count()
         assert result.diameter == diameter(graph)
         assert result.mean_in_betweenness == \
-            sum(betweenness(graph).values()) / count
+            left_to_right(betweenness(graph).values()) / count
         assert result.mean_in_closeness == \
-            sum(closeness_in(graph).values()) / count
+            left_to_right(closeness_in(graph).values()) / count
 
     @given(shaped_digraphs())
     @settings(max_examples=50, deadline=None)
     def test_path_fields_equal_public_functions_on_shapes(self, shaped):
         self.test_path_fields_equal_public_functions(build_graph(*shaped))
+
+    def test_means_add_left_to_right(self):
+        """The means do not follow the builtin ``sum``, which compensates
+        float sums from Python 3.12: with it swapped for a compensated sum,
+        ``measure`` still adds the values one at a time, in node order."""
+        rnd = random.Random(8)
+        names = [f"b{i:02d}" for i in range(30)]
+        graph = build_graph(names, [tuple(rnd.sample(names, 2))
+                                    for _ in range(60)])
+        central, closeness, _ = reference_shortest_paths(graph)
+        count = graph.node_count()
+
+        def compensated_sum(values, start=0):
+            values = list(values)
+            if all(isinstance(value, int) for value in values):
+                return builtins.sum(values, start)
+            return math.fsum(values) + start
+
+        for values in (central.values(), closeness.values()):
+            assert compensated_sum(values) / count != \
+                left_to_right(values) / count
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(socialgraph, "sum", compensated_sum, raising=False)
+            result = measure(graph)
+        assert result.mean_in_betweenness == \
+            left_to_right(central.values()) / count
+        assert result.mean_in_closeness == \
+            left_to_right(closeness.values()) / count
 
     def test_serialization_round_trip(self):
         summary = GraphMeasurements(node_count=27, edge_count=60, diameter=1,
@@ -585,6 +716,11 @@ class TestExports:
         graph.add_link("blog-one", "blog two", NoteKind.LIKE)
         text = export_graph(graph, "dot").decode("utf-8")
         assert '"blog-one"' in text and '"blog two"' in text
+
+    def test_dot_quotes_names_with_a_trailing_newline(self):
+        graph = build_graph(["a", "a\n", "12\n", "12"], [])
+        assert export_graph(graph, "dot").decode("utf-8") == (
+            'digraph community {\n  a;\n  "a\n";\n  "12\n";\n  12;\n}\n')
 
     def test_graphml_parses_and_keeps_structure(self):
         graph = cycle3()
