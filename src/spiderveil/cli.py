@@ -22,16 +22,17 @@ from datetime import datetime, timezone
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
-from .corpus import NoteKind, bootstrap_exemplars, ExemplarCorpus, filter_english
+from .corpus import (NoteKind, bootstrap_exemplars, ExemplarCorpus, filter_english,
+                     normalize_tag)
 from .crawler import (CrawlConfig, CrawlSession, FixtureStore, HttpJsonStore,
                       SelectionPolicy, predicted_verdicts, visit_log_from_json)
-from .errors import (GraphFormatError, NotFoundError, RetrievalError,
-                     ScoringError, SpiderveilError)
+from .errors import (INTEGER, NUMBER, STRING, STRINGS, GraphFormatError,
+                     JsonKind, NotFoundError, RetrievalError, ScoringError,
+                     SpiderveilError, read_fields)
 from .langmodel import (compute_threshold, load_model, save_model,
                         score_blogger, train)
-from .simnet import (ConfusionMatrix, GeneratorParams, _is_json_integer,
-                     evaluate, generate, report_from_matrix,
-                     truth_from_json_dict, truth_to_json_dict)
+from .simnet import (ConfusionMatrix, GeneratorParams, evaluate, generate,
+                     report_from_matrix, truth_from_json_dict, truth_to_json_dict)
 from .socialgraph import export_graph, import_json_edge_list, measure
 
 EXIT_OK = 0
@@ -171,27 +172,27 @@ def load_config(args) -> dict:
     return data
 
 
-def setting(args, config: dict, name: str, key: str | None = None, default=None):
-    """Flag value if given, else a non-null config value, else default."""
+def setting(args, config: dict, name: str, kind: JsonKind | None,
+            key: str | None = None, default=None):
+    """Flag value if given, else a non-null config value, else default.
+
+    A config value not of ``kind`` exits 2 naming its key; a ``kind`` of
+    None leaves the check to the reader the value goes to.
+    """
     value = getattr(args, name, None)
     if value is None:
-        value = config.get(key or name)
+        key = key or name
+        value = config.get(key)
+        if value is not None and kind is not None:
+            value = read_fields(config, {key: kind}, "bad config")[key]
     return default if value is None else value
 
 
-def text_setting(args, config: dict, name: str):
-    """Flag value if given, else a config string; exit 2 on another type."""
-    value = setting(args, config, name)
-    if value is not None and not isinstance(value, str):
-        raise CLIError(EXIT_IO, f"bad config: {name!r} is not a string")
-    return value
-
-
 def open_store(args, config: dict):
-    url = text_setting(args, config, "url")
+    url = setting(args, config, "url", STRING)
     if url:
         return HttpJsonStore(url)
-    path = text_setting(args, config, "store") or os.environ.get("SPIDERVEIL_STORE")
+    path = setting(args, config, "store", STRING) or os.environ.get("SPIDERVEIL_STORE")
     if not path:
         raise CLIError(EXIT_EMPTY,
                        "no store given (use --store, config, or SPIDERVEIL_STORE)")
@@ -237,21 +238,16 @@ def cmd_gen(args, config: dict) -> int:
 def cmd_bootstrap(args, config: dict) -> int:
     out_dir = ensure_out_dir(args)
     store = open_store(args, config)
-    tags = args.tag or config.get("tags")
-    if not (tags is None or isinstance(tags, list)
-            and all(isinstance(tag, str) for tag in tags)):
-        raise CLIError(EXIT_IO, "bad config: 'tags' is not an array of strings")
-    if not tags:
-        raise CLIError(EXIT_EMPTY, "no seed tags given (use --tag)")
-    target = setting(args, config, "target", default=100)
-    if not _is_json_integer(target):
-        raise CLIError(EXIT_IO, "bad config: 'target' is not an integer")
+    tags = setting(args, config, "tag", STRINGS, "tags")
+    if not any(map(normalize_tag, tags or ())):
+        raise CLIError(EXIT_EMPTY, "no non-empty seed tags given (use --tag)")
+    target = setting(args, config, "target", INTEGER, default=100)
 
     corpus_path = Path(args.out) if args.out else out_dir / "corpus.ndjson"
     lexicon_path = corpus_path.with_name(corpus_path.stem + ".lexicon.json")
     write_manifest(args, out_dir, [corpus_path, lexicon_path])
 
-    corpus, lexicon = bootstrap_exemplars(store, tags, int(target))
+    corpus, lexicon = bootstrap_exemplars(store, tags, target)
     if not corpus.documents:
         raise CLIError(EXIT_EMPTY,
                        f"no documents collected for tags: {', '.join(tags)}")
@@ -275,15 +271,17 @@ def _load_seed_bloggers(path) -> list[str]:
     data = read_json(path)
     if isinstance(data, dict):
         data = data.get("bloggers")
-    if not isinstance(data, list) or not all(isinstance(x, str) for x in data):
+    if not STRINGS.test(data):
         raise CLIError(EXIT_IO,
                        "seed blogger file must hold a JSON list of names")
+    if not data:
+        raise CLIError(EXIT_EMPTY, f"seed blogger file {path} names no bloggers")
     return data
 
 
 def cmd_train(args, config: dict) -> int:
     out_dir = ensure_out_dir(args)
-    corpus_path = text_setting(args, config, "corpus")
+    corpus_path = setting(args, config, "corpus", STRING)
     if not corpus_path:
         raise CLIError(EXIT_EMPTY, "no corpus given (use --corpus)")
     if not Path(corpus_path).exists():
@@ -291,21 +289,13 @@ def cmd_train(args, config: dict) -> int:
     corpus = ExemplarCorpus.load(corpus_path)
     if not corpus.documents:
         raise CLIError(EXIT_EMPTY, f"corpus {corpus_path} holds no documents")
-    order = setting(args, config, "order")
-    alpha = setting(args, config, "alpha")
-    posts = setting(args, config, "posts", "posts_per_blogger")
-    for key, value in (("order", order), ("posts_per_blogger", posts)):
-        if value is not None and not _is_json_integer(value):
-            raise CLIError(EXIT_IO, f"bad config: {key!r} is not an integer")
-    if type(alpha) not in (int, float, type(None)):
-        raise CLIError(EXIT_IO, "bad config: 'alpha' is not a number")
     # Unset, order and alpha keep train's defaults and posts the crawl's.
-    options = {}
-    if order is not None:
-        options["order"] = int(order)
-    if alpha is not None:
-        options["alpha"] = float(alpha)
-    posts = CrawlConfig.posts_per_blogger if posts is None else int(posts)
+    order = setting(args, config, "order", INTEGER)
+    posts = setting(args, config, "posts", INTEGER, "posts_per_blogger",
+                    default=CrawlConfig.posts_per_blogger)
+    alpha = setting(args, config, "alpha", NUMBER)
+    options = {key: value for key, value in (("order", order), ("alpha", alpha))
+               if value is not None}
     if posts < 1:
         raise CLIError(EXIT_DOMAIN, "posts per blogger must be >= 1")
 
@@ -353,7 +343,7 @@ def cmd_train(args, config: dict) -> int:
 def cmd_crawl(args, config: dict) -> int:
     out_dir = ensure_out_dir(args)
     store = open_store(args, config)
-    model_path = text_setting(args, config, "model")
+    model_path = setting(args, config, "model", STRING)
     if not model_path:
         raise CLIError(EXIT_EMPTY, "no model given (use --model)")
     if not Path(model_path).exists():
@@ -363,7 +353,7 @@ def cmd_crawl(args, config: dict) -> int:
     except ValueError as exc:
         raise CLIError(EXIT_IO, f"bad model file: {exc}") from exc
 
-    threshold = setting(args, config, "threshold")
+    threshold = setting(args, config, "threshold", None)
     if threshold is None and args.threshold_file:
         data = read_json(args.threshold_file)
         if not isinstance(data, dict):
@@ -373,7 +363,7 @@ def cmd_crawl(args, config: dict) -> int:
         raise CLIError(EXIT_EMPTY,
                        "no threshold given (use --threshold or --threshold-file)")
 
-    seed_blogger = setting(args, config, "seed_blogger")
+    seed_blogger = setting(args, config, "seed_blogger", None)
     if seed_blogger is None and isinstance(store, FixtureStore):
         seed_blogger = store.seed_blogger
     if seed_blogger in (None, ""):
@@ -384,7 +374,7 @@ def cmd_crawl(args, config: dict) -> int:
     for name, key in (("graph_size", "graph_size_limit"), ("width", "frontier_width"),
                       ("posts", "posts_per_blogger"), ("policy", "selection_policy"),
                       ("seed", "rng_seed")):
-        value = setting(args, config, name, key)
+        value = setting(args, config, name, None, key)
         if value is not None:
             values[key] = value
     crawl_config = CrawlConfig.from_json_dict(values)

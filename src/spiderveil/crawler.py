@@ -14,7 +14,7 @@ import logging
 import math
 import random
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from enum import Enum
 from itertools import islice
 from operator import itemgetter
@@ -25,9 +25,9 @@ import numpy as np
 import requests
 
 from .corpus import NoteKind, NoteRecord, Post, filter_english, normalize_tag
-from .errors import GraphFormatError, NotFoundError, RetrievalError, ScoringError
+from .errors import (COUNT, INTEGER, NUMBER, STRING, STRINGS, GraphFormatError,
+                     NotFoundError, RetrievalError, ScoringError, read_fields)
 from .langmodel import NGramModel, Verdict, classify, score_blogger
-from .simnet import _is_json_integer
 from .socialgraph import (CommunityGraph, LABEL_VALUES, _successor_arrays,
                           kinds_mask, label_mask)
 
@@ -75,8 +75,7 @@ def check_post_record(post, where: str) -> None:
         if key in post and not isinstance(post[key], str):
             raise bad(f".{key} is not a string")
     if "tags" in post:
-        tags = post["tags"]
-        if not isinstance(tags, list) or not all(isinstance(t, str) for t in tags):
+        if not STRINGS.test(post["tags"]):
             raise bad(".tags is not an array of strings")
     if "notes" in post:
         notes = post["notes"]
@@ -225,11 +224,18 @@ def _retry_after_seconds(headers) -> float:
     return int(value) if len(value) <= 6 else math.inf
 
 
+# Path segments a URL resolver removes even when escaped, since requests
+# un-escapes ``%2E``; no request is sent for a tag or blogger named so.
+_DOT_SEGMENTS = (".", "..")
+
+
 class HttpJsonStore:
     """Read-only JSON client speaking the fixture schema over HTTP.
 
     Endpoints: /tagged/{tag} and /blog/{name}/posts, each asked for
-    ``type=text`` and, when given, ``limit``.  Transient failures (network
+    ``type=text`` and, when given, ``limit``.  The tag or name is escaped
+    as one path segment, ``/`` included; a tag ``.`` or ``..`` has no posts
+    and a blogger so named is unknown.  Transient failures (network
     errors, 429, 5xx, unreadable JSON) are retried after ``backoff * attempt``
     seconds, or after a 429's or 503's ``Retry-After`` seconds when that is
     longer; a ``Retry-After`` over ``MAX_RETRY_AFTER_S``, 404 (the blogger
@@ -300,10 +306,15 @@ class HttpJsonStore:
                 for record in texts[:limit]]
 
     def tagged_posts(self, tag: str, limit: int | None = None) -> list[Post]:
-        return self._text_posts(f"/tagged/{quote(normalize_tag(tag))}", limit)
+        tag = normalize_tag(tag)
+        if tag in _DOT_SEGMENTS:
+            return []
+        return self._text_posts(f"/tagged/{quote(tag, safe='')}", limit)
 
     def blogger_posts(self, blog_name: str, limit: int | None = None) -> list[Post]:
-        return self._text_posts(f"/blog/{quote(blog_name)}/posts", limit)
+        if blog_name in _DOT_SEGMENTS:
+            raise NotFoundError(f"no blogger named {blog_name!r}")
+        return self._text_posts(f"/blog/{quote(blog_name, safe='')}/posts", limit)
 
 
 # -- crawl configuration ------------------------------------------------------
@@ -361,27 +372,18 @@ class CrawlConfig:
         type raises GraphFormatError naming its key; a value of the right
         type outside its range raises ValueError.  Other keys are ignored.
         """
-        def bad(key: str, what: str) -> GraphFormatError:
-            return GraphFormatError(f"bad crawl config: {key!r} is not {what}")
+        # An absent seed or threshold is read as null, which fails its check.
+        return cls(**read_fields({"seed": None, "threshold": None, **data},
+                                 _CONFIG_KINDS, "bad crawl config"))
 
-        kwargs = {f.name: data[f.name] for f in fields(cls) if f.name in data}
-        if not isinstance(kwargs.get("seed"), str):
-            raise bad("seed", "a string")
-        threshold = kwargs.get("threshold")
-        if not isinstance(threshold, (int, float)) or isinstance(threshold, bool):
-            raise bad("threshold", "a number")
-        kwargs["threshold"] = float(threshold)
-        for key in ("graph_size_limit", "frontier_width", "posts_per_blogger",
-                    "ngram_order", "rng_seed"):
-            if key in kwargs:
-                if not _is_json_integer(kwargs[key]):
-                    raise bad(key, "an integer")
-                kwargs[key] = int(kwargs[key])
-        if "selection_policy" in kwargs:
-            if not isinstance(kwargs["selection_policy"], str):
-                raise bad("selection_policy", "a string")
-            kwargs["selection_policy"] = SelectionPolicy(kwargs["selection_policy"])
-        return cls(**kwargs)
+
+# The JSON kind of each crawl setting, in the order they are checked.
+_CONFIG_KINDS = {
+    "seed": STRING, "threshold": NUMBER,
+    **dict.fromkeys(("graph_size_limit", "frontier_width", "posts_per_blogger",
+                     "ngram_order", "rng_seed"), INTEGER),
+    "selection_policy": STRING._replace(convert=SelectionPolicy),
+}
 
 
 @dataclass(frozen=True)
@@ -406,14 +408,12 @@ def visit_log_from_json(document: dict) -> tuple[list[VisitRecord], list[str]]:
     rows, discarded = document["visit_log"], document["discarded"]
     if not isinstance(rows, list):
         raise GraphFormatError("visit_log is not an array")
-    if not (isinstance(discarded, list)
-            and all(isinstance(name, str) for name in discarded)):
+    if not STRINGS.test(discarded):
         raise GraphFormatError("discarded is not an array of names")
     visit_log = []
     for row in rows:
         if not (isinstance(row, list) and len(row) == 3
-                and isinstance(row[0], str) and isinstance(row[1], (int, float))
-                and not isinstance(row[1], bool)):
+                and isinstance(row[0], str) and NUMBER.test(row[1])):
             raise GraphFormatError(f"bad visit_log row {row!r}")
         try:
             visit_log.append(VisitRecord(row[0], float(row[1]), Verdict(row[2])))
@@ -756,11 +756,9 @@ class CrawlSession:
             session._visit_log, discarded = visit_log_from_json(checkpoint)
             session._discarded = dict.fromkeys(discarded)
             processed, selections = checkpoint["processed"], checkpoint["selections"]
-            if not (isinstance(processed, list)
-                    and all(isinstance(name, str) for name in processed)):
+            if not STRINGS.test(processed):
                 raise GraphFormatError("processed is not an array of names")
-            if (not isinstance(selections, int) or isinstance(selections, bool)
-                    or selections < 0):
+            if not COUNT.test(selections):
                 raise GraphFormatError(
                     f"selections {selections!r} is not a non-negative integer")
             if not (checkpoint["current"] is None

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types and the JSON value kinds shared across the package."""
+
+from typing import Any, Callable, NamedTuple
 
 
 class SpiderveilError(Exception):
@@ -33,3 +35,52 @@ class SelfLoopError(SpiderveilError):
 
 class GraphFormatError(SpiderveilError):
     """A serialized graph or fixture document is malformed."""
+
+
+class JsonKind(NamedTuple):
+    """A JSON value kind: its test, its phrase in messages, its conversion."""
+    test: Callable[[Any], bool]
+    phrase: str
+    convert: Callable[[Any], Any]
+
+
+def _is_integer(value) -> bool:
+    """True for an int, or a float with no fractional part, but not a bool."""
+    if isinstance(value, bool):
+        return False
+    return isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+
+
+INTEGER = JsonKind(_is_integer, "an integer", int)
+NUMBER = JsonKind(
+    lambda value: isinstance(value, (int, float)) and not isinstance(value, bool),
+    "a number", float)
+STRING = JsonKind(lambda value: isinstance(value, str), "a string", str)
+STRINGS = JsonKind(
+    lambda value: isinstance(value, list)
+    and all(isinstance(item, str) for item in value),
+    "an array of strings", tuple)
+INTEGER_PAIR = JsonKind(
+    lambda value: isinstance(value, list) and len(value) == 2
+    and all(map(_is_integer, value)),
+    "an array of two integers", lambda value: (int(value[0]), int(value[1])))
+COUNT = JsonKind(
+    lambda value: isinstance(value, int) and not isinstance(value, bool)
+    and value >= 0,
+    "a non-negative integer", int)
+
+
+def read_fields(data: dict, kinds: dict[str, JsonKind], what: str) -> dict:
+    """The keys of ``kinds`` present in ``data``, each checked and converted.
+
+    Keys are read in table order; other keys are ignored.  A value that is
+    not of its key's kind, null included, raises GraphFormatError naming
+    the key.
+    """
+    fields = {}
+    for key, kind in kinds.items():
+        if key in data:
+            if not kind.test(data[key]):
+                raise GraphFormatError(f"{what}: {key!r} is not {kind.phrase}")
+            fields[key] = kind.convert(data[key])
+    return fields

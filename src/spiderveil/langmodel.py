@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ScoringError
+from .errors import COUNT, NUMBER, STRINGS, ScoringError
 
 SENTINEL = "\x02"   # start-of-document padding character
 UNKNOWN = "\x01"    # bucket every character unseen in training maps to
@@ -118,18 +118,16 @@ class NGramModel:
             raise ValueError(f"model document lacks {', '.join(map(repr, missing))}")
         order, alpha = data["order"], data["alpha"]
         vocabulary, contexts = data["vocabulary"], data["contexts"]
-        if not _is_count(order):
+        if not COUNT.test(order):
             raise ValueError("'order' is not an integer")
-        if (not isinstance(alpha, (int, float)) or isinstance(alpha, bool)
-                or not math.isfinite(alpha)):
+        if not (NUMBER.test(alpha) and math.isfinite(alpha)):
             raise ValueError("'alpha' is not a finite number")
-        if not (isinstance(vocabulary, list)
-                and all(isinstance(ch, str) for ch in vocabulary)):
+        if not STRINGS.test(vocabulary):
             raise ValueError("'vocabulary' is not an array of strings")
-        if not _is_count(data["trained_chars"]):
+        if not COUNT.test(data["trained_chars"]):
             raise ValueError("'trained_chars' is not a non-negative integer")
         if not (isinstance(contexts, dict)
-                and all(isinstance(row, dict) and all(map(_is_count, row.values()))
+                and all(isinstance(row, dict) and all(map(COUNT.test, row.values()))
                         for row in contexts.values())):
             raise ValueError("'contexts' does not map each context to an object "
                              "of non-negative integer counts")
@@ -137,10 +135,6 @@ class NGramModel:
                    counts={ctx: dict(row) for ctx, row in contexts.items()},
                    vocabulary=frozenset(vocabulary),
                    trained_chars=data["trained_chars"])
-
-
-def _is_count(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
 class _LogTable:

@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass, field
 
 from .corpus import ENGLISH_FUNCTION_WORDS
-from .errors import GraphFormatError
+from .errors import INTEGER, INTEGER_PAIR, NUMBER, STRINGS, read_fields
 from .langmodel import Verdict
 
 # Fraction of tokens in every generated post drawn from the vocabulary's
@@ -59,6 +59,17 @@ DEFAULT_OFF_TOPIC_VOCAB = tuple((_OFF_TOPIC_CONTENT + " " + _OFF_TOPIC_GLUE).spl
 
 DEFAULT_ON_TOPIC_TAGS = ("stargazing", "nightsky", "skywatch")
 DEFAULT_OFF_TOPIC_TAGS = ("sourdoughclub", "ovenbakes")
+
+
+# The JSON kind of each generator parameter, in the order they are checked.
+_PARAM_KINDS = {
+    **dict.fromkeys(("total_bloggers", "rng_seed", "posts_per_blogger"), INTEGER),
+    **dict.fromkeys(("relevant_fraction", "mixing_prob",
+                     "intra_community_note_bias"), NUMBER),
+    **dict.fromkeys(("on_topic_vocab", "off_topic_vocab", "on_topic_tags",
+                     "off_topic_tags"), STRINGS),
+    **dict.fromkeys(("notes_per_post", "words_per_post"), INTEGER_PAIR),
+}
 
 
 @dataclass(frozen=True)
@@ -109,44 +120,7 @@ class GeneratorParams:
         key; a value of the right type outside its range raises ValueError
         from the constructor.  Other keys are ignored.
         """
-        def bad(key: str, what: str) -> GraphFormatError:
-            return GraphFormatError(f"bad generator params: {key!r} is not {what}")
-
-        kwargs = {}
-        for key in ("total_bloggers", "rng_seed", "posts_per_blogger"):
-            if key in data:
-                if not _is_json_integer(data[key]):
-                    raise bad(key, "an integer")
-                kwargs[key] = int(data[key])
-        for key in ("relevant_fraction", "mixing_prob", "intra_community_note_bias"):
-            if key in data:
-                value = data[key]
-                if not isinstance(value, (int, float)) or isinstance(value, bool):
-                    raise bad(key, "a number")
-                kwargs[key] = float(value)
-        for key in ("on_topic_vocab", "off_topic_vocab", "on_topic_tags",
-                    "off_topic_tags"):
-            if key in data:
-                value = data[key]
-                if not (isinstance(value, list)
-                        and all(isinstance(item, str) for item in value)):
-                    raise bad(key, "an array of strings")
-                kwargs[key] = tuple(value)
-        for key in ("notes_per_post", "words_per_post"):
-            if key in data:
-                value = data[key]
-                if not (isinstance(value, list) and len(value) == 2
-                        and all(map(_is_json_integer, value))):
-                    raise bad(key, "an array of two integers")
-                kwargs[key] = (int(value[0]), int(value[1]))
-        return cls(**kwargs)
-
-
-def _is_json_integer(value) -> bool:
-    """True for an int, or a float with no fractional part, but not a bool."""
-    if isinstance(value, bool):
-        return False
-    return isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+        return cls(**read_fields(data, _PARAM_KINDS, "bad generator params"))
 
 
 def relevant_count(params: GeneratorParams) -> int:

@@ -22,7 +22,7 @@ from itertools import chain
 import numpy as np
 
 from .corpus import NoteKind
-from .errors import GraphFormatError, SelfLoopError
+from .errors import NUMBER, GraphFormatError, SelfLoopError
 from .langmodel import Verdict
 
 
@@ -189,8 +189,7 @@ class CommunityGraph:
                 if not isinstance(node, dict):
                     raise TypeError(f"node {node!r} is not an object")
                 verdict, score = node.get("verdict"), node.get("score")
-                if not (score is None or isinstance(score, (int, float))
-                        and not isinstance(score, bool)):
+                if not (score is None or NUMBER.test(score)):
                     raise TypeError(f"node score {score!r} is not a number")
                 name = _node_name(node["id"])
                 if name in nodes:
@@ -559,10 +558,9 @@ def detect_communities(graph: CommunityGraph) -> Partition:
     nodes = graph.nodes()
     # links[a][b]: undirected edges between communities a and b.
     links: list[dict[int, int]] = [{} for _ in nodes]
-    indptr, indices = _successor_arrays(graph)
-    sources = np.repeat(np.arange(len(nodes)), np.diff(indptr))
-    for src, dst in zip(sources.tolist(), indices.tolist()):
-        links[src][dst] = links[dst][src] = 1
+    lo, hi = _undirected_pairs(graph)
+    for a, b in zip(lo.tolist(), hi.tolist()):
+        links[a][b] = links[b][a] = 1
     degree = [len(neighbours) for neighbours in links]
     m = sum(degree) // 2
     if m == 0:

@@ -105,12 +105,17 @@ MALFORMED_POSTS = {
 
 
 class FakeSession:
-    """Stands in for requests.Session: every GET answers 200 with ``payload``."""
+    """Stands in for requests.Session: every GET answers 200 with ``payload``.
+
+    ``urls`` lists the URLs asked for, in order.
+    """
 
     def __init__(self, payload):
         self.payload = payload
+        self.urls = []
 
     def get(self, url, params=None, timeout=None):
+        self.urls.append(url)
         return SimpleNamespace(status_code=200, json=lambda: self.payload)
 
 

@@ -189,6 +189,16 @@ class TestBootstrap:
                        "--tag", "stargazing"])
         assert code == 2
 
+    @pytest.mark.parametrize("tags", [["#"], [" ", "# "]])
+    def test_tags_that_normalize_to_nothing(self, pipeline, tmp_path, capsys,
+                                            tags):
+        flags = [arg for tag in tags for arg in ("--tag", tag)]
+        code, _ = run(["--out-dir", str(tmp_path), "bootstrap",
+                       "--store", str(pipeline.store), *flags])
+        assert code == 3
+        assert capsys.readouterr().err.startswith("error: no non-empty seed tags")
+        assert not (tmp_path / "manifest.json").exists()
+
     def test_unknown_tag_collects_nothing(self, pipeline, tmp_path):
         code, _ = run(["--out-dir", str(tmp_path), "bootstrap",
                        "--store", str(pipeline.store),
@@ -304,6 +314,19 @@ class TestTrain:
     def test_missing_corpus_flag(self, tmp_path):
         code, _ = run(["--out-dir", str(tmp_path), "train"])
         assert code == 3
+
+    @pytest.mark.parametrize("document", [[], {"bloggers": []}])
+    def test_empty_seed_bloggers(self, pipeline, tmp_path, capsys, document):
+        seeds = tmp_path / "seeds.json"
+        seeds.write_text(json.dumps(document))
+        out_dir = tmp_path / "out"
+        code, _ = run(["--out-dir", str(out_dir), "train",
+                       "--corpus", str(pipeline.root / "corpus.ndjson"),
+                       "--seed-bloggers", str(seeds), "--store", str(pipeline.store)])
+        assert code == 3
+        assert "names no bloggers" in capsys.readouterr().err
+        assert not (out_dir / "manifest.json").exists()
+        assert not (out_dir / "model.json").exists()
 
     def test_missing_corpus_file(self, tmp_path):
         code, _ = run(["--out-dir", str(tmp_path), "train",

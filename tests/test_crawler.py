@@ -13,6 +13,7 @@ from urllib.parse import parse_qsl, unquote, urlsplit
 
 import numpy as np
 import pytest
+import requests
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -653,6 +654,31 @@ class TestHttpJsonStore:
         store = HttpJsonStore("http://store.test", session=FakeSession(payload))
         with pytest.raises(GraphFormatError, match="bad posts payload"):
             store.blogger_posts("a")
+
+    def test_names_and_tags_are_one_escaped_segment(self):
+        session = FakeSession({"posts": []})
+        store = HttpJsonStore("http://h/api", session=session)
+        assert store.blogger_posts("a/b") == []
+        assert store.blogger_posts("../../x") == []
+        assert store.tagged_posts("#Sci/Fi") == []
+        assert store.tagged_posts("../x?y") == []
+        assert session.urls == ["http://h/api/blog/a%2Fb/posts",
+                                "http://h/api/blog/..%2F..%2Fx/posts",
+                                "http://h/api/tagged/sci%2Ffi",
+                                "http://h/api/tagged/..%2Fx%3Fy"]
+        # requests resolves dot segments; none is left to leave the API path.
+        for url in session.urls:
+            assert requests.Request("GET", url).prepare().url == url
+
+    @pytest.mark.parametrize("name", [".", ".."])
+    def test_dot_names_send_no_request(self, name):
+        session = FakeSession({"posts": [make_post("p1", "a", "text")]})
+        store = HttpJsonStore("http://h/api", session=session)
+        with pytest.raises(NotFoundError):
+            store.blogger_posts(name)
+        assert store.tagged_posts(name) == []
+        assert store.tagged_posts(f" #{name}") == []
+        assert session.urls == []
 
     def test_well_formed_payload_parses(self):
         record = make_post("p1", "a", "some text", notes=[("b", "like")], tags=["T"])
