@@ -6,8 +6,9 @@ deriving the threshold from seed bloggers), ``crawl`` a store, ``analyze``
 and ``export`` graphs, and ``eval`` predictions against ground truth.
 
 Exit codes: 0 success, 2 I/O or malformed file, 3 empty or degenerate
-input, 4 domain error.  Outputs land in --out-dir; a manifest.json recording
-the invocation is written before any artifact.
+input, 4 domain error; ``EXIT_CODES`` gives the code of each exception.
+Outputs land in --out-dir; a manifest.json recording the invocation is
+written before any artifact.
 """
 
 from __future__ import annotations
@@ -47,6 +48,21 @@ class CLIError(Exception):
         self.code = code
 
 
+# The exit code of each exception a command lets through, besides CLIError,
+# which carries its own.  The first class that matches wins, so a subclass
+# comes before its base: JSONDecodeError and UnicodeDecodeError are ValueErrors.
+EXIT_CODES = {
+    NotFoundError: EXIT_DOMAIN,
+    GraphFormatError: EXIT_IO,
+    RetrievalError: EXIT_IO,
+    ScoringError: EXIT_EMPTY,
+    SpiderveilError: EXIT_DOMAIN,
+    json.JSONDecodeError: EXIT_IO,
+    OSError: EXIT_IO,
+    ValueError: EXIT_DOMAIN,
+}
+
+
 # -- small file helpers --------------------------------------------------------
 
 
@@ -60,10 +76,6 @@ def atomic_write_bytes(path: Path, payload: bytes) -> None:
     finally:
         if tmp.exists():
             tmp.unlink(missing_ok=True)
-
-
-def atomic_write_text(path: Path, text: str) -> None:
-    atomic_write_bytes(path, text.encode("utf-8"))
 
 
 class _Unsupported(Exception):
@@ -131,7 +143,7 @@ def json_text(obj) -> str:
 
 
 def write_json(path: Path, obj) -> None:
-    atomic_write_text(path, json_text(obj) + "\n")
+    atomic_write_bytes(path, (json_text(obj) + "\n").encode("utf-8"))
 
 
 def read_json(path) -> dict:
@@ -245,12 +257,12 @@ def cmd_bootstrap(args, config: dict) -> int:
 
     corpus_path = Path(args.out) if args.out else out_dir / "corpus.ndjson"
     lexicon_path = corpus_path.with_name(corpus_path.stem + ".lexicon.json")
-    write_manifest(args, out_dir, [corpus_path, lexicon_path])
 
     corpus, lexicon = bootstrap_exemplars(store, tags, target)
     if not corpus.documents:
         raise CLIError(EXIT_EMPTY,
                        f"no documents collected for tags: {', '.join(tags)}")
+    write_manifest(args, out_dir, [corpus_path, lexicon_path])
     generation = 0
     while True:
         round_tags = lexicon.tags_in_generation(generation)
@@ -305,9 +317,9 @@ def cmd_train(args, config: dict) -> int:
     seed_names = _load_seed_bloggers(args.seed_bloggers) if args.seed_bloggers else None
     if seed_names:
         outputs.append(threshold_path)
-    write_manifest(args, out_dir, outputs)
 
     model = train(corpus, **options)
+    write_manifest(args, out_dir, outputs)
     save_model(model, model_path)
     print(f"trained order-{model.order} model on {len(corpus.documents)} "
           f"documents ({model.trained_chars} characters)")
@@ -572,30 +584,12 @@ def main(argv=None) -> int:
     try:
         config = load_config(args)
         return args.func(args, config)
-    except CLIError as exc:
+    except (CLIError, *EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    except NotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except (GraphFormatError, RetrievalError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except ScoringError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_EMPTY
-    except SpiderveilError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except json.JSONDecodeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+        if isinstance(exc, CLIError):
+            return exc.code
+        return next(code for kind, code in EXIT_CODES.items()
+                    if isinstance(exc, kind))
 
 
 def entry() -> None:

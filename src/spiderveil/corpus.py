@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 
-from .errors import GraphFormatError, RetrievalError
+from .errors import GraphFormatError
 
 _MARKUP_RE = re.compile(r"<[^>]*>")
 # \t \n \r \f \v count as whitespace and collapse below; the rest is junk.
@@ -114,7 +114,6 @@ class Post:
     blog_name: str
     body: str
     caption: str = ""
-    slug: str = ""
     tags: tuple[str, ...] = ()
     notes: tuple[NoteRecord, ...] = ()
 
@@ -239,21 +238,15 @@ def bootstrap_exemplars(store, seed_tags,
     document_ids: list[str] = []
     seen_ids: set[str] = set()
 
-    generation = 0
-    for _ in range(BOOTSTRAP_ROUNDS):
+    # A round that adds no document adds no tag, so the next one stops.
+    for generation in range(BOOTSTRAP_ROUNDS):
         current = lexicon.tags_in_generation(generation)
         if not current or len(documents) >= target_size:
             break
-        added_docs = added_tags = 0
         for tag in current:
             if len(documents) >= target_size:
                 break
-            try:
-                posts = store.tagged_posts(tag, limit=target_size)
-            except RetrievalError as err:
-                err.tag = tag
-                raise
-            for post in posts:
+            for post in store.tagged_posts(tag, limit=target_size):
                 if post.id in seen_ids:
                     continue
                 text = post.normalized_text()
@@ -264,15 +257,10 @@ def bootstrap_exemplars(store, seed_tags,
                 seen_ids.add(post.id)
                 documents.append(text)
                 document_ids.append(post.id)
-                added_docs += 1
                 for co_tag in post.tags:
-                    if lexicon.add(co_tag, generation + 1):
-                        added_tags += 1
+                    lexicon.add(co_tag, generation + 1)
                 if len(documents) >= target_size:
                     break
-        generation += 1
-        if added_docs == 0 and added_tags == 0:
-            break
 
     corpus = ExemplarCorpus(documents=documents, document_ids=document_ids,
                             target_size=target_size)

@@ -14,7 +14,7 @@ import logging
 import math
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 from itertools import islice
 from operator import itemgetter
@@ -136,7 +136,7 @@ def post_from_record(record: dict, note_records: dict | None = None) -> Post:
         tags = tuple(t for t in (normalize_tag(raw) for raw in record.get("tags", ())) if t)
         return Post(id=str(record["id"]), blog_name=record["blog_name"],
                     body=record.get("body", ""), caption=record.get("caption", ""),
-                    slug=record.get("slug", ""), tags=tags, notes=notes)
+                    tags=tags, notes=notes)
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         # AttributeError: a tag that is not a string has no ``strip``.
         raise GraphFormatError(f"bad post record: {exc}") from exc
@@ -353,16 +353,7 @@ class CrawlConfig:
                 raise ValueError(f"{field_name} must be >= 1")
 
     def to_json_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "threshold": self.threshold,
-            "graph_size_limit": self.graph_size_limit,
-            "frontier_width": self.frontier_width,
-            "posts_per_blogger": self.posts_per_blogger,
-            "ngram_order": self.ngram_order,
-            "selection_policy": self.selection_policy.value,
-            "rng_seed": self.rng_seed,
-        }
+        return {**asdict(self), "selection_policy": self.selection_policy.value}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "CrawlConfig":
@@ -649,13 +640,11 @@ class CrawlSession:
         try:
             kept = fetch_posts(self._source, name, self._config)
             score = score_blogger(self._model, kept)
-        except NotFoundError:
+        except (NotFoundError, RetrievalError) as exc:
             if name == self._config.seed:
                 raise
-            self._skip(name, "unknown blogger")
-            return
-        except RetrievalError as exc:
-            self._skip(name, f"retrieval failed ({exc})")
+            self._skip(name, f"retrieval failed ({exc})"
+                       if isinstance(exc, RetrievalError) else "unknown blogger")
             return
         except ScoringError:
             self._skip(name, "no scoreable text")

@@ -10,14 +10,12 @@ class SpiderveilError(Exception):
 class RetrievalError(SpiderveilError):
     """A data source failed to answer a request.
 
-    Carries the tag that was being expanded (when raised during corpus
-    bootstrapping) and the number of attempts made (when raised by a
-    transport-backed source).
+    Carries the number of attempts made (when raised by a transport-backed
+    source).
     """
 
-    def __init__(self, message: str, *, tag: str | None = None, retries: int = 0):
+    def __init__(self, message: str, *, retries: int = 0):
         super().__init__(message)
-        self.tag = tag
         self.retries = retries
 
 

@@ -236,10 +236,9 @@ def _count_windows(documents: list[str], order: int):
     each window that ends on a document character is packed into an int64
     key, _CHAR_BITS per character.  Before a character that would overflow
     the key, the partial keys are replaced by their ranks, which keeps
-    distinct windows distinct.  One sort then counts the keys and finds
-    where each first occurs, so contexts and rows enter ``counts`` in the
-    order a left-to-right walk over every character of every document would
-    add them; only one window per distinct key is sliced back into a string.
+    distinct windows distinct.  One sort then counts the keys, and one
+    window per distinct key is sliced back into a string, so contexts and
+    rows enter ``counts`` in code-point order, as ``load_model`` gives them.
     """
     padding = SENTINEL * (order - 1)
     text = padding.join(["", *documents])
@@ -256,16 +255,14 @@ def _count_windows(documents: list[str], order: int):
             used = (len(distinct) - 1).bit_length()
         key = (key << _CHAR_BITS) | points[ends - back]
         used += _CHAR_BITS
-    # np.unique(..., return_index=True) sorts stably, which takes two to
-    # three times as long as an unstable argsort and a minimum per run.
+    # Any window of a run of equal keys stands for the key, so an unstable
+    # argsort does; np.unique(..., return_index=True) would sort stably.
     by_key = np.argsort(key)
     key = key[by_key]
     starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
-    first = np.minimum.reduceat(by_key, starts)
     tallies = np.diff(starts, append=len(key))
-    seen = np.argsort(first)
     counts: dict[str, dict[str, int]] = {}
-    for end, count in zip(ends[first[seen]].tolist(), tallies[seen].tolist()):
+    for end, count in zip(ends[by_key[starts]].tolist(), tallies.tolist()):
         counts.setdefault(text[end - order + 1:end], {})[text[end]] = count
     return counts, len(ends)
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 from .corpus import ENGLISH_FUNCTION_WORDS
 from .errors import INTEGER, INTEGER_PAIR, NUMBER, STRINGS, read_fields
@@ -246,10 +246,9 @@ def generate(params: GeneratorParams) -> tuple[dict, dict[str, bool]]:
             seen_notes = set()
             for _ in range(note_count):
                 pool = same_pool if rng.random() < params.intra_community_note_bias else other_pool
+                # GeneratorParams rejects an empty community.
                 if not pool:
-                    pool = other_pool or same_pool
-                if not pool:
-                    continue
+                    pool = other_pool
                 noter = pool[rng.randrange(len(pool))]
                 kind = "like" if rng.random() < 0.5 else "reblog"
                 if (noter, kind) in seen_notes:
@@ -314,7 +313,7 @@ class ConfusionMatrix:
         return self.tp + self.fn + self.fp + self.tn
 
     def to_json_dict(self) -> dict:
-        return {"tp": self.tp, "fn": self.fn, "fp": self.fp, "tn": self.tn}
+        return asdict(self)
 
     def format_table(self) -> str:
         rows = [

@@ -16,7 +16,7 @@ from __future__ import annotations
 import heapq
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import chain
 
 import numpy as np
@@ -623,16 +623,7 @@ class GraphMeasurements:
     mean_in_closeness: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "node_count": self.node_count,
-            "edge_count": self.edge_count,
-            "diameter": self.diameter,
-            "scc_count": self.scc_count,
-            "avg_clustering": self.avg_clustering,
-            "modularity": self.modularity,
-            "mean_in_betweenness": self.mean_in_betweenness,
-            "mean_in_closeness": self.mean_in_closeness,
-        }
+        return asdict(self)
 
     def format_table(self) -> str:
         rows = [

@@ -14,6 +14,8 @@ from hypothesis import strategies as st
 from spiderveil import cli
 from spiderveil.cli import main
 from spiderveil.crawler import HttpJsonStore
+from spiderveil.errors import (GraphFormatError, NotFoundError, RetrievalError,
+                               ScoringError, SelfLoopError)
 from spiderveil.socialgraph import import_json_edge_list
 
 from conftest import MALFORMED_POSTS, MALFORMED_STORES, FakeSession
@@ -264,6 +266,14 @@ class TestBootstrap:
         lines = (tmp_path / "corpus.ndjson").read_text().strip().splitlines()
         assert len(lines) == 5
 
+    def test_bad_target_writes_no_manifest(self, pipeline, tmp_path, capsys):
+        code, _ = run(["--out-dir", str(tmp_path), "bootstrap",
+                       "--store", str(pipeline.store), "--tag", "stargazing",
+                       "--target", "0"])
+        assert code == 4
+        assert capsys.readouterr().err == "error: target_size must be positive\n"
+        assert not (tmp_path / "manifest.json").exists()
+
 
 class TestTrain:
     def test_model_file(self, pipeline):
@@ -424,6 +434,20 @@ class TestTrain:
             assert err.startswith("error: bad config: ")
             assert not (out_dir / "manifest.json").exists()
 
+    @pytest.mark.parametrize("flags,problem", [
+        (["--order", "0"], "order must be >= 1"),
+        (["--alpha", "0"], "alpha must be positive and finite"),
+        (["--posts", "0"], "posts per blogger must be >= 1"),
+    ])
+    def test_bad_numbers_write_no_manifest(self, pipeline, tmp_path, capsys,
+                                           flags, problem):
+        code, _ = run(["--out-dir", str(tmp_path), "train",
+                       "--corpus", str(pipeline.root / "corpus.ndjson"), *flags])
+        assert code == 4
+        assert capsys.readouterr().err == f"error: {problem}\n"
+        assert not (tmp_path / "manifest.json").exists()
+        assert not (tmp_path / "model.json").exists()
+
 
 class TestCrawl:
     def test_artifacts(self, pipeline):
@@ -513,6 +537,21 @@ class TestCrawl:
                        "--threshold", "-2.0", "--seed-blogger", "a"])
         assert code == 2
         assert capsys.readouterr().err.startswith("error: bad posts payload: ")
+
+    def test_seed_fetch_failure(self, pipeline, tmp_path, capsys, monkeypatch):
+        # Every GET answers HTTP 500, so the seed's posts cannot be fetched.
+        failing = SimpleNamespace(get=lambda url, params=None, timeout=None:
+                                  SimpleNamespace(status_code=500, headers={}))
+        monkeypatch.setattr(cli, "HttpJsonStore", lambda url: HttpJsonStore(
+            url, backoff=0.0, session=failing))
+        code, _ = run(["--out-dir", str(tmp_path), "crawl",
+                       "--url", "http://store.test",
+                       "--model", str(pipeline.root / "model.json"),
+                       "--threshold", "-2.0", "--seed-blogger", "a"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(
+            "error: GET /blog/a/posts failed after 3 attempts")
+        assert not (tmp_path / "crawl.json").exists()
 
     def test_threshold_file_not_an_object(self, pipeline, tmp_path, capsys):
         threshold_file = tmp_path / "threshold.json"
@@ -899,6 +938,34 @@ class TestManifest:
         names = {str(tmp_path / "store.json"), str(tmp_path / "truth.json")}
         assert set(manifest["output_paths"]) == names
         assert manifest["started_at"].endswith("+00:00")
+
+
+# Each exception a command may let through, and the code main exits with.
+EXIT_CASES = {
+    "CLIError": (cli.CLIError(3, "nothing to do"), 3),
+    "NotFoundError": (NotFoundError("no blogger named 'x'"), 4),
+    "GraphFormatError": (GraphFormatError("bad fixture store: x"), 2),
+    "RetrievalError": (RetrievalError("GET /x failed", retries=3), 2),
+    "ScoringError": (ScoringError("blogger has no scoreable text"), 3),
+    "SelfLoopError": (SelfLoopError("self-loop on 'a'"), 4),
+    "JSONDecodeError": (json.JSONDecodeError("Expecting value", "x", 0), 2),
+    "OSError": (OSError("disk full"), 2),
+    "UnicodeDecodeError": (
+        UnicodeDecodeError("utf-8", b"\xff", 0, 1, "invalid start byte"), 4),
+    "ValueError": (ValueError("bad value"), 4),
+}
+
+
+@pytest.mark.parametrize("name", EXIT_CASES)
+def test_exit_code_of_each_exception(monkeypatch, capsys, name):
+    error, code = EXIT_CASES[name]
+
+    def fail(args, config):
+        raise error
+
+    monkeypatch.setattr(cli, "cmd_eval", fail)
+    assert main(["eval"]) == code
+    assert capsys.readouterr().err == f"error: {error}\n"
 
 
 # Every file-taking flag, given a file that starts with the bytes \xff\xfe

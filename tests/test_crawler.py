@@ -1217,6 +1217,22 @@ class TestHandCrawl:
         # the walk cannot continue past carol, so dave is never reached
         assert not result.graph.has_node("dave")
 
+    def test_seed_retrieval_failure_propagates(self, hand_store, hand_model,
+                                               hand_threshold):
+        class Hostile:
+            def __init__(self, inner, broken):
+                self.inner = inner
+                self.broken = broken
+
+            def blogger_posts(self, name, limit=None):
+                if name == self.broken:
+                    raise RetrievalError("boom", retries=3)
+                return self.inner.blogger_posts(name, limit=limit)
+
+        config = CrawlConfig(seed="alpha", threshold=hand_threshold)
+        with pytest.raises(RetrievalError, match="boom"):
+            crawl(Hostile(hand_store, "alpha"), hand_model, config)
+
     def test_unknown_seed_verdict_yields_empty_graph(self, hand_store,
                                                      hand_model):
         config = CrawlConfig(seed="alpha", threshold=0.0)

@@ -87,11 +87,12 @@ class TestTrain:
             return
         model = train(docs, order=order)
         assert model.trained_chars == trained_chars
-        # equal, and built in the same insertion order
         assert model.counts == counts
-        assert list(model.counts) == list(counts)
+        # contexts and rows in the order a loaded model has them
+        loaded = NGramModel.from_json_dict(model.to_json_dict())
+        assert list(model.counts) == list(loaded.counts)
         assert [list(row) for row in model.counts.values()] == \
-            [list(row) for row in counts.values()]
+            [list(row) for row in loaded.counts.values()]
 
     def test_accepts_corpus_object(self):
         corpus = ExemplarCorpus(documents=["abab"], document_ids=["p1"],
