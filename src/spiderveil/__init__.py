@@ -8,7 +8,7 @@ closes the loop for end-to-end evaluation.
 """
 
 from .corpus import (ExemplarCorpus, LanguageVerdict, NoteKind, NoteRecord,
-                     Post, TagLexicon, bootstrap_exemplars, detect_language,
+                     Post, bootstrap_exemplars, detect_language,
                      filter_english, normalize_tag, normalize_text)
 from .crawler import (CrawlConfig, CrawlResult, CrawlSession, FixtureStore,
                       HttpJsonStore, SelectionPolicy, StopReason,
@@ -16,15 +16,14 @@ from .crawler import (CrawlConfig, CrawlResult, CrawlSession, FixtureStore,
                       extract_frontiers, fetch_posts, propagate, select_next)
 from .errors import (GraphFormatError, NotFoundError, RetrievalError,
                      ScoringError, SelfLoopError, SpiderveilError)
-from .langmodel import (NGramModel, RelevanceScore, Threshold, Verdict,
-                        classify, compute_threshold, load_model, save_model,
+from .langmodel import (NGramModel, Threshold, Verdict, classify,
+                        compute_threshold, load_model, save_model,
                         score_blogger, score_text, train)
 from .simnet import (ConfusionMatrix, EvalReport, GeneratorParams, evaluate,
                      generate, report_from_matrix)
 from .socialgraph import (CommunityGraph, GraphMeasurements, Partition,
                           avg_clustering, betweenness, closeness_in,
                           detect_communities, diameter, export_graph,
-                          import_json_edge_list, measure, modularity,
-                          strongly_connected_components)
+                          import_json_edge_list, measure, modularity)
 
 __version__ = "0.1.0"

@@ -263,18 +263,17 @@ def cmd_bootstrap(args, config: dict) -> int:
         raise CLIError(EXIT_EMPTY,
                        f"no documents collected for tags: {', '.join(tags)}")
     write_manifest(args, out_dir, [corpus_path, lexicon_path])
-    generation = 0
-    while True:
-        round_tags = lexicon.tags_in_generation(generation)
-        if not round_tags:
-            break
+    # Each round adds tags of the next generation only, so the lexicon holds
+    # its generations in order.
+    rounds: dict[int, list[str]] = {}
+    for tag, generation in lexicon.items():
+        rounds.setdefault(generation, []).append(tag)
+    for generation, round_tags in rounds.items():
         print(f"round {generation}: {len(round_tags)} tags "
               f"({', '.join(round_tags)})")
-        generation += 1
-    print(f"collected {len(corpus.documents)} documents "
-          f"(target {corpus.target_size})")
+    print(f"collected {len(corpus.documents)} documents (target {target})")
     corpus.save(corpus_path)
-    write_json(lexicon_path, lexicon.to_json_dict())
+    write_json(lexicon_path, lexicon)
     print(f"wrote {corpus_path} and {lexicon_path}")
     return EXIT_OK
 
@@ -318,7 +317,15 @@ def cmd_train(args, config: dict) -> int:
     if seed_names:
         outputs.append(threshold_path)
 
-    model = train(corpus, **options)
+    model = train(corpus.documents, **options)
+    if seed_names:
+        # Seeds are scored before any file is written, so a seed that cannot
+        # be scored leaves no model behind.
+        store = open_store(args, config)
+        scored = sorted(
+            (score_blogger(model, filter_english(
+                store.blogger_posts(name, limit=posts))), name)
+            for name in seed_names)
     write_manifest(args, out_dir, outputs)
     save_model(model, model_path)
     print(f"trained order-{model.order} model on {len(corpus.documents)} "
@@ -326,13 +333,6 @@ def cmd_train(args, config: dict) -> int:
     print(f"wrote {model_path}")
 
     if seed_names:
-        store = open_store(args, config)
-        scored: list[tuple[float, str]] = []
-        for name in seed_names:
-            kept = filter_english(store.blogger_posts(name, limit=posts))
-            score = score_blogger(model, kept)
-            scored.append((score.value, name))
-        scored.sort()
         print("seed blogger scores (ascending):")
         for value, name in scored:
             print(f"  {value:.17g}  {name}")

@@ -146,38 +146,11 @@ def filter_english(posts) -> list[tuple[Post, str]]:
     return kept
 
 
-class TagLexicon:
-    """Ordered tag set remembering the expansion round that added each tag."""
-
-    def __init__(self, seed_tags=()):
-        self._generations: dict[str, int] = {}
-        for tag in seed_tags:
-            self.add(tag, 0)
-
-    def add(self, tag: str, generation: int) -> bool:
-        """Add a tag; the first generation to see it wins.  True if new."""
-        tag = normalize_tag(tag)
-        if not tag or tag in self._generations:
-            return False
-        self._generations[tag] = generation
-        return True
-
-    def tags_in_generation(self, generation: int) -> list[str]:
-        return [t for t, g in self._generations.items() if g == generation]
-
-    def __len__(self) -> int:
-        return len(self._generations)
-
-    def to_json_dict(self) -> dict:
-        return dict(self._generations)
-
-
 @dataclass
 class ExemplarCorpus:
     """Normalized on-topic documents used to train the relevance model."""
     documents: list[str] = field(default_factory=list)
     document_ids: list[str] = field(default_factory=list)
-    target_size: int = 0
 
     def save(self, path) -> None:
         """Write one {id, text} JSON object per line."""
@@ -215,23 +188,23 @@ class ExemplarCorpus:
                         f"bad corpus line {number}: no string {key!r}")
             ids.append(record["id"])
             documents.append(record["text"])
-        return cls(documents=documents, document_ids=ids,
-                   target_size=len(documents))
+        return cls(documents=documents, document_ids=ids)
 
 
-def bootstrap_exemplars(store, seed_tags,
-                        target_size: int) -> tuple[ExemplarCorpus, TagLexicon]:
+def bootstrap_exemplars(store, seed_tags, target_size: int
+                        ) -> tuple[ExemplarCorpus, dict[str, int]]:
     """Grow an exemplar corpus from seed tags by tag co-occurrence.
 
     Round g fetches posts for every generation-g tag, keeps normalized
     English texts (deduplicated by post id), and files unseen co-occurring
     tags under generation g+1.  Stops at ``target_size`` documents, after
-    ``BOOTSTRAP_ROUNDS`` rounds, or when a round adds nothing.
+    ``BOOTSTRAP_ROUNDS`` rounds, or when a round adds nothing.  The lexicon
+    maps each normalized, non-empty tag to the first generation that saw it.
     """
     if target_size <= 0:
         raise ValueError("target_size must be positive")
-    lexicon = TagLexicon(seed_tags)
-    if len(lexicon) == 0:
+    lexicon = dict.fromkeys(filter(None, map(normalize_tag, seed_tags)), 0)
+    if not lexicon:
         raise ValueError("seed lexicon is empty")
 
     documents: list[str] = []
@@ -240,7 +213,7 @@ def bootstrap_exemplars(store, seed_tags,
 
     # A round that adds no document adds no tag, so the next one stops.
     for generation in range(BOOTSTRAP_ROUNDS):
-        current = lexicon.tags_in_generation(generation)
+        current = [tag for tag, added in lexicon.items() if added == generation]
         if not current or len(documents) >= target_size:
             break
         for tag in current:
@@ -257,11 +230,9 @@ def bootstrap_exemplars(store, seed_tags,
                 seen_ids.add(post.id)
                 documents.append(text)
                 document_ids.append(post.id)
-                for co_tag in post.tags:
-                    lexicon.add(co_tag, generation + 1)
+                for co_tag in filter(None, map(normalize_tag, post.tags)):
+                    lexicon.setdefault(co_tag, generation + 1)
                 if len(documents) >= target_size:
                     break
 
-    corpus = ExemplarCorpus(documents=documents, document_ids=document_ids,
-                            target_size=target_size)
-    return corpus, lexicon
+    return ExemplarCorpus(documents=documents, document_ids=document_ids), lexicon

@@ -651,9 +651,9 @@ class CrawlSession:
             return
 
         verdict = classify(score, self._config.threshold)
-        self._visit_log.append(VisitRecord(name, score.value, verdict))
+        self._visit_log.append(VisitRecord(name, score, verdict))
         if verdict is Verdict.RELEVANT:
-            self._admit(name, score.value, [post for post, _ in kept], parents)
+            self._admit(name, score, [post for post, _ in kept], parents)
         else:
             self._discarded[name] = None
 
@@ -691,15 +691,11 @@ class CrawlSession:
         return self._mass
 
     def _propagated_mass(self, steps: int) -> dict[str, float]:
-        if self._graph.node_count() == 0:
-            return {}
+        # Bloggers are pending only once the seed was admitted; resume
+        # rejects a checkpoint that says otherwise.
         matrix = build_transition_matrix(self._graph)
         p0 = np.zeros(len(matrix.ordering))
-        try:
-            p0[matrix.ordering.index(self._config.seed)] = 1.0
-        except ValueError:
-            # Seed was never admitted; fall back to a uniform start.
-            p0[:] = 1.0 / len(matrix.ordering)
+        p0[matrix.ordering.index(self._config.seed)] = 1.0
         mass = propagate(p0, matrix, steps)
         return dict(zip(matrix.ordering, mass.tolist()))
 
@@ -774,6 +770,12 @@ class CrawlSession:
                     "pending bloggers missing from the frontier")
             session._frontier.update(pending)
             session._graph = CommunityGraph.from_json_dict(checkpoint["graph"])
+            # Until the seed is admitted, only the seed itself can be next.
+            waiting = (session._frontier
+                       or checkpoint["current"] not in (None, config.seed))
+            if waiting and not session._graph.has_node(config.seed):
+                raise GraphFormatError("bloggers are pending but the graph "
+                                       f"lacks the seed {config.seed!r}")
             session._selections = selections
             session._current = checkpoint["current"]
             stop = checkpoint.get("stop_reason")

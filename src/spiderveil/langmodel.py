@@ -31,12 +31,6 @@ class Verdict(Enum):
 
 
 @dataclass(frozen=True)
-class RelevanceScore:
-    """Mean log10 character probability; always negative for real text."""
-    value: float
-
-
-@dataclass(frozen=True)
 class Threshold:
     """Classification cut: mean of the seed bloggers' scores."""
     value: float
@@ -204,14 +198,12 @@ class _LogTable:
         return float(np.cumsum(values)[-1]) / n
 
 
-def train(corpus, order: int = 3, alpha: float = 1.0) -> NGramModel:
-    """Count every order-length window of every document.
+def train(documents, order: int = 3, alpha: float = 1.0) -> NGramModel:
+    """Count every order-length window of every document string.
 
     Documents are padded with order-1 start sentinels, so each character is
-    the target of exactly one window.  ``corpus`` may be an ExemplarCorpus
-    or any iterable of strings.
+    the target of exactly one window.
     """
-    documents = getattr(corpus, "documents", corpus)
     if order < 1:
         raise ValueError("order must be >= 1")
     if not 0 < alpha < math.inf:
@@ -267,8 +259,9 @@ def _count_windows(documents: list[str], order: int):
     return counts, len(ends)
 
 
-def score_text(model: NGramModel, text: str) -> RelevanceScore:
-    """Mean log10 probability per character of ``text`` under ``model``.
+def score_text(model: NGramModel, text: str) -> float:
+    """Mean log10 probability per character of ``text`` under ``model``;
+    always negative for real text.
 
     The text is expected to be normalized already; characters outside the
     model vocabulary fall into the unknown bucket.  Each character costs a few
@@ -277,10 +270,10 @@ def score_text(model: NGramModel, text: str) -> RelevanceScore:
     """
     if not text:
         raise ScoringError("cannot score empty text")
-    return RelevanceScore(model._table.mean_log10(text))
+    return model._table.mean_log10(text)
 
 
-def score_blogger(model: NGramModel, kept) -> RelevanceScore:
+def score_blogger(model: NGramModel, kept) -> float:
     """Score a blogger's whole output as one text.
 
     ``kept`` holds (post, normalized text) pairs as ``filter_english``
@@ -294,21 +287,17 @@ def score_blogger(model: NGramModel, kept) -> RelevanceScore:
 
 
 def compute_threshold(scores) -> Threshold:
-    """Arithmetic mean of seed blogger scores (RelevanceScore or float)."""
-    values = [s.value if isinstance(s, RelevanceScore) else float(s)
-              for s in scores]
-    if not values:
+    """Arithmetic mean of seed blogger scores, an iterable of floats."""
+    scores = list(scores)
+    if not scores:
         raise ValueError("no seed scores given")
-    return Threshold(value=math.fsum(values) / len(values),
-                     seed_count=len(values))
+    return Threshold(value=math.fsum(scores) / len(scores),
+                     seed_count=len(scores))
 
 
-def classify(score: RelevanceScore, threshold: "Threshold | float") -> Verdict:
+def classify(score: float, threshold: float) -> Verdict:
     """Relevant only when strictly above the threshold."""
-    cutoff = threshold.value if isinstance(threshold, Threshold) else threshold
-    if score.value > cutoff:
-        return Verdict.RELEVANT
-    return Verdict.UNKNOWN
+    return Verdict.RELEVANT if score > threshold else Verdict.UNKNOWN
 
 
 def save_model(model: NGramModel, path) -> None:

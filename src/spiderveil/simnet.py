@@ -341,26 +341,18 @@ class EvalReport:
     accuracy: float
 
     def to_json_dict(self) -> dict:
+        metrics = asdict(self)
         return {
-            "precision": round(self.precision, 4),
-            "recall": round(self.recall, 4),
-            "f_score": round(self.f_score, 4),
-            "accuracy": round(self.accuracy, 4),
-            "truncated": {
-                "precision": truncate2(self.precision),
-                "recall": truncate2(self.recall),
-                "f_score": truncate2(self.f_score),
-                "accuracy": truncate2(self.accuracy),
-            },
+            **{name: round(value, 4) for name, value in metrics.items()},
+            "truncated": {name: truncate2(value) for name, value in metrics.items()},
             "note": "truncated values drop digits past two decimals",
         }
 
     def format_table(self) -> str:
-        header = ("precision", "recall", "f-score", "accuracy")
-        exact = tuple(f"{v:.4f}" for v in
-                      (self.precision, self.recall, self.f_score, self.accuracy))
-        trunc = tuple(truncate2(v) for v in
-                      (self.precision, self.recall, self.f_score, self.accuracy))
+        metrics = asdict(self)
+        header = [name.replace("_", "-") for name in metrics]
+        exact = [f"{value:.4f}" for value in metrics.values()]
+        trunc = list(map(truncate2, metrics.values()))
         widths = [max(len(h), len(e), len(t), 9)
                   for h, e, t in zip(header, exact, trunc)]
         lines = [

@@ -142,12 +142,14 @@ class CommunityGraph:
 
     def project(self, label: NoteKind) -> "CommunityGraph":
         """Subgraph of edges carrying ``label``; only their endpoints remain."""
+        bit = LABEL_BIT[label.value]
         sub = CommunityGraph()
-        for src, dst, labels in self.edges():
-            if label in labels:
-                sub.add_node(src, self.verdict(src), self.score(src))
-                sub.add_node(dst, self.verdict(dst), self.score(dst))
-                sub.add_link(src, dst, label)
+        for src, targets in self._succ.items():
+            for dst, mask in targets.items():
+                if mask & bit:
+                    sub.add_node(src, **self._nodes[src])
+                    sub.add_node(dst, **self._nodes[dst])
+                    sub.add_labels(src, dst, bit)
         return sub
 
     def __eq__(self, other) -> bool:
@@ -217,13 +219,13 @@ class CommunityGraph:
 # -- measurements ----------------------------------------------------------
 
 
-def strongly_connected_components(graph: CommunityGraph) -> list[list[str]]:
+def scc_count(graph: CommunityGraph) -> int:
     """Tarjan with an explicit stack; recursion would cap the graph size."""
     index: dict[str, int] = {}
     lowlink: dict[str, int] = {}
     on_stack: set[str] = set()
     stack: list[str] = []
-    components: list[list[str]] = []
+    components = 0
     counter = 0
 
     for root in graph.nodes():
@@ -233,7 +235,7 @@ def strongly_connected_components(graph: CommunityGraph) -> list[list[str]]:
         counter += 1
         stack.append(root)
         on_stack.add(root)
-        work = [(root, iter(graph.successors(root)))]
+        work = [(root, iter(graph._succ[root]))]
         while work:
             node, successors = work[-1]
             descended = False
@@ -243,7 +245,7 @@ def strongly_connected_components(graph: CommunityGraph) -> list[list[str]]:
                     counter += 1
                     stack.append(succ)
                     on_stack.add(succ)
-                    work.append((succ, iter(graph.successors(succ))))
+                    work.append((succ, iter(graph._succ[succ])))
                     descended = True
                     break
                 if succ in on_stack:
@@ -255,19 +257,13 @@ def strongly_connected_components(graph: CommunityGraph) -> list[list[str]]:
                 parent = work[-1][0]
                 lowlink[parent] = min(lowlink[parent], lowlink[node])
             if lowlink[node] == index[node]:
-                component = []
                 while True:
                     member = stack.pop()
                     on_stack.discard(member)
-                    component.append(member)
                     if member == node:
                         break
-                components.append(component)
+                components += 1
     return components
-
-
-def scc_count(graph: CommunityGraph) -> int:
-    return len(strongly_connected_components(graph))
 
 
 def _successor_arrays(graph: CommunityGraph) -> tuple[np.ndarray, np.ndarray]:
@@ -513,13 +509,13 @@ class Partition:
         return len(set(self.assignment.values()))
 
 
-def modularity(graph: CommunityGraph, partition: Partition | dict) -> float:
-    """Newman modularity of the partition on the undirected simplification.
+def modularity(graph: CommunityGraph, assignment: dict) -> float:
+    """Newman modularity of the node -> community ``assignment`` on the
+    undirected simplification.
 
     Community labels may be any hashable values; they are numbered in the
     order their first node appears, and their terms are added in that order.
     """
-    assignment = partition.assignment if isinstance(partition, Partition) else partition
     numbers: dict = {}
     community = []
     for node in graph.nodes():
@@ -645,7 +641,7 @@ def measure(graph: CommunityGraph) -> GraphMeasurements:
     if graph.node_count() == 0:
         raise ValueError("cannot measure an empty graph")
     if graph.edge_count():
-        quality = modularity(graph, detect_communities(graph))
+        quality = modularity(graph, detect_communities(graph).assignment)
     else:
         quality = 0.0
     central, closeness, longest = _shortest_paths(graph)
@@ -675,20 +671,19 @@ def _dot_id(name: str) -> str:
 
 
 def _to_dot(graph: CommunityGraph) -> str:
+    ids = {name: _dot_id(name) for name in graph._nodes}
     lines = ["digraph community {"]
-    for name in graph.nodes():
-        attrs = []
-        verdict = graph.verdict(name)
-        if verdict is not None:
-            attrs.append(f'verdict="{verdict.value}"')
-        score = graph.score(name)
+    for name, attrs in graph._nodes.items():
+        verdict, score = attrs["verdict"], attrs["score"]
+        data = [] if verdict is None else [f'verdict="{verdict.value}"']
         if score is not None:
-            attrs.append(f'score="{score!r}"')
-        suffix = f" [{', '.join(attrs)}]" if attrs else ""
-        lines.append(f"  {_dot_id(name)}{suffix};")
-    for src, dst, labels in graph.edges():
-        joined = "|".join(sorted(label.value for label in labels))
-        lines.append(f'  {_dot_id(src)} -> {_dot_id(dst)} [label="{joined}"];')
+            data.append(f'score="{score!r}"')
+        suffix = f" [{', '.join(data)}]" if data else ""
+        lines.append(f"  {ids[name]}{suffix};")
+    for src, targets in graph._succ.items():
+        for dst, mask in targets.items():
+            lines.append(f'  {ids[src]} -> {ids[dst]} '
+                         f'[label="{"|".join(LABEL_VALUES[mask])}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -172,7 +172,7 @@ def hand_threshold(hand_store, hand_model):
     """Midpoint between the astronomy and cooking score clusters."""
     def blogger_score(name):
         kept = filter_english(hand_store.blogger_posts(name, limit=100))
-        return score_blogger(hand_model, kept).value
+        return score_blogger(hand_model, kept)
 
     on = [blogger_score(n) for n in ("alpha", "bravo", "carol", "dave")]
     off = [blogger_score(n) for n in ("xena", "yuri")]
@@ -192,7 +192,7 @@ def small_bundle():
     store_data, truth = generate(params)
     store = FixtureStore(store_data)
     corpus, lexicon = bootstrap_exemplars(store, ["stargazing"], 80)
-    model = train(corpus, order=3)
+    model = train(corpus.documents, order=3)
     seed_names = [n for n, label in truth.items() if label][:10]
     scores = []
     for name in seed_names:

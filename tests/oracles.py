@@ -17,9 +17,10 @@ every post at load, as the lazy store replaced; the generator's oracle draws
 through ``randrange`` and ``shuffle``, and the trainer's oracle counts one
 character at a time.  The graph and crawl-state oracles keep each edge's and
 each discoverer's labels as a set of kinds, as the bitmask form replaced.
-The transition-matrix oracle assigns one matrix cell per edge, and the
-GraphML oracle builds and writes an ElementTree, as the array scatter and
-the string writer replaced.
+The transition-matrix oracle assigns one matrix cell per edge, the
+GraphML oracle builds and writes an ElementTree, and the DOT oracle reads
+each edge's labels as a set of kinds, as the array scatter, the string
+writer and the mask-reading writer replaced.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from spiderveil.crawler import (CHECKPOINT_FORMAT, CHECKPOINT_VERSION,
 from spiderveil.errors import GraphFormatError, NotFoundError, SelfLoopError
 from spiderveil.langmodel import SENTINEL, UNKNOWN, Verdict
 from spiderveil.simnet import GLUE_RATE, _split_vocab, relevant_count
-from spiderveil.socialgraph import Partition, _node_name
+from spiderveil.socialgraph import Partition, _dot_id, _node_name
 
 INF = float("inf")
 
@@ -463,10 +464,9 @@ def reference_avg_clustering(graph) -> float:
     return total / len(nodes)
 
 
-def reference_modularity(graph, partition) -> float:
+def reference_modularity(graph, assignment) -> float:
     """Newman modularity over name-keyed dicts of the undirected edges; the
     library's array form must return exactly this value."""
-    assignment = partition.assignment if isinstance(partition, Partition) else partition
     for node in graph.nodes():
         if node not in assignment:
             raise ValueError(f"partition misses node {node!r}")
@@ -732,6 +732,28 @@ def reference_graphml(graph) -> bytes:
         data.set("key", "d_labels")
         data.text = "|".join(sorted(label.value for label in labels))
     return ElementTree.tostring(root, encoding="UTF-8", xml_declaration=True)
+
+
+def reference_dot(graph) -> str:
+    """The DOT text built through the accessors and label sets, as the
+    mask-reading writer replaced; ``export_graph(graph, "dot")`` must return
+    its UTF-8 bytes."""
+    lines = ["digraph community {"]
+    for name in graph.nodes():
+        attrs = []
+        verdict = graph.verdict(name)
+        if verdict is not None:
+            attrs.append(f'verdict="{verdict.value}"')
+        score = graph.score(name)
+        if score is not None:
+            attrs.append(f'score="{score!r}"')
+        suffix = f" [{', '.join(attrs)}]" if attrs else ""
+        lines.append(f"  {_dot_id(name)}{suffix};")
+    for src, dst, labels in graph.edges():
+        joined = "|".join(sorted(label.value for label in labels))
+        lines.append(f'  {_dot_id(src)} -> {_dot_id(dst)} [label="{joined}"];')
+    lines.append("}")
+    return "\n".join(lines) + "\n"
 
 
 class ReferenceGraph:

@@ -77,7 +77,7 @@ def trained_setup(rng_seed, total_bloggers=500, corpus_target=400,
     store_data, truth = generate(params)
     store = FixtureStore(store_data)
     corpus, _ = bootstrap_exemplars(store, ["stargazing"], corpus_target)
-    model = train(corpus, order=3)
+    model = train(corpus.documents, order=3)
     seeds = [name for name, label in truth.items() if label][:seed_blogger_count]
     scores = [score_blogger(model,
                             filter_english(store.blogger_posts(name, limit=100)))
@@ -166,7 +166,7 @@ def test_criterion_4_self_avoidance_and_determinism():
             store_data, truth = generate(params)
             store = FixtureStore(store_data)
             corpus, _ = bootstrap_exemplars(store, ["stargazing"], 30)
-            model = train(corpus, order=3)
+            model = train(corpus.documents, order=3)
             seeds = [n for n, label in truth.items() if label][:5]
             scores = [score_blogger(
                 model, filter_english(store.blogger_posts(n, limit=100)))
@@ -293,7 +293,7 @@ def test_criterion_7_round_trips():
             store_data, truth = generate(params)
             store = FixtureStore(store_data)
             corpus, _ = bootstrap_exemplars(store, ["stargazing"], 24)
-            model = train(corpus, order=3)
+            model = train(corpus.documents, order=3)
             seeds = [n for n, label in truth.items() if label][:4]
             scores = [score_blogger(
                 model, filter_english(store.blogger_posts(n, limit=100)))

@@ -338,6 +338,20 @@ class TestTrain:
         assert not (out_dir / "manifest.json").exists()
         assert not (out_dir / "model.json").exists()
 
+    def test_unknown_seed_blogger_writes_nothing(self, pipeline, tmp_path,
+                                                 capsys):
+        seeds = tmp_path / "seeds.json"
+        seeds.write_text(json.dumps([pipeline.seeds[0], "nobody"]))
+        out_dir = tmp_path / "out"
+        code, out = run(["--out-dir", str(out_dir), "train",
+                         "--corpus", str(pipeline.root / "corpus.ndjson"),
+                         "--seed-bloggers", str(seeds), "--store", str(pipeline.store)])
+        assert code == 4
+        assert capsys.readouterr().err == "error: unknown blogger 'nobody'\n"
+        assert out == ""
+        assert not (out_dir / "manifest.json").exists()
+        assert not (out_dir / "model.json").exists()
+
     def test_missing_corpus_file(self, tmp_path):
         code, _ = run(["--out-dir", str(tmp_path), "train",
                        "--corpus", str(tmp_path / "absent.ndjson")])

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from spiderveil import corpus as corpus_module
 from spiderveil.corpus import (BOOTSTRAP_ROUNDS, ENGLISH_FUNCTION_WORDS,
                                ExemplarCorpus, LanguageVerdict, NoteKind,
-                               NoteRecord, Post, TagLexicon, _word_tokens,
+                               NoteRecord, Post, _word_tokens,
                                bootstrap_exemplars, detect_language,
                                filter_english, normalize_tag, normalize_text)
 from spiderveil.errors import RetrievalError
@@ -211,32 +211,10 @@ class TestPost:
         assert NoteKind("reblog") is NoteKind.REBLOG
 
 
-class TestTagLexicon:
-    def test_first_generation_wins(self):
-        lex = TagLexicon(["alpha"])
-        assert not lex.add("alpha", 3)
-        assert lex.add("beta", 1)
-        assert lex.to_json_dict() == {"alpha": 0, "beta": 1}
-
-    def test_generation_lookup(self):
-        lex = TagLexicon(["a"])
-        lex.add("b", 1)
-        lex.add("c", 1)
-        assert lex.tags_in_generation(1) == ["b", "c"]
-        assert not lex.add("#B ", 2)
-        assert len(lex) == 3
-
-    def test_json_dict_holds_normalized_tags(self):
-        lex = TagLexicon(["#A"])
-        lex.add(" b", 2)
-        lex.add("", 3)
-        assert lex.to_json_dict() == {"a": 0, "b": 2}
-
-
 class TestExemplarCorpus:
     def test_save_load_round_trip(self, tmp_path):
         corpus = ExemplarCorpus(documents=["one text", "two text"],
-                                document_ids=["p1", "p2"], target_size=5)
+                                document_ids=["p1", "p2"])
         path = tmp_path / "corpus.ndjson"
         corpus.save(path)
         loaded = ExemplarCorpus.load(path)
@@ -265,7 +243,7 @@ class TestBootstrap:
         store = _ListStore({"terrorism": posts})
         corpus, lexicon = bootstrap_exemplars(store, ["terrorism"], 400)
         assert len(corpus.documents) == 3
-        assert lexicon.to_json_dict() == {"terrorism": 0}
+        assert lexicon == {"terrorism": 0}
 
     def test_target_zero_rejected(self):
         with pytest.raises(ValueError):
@@ -275,13 +253,27 @@ class TestBootstrap:
         with pytest.raises(ValueError):
             bootstrap_exemplars(_ListStore({}), [], 10)
 
+    def test_lexicon_normalizes_tags_and_keeps_first_round(self):
+        # Seeds and co-occurring tags are normalized and empty ones dropped;
+        # a tag keeps the first round that saw it.
+        store = _ListStore({
+            "a": [_post("p1", body=ENGLISH_BODY + " one", tags=("#B ", "A", ""))],
+            "b": [_post("p2", body=ENGLISH_BODY + " two", tags=("c", "#b", "zed"))],
+            "c": [_post("p3", body=ENGLISH_BODY + " three", tags=("b", "d"))],
+        })
+        _, lexicon = bootstrap_exemplars(store, ["#A", "", " # ", "a", "Zed"], 10)
+        assert list(lexicon.items()) == [("a", 0), ("zed", 0), ("b", 1),
+                                         ("c", 2), ("d", 3)]
+        with pytest.raises(ValueError, match="seed lexicon is empty"):
+            bootstrap_exemplars(store, ["", " # "], 10)
+
     def test_two_round_tag_expansion(self):
         post1 = _post("p1", body=ENGLISH_BODY + " one", tags=("taga", "tagb"))
         post2 = _post("p2", body=ENGLISH_BODY + " two", tags=("tagb",))
         store = _ListStore({"taga": [post1], "tagb": [post2]})
         corpus, lexicon = bootstrap_exemplars(store, ["taga"], 2)
         assert corpus.document_ids == ["p1", "p2"]
-        assert lexicon.to_json_dict() == {"taga": 0, "tagb": 1}
+        assert lexicon == {"taga": 0, "tagb": 1}
 
     def test_deduplicates_by_post_id(self):
         post = _post("p1", body=ENGLISH_BODY, tags=("a", "b"))
@@ -322,7 +314,7 @@ class TestBootstrap:
         store = _ListStore(chain)
         corpus, lexicon = bootstrap_exemplars(store, ["t0"], 100)
         assert corpus.document_ids == ["p0", "p1", "p2", "p3"]
-        assert lexicon.to_json_dict() == {f"t{i}": i for i in range(5)}
+        assert lexicon == {f"t{i}": i for i in range(5)}
 
 
 @settings(max_examples=30)

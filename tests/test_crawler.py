@@ -1515,6 +1515,24 @@ class TestCheckpointResume:
         with pytest.raises(GraphFormatError, match="relation"):
             CrawlSession.resume(small_bundle.store, small_bundle.model, frozen)
 
+    def test_resume_rejects_pending_bloggers_without_the_seed(self,
+                                                              small_bundle):
+        # A crawl admits its seed before anyone else is pending, so only a
+        # hand-made checkpoint has pending bloggers and a graph without it.
+        session = self._session(small_bundle)
+        session.run(max_steps=5)
+        frozen = session.checkpoint()
+        assert frozen["pending"]
+        frozen["config"]["seed"] = "nobody"
+        with pytest.raises(GraphFormatError, match="lacks the seed 'nobody'"):
+            CrawlSession.resume(small_bundle.store, small_bundle.model, frozen)
+        # Before the first step only the seed is next and the graph is empty.
+        start = self._session(small_bundle).checkpoint()
+        CrawlSession.resume(small_bundle.store, small_bundle.model, start)
+        start["current"] = small_bundle.seed_names[1]
+        with pytest.raises(GraphFormatError, match="lacks the seed"):
+            CrawlSession.resume(small_bundle.store, small_bundle.model, start)
+
     MALFORMED_CHECKPOINTS = {
         "format-and-version-only": lambda doc: {
             "format": doc["format"], "version": doc["version"]},

@@ -60,7 +60,7 @@ def network(seed: int, bloggers: int = BLOGGERS, source=FixtureStore):
                                                  rng_seed=seed))
     store = source(store_data)
     corpus, _ = bootstrap_exemplars(store, ["stargazing"], 80)
-    model = train(corpus, order=params["order"], alpha=params["alpha"])
+    model = train(corpus.documents, order=params["order"], alpha=params["alpha"])
     seed_names = sorted(n for n, label in truth.items() if label)[:SEED_BLOGGERS]
     threshold = compute_threshold(
         score_blogger(model, filter_english(store.blogger_posts(n, limit=100)))

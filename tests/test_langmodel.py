@@ -5,13 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spiderveil.corpus import ExemplarCorpus, Post
+from spiderveil.corpus import Post
 from spiderveil.errors import ScoringError
-from spiderveil.langmodel import (SENTINEL, UNKNOWN, NGramModel,
-                                  RelevanceScore, Threshold, Verdict,
-                                  classify, compute_threshold, load_model,
-                                  save_model, score_blogger, score_text,
-                                  train)
+from spiderveil.langmodel import (SENTINEL, UNKNOWN, NGramModel, Threshold,
+                                  Verdict, classify, compute_threshold,
+                                  load_model, save_model, score_blogger,
+                                  score_text, train)
 
 from conftest import HAND_BODIES, HAND_TRAIN_DOCS
 from oracles import reference_score_text, reference_train_counts
@@ -94,11 +93,6 @@ class TestTrain:
         assert [list(row) for row in model.counts.values()] == \
             [list(row) for row in loaded.counts.values()]
 
-    def test_accepts_corpus_object(self):
-        corpus = ExemplarCorpus(documents=["abab"], document_ids=["p1"],
-                                target_size=1)
-        assert train(corpus, order=2) == train(["abab"], order=2)
-
     def test_document_order_does_not_matter(self):
         docs = list(HAND_TRAIN_DOCS)
         assert train(docs, order=3) == train(list(reversed(docs)), order=3)
@@ -125,13 +119,13 @@ class TestScoreText:
     def test_hand_value(self, abab_model):
         score = score_text(abab_model, "ab")
         expected = (math.log10(2 / 5) + math.log10(3 / 6)) / 2
-        assert score.value == expected
+        assert score == expected
 
     def test_out_of_vocabulary_text(self, abab_model):
         # both chars map to the unknown bucket; second context is unseen
         score = score_text(abab_model, "zz")
         expected = (math.log10(1 / 5) + math.log10(1 / 4)) / 2
-        assert score.value == expected
+        assert score == expected
 
     def test_empty_text_rejected(self, abab_model):
         with pytest.raises(ScoringError):
@@ -140,7 +134,7 @@ class TestScoreText:
     def test_training_text_beats_gibberish(self, hand_model):
         on_topic = score_text(hand_model, HAND_TRAIN_DOCS[0])
         gibberish = score_text(hand_model, "0123456789")
-        assert on_topic.value > gibberish.value
+        assert on_topic > gibberish
 
     @given(docs=st.lists(st.text(st.sampled_from(TRAIN_CHARS), max_size=30),
                          min_size=1, max_size=4).filter(any),
@@ -155,7 +149,7 @@ class TestScoreText:
         above = chr(ord(max(model.vocabulary)) + 1)
         edges = [SENTINEL, above, "a" + above + SENTINEL + "\U0010FFFF"]
         for text in texts + [text[:1] for text in texts] + edges:
-            assert score_text(model, text).value == reference_score_text(model, text)
+            assert score_text(model, text) == reference_score_text(model, text)
 
     @given(contexts=st.dictionaries(
                st.text(st.sampled_from(TEXT_CHARS), max_size=4),
@@ -176,7 +170,7 @@ class TestScoreText:
             "format": "spiderveil.ngram", "version": 1, "order": order,
             "alpha": alpha, "vocabulary": vocabulary, "trained_chars": 0,
             "contexts": contexts})
-        assert score_text(model, text).value == reference_score_text(model, text)
+        assert score_text(model, text) == reference_score_text(model, text)
 
     def test_unreachable_rows_are_skipped(self):
         doc = train(["abcab"], order=3).to_json_dict()
@@ -188,7 +182,7 @@ class TestScoreText:
         model = NGramModel.from_json_dict(doc)
         for text in ["abcab", "zzzz", "q", "abqab", SENTINEL + "ab", "xy", "d",
                      "abd", "c\U0010FFFF" + SENTINEL]:
-            assert score_text(model, text).value == reference_score_text(model, text)
+            assert score_text(model, text) == reference_score_text(model, text)
 
     def test_table_grows_with_contexts_not_vocabulary_power(self):
         model = train(HAND_TRAIN_DOCS, order=5)
@@ -204,7 +198,7 @@ class TestScoreText:
     @settings(max_examples=60)
     def test_score_always_negative(self, text):
         model = train(["abab abba", "the quick brown fox"], order=3)
-        assert score_text(model, text).value < 0
+        assert score_text(model, text) < 0
 
 
 class TestScoreBlogger:
@@ -244,16 +238,12 @@ class TestScoreBlogger:
 
 class TestThreshold:
     def test_mean_of_two(self):
-        th = compute_threshold([RelevanceScore(-2.0), RelevanceScore(-3.0)])
+        th = compute_threshold([-2.0, -3.0])
         assert th.value == -2.5
         assert th.seed_count == 2
 
     def test_singleton(self):
         assert compute_threshold([-1.75]).value == -1.75
-
-    def test_accepts_floats_and_scores_mixed(self):
-        th = compute_threshold([RelevanceScore(-2.0), -4.0])
-        assert th.value == -3.0
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -275,26 +265,22 @@ class TestThreshold:
 class TestClassify:
     def test_above_threshold_is_relevant(self):
         th = Threshold(value=-2.58, seed_count=30)
-        assert classify(RelevanceScore(-2.0), th) is Verdict.RELEVANT
+        assert classify(-2.0, th.value) is Verdict.RELEVANT
 
     def test_below_threshold_is_unknown(self):
         th = Threshold(value=-2.58, seed_count=30)
-        assert classify(RelevanceScore(-3.1), th) is Verdict.UNKNOWN
+        assert classify(-3.1, th.value) is Verdict.UNKNOWN
 
     def test_exact_tie_is_unknown(self):
         th = Threshold(value=-2.5, seed_count=1)
-        assert classify(RelevanceScore(-2.5), th) is Verdict.UNKNOWN
-
-    def test_accepts_bare_float_threshold(self):
-        assert classify(RelevanceScore(-2.0), -2.5) is Verdict.RELEVANT
-        assert classify(RelevanceScore(-2.5), -2.5) is Verdict.UNKNOWN
+        assert classify(-2.5, th.value) is Verdict.UNKNOWN
 
     @given(st.integers(-64, 64), st.integers(-64, 64), st.integers(-64, 64))
     def test_shift_invariance(self, s_eighths, t_eighths, d_eighths):
         # eighths are exact in binary, so shifting cannot flip the comparison
         s, t, d = s_eighths / 8, t_eighths / 8, d_eighths / 8
-        base = classify(RelevanceScore(s), t)
-        assert classify(RelevanceScore(s + d), t + d) is base
+        base = classify(s, t)
+        assert classify(s + d, t + d) is base
 
 
 class TestSerialization:
@@ -362,14 +348,15 @@ class TestDiscrimination:
     """One-class separation on the hand fixture vocabularies."""
 
     def test_on_topic_scores_separate_from_off_topic(self, hand_model):
-        on = [score_text(hand_model, HAND_BODIES[b]).value
+        on = [score_text(hand_model, HAND_BODIES[b])
               for b in ("alpha", "bravo", "carol", "dave")]
-        off = [score_text(hand_model, HAND_BODIES[b]).value
+        off = [score_text(hand_model, HAND_BODIES[b])
                for b in ("xena", "yuri")]
         assert min(on) > max(off)
 
     def test_mean_threshold_admits_most_seeds(self, hand_model):
         scores = [score_text(hand_model, doc) for doc in HAND_TRAIN_DOCS]
         th = compute_threshold(scores)
-        above = sum(1 for s in scores if classify(s, th) is Verdict.RELEVANT)
+        above = sum(1 for s in scores
+                    if classify(s, th.value) is Verdict.RELEVANT)
         assert above >= len(scores) // 2

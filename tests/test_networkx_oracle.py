@@ -81,4 +81,4 @@ def test_modularity_of_detected_partition(pair):
         groups.setdefault(community, set()).add(node)
     expected = nx.community.modularity(reference.to_undirected(),
                                        list(groups.values()))
-    assert modularity(graph, partition) == pytest.approx(expected, abs=1e-9)
+    assert modularity(graph, partition.assignment) == pytest.approx(expected, abs=1e-9)

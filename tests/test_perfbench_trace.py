@@ -9,16 +9,49 @@ and flags the Markov mass ``select_next`` receives when it is read through
 ``export_graph`` of ``cli``.  A traced smoke run shows whether those sites
 still see the pipeline's work: three store loads (bootstrap, train, crawl),
 each validated, JSON written, transition matrices built and graphs exported.
+Installing the tracer in-process shows whether every name it wraps still
+exists, and that uninstalling puts each one back.
 """
 
 from __future__ import annotations
 
+import importlib.util
+import inspect
 import json
 import subprocess
 import sys
 from pathlib import Path
 
+import spiderveil
+import spiderveil.cli  # noqa: F401  (the tracer wraps names in the cli module)
+
 ROOT = Path(__file__).resolve().parents[1]
+
+# The lookup sites Tracer.install wraps, each a distinct (owner, name) pair.
+TRACED_SITES = 34
+
+
+def load_tracer():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_wraps_and_restores_every_site():
+    tracer = load_tracer().Tracer()
+    try:
+        tracer.install(spiderveil)
+        sites = list(tracer._installed)
+        assert len({(id(owner), attr) for owner, attr, _ in sites}) == \
+            TRACED_SITES
+        for owner, attr, original in sites:
+            assert inspect.getattr_static(owner, attr) is not original, attr
+    finally:
+        tracer.uninstall()
+    for owner, attr, original in sites:
+        assert inspect.getattr_static(owner, attr) is original, attr
 
 
 def test_traced_longposts_smoke_run():
