@@ -29,7 +29,7 @@ from .crawler import (CrawlConfig, CrawlSession, FixtureStore, HttpJsonStore,
                       SelectionPolicy, predicted_verdicts, visit_log_from_json)
 from .errors import (INTEGER, NUMBER, STRING, STRINGS, GraphFormatError,
                      JsonKind, NotFoundError, RetrievalError, ScoringError,
-                     SpiderveilError, read_fields)
+                     SpiderveilError, atomic_write_bytes, read_fields, read_json)
 from .langmodel import (compute_threshold, load_model, save_model,
                         score_blogger, train)
 from .simnet import (ConfusionMatrix, GeneratorParams, evaluate, generate,
@@ -64,18 +64,6 @@ EXIT_CODES = {
 
 
 # -- small file helpers --------------------------------------------------------
-
-
-def atomic_write_bytes(path: Path, payload: bytes) -> None:
-    """Write via a sibling temp file and rename, so readers never see a torn file."""
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        tmp.write_bytes(payload)
-        os.replace(tmp, path)
-    finally:
-        if tmp.exists():
-            tmp.unlink(missing_ok=True)
 
 
 class _Unsupported(Exception):
@@ -146,16 +134,6 @@ def write_json(path: Path, obj) -> None:
     atomic_write_bytes(path, (json_text(obj) + "\n").encode("utf-8"))
 
 
-def read_json(path) -> dict:
-    path = Path(path)
-    if not path.exists():
-        raise CLIError(EXIT_IO, f"file not found: {path}")
-    try:
-        return json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CLIError(EXIT_IO, f"cannot read {path}: {exc}") from exc
-
-
 def ensure_out_dir(args) -> Path:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -178,7 +156,7 @@ def write_manifest(args, out_dir: Path, output_paths: list[Path]) -> None:
 def load_config(args) -> dict:
     if not args.config:
         return {}
-    data = read_json(args.config)
+    data = read_json(args.config, "config file")
     if not isinstance(data, dict):
         raise CLIError(EXIT_IO, "config file must hold a JSON object")
     return data
@@ -208,8 +186,6 @@ def open_store(args, config: dict):
     if not path:
         raise CLIError(EXIT_EMPTY,
                        "no store given (use --store, config, or SPIDERVEIL_STORE)")
-    if not Path(path).exists():
-        raise CLIError(EXIT_IO, f"store not found: {path}")
     return FixtureStore.load(path)
 
 
@@ -218,7 +194,7 @@ def open_store(args, config: dict):
 
 def cmd_gen(args, config: dict) -> int:
     out_dir = ensure_out_dir(args)
-    base = read_json(args.params) if args.params else {}
+    base = read_json(args.params, "params file") if args.params else {}
     if not isinstance(base, dict):
         raise CLIError(EXIT_IO, "params file must hold a JSON object")
     overrides = {
@@ -279,7 +255,7 @@ def cmd_bootstrap(args, config: dict) -> int:
 
 
 def _load_seed_bloggers(path) -> list[str]:
-    data = read_json(path)
+    data = read_json(path, "seed blogger file")
     if isinstance(data, dict):
         data = data.get("bloggers")
     if not STRINGS.test(data):
@@ -295,8 +271,6 @@ def cmd_train(args, config: dict) -> int:
     corpus_path = setting(args, config, "corpus", STRING)
     if not corpus_path:
         raise CLIError(EXIT_EMPTY, "no corpus given (use --corpus)")
-    if not Path(corpus_path).exists():
-        raise CLIError(EXIT_IO, f"corpus not found: {corpus_path}")
     corpus = ExemplarCorpus.load(corpus_path)
     if not corpus.documents:
         raise CLIError(EXIT_EMPTY, f"corpus {corpus_path} holds no documents")
@@ -358,8 +332,6 @@ def cmd_crawl(args, config: dict) -> int:
     model_path = setting(args, config, "model", STRING)
     if not model_path:
         raise CLIError(EXIT_EMPTY, "no model given (use --model)")
-    if not Path(model_path).exists():
-        raise CLIError(EXIT_IO, f"model not found: {model_path}")
     try:
         model = load_model(model_path)
     except ValueError as exc:
@@ -367,7 +339,7 @@ def cmd_crawl(args, config: dict) -> int:
 
     threshold = setting(args, config, "threshold", None)
     if threshold is None and args.threshold_file:
-        data = read_json(args.threshold_file)
+        data = read_json(args.threshold_file, "threshold file")
         if not isinstance(data, dict):
             raise CLIError(EXIT_IO, "threshold file must hold a JSON object")
         threshold = data.get("threshold")
@@ -414,10 +386,7 @@ def cmd_crawl(args, config: dict) -> int:
 
 
 def cmd_analyze(args, config: dict) -> int:
-    path = Path(args.graph)
-    if not path.exists():
-        raise CLIError(EXIT_IO, f"graph file not found: {path}")
-    graph = import_json_edge_list(path.read_bytes())
+    graph = import_json_edge_list(Path(args.graph).read_bytes())
     if args.label:
         graph = graph.project(NoteKind(args.label))
     try:
@@ -435,10 +404,7 @@ def cmd_analyze(args, config: dict) -> int:
 
 
 def cmd_export(args, config: dict) -> int:
-    path = Path(args.graph)
-    if not path.exists():
-        raise CLIError(EXIT_IO, f"graph file not found: {path}")
-    graph = import_json_edge_list(path.read_bytes())
+    graph = import_json_edge_list(Path(args.graph).read_bytes())
     out_dir = ensure_out_dir(args)
     out_path = Path(args.out) if args.out else out_dir / f"graph.{args.format}"
     write_manifest(args, out_dir, [out_path])
@@ -462,13 +428,13 @@ def cmd_eval(args, config: dict) -> int:
         if not args.result or not args.truth:
             raise CLIError(EXIT_EMPTY,
                            "eval needs --matrix or both --result and --truth")
-        result = read_json(args.result)
+        result = read_json(args.result, "result file")
         if not (isinstance(result, dict) and "visit_log" in result
                 and "discarded" in result):
             raise CLIError(EXIT_IO, "result file lacks visit_log/discarded fields")
         predicted = predicted_verdicts(*visit_log_from_json(result))
         try:
-            truth = truth_from_json_dict(read_json(args.truth))
+            truth = truth_from_json_dict(read_json(args.truth, "truth file"))
         except ValueError as exc:
             raise CLIError(EXIT_IO, f"bad truth file: {exc}") from exc
         try:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 
-from .errors import GraphFormatError
+from .errors import GraphFormatError, atomic_write_bytes
 
 _MARKUP_RE = re.compile(r"<[^>]*>")
 # \t \n \r \f \v count as whitespace and collapse below; the rest is junk.
@@ -157,8 +157,8 @@ class ExemplarCorpus:
         lines = []
         for doc_id, text in zip(self.document_ids, self.documents):
             lines.append(json.dumps({"id": doc_id, "text": text}, sort_keys=True))
-        Path(path).write_text("\n".join(lines) + ("\n" if lines else ""),
-                              encoding="utf-8")
+        atomic_write_bytes(
+            path, ("\n".join(lines) + ("\n" if lines else "")).encode("utf-8"))
 
     @classmethod
     def load(cls, path) -> "ExemplarCorpus":

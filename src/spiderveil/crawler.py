@@ -18,7 +18,6 @@ from dataclasses import asdict, dataclass
 from enum import Enum
 from itertools import islice
 from operator import itemgetter
-from pathlib import Path
 from urllib.parse import quote
 
 import numpy as np
@@ -26,7 +25,8 @@ import requests
 
 from .corpus import NoteKind, NoteRecord, Post, filter_english, normalize_tag
 from .errors import (COUNT, INTEGER, NUMBER, STRING, STRINGS, GraphFormatError,
-                     NotFoundError, RetrievalError, ScoringError, read_fields)
+                     NotFoundError, RetrievalError, ScoringError, read_fields,
+                     read_json)
 from .langmodel import NGramModel, Verdict, classify, score_blogger
 from .socialgraph import (CommunityGraph, LABEL_VALUES, _successor_arrays,
                           kinds_mask, label_mask)
@@ -184,13 +184,7 @@ class FixtureStore:
 
     @classmethod
     def load(cls, path) -> "FixtureStore":
-        try:
-            data = json.loads(Path(path).read_text(encoding="utf-8"))
-        except UnicodeDecodeError as exc:
-            raise GraphFormatError(f"store file is not UTF-8: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise GraphFormatError(f"store file is not valid JSON: {exc}") from exc
-        return cls(data)
+        return cls(read_json(path, "store file"))
 
     def _post(self, index: int) -> Post:
         post = self._posts[index]
@@ -229,17 +223,28 @@ def _retry_after_seconds(headers) -> float:
 _DOT_SEGMENTS = (".", "..")
 
 
+def _sendable(segment: str) -> bool:
+    """False for a dot segment and for a name UTF-8 cannot encode (a lone
+    surrogate), which no URL can carry."""
+    try:
+        segment.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return segment not in _DOT_SEGMENTS
+
+
 class HttpJsonStore:
     """Read-only JSON client speaking the fixture schema over HTTP.
 
     Endpoints: /tagged/{tag} and /blog/{name}/posts, each asked for
     ``type=text`` and, when given, ``limit``.  The tag or name is escaped
-    as one path segment, ``/`` included; a tag ``.`` or ``..`` has no posts
-    and a blogger so named is unknown.  Transient failures (network
-    errors, 429, 5xx, unreadable JSON) are retried after ``backoff * attempt``
-    seconds, or after a 429's or 503's ``Retry-After`` seconds when that is
-    longer; a ``Retry-After`` over ``MAX_RETRY_AFTER_S``, 404 (the blogger
-    does not exist) and any other 4xx fail at once.
+    as one path segment, ``/`` included; a tag ``.`` or ``..``, or one
+    UTF-8 cannot encode, has no posts, and a blogger so named is unknown.
+    Transient failures (network errors, 429, 5xx, unreadable JSON) are
+    retried after ``backoff * attempt`` seconds, or after a 429's or 503's
+    ``Retry-After`` seconds when that is longer; a ``Retry-After`` over
+    ``MAX_RETRY_AFTER_S``, 404 (the blogger does not exist) and any other
+    4xx fail at once.
     """
 
     def __init__(self, base_url: str, timeout: float = 5.0, retries: int = 3,
@@ -307,12 +312,12 @@ class HttpJsonStore:
 
     def tagged_posts(self, tag: str, limit: int | None = None) -> list[Post]:
         tag = normalize_tag(tag)
-        if tag in _DOT_SEGMENTS:
+        if not _sendable(tag):
             return []
         return self._text_posts(f"/tagged/{quote(tag, safe='')}", limit)
 
     def blogger_posts(self, blog_name: str, limit: int | None = None) -> list[Post]:
-        if blog_name in _DOT_SEGMENTS:
+        if not _sendable(blog_name):
             raise NotFoundError(f"no blogger named {blog_name!r}")
         return self._text_posts(f"/blog/{quote(blog_name, safe='')}/posts", limit)
 

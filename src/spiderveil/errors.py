@@ -1,5 +1,9 @@
-"""Exception types and the JSON value kinds shared across the package."""
+"""Exception types, the JSON value kinds, and the JSON file decoder and the
+atomic file writer shared across the package."""
 
+import json
+import os
+from pathlib import Path
 from typing import Any, Callable, NamedTuple
 
 
@@ -82,3 +86,30 @@ def read_fields(data: dict, kinds: dict[str, JsonKind], what: str) -> dict:
                 raise GraphFormatError(f"{what}: {key!r} is not {kind.phrase}")
             fields[key] = kind.convert(data[key])
     return fields
+
+
+def parse_json(data: bytes, what: str):
+    """The JSON document in ``data``; GraphFormatError naming ``what`` when
+    the bytes are not UTF-8 or the text is not JSON."""
+    try:
+        return json.loads(data.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise GraphFormatError(f"{what} is not UTF-8: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise GraphFormatError(f"{what} is not valid JSON: {exc}") from exc
+
+
+def read_json(path, what: str):
+    """The JSON document in the file at ``path``; an OSError passes through."""
+    return parse_json(Path(path).read_bytes(), what)
+
+
+def atomic_write_bytes(path, payload: bytes) -> None:
+    """Write via a sibling temp file and rename, so readers never see a torn file."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_bytes(payload)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)

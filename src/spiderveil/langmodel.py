@@ -12,11 +12,11 @@ import json
 import math
 from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
 
 import numpy as np
 
-from .errors import COUNT, NUMBER, STRINGS, ScoringError
+from .errors import (COUNT, NUMBER, STRINGS, ScoringError, atomic_write_bytes,
+                     read_json)
 
 SENTINEL = "\x02"   # start-of-document padding character
 UNKNOWN = "\x01"    # bucket every character unseen in training maps to
@@ -301,10 +301,9 @@ def classify(score: float, threshold: float) -> Verdict:
 
 
 def save_model(model: NGramModel, path) -> None:
-    Path(path).write_text(
-        json.dumps(model.to_json_dict(), sort_keys=True, ensure_ascii=True),
-        encoding="utf-8")
+    atomic_write_bytes(path, json.dumps(model.to_json_dict(), sort_keys=True,
+                                        ensure_ascii=True).encode("utf-8"))
 
 
 def load_model(path) -> NGramModel:
-    return NGramModel.from_json_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    return NGramModel.from_json_dict(read_json(path, "model file"))

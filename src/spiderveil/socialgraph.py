@@ -22,7 +22,7 @@ from itertools import chain
 import numpy as np
 
 from .corpus import NoteKind
-from .errors import NUMBER, GraphFormatError, SelfLoopError
+from .errors import NUMBER, GraphFormatError, SelfLoopError, parse_json
 from .langmodel import Verdict
 
 
@@ -748,16 +748,12 @@ def export_graph(graph: CommunityGraph, fmt: str) -> bytes:
     if fmt == "graphml":
         return _to_graphml(graph)
     if fmt == "dot":
-        return _to_dot(graph).encode("utf-8")
+        # A lone surrogate, which UTF-8 cannot encode, is written as its
+        # Python escape; _dot_id doubles real backslashes, so ids stay distinct.
+        return _to_dot(graph).encode("utf-8", "backslashreplace")
     raise GraphFormatError(f"unsupported export format {fmt!r}")
 
 
 def import_json_edge_list(data: bytes) -> CommunityGraph:
     """Inverse of the json export, from the file's bytes."""
-    try:
-        document = json.loads(data.decode("utf-8"))
-    except UnicodeDecodeError as exc:
-        raise GraphFormatError(f"JSON edge list is not UTF-8: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise GraphFormatError(f"bad JSON edge list: {exc}") from exc
-    return CommunityGraph.from_json_dict(document)
+    return CommunityGraph.from_json_dict(parse_json(data, "JSON edge list"))

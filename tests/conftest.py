@@ -1,4 +1,5 @@
 import random
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -102,6 +103,19 @@ MALFORMED_POSTS = {
     if isinstance(doc, dict) and isinstance(doc.get("posts"), list)
     and len(doc["posts"]) == 1 and dict(doc, posts=None) == dict(store_with(), posts=None)
 }
+
+
+def tear_writes(monkeypatch) -> None:
+    """Make every ``Path.write_bytes`` and ``Path.write_text`` write half its
+    payload and then fail, as a full disk or a crash mid-write would."""
+    def torn(write):
+        def half(self, data, *args, **kwargs):
+            write(self, data[:len(data) // 2], *args, **kwargs)
+            raise OSError("disk full")
+        return half
+
+    monkeypatch.setattr(Path, "write_bytes", torn(Path.write_bytes))
+    monkeypatch.setattr(Path, "write_text", torn(Path.write_text))
 
 
 class FakeSession:

@@ -737,7 +737,7 @@ def reference_graphml(graph) -> bytes:
 def reference_dot(graph) -> str:
     """The DOT text built through the accessors and label sets, as the
     mask-reading writer replaced; ``export_graph(graph, "dot")`` must return
-    its UTF-8 bytes."""
+    its UTF-8 bytes, a lone surrogate as its backslash escape."""
     lines = ["digraph community {"]
     for name in graph.nodes():
         attrs = []

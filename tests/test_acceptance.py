@@ -13,7 +13,6 @@ from contextlib import redirect_stdout
 from math import fsum
 
 import numpy as np
-import pytest
 
 from spiderveil.cli import main
 from spiderveil.corpus import NoteKind, bootstrap_exemplars, filter_english

@@ -734,6 +734,19 @@ class TestExport:
         assert "error:" in capsys.readouterr().err
         assert not (out / f"graph.{fmt}").exists()
 
+    def test_dot_escapes_a_name_utf8_cannot_encode(self, tmp_path):
+        # A lone surrogate (a JSON "\ud800" escape) is written as its
+        # backslash escape; the same text spelled with a real backslash keeps
+        # a distinct id.
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(
+            {"nodes": [{"id": "a\ud800"}, {"id": "a\\ud800"}], "edges": []}))
+        code, _ = run(["--out-dir", str(tmp_path), "export", str(path),
+                       "--format", "dot"])
+        assert code == 0
+        lines = (tmp_path / "graph.dot").read_bytes().splitlines()
+        assert lines[1:3] == [b'  "a\\ud800";', b'  "a\\\\ud800";']
+
     def test_unknown_format_rejected_by_parser(self, pipeline, tmp_path):
         with pytest.raises(SystemExit):
             run(["--out-dir", str(tmp_path), "export",
@@ -1012,6 +1025,15 @@ NOT_UTF8_ARGV = {
 }
 
 
+# What else each file-taking flag is given: a path to nothing, a directory,
+# and text that is not JSON.
+UNREADABLE_INPUTS = {
+    "missing": lambda path: None,
+    "directory": lambda path: path.mkdir(),
+    "not JSON": lambda path: path.write_text("{not json\n"),
+}
+
+
 @pytest.mark.parametrize("flag", NOT_UTF8_ARGV)
 def test_non_utf8_input_is_an_input_error(pipeline, tmp_path, capsys, flag):
     bad = tmp_path / "input.json"
@@ -1021,6 +1043,18 @@ def test_non_utf8_input_is_an_input_error(pipeline, tmp_path, capsys, flag):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "can't decode byte 0xff" in err
+    # Every unreadable input exits 2 with one error line, before the manifest.
+    for case, make in UNREADABLE_INPUTS.items():
+        path = tmp_path / case / "input.json"
+        path.parent.mkdir()
+        make(path)
+        out = tmp_path / case / "out"
+        code, _ = run(["--out-dir", str(out)]
+                      + NOT_UTF8_ARGV[flag](str(path), pipeline))
+        err = capsys.readouterr().err
+        assert code == 2, case
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), case
+        assert not (out / "manifest.json").exists(), case
 
 
 # Every file-taking flag: the argv around the file, a valid document to give

@@ -14,6 +14,7 @@ from spiderveil.corpus import (BOOTSTRAP_ROUNDS, ENGLISH_FUNCTION_WORDS,
                                filter_english, normalize_tag, normalize_text)
 from spiderveil.errors import RetrievalError
 
+from conftest import tear_writes
 from oracles import (reference_detect_language, reference_normalize_text,
                      reference_word_tokens)
 
@@ -220,6 +221,17 @@ class TestExemplarCorpus:
         loaded = ExemplarCorpus.load(path)
         assert loaded.documents == corpus.documents
         assert loaded.document_ids == corpus.document_ids
+
+    def test_failed_save_keeps_the_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "corpus.ndjson"
+        ExemplarCorpus(documents=["old text"], document_ids=["p0"]).save(path)
+        before = path.read_bytes()
+        tear_writes(monkeypatch)
+        with pytest.raises(OSError):
+            ExemplarCorpus(documents=["one text", "two text"],
+                           document_ids=["p1", "p2"]).save(path)
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]
 
 
 class _ListStore:

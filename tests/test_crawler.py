@@ -24,7 +24,7 @@ from spiderveil.crawler import (MAX_RETRY_AFTER_S, PROPAGATION_CAP,
                                 CrawlConfig, CrawlResult, CrawlSession,
                                 FixtureStore, HttpJsonStore,
                                 SelectionPolicy, StopReason,
-                                VisitRecord, build_transition_matrix, crawl,
+                                build_transition_matrix, crawl,
                                 extract_frontiers, fetch_posts,
                                 post_from_record, predicted_verdicts,
                                 propagate, select_next, validate_fixture,
@@ -670,7 +670,7 @@ class TestHttpJsonStore:
         for url in session.urls:
             assert requests.Request("GET", url).prepare().url == url
 
-    @pytest.mark.parametrize("name", [".", ".."])
+    @pytest.mark.parametrize("name", [".", "..", "bad\ud800"])
     def test_dot_names_send_no_request(self, name):
         session = FakeSession({"posts": [make_post("p1", "a", "text")]})
         store = HttpJsonStore("http://h/api", session=session)
@@ -679,6 +679,27 @@ class TestHttpJsonStore:
         assert store.tagged_posts(name) == []
         assert store.tagged_posts(f" #{name}") == []
         assert session.urls == []
+
+    def test_crawl_discards_a_noter_no_url_can_name(self, hand_model,
+                                                    hand_config):
+        # Every GET answers with the seed's post, noted by a name UTF-8
+        # cannot encode; that noter is discarded as unknown.
+        session = FakeSession({"posts": [make_post(
+            "p1", "alpha", HAND_BODIES["alpha"], notes=[("bad\ud800", "like")])]})
+        result = crawl(HttpJsonStore("http://h/api", session=session),
+                       hand_model, hand_config)
+        assert result.graph.nodes() == ["alpha"]
+        assert result.discarded == {"bad\ud800"}
+        assert session.urls == ["http://h/api/blog/alpha/posts"]
+
+    def test_bootstrap_skips_a_tag_no_url_can_name(self):
+        session = FakeSession({"posts": [make_post(
+            "p1", "alpha", HAND_BODIES["alpha"], tags=["stars", "bad\ud800"])]})
+        corpus, lexicon = bootstrap_exemplars(
+            HttpJsonStore("http://h/api", session=session), ["stars"], 5)
+        assert corpus.document_ids == ["p1"]
+        assert lexicon == {"stars": 0, "bad\ud800": 1}
+        assert session.urls == ["http://h/api/tagged/stars"]
 
     def test_well_formed_payload_parses(self):
         record = make_post("p1", "a", "some text", notes=[("b", "like")], tags=["T"])

@@ -12,7 +12,7 @@ from spiderveil.langmodel import (SENTINEL, UNKNOWN, NGramModel, Threshold,
                                   load_model, save_model, score_blogger,
                                   score_text, train)
 
-from conftest import HAND_BODIES, HAND_TRAIN_DOCS
+from conftest import HAND_BODIES, HAND_TRAIN_DOCS, tear_writes
 from oracles import reference_score_text, reference_train_counts
 
 # Training characters, the control characters the model itself uses, a
@@ -291,6 +291,17 @@ class TestSerialization:
         assert loaded == hand_model
         for doc in HAND_TRAIN_DOCS:
             assert score_text(loaded, doc) == score_text(hand_model, doc)
+
+    def test_failed_save_keeps_the_old_file(self, tmp_path, monkeypatch,
+                                            hand_model, abab_model):
+        path = tmp_path / "model.json"
+        save_model(abab_model, path)
+        before = path.read_bytes()
+        tear_writes(monkeypatch)
+        with pytest.raises(OSError):
+            save_model(hand_model, path)
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]
 
     def test_document_shape(self, abab_model):
         doc = abab_model.to_json_dict()
