@@ -50,14 +50,14 @@ class CLIError(Exception):
 
 # The exit code of each exception a command lets through, besides CLIError,
 # which carries its own.  The first class that matches wins, so a subclass
-# comes before its base: JSONDecodeError and UnicodeDecodeError are ValueErrors.
+# comes before its base: NotFoundError is a SpiderveilError.  A JSON input
+# that does not decode raises GraphFormatError where it is read.
 EXIT_CODES = {
     NotFoundError: EXIT_DOMAIN,
     GraphFormatError: EXIT_IO,
     RetrievalError: EXIT_IO,
     ScoringError: EXIT_EMPTY,
     SpiderveilError: EXIT_DOMAIN,
-    json.JSONDecodeError: EXIT_IO,
     OSError: EXIT_IO,
     ValueError: EXIT_DOMAIN,
 }

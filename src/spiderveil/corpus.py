@@ -172,7 +172,8 @@ class ExemplarCorpus:
         except UnicodeDecodeError as exc:
             raise GraphFormatError(f"corpus file is not UTF-8: {exc}") from exc
         documents, ids = [], []
-        for number, line in enumerate(content.splitlines(), 1):
+        # Only "\n" ends a line: JSON allows a raw U+2028 or U+0085 in a string.
+        for number, line in enumerate(content.split("\n"), 1):
             line = line.strip()
             if not line:
                 continue

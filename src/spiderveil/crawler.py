@@ -16,12 +16,16 @@ import random
 import time
 from dataclasses import asdict, dataclass
 from enum import Enum
+from http.client import HTTPException, HTTPMessage
 from itertools import islice
 from operator import itemgetter
-from urllib.parse import quote
+from urllib.error import HTTPError
+from urllib.parse import quote, urlencode
+from urllib.request import (HTTPDefaultErrorHandler, HTTPErrorProcessor,
+                            HTTPHandler, HTTPRedirectHandler, HTTPSHandler,
+                            OpenerDirector, UnknownHandler)
 
 import numpy as np
-import requests
 
 from .corpus import NoteKind, NoteRecord, Post, filter_english, normalize_tag
 from .errors import (COUNT, INTEGER, NUMBER, STRING, STRINGS, GraphFormatError,
@@ -177,8 +181,8 @@ class FixtureStore:
             if record["type"] != "text":
                 continue
             self._by_blogger.setdefault(record["blog_name"], []).append(index)
-            for raw in record.get("tags", ()):
-                tag = normalize_tag(raw)
+            # A post is listed once under each of its distinct tags.
+            for tag in set(map(normalize_tag, record.get("tags", ()))):
                 if tag:
                     self._by_tag.setdefault(tag, []).append(index)
 
@@ -206,6 +210,31 @@ class FixtureStore:
 # The longest ``Retry-After`` wait honoured; a server asking for more fails
 # the request at once instead of stalling the crawl.
 MAX_RETRY_AFTER_S = 60
+# Each request's socket timeout, its attempts, and the wait before attempt
+# n + 1, which is ``BACKOFF_S * n`` unless a ``Retry-After`` asks for more.
+TIMEOUT_S = 5.0
+ATTEMPTS = 3
+BACKOFF_S = 0.1
+
+# Only http and https are opened, for a base URL and a redirect alike; any
+# other scheme fails as an unknown URL type.
+_OPENER = OpenerDirector()
+for _handler in (HTTPHandler, HTTPSHandler, HTTPRedirectHandler,
+                 HTTPDefaultErrorHandler, HTTPErrorProcessor, UnknownHandler):
+    _OPENER.add_handler(_handler())
+
+
+def http_get(url: str) -> tuple[int, HTTPMessage, bytes]:
+    """GET ``url`` over a new connection; return the status, an HTTP error
+    status included, the headers and the body.  A failure raises OSError (a
+    scheme other than http and https too), http.client.HTTPException or
+    ValueError (a malformed URL)."""
+    try:
+        with _OPENER.open(url, timeout=TIMEOUT_S) as response:
+            return response.status, response.headers, response.read()
+    except HTTPError as exc:
+        with exc:
+            return exc.code, exc.headers, exc.read()
 
 
 def _retry_after_seconds(headers) -> float:
@@ -218,8 +247,9 @@ def _retry_after_seconds(headers) -> float:
     return int(value) if len(value) <= 6 else math.inf
 
 
-# Path segments a URL resolver removes even when escaped, since requests
-# un-escapes ``%2E``; no request is sent for a tag or blogger named so.
+# Path segments that a server or proxy resolving the URL removes, even when
+# escaped, since ``%2E`` is the same URL as ``.`` (RFC 3986, 6.2.2.2); no
+# request is sent for a tag or blogger named so.
 _DOT_SEGMENTS = (".", "..")
 
 
@@ -240,36 +270,30 @@ class HttpJsonStore:
     ``type=text`` and, when given, ``limit``.  The tag or name is escaped
     as one path segment, ``/`` included; a tag ``.`` or ``..``, or one
     UTF-8 cannot encode, has no posts, and a blogger so named is unknown.
-    Transient failures (network errors, 429, 5xx, unreadable JSON) are
-    retried after ``backoff * attempt`` seconds, or after a 429's or 503's
-    ``Retry-After`` seconds when that is longer; a ``Retry-After`` over
-    ``MAX_RETRY_AFTER_S``, 404 (the blogger does not exist) and any other
-    4xx fail at once.
+    ``get`` fetches a URL as ``http_get`` does.  Transient failures (network
+    errors, unusable URLs, 429, 5xx, unreadable JSON) are retried up to
+    ``ATTEMPTS`` attempts in all, after ``BACKOFF_S * attempt`` seconds, or
+    after a 429's or 503's ``Retry-After`` seconds when that is longer; a
+    ``Retry-After`` over ``MAX_RETRY_AFTER_S``, 404 (the blogger does not
+    exist) and any other 4xx fail at once.
     """
 
-    def __init__(self, base_url: str, timeout: float = 5.0, retries: int = 3,
-                 backoff: float = 0.1, session=None):
-        if retries < 1:
-            raise ValueError("retries must be >= 1")
+    def __init__(self, base_url: str, get=http_get):
         self.base_url = base_url.rstrip("/")
-        self.timeout = timeout
-        self.retries = retries
-        self.backoff = backoff
-        self._session = session or requests.Session()
+        self._fetch = get
         self._note_records: dict[tuple[str, str], NoteRecord] = {}
 
     def _get(self, path: str, params: dict) -> dict:
-        params = {k: v for k, v in params.items() if v is not None}
+        query = urlencode({k: v for k, v in params.items() if v is not None})
+        url = f"{self.base_url}{path}?{query}"
         failure: Exception | None = None
-        for attempt in range(1, self.retries + 1):
-            wait = self.backoff * attempt
+        for attempt in range(1, ATTEMPTS + 1):
+            wait = BACKOFF_S * attempt
             try:
-                response = self._session.get(self.base_url + path, params=params,
-                                             timeout=self.timeout)
-            except requests.RequestException as exc:
+                status, headers, body = self._fetch(url)
+            except (OSError, HTTPException, ValueError) as exc:
                 failure = exc
             else:
-                status = response.status_code
                 if status == 404:
                     raise NotFoundError(f"{path} not found")
                 if 400 <= status < 500 and status != 429:
@@ -277,23 +301,23 @@ class HttpJsonStore:
                                          retries=attempt)
                 if status == 200:
                     try:
-                        return response.json()
+                        return json.loads(body)
                     except ValueError as exc:
                         failure = exc
                 else:
                     failure = RuntimeError(f"HTTP {status}")
                     if status in (429, 503):
-                        delay = _retry_after_seconds(response.headers)
+                        delay = _retry_after_seconds(headers)
                         if delay > MAX_RETRY_AFTER_S:
                             raise RetrievalError(
                                 f"GET {path} failed: HTTP {status} with Retry-After"
                                 f" over {MAX_RETRY_AFTER_S} s", retries=attempt)
                         wait = max(wait, delay)
-            if attempt < self.retries and wait > 0:
+            if attempt < ATTEMPTS and wait > 0:
                 time.sleep(wait)
         raise RetrievalError(
-            f"GET {path} failed after {self.retries} attempts: {failure}",
-            retries=self.retries)
+            f"GET {path} failed after {ATTEMPTS} attempts: {failure}",
+            retries=ATTEMPTS)
 
     def _text_posts(self, path: str, limit: int | None) -> list[Post]:
         # The type goes on the wire because a server applies ``limit`` after

@@ -1,3 +1,4 @@
+import json
 import random
 from pathlib import Path
 from types import SimpleNamespace
@@ -118,19 +119,20 @@ def tear_writes(monkeypatch) -> None:
     monkeypatch.setattr(Path, "write_text", torn(Path.write_text))
 
 
-class FakeSession:
-    """Stands in for requests.Session: every GET answers 200 with ``payload``.
+class FakeGet:
+    """Stands in for ``crawler.http_get``: every GET answers 200 with
+    ``payload``.
 
-    ``urls`` lists the URLs asked for, in order.
+    ``urls`` lists the URLs asked for, without their query, in order.
     """
 
     def __init__(self, payload):
         self.payload = payload
         self.urls = []
 
-    def get(self, url, params=None, timeout=None):
-        self.urls.append(url)
-        return SimpleNamespace(status_code=200, json=lambda: self.payload)
+    def __call__(self, url):
+        self.urls.append(url.partition("?")[0])
+        return 200, {}, json.dumps(self.payload).encode()
 
 
 # Documents at the edge of the rules that must still be accepted.

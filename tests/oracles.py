@@ -568,7 +568,7 @@ class EagerFixtureStore:
                 continue
             post = post_from_record(record)
             self._by_blogger.setdefault(post.blog_name, []).append(post)
-            for tag in post.tags:
+            for tag in dict.fromkeys(post.tags):
                 self._by_tag.setdefault(tag, []).append(post)
 
     def tagged_posts(self, tag: str, limit: int | None = None) -> list[Post]:

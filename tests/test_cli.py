@@ -11,14 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spiderveil import cli
+from spiderveil import cli, crawler
 from spiderveil.cli import main
 from spiderveil.crawler import HttpJsonStore
 from spiderveil.errors import (GraphFormatError, NotFoundError, RetrievalError,
                                ScoringError, SelfLoopError)
 from spiderveil.socialgraph import import_json_edge_list
 
-from conftest import MALFORMED_POSTS, MALFORMED_STORES, FakeSession
+from conftest import MALFORMED_POSTS, MALFORMED_STORES, FakeGet
 from oracles import EagerFixtureStore
 
 
@@ -544,7 +544,7 @@ class TestCrawl:
     def test_malformed_http_post(self, pipeline, tmp_path, capsys, monkeypatch):
         payload = {"posts": [MALFORMED_POSTS["tags not an array"]]}
         monkeypatch.setattr(cli, "HttpJsonStore", lambda url: HttpJsonStore(
-            url, backoff=0.0, session=FakeSession(payload)))
+            url, get=FakeGet(payload)))
         code, _ = run(["--out-dir", str(tmp_path), "crawl",
                        "--url", "http://store.test",
                        "--model", str(pipeline.root / "model.json"),
@@ -554,10 +554,9 @@ class TestCrawl:
 
     def test_seed_fetch_failure(self, pipeline, tmp_path, capsys, monkeypatch):
         # Every GET answers HTTP 500, so the seed's posts cannot be fetched.
-        failing = SimpleNamespace(get=lambda url, params=None, timeout=None:
-                                  SimpleNamespace(status_code=500, headers={}))
+        monkeypatch.setattr(crawler, "BACKOFF_S", 0.0)
         monkeypatch.setattr(cli, "HttpJsonStore", lambda url: HttpJsonStore(
-            url, backoff=0.0, session=failing))
+            url, get=lambda url: (500, {}, b"")))
         code, _ = run(["--out-dir", str(tmp_path), "crawl",
                        "--url", "http://store.test",
                        "--model", str(pipeline.root / "model.json"),
@@ -975,7 +974,6 @@ EXIT_CASES = {
     "RetrievalError": (RetrievalError("GET /x failed", retries=3), 2),
     "ScoringError": (ScoringError("blogger has no scoreable text"), 3),
     "SelfLoopError": (SelfLoopError("self-loop on 'a'"), 4),
-    "JSONDecodeError": (json.JSONDecodeError("Expecting value", "x", 0), 2),
     "OSError": (OSError("disk full"), 2),
     "UnicodeDecodeError": (
         UnicodeDecodeError("utf-8", b"\xff", 0, 1, "invalid start byte"), 4),

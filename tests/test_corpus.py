@@ -222,6 +222,20 @@ class TestExemplarCorpus:
         assert loaded.documents == corpus.documents
         assert loaded.document_ids == corpus.document_ids
 
+    @pytest.mark.parametrize("breaker", ["\u2028", "\u0085", "\u2029"])
+    def test_lines_end_only_at_newline(self, tmp_path, breaker):
+        # JSON allows these raw in a string; str.splitlines() breaks on them.
+        path = tmp_path / "corpus.ndjson"
+        path.write_bytes(f'{{"id": "p1", "text": "a{breaker}b"}}\n'
+                         f'{{"id": "p2", "text": "c"}}\n'.encode("utf-8"))
+        loaded = ExemplarCorpus.load(path)
+        assert loaded.documents == [f"a{breaker}b", "c"]
+        assert loaded.document_ids == ["p1", "p2"]
+        # save escapes them, so a written corpus has no such raw character.
+        loaded.save(path)
+        assert breaker.encode("utf-8") not in path.read_bytes()
+        assert ExemplarCorpus.load(path).documents == loaded.documents
+
     def test_failed_save_keeps_the_old_file(self, tmp_path, monkeypatch):
         path = tmp_path / "corpus.ndjson"
         ExemplarCorpus(documents=["old text"], document_ids=["p0"]).save(path)

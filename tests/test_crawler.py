@@ -8,12 +8,10 @@ import sys
 import threading
 from collections import deque
 from pathlib import Path
-from types import SimpleNamespace
 from urllib.parse import parse_qsl, unquote, urlsplit
 
 import numpy as np
 import pytest
-import requests
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -35,7 +33,7 @@ from spiderveil.langmodel import Verdict
 from spiderveil.socialgraph import CommunityGraph
 
 from conftest import (EDGE_STORES, HAND_BODIES, MALFORMED_POSTS,
-                      MALFORMED_STORES, FakeSession, make_post)
+                      MALFORMED_STORES, FakeGet, make_post)
 from oracles import (EagerFixtureStore, ReferenceCrawlSession,
                      propagate_oracle, random_digraph,
                      reference_transition_matrix)
@@ -298,6 +296,14 @@ class TestFixtureStore:
         assert [p.id for p in store.tagged_posts("stars", limit=1)] == ["p1"]
         assert store.tagged_posts("absent") == []
 
+    def test_a_post_is_listed_once_per_distinct_tag(self):
+        data = {"blogs": [{"name": "a"}],
+                "posts": [make_post("p1", "a", "x", tags=("Stars", "#stars", "")),
+                          make_post("p2", "a", "y", tags=("stars",))]}
+        store = FixtureStore(data)
+        assert [p.id for p in store.tagged_posts("stars")] == ["p1", "p2"]
+        assert [p.id for p in store.tagged_posts("stars", limit=2)] == ["p1", "p2"]
+
     def test_seed_and_blog_names(self, hand_store):
         assert hand_store.seed_blogger == "alpha"
         for name in ("alpha", "bravo", "carol", "dave", "xena", "yuri"):
@@ -370,7 +376,7 @@ class TestLazyPosts:
         store = FixtureStore(ODD_TAG_STORE)
         assert [p.id for p in store.blogger_posts("a", limit=1)] == ["p1"]
         assert built == ["p1"]
-        assert [p.id for p in store.tagged_posts("stars")] == ["p1", "p1"]
+        assert [p.id for p in store.tagged_posts("stars")] == ["p1"]
         assert built == ["p1"]
         assert [p.id for p in store.tagged_posts("moon")] == ["p3"]
         assert built == ["p1", "p3"]
@@ -422,8 +428,9 @@ class TestLazyPosts:
                 store.blogger_posts("absent")
 
 
-def serve_fixture(store_data, flaky=None):
-    """Tiny HTTP twin of FixtureStore; ``flaky`` maps path -> 500 count.
+def serve_fixture(store_data, flaky=None, failure=(500, {})):
+    """Tiny HTTP twin of FixtureStore; ``flaky`` maps path -> the number of
+    ``failure`` answers, a (status, headers) pair, it gets first.
 
     Like a real server it applies ``limit`` after its ``type`` filter.  The
     server's ``requests`` lists the (path, query parameters) of every GET.
@@ -439,9 +446,11 @@ def serve_fixture(store_data, flaky=None):
         def log_message(self, *args):
             pass
 
-        def _send(self, code, payload=None):
+        def _send(self, code, payload=None, headers=()):
             body = json.dumps(payload if payload is not None else {}).encode()
             self.send_response(code)
+            for header in headers:
+                self.send_header(*header)
             self.send_header("Content-Type", "application/json")
             self.send_header("Content-Length", str(len(body)))
             self.end_headers()
@@ -454,7 +463,8 @@ def serve_fixture(store_data, flaky=None):
             requests.append((path, params))
             if failures.get(path, 0) > 0:
                 failures[path] -= 1
-                self._send(500, {"error": "transient"})
+                status, headers = failure
+                self._send(status, {"error": "transient"}, headers.items())
                 return
             parts = path.strip("/").split("/")
             if len(parts) == 3 and parts[0] == "blog" and parts[2] == "posts":
@@ -489,33 +499,38 @@ def hand_http(hand_store_data):
     server.server_close()
 
 
+@pytest.fixture()
+def no_backoff(monkeypatch):
+    monkeypatch.setattr(crawler_module, "BACKOFF_S", 0.0)
+
+
 class TestHttpJsonStore:
     def test_blogger_posts(self, hand_http):
         base, _ = hand_http
-        store = HttpJsonStore(base, backoff=0.0)
+        store = HttpJsonStore(base)
         posts = store.blogger_posts("alpha")
         assert [p.id for p in posts] == ["p1"]
         assert posts[0].notes == (note("bravo", "like"),)
 
     def test_unknown_blogger_is_not_found(self, hand_http):
         base, _ = hand_http
-        store = HttpJsonStore(base, backoff=0.0)
+        store = HttpJsonStore(base)
         with pytest.raises(NotFoundError):
             store.blogger_posts("nobody")
 
     def test_notes_and_limit(self, hand_http):
         base, _ = hand_http
-        store = HttpJsonStore(base, backoff=0.0)
+        store = HttpJsonStore(base)
         [post] = store.blogger_posts("carol", limit=1)
         assert post.notes == (note("dave", "like"), note("dave", "reblog"),
                               note("xena", "like"))
 
-    def test_transient_failures_are_retried(self, hand_store_data):
+    def test_transient_failures_are_retried(self, hand_store_data, no_backoff):
         server, failures = serve_fixture(hand_store_data,
                                          flaky={"/blog/alpha/posts": 2})
         try:
             base = f"http://127.0.0.1:{server.server_address[1]}"
-            store = HttpJsonStore(base, retries=3, backoff=0.0)
+            store = HttpJsonStore(base)
             posts = store.blogger_posts("alpha")
             assert [p.id for p in posts] == ["p1"]
             assert failures["/blog/alpha/posts"] == 0
@@ -523,12 +538,13 @@ class TestHttpJsonStore:
             server.shutdown()
             server.server_close()
 
-    def test_persistent_failure_reports_attempts(self, hand_store_data):
+    def test_persistent_failure_reports_attempts(self, hand_store_data,
+                                                 no_backoff):
         server, _ = serve_fixture(hand_store_data,
                                   flaky={"/blog/alpha/posts": 99})
         try:
             base = f"http://127.0.0.1:{server.server_address[1]}"
-            store = HttpJsonStore(base, retries=3, backoff=0.0)
+            store = HttpJsonStore(base)
             with pytest.raises(RetrievalError) as err:
                 store.blogger_posts("alpha")
             assert err.value.retries == 3
@@ -536,25 +552,88 @@ class TestHttpJsonStore:
             server.shutdown()
             server.server_close()
 
+    def test_retry_after_is_read_from_the_response(self, hand_store_data,
+                                                   monkeypatch):
+        server, _ = serve_fixture(hand_store_data, flaky={"/blog/alpha/posts": 1},
+                                  failure=(503, {"Retry-After": "2"}))
+        waits = []
+        monkeypatch.setattr(crawler_module.time, "sleep", waits.append)
+        try:
+            store = HttpJsonStore(f"http://127.0.0.1:{server.server_address[1]}")
+            assert [p.id for p in store.blogger_posts("alpha")] == ["p1"]
+        finally:
+            server.shutdown()
+            server.server_close()
+        assert waits == [2]
+
+    @pytest.mark.parametrize("base", ["not-a-url", "http://127.0.0.1:1",
+                                      "ftp://x", "file:///"])
+    def test_unusable_base_url_fails_after_every_attempt(self, base,
+                                                         no_backoff):
+        with pytest.raises(RetrievalError,
+                           match="GET /blog/a/posts failed after 3 attempts") as err:
+            HttpJsonStore(base).blogger_posts("a")
+        assert err.value.retries == 3
+
+    def test_a_file_url_is_not_read(self, tmp_path, no_backoff):
+        # The file that the URL of blogger a's posts names holds a payload.
+        posts = tmp_path / "blog" / "a" / "posts?type=text"
+        posts.parent.mkdir(parents=True)
+        posts.write_text('{"posts": []}')
+        with pytest.raises(RetrievalError, match="after 3 attempts"):
+            HttpJsonStore(tmp_path.as_uri()).blogger_posts("a")
+
+    @pytest.mark.parametrize("scheme", ["http", "file", "ftp", "data"])
+    def test_redirects_are_followed_over_http_only(self, hand_http, scheme,
+                                                   no_backoff):
+        base, _ = hand_http
+        target = {"http": f"{base}/blog/alpha/posts",
+                  "file": "file:///dev/null",
+                  "ftp": "ftp://127.0.0.1:1/posts",
+                  "data": "data:application/json,%7B%22posts%22%3A%5B%5D%7D"}[scheme]
+        redirects = []
+
+        class Redirect(http.server.BaseHTTPRequestHandler):
+            def log_message(self, *args):
+                pass
+
+            def do_GET(self):
+                redirects.append(self.path)
+                self.send_response(302)
+                self.send_header("Location", target)
+                self.send_header("Content-Length", "0")
+                self.end_headers()
+
+        server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), Redirect)
+        threading.Thread(target=server.serve_forever, daemon=True).start()
+        try:
+            store = HttpJsonStore(f"http://127.0.0.1:{server.server_address[1]}")
+            if scheme == "http":
+                assert [p.id for p in store.blogger_posts("x")] == ["p1"]
+            else:
+                with pytest.raises(RetrievalError, match="after 3 attempts"):
+                    store.blogger_posts("x")
+        finally:
+            server.shutdown()
+            server.server_close()
+        assert len(redirects) == (1 if scheme == "http" else 3)
+
     @pytest.mark.parametrize("status, calls", [
         (400, 1), (403, 1), (410, 1), (429, 3), (500, 3), (503, 3)])
     def test_only_transient_statuses_are_retried(self, monkeypatch, status, calls):
-        class StatusSession:
-            calls = 0
+        urls = []
 
-            def get(self, url, params=None, timeout=None):
-                self.calls += 1
-                return SimpleNamespace(status_code=status, headers={},
-                                       json=lambda: {})
+        def get(url):
+            urls.append(url)
+            return status, {}, b"{}"
 
         sleeps = []
         monkeypatch.setattr(crawler_module.time, "sleep", sleeps.append)
-        session = StatusSession()
-        store = HttpJsonStore("http://store.test", retries=3, backoff=0.5,
-                              session=session)
+        monkeypatch.setattr(crawler_module, "BACKOFF_S", 0.5)
+        store = HttpJsonStore("http://store.test", get=get)
         with pytest.raises(RetrievalError, match=f"HTTP {status}") as err:
             store.blogger_posts("a")
-        assert session.calls == calls
+        assert len(urls) == calls
         assert err.value.retries == calls
         assert len(sleeps) == calls - 1
 
@@ -574,15 +653,11 @@ class TestHttpJsonStore:
                                             retry_after, sleeps):
         headers = {} if retry_after is None else {"Retry-After": retry_after}
 
-        class ThrottledSession:
-            def get(self, url, params=None, timeout=None):
-                return SimpleNamespace(status_code=status, headers=headers,
-                                       json=lambda: {})
-
         waits = []
         monkeypatch.setattr(crawler_module.time, "sleep", waits.append)
-        store = HttpJsonStore("http://store.test", retries=3, backoff=0.5,
-                              session=ThrottledSession())
+        monkeypatch.setattr(crawler_module, "BACKOFF_S", 0.5)
+        store = HttpJsonStore("http://store.test",
+                              get=lambda url: (status, headers, b"{}"))
         with pytest.raises(RetrievalError, match=f"HTTP {status}"):
             store.blogger_posts("a")
         assert waits == sleeps  # no wait after the last attempt
@@ -593,52 +668,37 @@ class TestHttpJsonStore:
         pytest.param("9" * 5000, id="5000-digits")])
     def test_retry_after_over_the_limit_fails_at_once(self, monkeypatch, status,
                                                       retry_after):
-        class ThrottledSession:
-            calls = 0
+        urls = []
 
-            def get(self, url, params=None, timeout=None):
-                self.calls += 1
-                return SimpleNamespace(status_code=status,
-                                       headers={"Retry-After": retry_after},
-                                       json=lambda: {})
+        def get(url):
+            urls.append(url)
+            return status, {"Retry-After": retry_after}, b"{}"
 
         waits = []
         monkeypatch.setattr(crawler_module.time, "sleep", waits.append)
-        session = ThrottledSession()
-        store = HttpJsonStore("http://store.test", retries=3, backoff=0.5,
-                              session=session)
+        monkeypatch.setattr(crawler_module, "BACKOFF_S", 0.5)
+        store = HttpJsonStore("http://store.test", get=get)
         with pytest.raises(RetrievalError, match=f"HTTP {status} with Retry-After"
                                                  f" over {MAX_RETRY_AFTER_S} s") as err:
             store.blogger_posts("a")
-        assert session.calls == 1 and err.value.retries == 1
+        assert len(urls) == 1 and err.value.retries == 1
         assert waits == []
 
     def test_retry_after_applies_without_backoff(self, monkeypatch):
-        responses = iter([
-            SimpleNamespace(status_code=429, headers={"Retry-After": "3"},
-                            json=lambda: {}),
-            SimpleNamespace(status_code=200, headers={},
-                            json=lambda: {"posts": []})])
-
-        class RecoveringSession:
-            def get(self, url, params=None, timeout=None):
-                return next(responses)
-
+        responses = iter([(429, {"Retry-After": "3"}, b"{}"),
+                          (200, {}, b'{"posts": []}')])
         waits = []
         monkeypatch.setattr(crawler_module.time, "sleep", waits.append)
-        store = HttpJsonStore("http://store.test", retries=2, backoff=0,
-                              session=RecoveringSession())
+        monkeypatch.setattr(crawler_module, "BACKOFF_S", 0)
+        store = HttpJsonStore("http://store.test",
+                              get=lambda url: next(responses))
         assert store.blogger_posts("a") == []
         assert waits == [3]
-
-    def test_rejects_zero_retries(self):
-        with pytest.raises(ValueError):
-            HttpJsonStore("http://127.0.0.1:1", retries=0)
 
     @pytest.mark.parametrize("name", sorted(MALFORMED_POSTS))
     def test_malformed_post_record(self, name):
         store = HttpJsonStore("http://store.test",
-                              session=FakeSession({"posts": [MALFORMED_POSTS[name]]}))
+                              get=FakeGet({"posts": [MALFORMED_POSTS[name]]}))
         with pytest.raises(GraphFormatError, match=r"bad posts payload: posts\[0\]"):
             store.blogger_posts("a")
         with pytest.raises(GraphFormatError):
@@ -651,60 +711,62 @@ class TestHttpJsonStore:
         [],
     ])
     def test_malformed_posts_payload(self, payload):
-        store = HttpJsonStore("http://store.test", session=FakeSession(payload))
+        store = HttpJsonStore("http://store.test", get=FakeGet(payload))
         with pytest.raises(GraphFormatError, match="bad posts payload"):
             store.blogger_posts("a")
 
     def test_names_and_tags_are_one_escaped_segment(self):
-        session = FakeSession({"posts": []})
-        store = HttpJsonStore("http://h/api", session=session)
+        get = FakeGet({"posts": []})
+        store = HttpJsonStore("http://h/api", get=get)
         assert store.blogger_posts("a/b") == []
         assert store.blogger_posts("../../x") == []
         assert store.tagged_posts("#Sci/Fi") == []
         assert store.tagged_posts("../x?y") == []
-        assert session.urls == ["http://h/api/blog/a%2Fb/posts",
-                                "http://h/api/blog/..%2F..%2Fx/posts",
-                                "http://h/api/tagged/sci%2Ffi",
-                                "http://h/api/tagged/..%2Fx%3Fy"]
-        # requests resolves dot segments; none is left to leave the API path.
-        for url in session.urls:
-            assert requests.Request("GET", url).prepare().url == url
+        assert get.urls == ["http://h/api/blog/a%2Fb/posts",
+                            "http://h/api/blog/..%2F..%2Fx/posts",
+                            "http://h/api/tagged/sci%2Ffi",
+                            "http://h/api/tagged/..%2Fx%3Fy"]
+        # A resolver removes dot segments, escaped ones too; none is left to
+        # leave the API path.
+        for url in get.urls:
+            segments = map(unquote, urlsplit(url).path.split("/"))
+            assert not set(segments) & {".", ".."}
 
     @pytest.mark.parametrize("name", [".", "..", "bad\ud800"])
     def test_dot_names_send_no_request(self, name):
-        session = FakeSession({"posts": [make_post("p1", "a", "text")]})
-        store = HttpJsonStore("http://h/api", session=session)
+        get = FakeGet({"posts": [make_post("p1", "a", "text")]})
+        store = HttpJsonStore("http://h/api", get=get)
         with pytest.raises(NotFoundError):
             store.blogger_posts(name)
         assert store.tagged_posts(name) == []
         assert store.tagged_posts(f" #{name}") == []
-        assert session.urls == []
+        assert get.urls == []
 
     def test_crawl_discards_a_noter_no_url_can_name(self, hand_model,
                                                     hand_config):
         # Every GET answers with the seed's post, noted by a name UTF-8
         # cannot encode; that noter is discarded as unknown.
-        session = FakeSession({"posts": [make_post(
+        get = FakeGet({"posts": [make_post(
             "p1", "alpha", HAND_BODIES["alpha"], notes=[("bad\ud800", "like")])]})
-        result = crawl(HttpJsonStore("http://h/api", session=session),
+        result = crawl(HttpJsonStore("http://h/api", get=get),
                        hand_model, hand_config)
         assert result.graph.nodes() == ["alpha"]
         assert result.discarded == {"bad\ud800"}
-        assert session.urls == ["http://h/api/blog/alpha/posts"]
+        assert get.urls == ["http://h/api/blog/alpha/posts"]
 
     def test_bootstrap_skips_a_tag_no_url_can_name(self):
-        session = FakeSession({"posts": [make_post(
+        get = FakeGet({"posts": [make_post(
             "p1", "alpha", HAND_BODIES["alpha"], tags=["stars", "bad\ud800"])]})
         corpus, lexicon = bootstrap_exemplars(
-            HttpJsonStore("http://h/api", session=session), ["stars"], 5)
+            HttpJsonStore("http://h/api", get=get), ["stars"], 5)
         assert corpus.document_ids == ["p1"]
         assert lexicon == {"stars": 0, "bad\ud800": 1}
-        assert session.urls == ["http://h/api/tagged/stars"]
+        assert get.urls == ["http://h/api/tagged/stars"]
 
     def test_well_formed_payload_parses(self):
         record = make_post("p1", "a", "some text", notes=[("b", "like")], tags=["T"])
         store = HttpJsonStore("http://store.test",
-                              session=FakeSession({"posts": [record]}))
+                              get=FakeGet({"posts": [record]}))
         [post] = store.blogger_posts("a")
         assert post == post_from_record(record)
 
@@ -716,8 +778,7 @@ class TestHttpJsonStore:
         data["posts"][1]["tags"] = ["stars"]
         server, _ = serve_fixture(data)
         try:
-            store = HttpJsonStore(f"http://127.0.0.1:{server.server_address[1]}",
-                                  backoff=0.0)
+            store = HttpJsonStore(f"http://127.0.0.1:{server.server_address[1]}")
             # The server drops the photo before its limit, so one post is p1.
             assert [p.id for p in store.blogger_posts("alpha", limit=1)] == ["p1"]
             assert [p.id for p in store.tagged_posts("#Stars")] == ["p1"]
@@ -748,7 +809,7 @@ class TestHttpJsonStore:
                             lambda record, note_records:
                             parsed.append(record["id"]) or parse(record, note_records))
         store = HttpJsonStore("http://store.test",
-                              session=FakeSession({"posts": records}))
+                              get=FakeGet({"posts": records}))
         assert [p.id for p in store.blogger_posts("a")] == ["p2", "p3"]
         assert parsed == ["p2", "p3"]
         # A limit parses only the posts it returns.
@@ -758,7 +819,7 @@ class TestHttpJsonStore:
     def test_requests_share_note_records(self):
         store = HttpJsonStore(
             "http://store.test",
-            session=FakeSession({"posts": SHARED_NOTER_STORE["posts"]}))
+            get=FakeGet({"posts": SHARED_NOTER_STORE["posts"]}))
         first = store.blogger_posts("a")
         second = store.tagged_posts("t")
         assert first == second
@@ -770,7 +831,7 @@ class TestHttpJsonStore:
                                                    hand_store, hand_model,
                                                    hand_config):
         base, _ = hand_http
-        http_result = crawl(HttpJsonStore(base, backoff=0.0), hand_model,
+        http_result = crawl(HttpJsonStore(base), hand_model,
                             hand_config)
         local_result = crawl(hand_store, hand_model, hand_config)
         assert http_result.canonical_bytes() == local_result.canonical_bytes()

@@ -1,8 +1,14 @@
 """Checks a linter would make, written with the standard library's ``ast``:
-no module imports a name it never uses, and ``errors.atomic_write_bytes`` is
-the package's only file writer."""
+every module parses as the oldest supported Python, no module imports a name
+it never uses, ``errors.atomic_write_bytes`` is the package's only file
+writer, and the package imports exactly the standard library, itself and its
+declared dependencies."""
 
 import ast
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -10,10 +16,15 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src").rglob("*.py"))
 MODULES = PACKAGE + sorted((ROOT / "tests").glob("*.py"))
+# The oldest Python that pyproject.toml's requires-python admits.
+OLDEST_PYTHON = tuple(map(int, re.search(
+    r'requires-python = ">=(\d+)\.(\d+)"',
+    (ROOT / "pyproject.toml").read_text(encoding="utf-8")).groups()))
 
-# Calls that write a file, and the one function allowed to make them.
+# Calls that write a file, and the functions allowed to make them: the
+# writer, and ``http_get``, whose ``open`` opens a URL.
 WRITERS = {"write_text", "write_bytes", "open"}
-WRITER_HOME = ("errors.py", "atomic_write_bytes")
+WRITER_HOMES = {("errors.py", "atomic_write_bytes"), ("crawler.py", "http_get")}
 
 
 def _tree(path: Path) -> ast.Module:
@@ -22,6 +33,12 @@ def _tree(path: Path) -> ast.Module:
 
 def _id(path: Path) -> str:
     return str(path.relative_to(ROOT))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=_id)
+def test_parses_as_the_oldest_supported_python(path):
+    source = path.read_text(encoding="utf-8")
+    ast.parse(source, filename=str(path), feature_version=OLDEST_PYTHON)
 
 
 # A package's __init__ imports the names it exports.
@@ -50,7 +67,7 @@ def test_files_are_written_only_through_atomic_write_bytes(path):
     while nodes:
         node = nodes.pop()
         if (isinstance(node, ast.FunctionDef)
-                and (path.name, node.name) == WRITER_HOME):
+                and (path.name, node.name) in WRITER_HOMES):
             continue
         if isinstance(node, ast.Call):
             func = node.func
@@ -60,3 +77,37 @@ def test_files_are_written_only_through_atomic_write_bytes(path):
                 calls.append((node.lineno, name))
         nodes.extend(ast.iter_child_nodes(node))
     assert not calls, f"{_id(path)} writes files directly: {sorted(calls)}"
+
+
+def _top_level_imports(path: Path) -> set[str]:
+    names = set()
+    for node in ast.walk(_tree(path)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.partition(".")[0])
+    return names
+
+
+def test_package_imports_only_its_declared_dependencies():
+    tomllib = pytest.importorskip("tomllib", reason="tomllib needs Python 3.11")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text(
+        encoding="utf-8"))["project"]
+    declared = {re.match(r"[A-Za-z0-9_.-]+", spec).group().lower()
+                for spec in project["dependencies"]}
+    imported = set().union(*map(_top_level_imports, PACKAGE))
+    undeclared = imported - set(sys.stdlib_module_names) - declared - {"spiderveil"}
+    assert not undeclared, f"src/ imports undeclared modules: {sorted(undeclared)}"
+    assert declared <= imported, f"unused dependencies: {sorted(declared - imported)}"
+
+
+def test_requests_is_neither_imported_nor_loaded():
+    for path in MODULES:
+        assert "requests" not in _top_level_imports(path), _id(path)
+    loaded = subprocess.run(
+        [sys.executable, "-c", "import sys, spiderveil.cli; "
+         "print(' '.join(sorted(sys.modules)))"],
+        cwd=ROOT, env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        capture_output=True, text=True, check=True).stdout.split()
+    assert "spiderveil.cli" in loaded
+    assert "requests" not in loaded and "urllib3" not in loaded
