@@ -14,8 +14,9 @@ from .crawler import (CrawlConfig, CrawlResult, CrawlSession, FixtureStore,
                       HttpJsonStore, SelectionPolicy, StopReason,
                       TransitionMatrix, build_transition_matrix, crawl,
                       extract_frontiers, fetch_posts, propagate, select_next)
-from .errors import (GraphFormatError, NotFoundError, RetrievalError,
-                     ScoringError, SelfLoopError, SpiderveilError)
+from .errors import (EmptyInputError, GraphFormatError, NotFoundError,
+                     RetrievalError, ScoringError, SelfLoopError,
+                     SpiderveilError)
 from .langmodel import (NGramModel, Threshold, Verdict, classify,
                         compute_threshold, load_model, save_model,
                         score_blogger, score_text, train)

@@ -5,10 +5,11 @@ an exemplar corpus from seed tags, ``train`` the n-gram model (optionally
 deriving the threshold from seed bloggers), ``crawl`` a store, ``analyze``
 and ``export`` graphs, and ``eval`` predictions against ground truth.
 
-Exit codes: 0 success, 2 I/O or malformed file, 3 empty or degenerate
-input, 4 domain error; ``EXIT_CODES`` gives the code of each exception.
-Outputs land in --out-dir; a manifest.json recording the invocation is
-written before any artifact.
+Each command prints what it did and returns nothing, and ``main`` exits 0;
+a command that fails raises, and ``EXIT_CODES`` gives the exit code of each
+exception (2 I/O or malformed file, 3 missing or empty input, 4 domain
+error).  Outputs land in --out-dir; a manifest.json recording the
+invocation is written before any artifact.
 """
 
 from __future__ import annotations
@@ -27,39 +28,28 @@ from .corpus import (NoteKind, bootstrap_exemplars, ExemplarCorpus, filter_engli
                      normalize_tag)
 from .crawler import (CrawlConfig, CrawlSession, FixtureStore, HttpJsonStore,
                       SelectionPolicy, predicted_verdicts, visit_log_from_json)
-from .errors import (INTEGER, NUMBER, STRING, STRINGS, GraphFormatError,
-                     JsonKind, NotFoundError, RetrievalError, ScoringError,
+from .errors import (INTEGER, NUMBER, STRING, STRINGS, EmptyInputError,
+                     GraphFormatError, JsonKind, NotFoundError, RetrievalError,
                      SpiderveilError, atomic_write_bytes, read_fields, read_json)
 from .langmodel import (compute_threshold, load_model, save_model,
                         score_blogger, train)
 from .simnet import (ConfusionMatrix, GeneratorParams, evaluate, generate,
-                     report_from_matrix, truth_from_json_dict, truth_to_json_dict)
+                     report_from_matrix, truncate2, truth_from_json_dict,
+                     truth_to_json_dict)
 from .socialgraph import export_graph, import_json_edge_list, measure
 
-EXIT_OK = 0
-EXIT_IO = 2
-EXIT_EMPTY = 3
-EXIT_DOMAIN = 4
-
-
-class CLIError(Exception):
-    def __init__(self, code: int, message: str):
-        super().__init__(message)
-        self.code = code
-
-
-# The exit code of each exception a command lets through, besides CLIError,
-# which carries its own.  The first class that matches wins, so a subclass
-# comes before its base: NotFoundError is a SpiderveilError.  A JSON input
-# that does not decode raises GraphFormatError where it is read.
+# The exit code of each exception a command lets through.  The first class
+# that matches wins, so a subclass comes before its base: NotFoundError is a
+# SpiderveilError.  A JSON input that does not decode raises GraphFormatError
+# where it is read; ScoringError is an EmptyInputError.
 EXIT_CODES = {
-    NotFoundError: EXIT_DOMAIN,
-    GraphFormatError: EXIT_IO,
-    RetrievalError: EXIT_IO,
-    ScoringError: EXIT_EMPTY,
-    SpiderveilError: EXIT_DOMAIN,
-    OSError: EXIT_IO,
-    ValueError: EXIT_DOMAIN,
+    NotFoundError: 4,
+    GraphFormatError: 2,
+    RetrievalError: 2,
+    EmptyInputError: 3,
+    SpiderveilError: 4,
+    OSError: 2,
+    ValueError: 4,
 }
 
 
@@ -144,7 +134,7 @@ def write_manifest(args, out_dir: Path, output_paths: list[Path]) -> None:
     """Record the invocation before producing any artifact."""
     manifest = {
         "command": args.command,
-        "argv": sys.argv[1:],
+        "argv": args.argv,
         "config_path": args.config,
         "started_at": datetime.now(timezone.utc).isoformat(),
         "rng_seed": args.seed,
@@ -158,7 +148,7 @@ def load_config(args) -> dict:
         return {}
     data = read_json(args.config, "config file")
     if not isinstance(data, dict):
-        raise CLIError(EXIT_IO, "config file must hold a JSON object")
+        raise GraphFormatError("config file must hold a JSON object")
     return data
 
 
@@ -184,19 +174,26 @@ def open_store(args, config: dict):
         return HttpJsonStore(url)
     path = setting(args, config, "store", STRING) or os.environ.get("SPIDERVEIL_STORE")
     if not path:
-        raise CLIError(EXIT_EMPTY,
-                       "no store given (use --store, config, or SPIDERVEIL_STORE)")
+        raise EmptyInputError(
+            "no store given (use --store, config, or SPIDERVEIL_STORE)")
     return FixtureStore.load(path)
 
 
 # -- subcommands ---------------------------------------------------------------
 
 
-def cmd_gen(args, config: dict) -> int:
+def format_columns(rows, min_width: int = 0) -> str:
+    """Rows of strings as left-justified columns two spaces apart, each as
+    wide as its longest cell or ``min_width``; rows end at their last cell."""
+    widths = [max(min_width, *map(len, column)) for column in zip(*rows)]
+    return "\n".join("  ".join(map(str.ljust, row, widths)).rstrip() for row in rows)
+
+
+def cmd_gen(args, config: dict) -> None:
     out_dir = ensure_out_dir(args)
     base = read_json(args.params, "params file") if args.params else {}
     if not isinstance(base, dict):
-        raise CLIError(EXIT_IO, "params file must hold a JSON object")
+        raise GraphFormatError("params file must hold a JSON object")
     overrides = {
         "total_bloggers": args.bloggers,
         "relevant_fraction": args.fraction,
@@ -220,15 +217,14 @@ def cmd_gen(args, config: dict) -> int:
     print(f"posts: {len(store['posts'])}")
     print(f"seed blogger: {store['seed']}")
     print(f"wrote {store_path} and {truth_path}")
-    return EXIT_OK
 
 
-def cmd_bootstrap(args, config: dict) -> int:
+def cmd_bootstrap(args, config: dict) -> None:
     out_dir = ensure_out_dir(args)
     store = open_store(args, config)
     tags = setting(args, config, "tag", STRINGS, "tags")
     if not any(map(normalize_tag, tags or ())):
-        raise CLIError(EXIT_EMPTY, "no non-empty seed tags given (use --tag)")
+        raise EmptyInputError("no non-empty seed tags given (use --tag)")
     target = setting(args, config, "target", INTEGER, default=100)
 
     corpus_path = Path(args.out) if args.out else out_dir / "corpus.ndjson"
@@ -236,8 +232,7 @@ def cmd_bootstrap(args, config: dict) -> int:
 
     corpus, lexicon = bootstrap_exemplars(store, tags, target)
     if not corpus.documents:
-        raise CLIError(EXIT_EMPTY,
-                       f"no documents collected for tags: {', '.join(tags)}")
+        raise EmptyInputError(f"no documents collected for tags: {', '.join(tags)}")
     write_manifest(args, out_dir, [corpus_path, lexicon_path])
     # Each round adds tags of the next generation only, so the lexicon holds
     # its generations in order.
@@ -251,7 +246,6 @@ def cmd_bootstrap(args, config: dict) -> int:
     corpus.save(corpus_path)
     write_json(lexicon_path, lexicon)
     print(f"wrote {corpus_path} and {lexicon_path}")
-    return EXIT_OK
 
 
 def _load_seed_bloggers(path) -> list[str]:
@@ -259,21 +253,20 @@ def _load_seed_bloggers(path) -> list[str]:
     if isinstance(data, dict):
         data = data.get("bloggers")
     if not STRINGS.test(data):
-        raise CLIError(EXIT_IO,
-                       "seed blogger file must hold a JSON list of names")
+        raise GraphFormatError("seed blogger file must hold a JSON list of names")
     if not data:
-        raise CLIError(EXIT_EMPTY, f"seed blogger file {path} names no bloggers")
+        raise EmptyInputError(f"seed blogger file {path} names no bloggers")
     return data
 
 
-def cmd_train(args, config: dict) -> int:
+def cmd_train(args, config: dict) -> None:
     out_dir = ensure_out_dir(args)
     corpus_path = setting(args, config, "corpus", STRING)
     if not corpus_path:
-        raise CLIError(EXIT_EMPTY, "no corpus given (use --corpus)")
+        raise EmptyInputError("no corpus given (use --corpus)")
     corpus = ExemplarCorpus.load(corpus_path)
     if not corpus.documents:
-        raise CLIError(EXIT_EMPTY, f"corpus {corpus_path} holds no documents")
+        raise EmptyInputError(f"corpus {corpus_path} holds no documents")
     # Unset, order and alpha keep train's defaults and posts the crawl's.
     order = setting(args, config, "order", INTEGER)
     posts = setting(args, config, "posts", INTEGER, "posts_per_blogger",
@@ -282,7 +275,7 @@ def cmd_train(args, config: dict) -> int:
     options = {key: value for key, value in (("order", order), ("alpha", alpha))
                if value is not None}
     if posts < 1:
-        raise CLIError(EXIT_DOMAIN, "posts per blogger must be >= 1")
+        raise ValueError("posts per blogger must be >= 1")
 
     model_path = Path(args.out) if args.out else out_dir / "model.json"
     outputs = [model_path]
@@ -323,35 +316,34 @@ def cmd_train(args, config: dict) -> int:
             "scores": {name: value for value, name in scored},
         })
         print(f"wrote {threshold_path}")
-    return EXIT_OK
 
 
-def cmd_crawl(args, config: dict) -> int:
+def cmd_crawl(args, config: dict) -> None:
     out_dir = ensure_out_dir(args)
     store = open_store(args, config)
     model_path = setting(args, config, "model", STRING)
     if not model_path:
-        raise CLIError(EXIT_EMPTY, "no model given (use --model)")
+        raise EmptyInputError("no model given (use --model)")
     try:
         model = load_model(model_path)
     except ValueError as exc:
-        raise CLIError(EXIT_IO, f"bad model file: {exc}") from exc
+        raise GraphFormatError(f"bad model file: {exc}") from exc
 
     threshold = setting(args, config, "threshold", None)
     if threshold is None and args.threshold_file:
         data = read_json(args.threshold_file, "threshold file")
         if not isinstance(data, dict):
-            raise CLIError(EXIT_IO, "threshold file must hold a JSON object")
+            raise GraphFormatError("threshold file must hold a JSON object")
         threshold = data.get("threshold")
     if threshold is None:
-        raise CLIError(EXIT_EMPTY,
-                       "no threshold given (use --threshold or --threshold-file)")
+        raise EmptyInputError(
+            "no threshold given (use --threshold or --threshold-file)")
 
-    seed_blogger = setting(args, config, "seed_blogger", None)
+    seed_blogger = setting(args, config, "seed_blogger", STRING)
     if seed_blogger is None and isinstance(store, FixtureStore):
         seed_blogger = store.seed_blogger
     if seed_blogger in (None, ""):
-        raise CLIError(EXIT_EMPTY, "no seed blogger given (use --seed-blogger)")
+        raise EmptyInputError("no seed blogger given (use --seed-blogger)")
 
     values = {"seed": seed_blogger, "threshold": threshold,
               "ngram_order": model.order}
@@ -382,71 +374,85 @@ def cmd_crawl(args, config: dict) -> int:
           f"{result.graph.edge_count()} edges")
     print(f"discarded: {len(result.discarded)}")
     print(f"wrote {crawl_path} and graph files")
-    return EXIT_OK
 
 
-def cmd_analyze(args, config: dict) -> int:
+def cmd_analyze(args, config: dict) -> None:
     graph = import_json_edge_list(Path(args.graph).read_bytes())
     if args.label:
         graph = graph.project(NoteKind(args.label))
     try:
         measurements = measure(graph)
     except ValueError as exc:
-        raise CLIError(EXIT_EMPTY, str(exc)) from exc
-    print(measurements.format_table())
+        raise EmptyInputError(str(exc)) from exc
+    print(format_columns([
+        ("nodes", str(measurements.node_count)),
+        ("edges", str(measurements.edge_count)),
+        ("diameter", str(measurements.diameter)),
+        ("strongly connected components", str(measurements.scc_count)),
+        ("average clustering", f"{measurements.avg_clustering:.4f}"),
+        ("modularity", f"{measurements.modularity:.4f}"),
+        ("mean in-betweenness", f"{measurements.mean_in_betweenness:.4f}"),
+        ("mean in-closeness", f"{measurements.mean_in_closeness:.4f}"),
+    ]))
     if args.out:
         out_dir = ensure_out_dir(args)
         out_path = Path(args.out)
         write_manifest(args, out_dir, [out_path])
         write_json(out_path, measurements.to_json_dict())
         print(f"wrote {out_path}")
-    return EXIT_OK
 
 
-def cmd_export(args, config: dict) -> int:
+def cmd_export(args, config: dict) -> None:
     graph = import_json_edge_list(Path(args.graph).read_bytes())
     out_dir = ensure_out_dir(args)
     out_path = Path(args.out) if args.out else out_dir / f"graph.{args.format}"
     write_manifest(args, out_dir, [out_path])
     atomic_write_bytes(out_path, export_graph(graph, args.format))
     print(f"wrote {out_path}")
-    return EXIT_OK
 
 
-def cmd_eval(args, config: dict) -> int:
+def cmd_eval(args, config: dict) -> None:
     if args.matrix:
         parts = args.matrix.split(",")
         if len(parts) != 4:
-            raise CLIError(EXIT_DOMAIN, "--matrix expects tp,fn,fp,tn")
+            raise ValueError("--matrix expects tp,fn,fp,tn")
         try:
             tp, fn, fp, tn = (int(p) for p in parts)
             matrix = ConfusionMatrix(tp=tp, fn=fn, fp=fp, tn=tn)
             report = report_from_matrix(matrix)
         except ValueError as exc:
-            raise CLIError(EXIT_DOMAIN, f"bad confusion matrix: {exc}") from exc
+            raise ValueError(f"bad confusion matrix: {exc}") from exc
     else:
         if not args.result or not args.truth:
-            raise CLIError(EXIT_EMPTY,
-                           "eval needs --matrix or both --result and --truth")
+            raise EmptyInputError("eval needs --matrix or both --result and --truth")
         result = read_json(args.result, "result file")
         if not (isinstance(result, dict) and "visit_log" in result
                 and "discarded" in result):
-            raise CLIError(EXIT_IO, "result file lacks visit_log/discarded fields")
+            raise GraphFormatError("result file lacks visit_log/discarded fields")
         predicted = predicted_verdicts(*visit_log_from_json(result))
         try:
             truth = truth_from_json_dict(read_json(args.truth, "truth file"))
         except ValueError as exc:
-            raise CLIError(EXIT_IO, f"bad truth file: {exc}") from exc
+            raise GraphFormatError(f"bad truth file: {exc}") from exc
         try:
             matrix, report = evaluate(predicted, truth)
         except ValueError as exc:
-            raise CLIError(EXIT_EMPTY, str(exc)) from exc
+            raise EmptyInputError(str(exc)) from exc
 
     print("confusion matrix")
-    print(matrix.format_table())
+    print(format_columns([
+        ("", "actual relevant", "actual unknown"),
+        ("predicted relevant", str(matrix.tp), str(matrix.fp)),
+        ("predicted unknown", str(matrix.fn), str(matrix.tn)),
+    ]))
     print()
     print("accuracy results")
-    print(report.format_table())
+    metrics = (report.precision, report.recall, report.f_score, report.accuracy)
+    print(format_columns([
+        ("", "precision", "recall", "f-score", "accuracy"),
+        ("exact", *(f"{value:.4f}" for value in metrics)),
+        ("truncated", *map(truncate2, metrics)),
+    ], min_width=9))
     if args.out:
         out_dir = ensure_out_dir(args)
         out_path = Path(args.out)
@@ -454,7 +460,6 @@ def cmd_eval(args, config: dict) -> int:
         write_json(out_path, {"confusion_matrix": matrix.to_json_dict(),
                               "report": report.to_json_dict()})
         print(f"wrote {out_path}")
-    return EXIT_OK
 
 
 # -- wiring --------------------------------------------------------------------
@@ -543,19 +548,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
+    args.argv = argv
     logging.basicConfig(
         level=logging.DEBUG if args.verbose else logging.WARNING,
         stream=sys.stderr, format="%(levelname)s %(name)s: %(message)s")
     try:
-        config = load_config(args)
-        return args.func(args, config)
-    except (CLIError, *EXIT_CODES) as exc:
+        args.func(args, load_config(args))
+    except tuple(EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        if isinstance(exc, CLIError):
-            return exc.code
         return next(code for kind, code in EXIT_CODES.items()
                     if isinstance(exc, kind))
+    return 0
 
 
 def entry() -> None:

@@ -27,7 +27,11 @@ class NotFoundError(SpiderveilError):
     """A blogger or post id is unknown to the data source."""
 
 
-class ScoringError(SpiderveilError):
+class EmptyInputError(SpiderveilError):
+    """An input is missing, or holds nothing to work on."""
+
+
+class ScoringError(EmptyInputError):
     """A blogger or text has nothing the language model can score."""
 
 
@@ -36,7 +40,8 @@ class SelfLoopError(SpiderveilError):
 
 
 class GraphFormatError(SpiderveilError):
-    """A serialized graph or fixture document is malformed."""
+    """A malformed input document: a serialized graph, a fixture store, or
+    any other file the package reads, such as a config, model or truth file."""
 
 
 class JsonKind(NamedTuple):

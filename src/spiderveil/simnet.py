@@ -315,17 +315,6 @@ class ConfusionMatrix:
     def to_json_dict(self) -> dict:
         return asdict(self)
 
-    def format_table(self) -> str:
-        rows = [
-            ("", "actual relevant", "actual unknown"),
-            ("predicted relevant", str(self.tp), str(self.fp)),
-            ("predicted unknown", str(self.fn), str(self.tn)),
-        ]
-        widths = [max(len(row[i]) for row in rows) for i in range(3)]
-        return "\n".join("  ".join(cell.ljust(widths[i])
-                                   for i, cell in enumerate(row)).rstrip()
-                         for row in rows)
-
 
 def truncate2(value: float) -> str:
     """Two-decimal truncation (not rounding): 0.8089 -> '0.80'."""
@@ -347,20 +336,6 @@ class EvalReport:
             "truncated": {name: truncate2(value) for name, value in metrics.items()},
             "note": "truncated values drop digits past two decimals",
         }
-
-    def format_table(self) -> str:
-        metrics = asdict(self)
-        header = [name.replace("_", "-") for name in metrics]
-        exact = [f"{value:.4f}" for value in metrics.values()]
-        trunc = list(map(truncate2, metrics.values()))
-        widths = [max(len(h), len(e), len(t), 9)
-                  for h, e, t in zip(header, exact, trunc)]
-        lines = [
-            "           " + "  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip(),
-            "exact      " + "  ".join(e.ljust(w) for e, w in zip(exact, widths)).rstrip(),
-            "truncated  " + "  ".join(t.ljust(w) for t, w in zip(trunc, widths)).rstrip(),
-        ]
-        return "\n".join(lines)
 
 
 def report_from_matrix(matrix: ConfusionMatrix) -> EvalReport:

@@ -621,20 +621,6 @@ class GraphMeasurements:
     def to_json_dict(self) -> dict:
         return asdict(self)
 
-    def format_table(self) -> str:
-        rows = [
-            ("nodes", str(self.node_count)),
-            ("edges", str(self.edge_count)),
-            ("diameter", str(self.diameter)),
-            ("strongly connected components", str(self.scc_count)),
-            ("average clustering", f"{self.avg_clustering:.4f}"),
-            ("modularity", f"{self.modularity:.4f}"),
-            ("mean in-betweenness", f"{self.mean_in_betweenness:.4f}"),
-            ("mean in-closeness", f"{self.mean_in_closeness:.4f}"),
-        ]
-        width = max(len(label) for label, _ in rows)
-        return "\n".join(f"{label:<{width}}  {value}" for label, value in rows)
-
 
 def measure(graph: CommunityGraph) -> GraphMeasurements:
     """All measurements at once.  A graph without edges gets modularity 0."""

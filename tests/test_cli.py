@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 from spiderveil import cli, crawler
 from spiderveil.cli import main
 from spiderveil.crawler import HttpJsonStore
-from spiderveil.errors import (GraphFormatError, NotFoundError, RetrievalError,
-                               ScoringError, SelfLoopError)
+from spiderveil.errors import (EmptyInputError, GraphFormatError, NotFoundError,
+                               RetrievalError, ScoringError, SelfLoopError)
 from spiderveil.socialgraph import import_json_edge_list
 
 from conftest import MALFORMED_POSTS, MALFORMED_STORES, FakeGet
@@ -144,6 +144,7 @@ class TestGen:
         ({"total_bloggers": 3, "relevant_fraction": 0.1}, 4, "community empty"),
         ({"total_bloggers": 10, "relevant_fraction": 0.9999999999}, 4,
          "community empty"),
+        ({"off_topic_vocab": []}, 4, "vocabularies must be non-empty"),
     ])
     def test_bad_params_exit_with_an_error_line(self, tmp_path, capsys,
                                                 params, code, key):
@@ -500,6 +501,20 @@ class TestCrawl:
                        "--model", str(tmp_path / "absent.json"),
                        "--threshold", "-2.0"])
         assert code == 2
+
+    def test_no_seed_blogger_anywhere(self, pipeline, tmp_path, capsys):
+        store = json.loads(pipeline.store.read_text())
+        del store["seed"]
+        path = tmp_path / "store.json"
+        path.write_text(json.dumps(store))
+        out_dir = tmp_path / "out"
+        code, _ = run(["--out-dir", str(out_dir), "crawl", "--store", str(path),
+                       "--model", str(pipeline.root / "model.json"),
+                       "--threshold", "-2.0"])
+        assert code == 3
+        assert capsys.readouterr().err == \
+            "error: no seed blogger given (use --seed-blogger)\n"
+        assert not (out_dir / "manifest.json").exists()
 
     def test_missing_threshold(self, pipeline, tmp_path):
         code, _ = run(["--out-dir", str(tmp_path), "crawl",
@@ -894,7 +909,7 @@ class TestConfigFile:
         ({"threshold": [1]}, 2, "threshold"),
         ({"threshold": "-0.6"}, 2, "threshold"),
         ({"threshold": True}, 2, "threshold"),
-        ({"seed_blogger": 5}, 2, "seed"),
+        ({"seed_blogger": 5}, 2, "seed_blogger"),
         ({"selection_policy": 1}, 2, "selection_policy"),
         ({"graph_size_limit": 0}, 4, "graph_size_limit"),
         ({"selection_policy": "greedy"}, 4, "greedy"),
@@ -965,10 +980,21 @@ class TestManifest:
         assert set(manifest["output_paths"]) == names
         assert manifest["started_at"].endswith("+00:00")
 
+    def test_records_the_argv_main_parsed(self, tmp_path, monkeypatch):
+        argv = ["--out-dir", str(tmp_path), "gen", "--bloggers", "10"]
+        manifest = tmp_path / "manifest.json"
+        monkeypatch.setattr(cli.sys, "argv", ["host", "--unrelated"])
+        assert main(argv) == 0
+        assert json.loads(manifest.read_text())["argv"] == argv
+        # Without an argv, main parses and records the process's arguments.
+        monkeypatch.setattr(cli.sys, "argv", ["spiderveil", *argv])
+        assert main() == 0
+        assert json.loads(manifest.read_text())["argv"] == argv
+
 
 # Each exception a command may let through, and the code main exits with.
 EXIT_CASES = {
-    "CLIError": (cli.CLIError(3, "nothing to do"), 3),
+    "EmptyInputError": (EmptyInputError("nothing to do"), 3),
     "NotFoundError": (NotFoundError("no blogger named 'x'"), 4),
     "GraphFormatError": (GraphFormatError("bad fixture store: x"), 2),
     "RetrievalError": (RetrievalError("GET /x failed", retries=3), 2),

@@ -315,6 +315,15 @@ class TestBootstrap:
         corpus, _ = bootstrap_exemplars(store, ["a"], 10)
         assert corpus.document_ids == ["p2"]
 
+    def test_skips_posts_without_text(self):
+        # Empty text is not non-English, so only this check keeps it out.
+        blank = _post("p1", body="<b> </b>", tags=("a", "b"))
+        english = _post("p2", body=ENGLISH_BODY, tags=("a",))
+        store = _ListStore({"a": [blank, english]})
+        corpus, lexicon = bootstrap_exemplars(store, ["a"], 10)
+        assert corpus.document_ids == ["p2"]
+        assert lexicon == {"a": 0}
+
     def test_stops_at_target(self):
         posts = [_post(f"p{i}", body=f"{ENGLISH_BODY} {i}", tags=("a",))
                  for i in range(10)]

@@ -552,6 +552,19 @@ class TestHttpJsonStore:
             server.shutdown()
             server.server_close()
 
+    def test_a_body_that_is_not_json_is_retried(self, no_backoff):
+        urls = []
+
+        def get(url):
+            urls.append(url)
+            return 200, {}, b"<html>busy</html>"
+
+        with pytest.raises(RetrievalError,
+                           match="GET /blog/a/posts failed after 3 attempts") as err:
+            HttpJsonStore("http://store.test", get=get).blogger_posts("a")
+        assert err.value.retries == 3
+        assert len(urls) == 3
+
     def test_retry_after_is_read_from_the_response(self, hand_store_data,
                                                    monkeypatch):
         server, _ = serve_fixture(hand_store_data, flaky={"/blog/alpha/posts": 1},
@@ -1243,6 +1256,15 @@ class TestHandCrawl:
         assert result.stop_reason is StopReason.SIZE_LIMIT
         assert result.graph.nodes() == ["alpha"]
         assert [r.blog_name for r in result.visit_log] == ["alpha"]
+
+    def test_step_after_the_stop_does_nothing(self, hand_store, hand_model,
+                                              hand_config):
+        session = CrawlSession(hand_store, hand_model, hand_config)
+        session.run()
+        assert session.finished
+        stopped = session.checkpoint()
+        assert session.step() is False
+        assert session.checkpoint() == stopped
 
     def test_size_limit_midway(self, hand_store, hand_model, hand_threshold):
         config = CrawlConfig(seed="alpha", threshold=hand_threshold,

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spiderveil import cli
 from spiderveil.corpus import (ENGLISH_FUNCTION_WORDS, LanguageVerdict,
                                detect_language, normalize_text)
 from spiderveil.crawler import (CrawlConfig, crawl, predicted_verdicts,
@@ -337,9 +338,9 @@ class TestConfusionMatrix:
         assert matrix.to_json_dict() == {"tp": 290, "fn": 45,
                                          "fp": 92, "tn": 173}
 
-    def test_table_layout(self):
-        table = ConfusionMatrix(tp=290, fn=45, fp=92, tn=173).format_table()
-        lines = table.splitlines()
+    def test_table_layout(self, capsys):
+        assert cli.main(["eval", "--matrix", "290,45,92,173"]) == 0
+        lines = capsys.readouterr().out.splitlines()[1:4]
         assert "actual relevant" in lines[0]
         assert "actual unknown" in lines[0]
         assert lines[1].startswith("predicted relevant")
@@ -376,10 +377,9 @@ class TestReportFromMatrix:
         assert doc["truncated"] == {"precision": "0.75", "recall": "0.86",
                                     "f_score": "0.80", "accuracy": "0.77"}
 
-    def test_reference_quartet_table(self):
-        report = report_from_matrix(ConfusionMatrix(tp=290, fn=45,
-                                                    fp=92, tn=173))
-        table = report.format_table()
+    def test_reference_quartet_table(self, capsys):
+        assert cli.main(["eval", "--matrix", "290,45,92,173"]) == 0
+        table = "\n".join(capsys.readouterr().out.splitlines()[6:9])
         assert "0.7592" in table and "0.8657" in table
         assert "0.8089" in table and "0.7717" in table
         assert "0.80" in table.splitlines()[2]

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spiderveil import socialgraph
+from spiderveil import cli, socialgraph
 from spiderveil.corpus import NoteKind
 from spiderveil.errors import GraphFormatError, SelfLoopError
 from spiderveil.langmodel import Verdict
@@ -88,6 +88,19 @@ class TestCommunityGraph:
         graph = CommunityGraph()
         with pytest.raises(ValueError):
             graph.add_link("a", "b", "like")
+
+    def test_node_name_must_be_non_empty(self):
+        graph = CommunityGraph()
+        with pytest.raises(ValueError, match="non-empty"):
+            graph.add_node("")
+        assert graph.node_count() == 0
+
+    @pytest.mark.parametrize("mask", [0, len(LABEL_KINDS), -1])
+    def test_label_mask_must_be_in_range(self, mask):
+        graph = CommunityGraph()
+        with pytest.raises(ValueError, match="out of range"):
+            graph.add_labels("a", "b", mask)
+        assert graph.node_count() == 0
 
     def test_node_attributes(self):
         graph = CommunityGraph()
@@ -680,7 +693,7 @@ class TestMeasure:
         assert result.mean_in_closeness == \
             left_to_right(closeness.values()) / count
 
-    def test_serialization_round_trip(self):
+    def test_serialization_round_trip(self, tmp_path, capsys, monkeypatch):
         summary = GraphMeasurements(node_count=27, edge_count=60, diameter=1,
                                     scc_count=21, avg_clustering=0.24,
                                     modularity=0.0, mean_in_betweenness=0.0,
@@ -690,7 +703,11 @@ class TestMeasure:
         assert doc["edge_count"] == 60
         assert doc["diameter"] == 1
         assert doc["scc_count"] == 21
-        table = summary.format_table()
+        path = tmp_path / "graph.json"
+        path.write_bytes(export_graph(build_graph("ab", [("a", "b")]), "json"))
+        monkeypatch.setattr(cli, "measure", lambda graph: summary)
+        assert cli.main(["analyze", str(path)]) == 0
+        table = capsys.readouterr().out
         assert "nodes" in table and "27" in table
         assert "strongly connected components  21" in table
 

@@ -1,10 +1,12 @@
 """Checks a linter would make, written with the standard library's ``ast``:
 every module parses as the oldest supported Python, no module imports a name
 it never uses, ``errors.atomic_write_bytes`` is the package's only file
-writer, and the package imports exactly the standard library, itself and its
-declared dependencies."""
+writer, ``cli`` alone prints and raises only what ``EXIT_CODES`` maps, and
+the package imports exactly the standard library, itself and its declared
+dependencies."""
 
 import ast
+import builtins
 import os
 import re
 import subprocess
@@ -12,6 +14,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from spiderveil import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src").rglob("*.py"))
@@ -77,6 +81,33 @@ def test_files_are_written_only_through_atomic_write_bytes(path):
                 calls.append((node.lineno, name))
         nodes.extend(ast.iter_child_nodes(node))
     assert not calls, f"{_id(path)} writes files directly: {sorted(calls)}"
+
+
+def test_only_cli_prints():
+    printers = sorted({_id(path) for path in PACKAGE if path.name != "cli.py"
+                       for node in ast.walk(_tree(path))
+                       if isinstance(node, ast.Call)
+                       and getattr(node.func, "id", None) == "print"})
+    assert not printers, f"modules other than cli.py print: {printers}"
+
+
+def test_cli_raises_only_what_exit_codes_maps():
+    """``main`` gives every exception its exit code from ``EXIT_CODES``, so
+    each class cli.py raises is a subclass of a key, apart from a class cli.py
+    defines and catches in a function other than ``main``."""
+    tree = _tree(Path(cli.__file__))
+    own = {node.name for node in tree.body if isinstance(node, ast.ClassDef)}
+    caught = {name.id for function in tree.body
+              if isinstance(function, ast.FunctionDef) and function.name != "main"
+              for handler in ast.walk(function)
+              if isinstance(handler, ast.ExceptHandler) and handler.type
+              for name in ast.walk(handler.type) if isinstance(name, ast.Name)}
+    raised = {(node.exc.func if isinstance(node.exc, ast.Call) else node.exc).id
+              for node in ast.walk(tree) if isinstance(node, ast.Raise) and node.exc}
+    names = {**vars(builtins), **vars(cli)}
+    unmapped = sorted(name for name in raised - (own & caught)
+                      if not issubclass(names[name], tuple(cli.EXIT_CODES)))
+    assert not unmapped, f"cli.py raises classes EXIT_CODES does not map: {unmapped}"
 
 
 def _top_level_imports(path: Path) -> set[str]:
