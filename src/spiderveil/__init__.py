@@ -11,7 +11,7 @@ from .corpus import (ExemplarCorpus, LanguageVerdict, NoteKind, NoteRecord,
                      Post, bootstrap_exemplars, detect_language,
                      filter_english, normalize_tag, normalize_text)
 from .crawler import (CrawlConfig, CrawlResult, CrawlSession, FixtureStore,
-                      HttpJsonStore, SelectionPolicy, StopReason,
+                      Frontier, HttpJsonStore, SelectionPolicy, StopReason,
                       TransitionMatrix, build_transition_matrix, crawl,
                       extract_frontiers, fetch_posts, propagate, select_next)
 from .errors import (EmptyInputError, GraphFormatError, NotFoundError,

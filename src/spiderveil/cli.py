@@ -26,8 +26,9 @@ from pathlib import Path
 
 from .corpus import (NoteKind, bootstrap_exemplars, ExemplarCorpus, filter_english,
                      normalize_tag)
-from .crawler import (CrawlConfig, CrawlSession, FixtureStore, HttpJsonStore,
-                      SelectionPolicy, predicted_verdicts, visit_log_from_json)
+from .crawler import (_CONFIG_KINDS, CrawlConfig, CrawlSession, FixtureStore,
+                      HttpJsonStore, SelectionPolicy, predicted_verdicts,
+                      visit_log_from_json)
 from .errors import (INTEGER, NUMBER, STRING, STRINGS, EmptyInputError,
                      GraphFormatError, JsonKind, NotFoundError, RetrievalError,
                      SpiderveilError, atomic_write_bytes, read_fields, read_json)
@@ -152,18 +153,17 @@ def load_config(args) -> dict:
     return data
 
 
-def setting(args, config: dict, name: str, kind: JsonKind | None,
+def setting(args, config: dict, name: str, kind: JsonKind,
             key: str | None = None, default=None):
     """Flag value if given, else a non-null config value, else default.
 
-    A config value not of ``kind`` exits 2 naming its key; a ``kind`` of
-    None leaves the check to the reader the value goes to.
+    A config value not of ``kind`` exits 2 naming its key.
     """
     value = getattr(args, name, None)
     if value is None:
         key = key or name
         value = config.get(key)
-        if value is not None and kind is not None:
+        if value is not None:
             value = read_fields(config, {key: kind}, "bad config")[key]
     return default if value is None else value
 
@@ -329,7 +329,7 @@ def cmd_crawl(args, config: dict) -> None:
     except ValueError as exc:
         raise GraphFormatError(f"bad model file: {exc}") from exc
 
-    threshold = setting(args, config, "threshold", None)
+    threshold = setting(args, config, "threshold", _CONFIG_KINDS["threshold"])
     if threshold is None and args.threshold_file:
         data = read_json(args.threshold_file, "threshold file")
         if not isinstance(data, dict):
@@ -350,7 +350,7 @@ def cmd_crawl(args, config: dict) -> None:
     for name, key in (("graph_size", "graph_size_limit"), ("width", "frontier_width"),
                       ("posts", "posts_per_blogger"), ("policy", "selection_policy"),
                       ("seed", "rng_seed")):
-        value = setting(args, config, name, None, key)
+        value = setting(args, config, name, _CONFIG_KINDS[key], key)
         if value is not None:
             values[key] = value
     crawl_config = CrawlConfig.from_json_dict(values)

@@ -14,10 +14,11 @@ import logging
 import math
 import random
 import time
+from array import array
 from dataclasses import asdict, dataclass
 from enum import Enum
 from http.client import HTTPException, HTTPMessage
-from itertools import islice
+from itertools import islice, repeat
 from operator import itemgetter
 from urllib.error import HTTPError
 from urllib.parse import quote, urlencode
@@ -29,11 +30,10 @@ import numpy as np
 
 from .corpus import NoteKind, NoteRecord, Post, filter_english, normalize_tag
 from .errors import (COUNT, INTEGER, NUMBER, STRING, STRINGS, GraphFormatError,
-                     NotFoundError, RetrievalError, ScoringError, read_fields,
-                     read_json)
+                     JsonKind, NotFoundError, RetrievalError, ScoringError,
+                     read_fields, read_json)
 from .langmodel import NGramModel, Verdict, classify, score_blogger
-from .socialgraph import (CommunityGraph, LABEL_VALUES, _successor_arrays,
-                          kinds_mask, label_mask)
+from .socialgraph import CommunityGraph, LABEL_VALUES, kinds_mask, label_mask
 
 logger = logging.getLogger("spiderveil.crawler")
 
@@ -397,12 +397,17 @@ class CrawlConfig:
                                  _CONFIG_KINDS, "bad crawl config"))
 
 
-# The JSON kind of each crawl setting, in the order they are checked.
+# The JSON kind of each crawl setting, in the order they are checked.  Each
+# kind also accepts the value it converts to, so ``cli`` can check a config
+# file's setting with it and still build the config here; that is why a
+# policy member passes.
 _CONFIG_KINDS = {
     "seed": STRING, "threshold": NUMBER,
     **dict.fromkeys(("graph_size_limit", "frontier_width", "posts_per_blogger",
                      "ngram_order", "rng_seed"), INTEGER),
-    "selection_policy": STRING._replace(convert=SelectionPolicy),
+    "selection_policy": JsonKind(
+        lambda value: isinstance(value, (str, SelectionPolicy)), STRING.phrase,
+        SelectionPolicy),
 }
 
 
@@ -486,18 +491,16 @@ def build_transition_matrix(graph: CommunityGraph) -> TransitionMatrix:
     A node without out-edges keeps its mass (self-loop entry), which keeps
     every row summing to one.
     """
-    nodes = graph.nodes()
-    if not nodes:
+    count = graph.node_count()
+    if not count:
         raise ValueError("cannot build a transition matrix for an empty graph")
-    indptr, targets = _successor_arrays(graph)
-    count = len(nodes)
-    degree = np.diff(indptr)
-    sources = np.repeat(np.arange(count), degree)
+    sources, targets = graph._edge_arrays()
+    degree = graph._out_degrees()
     matrix = np.zeros((count, count), dtype=float)
-    matrix[sources, targets] = (1.0 / np.maximum(degree, 1))[sources]
+    matrix[sources, targets] = 1.0 / degree[sources]
     sinks = np.flatnonzero(degree == 0)
     matrix[sinks, sinks] = 1.0
-    return TransitionMatrix(ordering=nodes, entries=matrix)
+    return TransitionMatrix(ordering=graph.nodes(), entries=matrix)
 
 
 def propagate(p0, matrix: TransitionMatrix, k: int) -> np.ndarray:
@@ -555,33 +558,101 @@ def extract_frontiers(blogger: str, posts,
     return found
 
 
-def select_next(frontier, p, policy: SelectionPolicy, rng: random.Random,
-                graph: CommunityGraph) -> str:
+class Frontier:
+    """Every discovered, unvisited blogger, in discovery order, mapped to
+    each graph node that discovered them and that discoverer's labels.
+
+    ``add`` is the one way in after the map is made, and ``visit`` the one
+    way out.  From the first ``pairs`` call on, the frontier also keeps
+    integer arrays for selection by mass: a slot per blogger in discovery
+    order, and the (slot, discoverer) pairs in discovery order.  A visited
+    blogger's slot stays behind as a tombstone.  Uniform selection never
+    asks for the arrays, so it never builds them.
+    """
+
+    def __init__(self, parents: dict[str, dict] | None = None):
+        self.parents: dict[str, dict] = {} if parents is None else parents
+        # Live blogger -> slot; None until the first ``pairs`` call.
+        self._slot_of: dict[str, int] | None = None
+        self._names: list[str] = []  # slot -> blogger
+        self._tombstones = array("d")  # slot -> 0.0, or -inf once visited
+        self._slots = array("q")  # pair -> slot
+        self._parent_ids = array("q")  # pair -> discoverer's node id
+        self._unresolved: list[str] = []  # discoverers of the newest pairs
+
+    def __len__(self) -> int:
+        return len(self.parents)
+
+    def __iter__(self):
+        return iter(self.parents)
+
+    def _new_slot(self, target: str) -> int:
+        slot = self._slot_of[target] = len(self._names)
+        self._names.append(target)
+        self._tombstones.append(0.0)
+        return slot
+
+    def add(self, target: str, parent: str, labels) -> None:
+        """Record ``parent``, a graph node, as a discoverer of ``target``."""
+        parents = self.parents.get(target)
+        if parents is None:
+            parents = self.parents[target] = {}
+            if self._slot_of is not None:
+                self._new_slot(target)
+        if self._slot_of is not None and parent not in parents:
+            self._slots.append(self._slot_of[target])
+            self._unresolved.append(parent)
+        parents[parent] = labels
+
+    def visit(self, target: str) -> dict:
+        """Remove ``target``; its discoverers, or {} if it was never found."""
+        if self._slot_of is not None and target in self._slot_of:
+            self._tombstones[self._slot_of.pop(target)] = -math.inf
+        return self.parents.pop(target, {})
+
+    def pairs(self, graph: CommunityGraph):
+        """(pair slots, pair discoverer ids, per-slot tombstones, slot names).
+
+        Discoverer ids are node ids of ``graph``; a tombstone is -inf and a
+        live slot's is 0.0.
+        """
+        if self._slot_of is None:
+            self._slot_of = {}
+            for target, parents in self.parents.items():
+                self._slots.extend(repeat(self._new_slot(target), len(parents)))
+                self._unresolved.extend(parents)
+        self._parent_ids.extend(map(graph._ids.__getitem__, self._unresolved))
+        self._unresolved.clear()
+        return (np.array(self._slots, dtype=np.intp),
+                np.array(self._parent_ids, dtype=np.intp),
+                np.array(self._tombstones), self._names)
+
+
+def select_next(frontier: Frontier, p, policy: SelectionPolicy,
+                rng: random.Random, graph: CommunityGraph) -> str:
     """Pick the next blogger to visit from ``frontier``.
 
-    ``frontier`` maps each unvisited blogger to the graph nodes that
-    discovered them.  MaxMarkovProbability gives each blogger one walk step
-    of mass from their discoverers, the sum over parents of parent mass /
-    parent out-degree, and takes the largest; ties go to the
-    earliest-inserted blogger.  UniformRandom draws one float from ``rng``.
+    MaxMarkovProbability gives each blogger one walk step of mass from their
+    discoverers, the sum over parents of parent mass / parent out-degree,
+    and takes the largest; ties go to the earliest-inserted blogger.  A
+    parent missing from ``p`` adds nothing.  The sums are one ``bincount``
+    over the frontier's pairs, which adds each blogger's parents in
+    discovery order starting from 0.0, as a loop over the map would.
+    UniformRandom draws one float from ``rng``.
     """
     if not frontier:
         raise ValueError("frontier is empty")
     if policy is SelectionPolicy.UNIFORM_RANDOM:
         return next(islice(frontier, int(rng.random() * len(frontier)), None))
 
-    # Each parent's share is divided once, not once per target it found.
-    shares = {node: p[node] / max(graph.out_degree(node), 1) for node in p}
-    best = None
-    best_mass = -1.0
-    for target, parents in frontier.items():
-        mass = 0.0
-        for parent in parents:
-            mass += shares.get(parent, 0.0)
-        if mass > best_mass:
-            best_mass = mass
-            best = target
-    return best
+    slots, parents, tombstones, names = frontier.pairs(graph)
+    nodes = graph.nodes()
+    mass = np.fromiter(map(p.get, nodes, repeat(0.0)), dtype=float,
+                       count=len(nodes))
+    shares = mass / np.maximum(graph._out_degrees(), 1)
+    totals = np.bincount(slots, weights=shares[parents],
+                         minlength=len(tombstones))
+    return names[int(np.argmax(totals + tombstones))]
 
 
 # -- the crawl ----------------------------------------------------------------
@@ -609,7 +680,7 @@ class CrawlSession:
         self._processed: dict[str, None] = {}
         # Every discovered, unvisited blogger (the one picked next included,
         # until visited) -> each graph node that discovered them -> label mask.
-        self._frontier: dict[str, dict[str, int]] = {}
+        self._frontier = Frontier()
         self._selections = 0
         self._current: str | None = config.seed
         self._stop: StopReason | None = None
@@ -665,7 +736,7 @@ class CrawlSession:
 
     def _visit(self, name: str) -> None:
         self._processed[name] = None
-        parents = self._frontier.pop(name, {})
+        parents = self._frontier.visit(name)
         try:
             kept = fetch_posts(self._source, name, self._config)
             score = score_blogger(self._model, kept)
@@ -703,7 +774,7 @@ class CrawlSession:
                 if graph.has_node(target):
                     graph.add_labels(name, target, mask)
                 continue
-            self._frontier.setdefault(target, {})[name] = mask
+            self._frontier.add(target, name, mask)
 
     def _distribution(self) -> dict[str, float]:
         """The seed's mass after min(visits, PROPAGATION_CAP) walk steps.
@@ -747,11 +818,11 @@ class CrawlSession:
             "frontier": [{"blog_name": target,
                           "relation": _relation(parents),
                           "parent": next(iter(parents))}
-                         for target, parents in self._frontier.items()
+                         for target, parents in self._frontier.parents.items()
                          if target != self._current],
             "pending": {target: {parent: list(LABEL_VALUES[mask])
                                  for parent, mask in parents.items()}
-                        for target, parents in self._frontier.items()},
+                        for target, parents in self._frontier.parents.items()},
             "graph": self._graph.to_json_dict(),
         }
 
@@ -784,6 +855,7 @@ class CrawlSession:
                        for target, parents in checkpoint["pending"].items()}
             # The frontier list gives the selection order and each blogger's
             # first discoverer; sorted keys may have reordered ``pending``.
+            frontier = {}
             for item in checkpoint["frontier"]:
                 target, first = item["blog_name"], item["parent"]
                 parents = pending.pop(target, None)
@@ -793,14 +865,20 @@ class CrawlSession:
                 if item["relation"] != _relation(parents):
                     raise GraphFormatError(f"frontier blogger {target!r}: relation "
                                            "differs from its pending labels")
-                session._frontier[target] = {first: parents[first]} | parents
+                frontier[target] = {first: parents[first]} | parents
             if set(pending) - {checkpoint["current"]}:
                 raise GraphFormatError(
                     "pending bloggers missing from the frontier")
-            session._frontier.update(pending)
+            frontier.update(pending)
             session._graph = CommunityGraph.from_json_dict(checkpoint["graph"])
+            nodes = session._graph._ids.keys()
+            for target, parents in frontier.items():
+                if not parents.keys() <= nodes:
+                    raise GraphFormatError(f"pending blogger {target!r} has a "
+                                           "discoverer outside the graph")
+            session._frontier = Frontier(frontier)
             # Until the seed is admitted, only the seed itself can be next.
-            waiting = (session._frontier
+            waiting = (frontier
                        or checkpoint["current"] not in (None, config.seed))
             if waiting and not session._graph.has_node(config.seed):
                 raise GraphFormatError("bloggers are pending but the graph "

@@ -16,6 +16,7 @@ from __future__ import annotations
 import heapq
 import json
 import re
+from array import array
 from dataclasses import asdict, dataclass
 from itertools import chain
 
@@ -69,11 +70,22 @@ def kinds_mask(kinds) -> int:
 
 
 class CommunityGraph:
-    """Directed graph; at most one edge per ordered pair, with a label mask."""
+    """Directed graph; at most one edge per ordered pair, with a label mask.
+
+    Beside the name-keyed maps the graph keeps an integer core: each node's
+    id, its position in ``nodes()``; the (source id, target id) of every
+    edge, each source's edges in insertion order; and each node's
+    out-degree.  The numeric code reads these instead of converting the
+    maps again.
+    """
 
     def __init__(self):
         self._nodes: dict[str, dict] = {}
         self._succ: dict[str, dict[str, int]] = {}
+        self._ids: dict[str, int] = {}
+        self._sources = array("q")
+        self._targets = array("q")
+        self._degree = array("q")
 
     # -- construction -----------------------------------------------------
 
@@ -81,12 +93,16 @@ class CommunityGraph:
                  score: float | None = None) -> None:
         if not name:
             raise ValueError("node name must be non-empty")
-        attrs = self._nodes.setdefault(name, {"verdict": None, "score": None})
+        attrs = self._nodes.get(name)
+        if attrs is None:
+            attrs = self._nodes[name] = {"verdict": None, "score": None}
+            self._succ[name] = {}
+            self._ids[name] = len(self._degree)
+            self._degree.append(0)
         if verdict is not None:
             attrs["verdict"] = verdict
         if score is not None:
             attrs["score"] = score
-        self._succ.setdefault(name, {})
 
     def add_link(self, src: str, dst: str, label: NoteKind) -> None:
         """Add (or relabel) the edge src -> dst.  Self-loops are rejected."""
@@ -103,7 +119,14 @@ class CommunityGraph:
         self.add_node(src)
         self.add_node(dst)
         targets = self._succ[src]
-        targets[dst] = targets.get(dst, 0) | mask
+        if dst in targets:
+            targets[dst] |= mask
+            return
+        targets[dst] = mask
+        source = self._ids[src]
+        self._sources.append(source)
+        self._targets.append(self._ids[dst])
+        self._degree[source] += 1
 
     # -- accessors --------------------------------------------------------
 
@@ -117,7 +140,7 @@ class CommunityGraph:
         return len(self._nodes)
 
     def edge_count(self) -> int:
-        return sum(len(targets) for targets in self._succ.values())
+        return len(self._sources)
 
     def edges(self):
         """Yield (src, dst, frozenset of labels) in insertion order."""
@@ -139,6 +162,15 @@ class CommunityGraph:
 
     def score(self, name: str) -> float | None:
         return self._nodes[name]["score"]
+
+    def _edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """Copies of the core's edge source ids and edge target ids."""
+        return (np.array(self._sources, dtype=np.intp),
+                np.array(self._targets, dtype=np.intp))
+
+    def _out_degrees(self) -> np.ndarray:
+        """A copy of the core's out-degrees, by node id."""
+        return np.array(self._degree, dtype=np.intp)
 
     def project(self, label: NoteKind) -> "CommunityGraph":
         """Subgraph of edges carrying ``label``; only their endpoints remain."""
@@ -213,6 +245,16 @@ class CommunityGraph:
                 targets[dst] = targets.get(dst, 0) | mask
         except (KeyError, TypeError, ValueError, SelfLoopError) as exc:
             raise GraphFormatError(f"bad graph document: {exc}") from exc
+        # The core in one pass, each source's edges together.
+        ids = graph._ids = dict(zip(nodes, range(len(nodes))))
+        degree = np.fromiter(map(len, succ.values()), dtype=np.int64,
+                             count=len(nodes))
+        graph._degree.frombytes(degree.tobytes())
+        graph._sources.frombytes(
+            np.repeat(np.arange(len(nodes), dtype=np.int64), degree).tobytes())
+        graph._targets.frombytes(np.fromiter(
+            map(ids.__getitem__, chain.from_iterable(succ.values())),
+            dtype=np.int64, count=int(degree.sum())).tobytes())
         return graph
 
 
@@ -270,17 +312,17 @@ def _successor_arrays(graph: CommunityGraph) -> tuple[np.ndarray, np.ndarray]:
     """The graph in CSR form over node ids, the positions in ``graph.nodes()``.
 
     Node i's successors are ``indices[indptr[i]:indptr[i + 1]]``, in edge
-    insertion order.  ``_succ`` holds the nodes in ``_nodes`` order.
+    insertion order: a stable sort of the core's edges by source keeps each
+    source's edges in the order they were added.
     """
-    nodes, succ = graph.nodes(), graph._succ
-    index = dict(zip(nodes, range(len(nodes))))
-    indptr = np.zeros(len(nodes) + 1, dtype=np.intp)
-    np.cumsum(np.fromiter(map(len, succ.values()), dtype=np.intp,
-                          count=len(nodes)), out=indptr[1:])
-    indices = np.fromiter(map(index.__getitem__,
-                              chain.from_iterable(succ.values())),
-                          dtype=np.intp, count=int(indptr[-1]))
-    return indptr, indices
+    sources, targets = graph._edge_arrays()
+    degree = graph._out_degrees()
+    indptr = np.zeros(len(degree) + 1, dtype=np.intp)
+    np.cumsum(degree, out=indptr[1:])
+    # Ids below 2**16 sort by radix.
+    order = np.argsort(sources.astype(np.min_scalar_type(len(degree))),
+                       kind="stable")
+    return indptr, targets[order]
 
 
 # Entries one batch of sources may hold: a batch of B sources keys its nodes

@@ -17,6 +17,8 @@ every post at load, as the lazy store replaced; the generator's oracle draws
 through ``randrange`` and ``shuffle``, and the trainer's oracle counts one
 character at a time.  The graph and crawl-state oracles keep each edge's and
 each discoverer's labels as a set of kinds, as the bitmask form replaced.
+The selection oracle sums each blogger's discoverer shares in a loop over
+the frontier map, as the ``bincount`` over frontier pairs replaced.
 The transition-matrix oracle assigns one matrix cell per edge, the
 GraphML oracle builds and writes an ElementTree, and the DOT oracle reads
 each edge's labels as a set of kinds, as the array scatter, the string
@@ -29,6 +31,7 @@ import math
 import random
 import re
 from collections import deque
+from itertools import islice
 from xml.etree import ElementTree
 
 import numpy as np
@@ -36,7 +39,7 @@ import numpy as np
 from spiderveil.corpus import (ENGLISH_FUNCTION_WORDS, LanguageVerdict,
                                NoteKind, Post, normalize_tag)
 from spiderveil.crawler import (CHECKPOINT_FORMAT, CHECKPOINT_VERSION,
-                                CrawlSession, TransitionMatrix,
+                                CrawlSession, SelectionPolicy, TransitionMatrix,
                                 extract_frontiers, post_from_record,
                                 validate_fixture, visit_log_to_json)
 from spiderveil.errors import GraphFormatError, NotFoundError, SelfLoopError
@@ -216,6 +219,35 @@ def reference_transition_matrix(graph) -> TransitionMatrix:
         else:
             matrix[i, i] = 1.0
     return TransitionMatrix(ordering=nodes, entries=matrix)
+
+
+def reference_select_next(frontier, p, policy: SelectionPolicy,
+                          rng: random.Random, graph) -> str:
+    """The per-pair loop that the ``bincount`` over frontier pairs replaced;
+    ``frontier`` is the map target -> {parent: labels}.
+
+    MaxMarkovProbability gives each blogger one walk step of mass from their
+    discoverers, the sum over parents of parent mass / parent out-degree,
+    and takes the largest; ties go to the earliest-inserted blogger.
+    UniformRandom draws one float from ``rng``.
+    """
+    if not frontier:
+        raise ValueError("frontier is empty")
+    if policy is SelectionPolicy.UNIFORM_RANDOM:
+        return next(islice(frontier, int(rng.random() * len(frontier)), None))
+
+    # Each parent's share is divided once, not once per target it found.
+    shares = {node: p[node] / max(graph.out_degree(node), 1) for node in p}
+    best = None
+    best_mass = -1.0
+    for target, parents in frontier.items():
+        mass = 0.0
+        for parent in parents:
+            mass += shares.get(parent, 0.0)
+        if mass > best_mass:
+            best_mass = mass
+            best = target
+    return best
 
 
 def random_digraph(rng, max_nodes=8, edge_prob=0.3):
@@ -854,7 +886,9 @@ class ReferenceGraph:
 class ReferenceCrawlSession(CrawlSession):
     """A crawl session whose frontier keeps each discoverer's labels as a set
     of kinds and links one label at a time, with the checkpoint expressions
-    that read them; ``CrawlSession`` must write equal checkpoints."""
+    that read them; ``CrawlSession`` must write equal checkpoints.  Its
+    bloggers enter the frontier through ``Frontier.add``, as the session's
+    do, so selection reads the same pairs."""
 
     def _admit(self, name: str, score: float, posts, parents) -> None:
         self._graph.add_node(name, Verdict.RELEVANT, score)
@@ -865,8 +899,7 @@ class ReferenceCrawlSession(CrawlSession):
                 if self._graph.has_node(target):
                     self._link(name, target, labels)
                 continue
-            self._frontier.setdefault(target, {}).setdefault(
-                name, set()).update(labels)
+            self._frontier.add(target, name, set(labels))
 
     def _link(self, src: str, dst: str, labels) -> None:
         for label in sorted(labels, key=lambda kind: kind.value):
@@ -887,10 +920,10 @@ class ReferenceCrawlSession(CrawlSession):
                           "relation": sorted({k.value for labels in parents.values()
                                               for k in labels}),
                           "parent": next(iter(parents))}
-                         for target, parents in self._frontier.items()
+                         for target, parents in self._frontier.parents.items()
                          if target != self._current],
             "pending": {target: {parent: sorted(k.value for k in labels)
                                  for parent, labels in parents.items()}
-                        for target, parents in self._frontier.items()},
+                        for target, parents in self._frontier.parents.items()},
             "graph": self._graph.to_json_dict(),
         }

@@ -931,6 +931,21 @@ class TestConfigFile:
         assert "Traceback" not in err
         assert not (out_dir / "manifest.json").exists()
 
+    # Every config key crawl reads: a wrong JSON type is reported under one
+    # prefix, whichever reader the value goes to.
+    @pytest.mark.parametrize("key", [
+        "store", "url", "model", "threshold", "seed_blogger", "graph_size_limit",
+        "frontier_width", "posts_per_blogger", "selection_policy", "rng_seed"])
+    def test_wrong_type_names_bad_config(self, pipeline, tmp_path, capsys, key):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"store": str(pipeline.store),
+                                      "model": str(pipeline.root / "model.json"),
+                                      "threshold": -0.6, key: [1]}))
+        out_dir = tmp_path / "out"
+        assert run(["--config", str(config), "--out-dir", str(out_dir),
+                    "crawl"])[0] == 2
+        assert capsys.readouterr().err.startswith(f"error: bad config: {key!r} ")
+
     def test_malformed_config(self, tmp_path):
         config = tmp_path / "config.json"
         config.write_text("[1, 2]")

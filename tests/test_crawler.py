@@ -20,7 +20,7 @@ from spiderveil import crawler as crawler_module
 from spiderveil.corpus import NoteKind, NoteRecord, Post, bootstrap_exemplars
 from spiderveil.crawler import (MAX_RETRY_AFTER_S, PROPAGATION_CAP,
                                 CrawlConfig, CrawlResult, CrawlSession,
-                                FixtureStore, HttpJsonStore,
+                                FixtureStore, Frontier, HttpJsonStore,
                                 SelectionPolicy, StopReason,
                                 build_transition_matrix, crawl,
                                 extract_frontiers, fetch_posts,
@@ -35,10 +35,11 @@ from spiderveil.socialgraph import CommunityGraph
 from conftest import (EDGE_STORES, HAND_BODIES, MALFORMED_POSTS,
                       MALFORMED_STORES, FakeGet, make_post)
 from oracles import (EagerFixtureStore, ReferenceCrawlSession,
-                     propagate_oracle, random_digraph,
+                     propagate_oracle, random_digraph, reference_select_next,
                      reference_transition_matrix)
 from test_golden import (SEEDS, checkpoint_bytes, crawl_session, crawl_trace,
                          golden_path, network)
+from test_perfbench_trace import load_tracer
 
 
 def note(name, kind):
@@ -1058,7 +1059,10 @@ class TestSelectNext:
     """``select_next`` over the session's map: target -> {parent: labels}."""
 
     def frontier(self, *pairs):
-        return {target: {parent: {NoteKind.LIKE}} for target, parent in pairs}
+        frontier = Frontier()
+        for target, parent in pairs:
+            frontier.add(target, parent, {NoteKind.LIKE})
+        return frontier
 
     def graph(self, *nodes):
         graph = CommunityGraph()
@@ -1068,8 +1072,8 @@ class TestSelectNext:
 
     def test_empty_frontier_rejected(self):
         with pytest.raises(ValueError):
-            select_next({}, {}, SelectionPolicy.MAX_MARKOV, random.Random(0),
-                        self.graph())
+            select_next(Frontier(), {}, SelectionPolicy.MAX_MARKOV,
+                        random.Random(0), self.graph())
 
     def test_single_entry_both_policies(self):
         frontier = self.frontier(("only", "seed"))
@@ -1109,8 +1113,8 @@ class TestSelectNext:
         graph.add_link("b", "a", NoteKind.LIKE)
         graph.add_link("c", "a", NoteKind.LIKE)
         p = {"a": 0.2, "b": 0.5, "c": 0.3}
-        frontier = {"g": {"b": {NoteKind.LIKE}},
-                    "f": {"b": {NoteKind.LIKE}, "c": {NoteKind.REBLOG}}}
+        frontier = Frontier({"g": {"b": {NoteKind.LIKE}},
+                             "f": {"b": {NoteKind.LIKE}, "c": {NoteKind.REBLOG}}})
         picked = select_next(frontier, p, SelectionPolicy.MAX_MARKOV,
                              random.Random(0), graph)
         assert picked == "f"
@@ -1126,6 +1130,86 @@ class TestSelectNext:
                              random.Random(0), graph)
         # 0.4 / 2 = 0.2 versus 0.3 / 1 = 0.3
         assert picked == "from-d"
+
+
+# Masses that tie often and whose sums round differently by order.
+MASSES = st.sampled_from([0.0, 0.1, 0.125, 0.2, 0.3, 1 / 3, 0.5, 1.0])
+
+
+class TestSelectNextMatchesReference:
+    """The ``bincount`` over frontier pairs picks what the per-pair loop
+    over the frontier map picks, whenever the pairs were first built."""
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_same_pick_as_the_loop(self, data):
+        names = [f"n{i}" for i in range(data.draw(st.integers(1, 5)))]
+        graph = CommunityGraph()
+        for name in names:
+            graph.add_node(name)
+        nodes, targets = st.sampled_from(names), st.sampled_from("abcdefg")
+        frontier = Frontier()
+        operations = data.draw(st.lists(st.sampled_from(
+            ["add", "add", "add", "visit", "link", "resume", "select"]),
+            max_size=40)) + ["select"]
+        for operation in operations:
+            if operation == "add":
+                frontier.add(data.draw(targets), data.draw(nodes), 1)
+            elif operation == "visit":
+                frontier.visit(data.draw(targets))
+            elif operation == "link":
+                src, dst = data.draw(nodes), data.draw(nodes)
+                if src != dst:
+                    graph.add_labels(src, dst, 1)
+            elif operation == "resume":
+                # A resumed frontier may list a blogger's parents in another
+                # order than they were found.
+                frontier = Frontier({
+                    target: dict(data.draw(st.permutations(list(parents.items()))))
+                    for target, parents in frontier.parents.items()})
+            elif frontier:
+                # Some parents have no mass in ``p`` at all.
+                p = data.draw(st.dictionaries(nodes, MASSES))
+                for policy in SelectionPolicy:
+                    seed = data.draw(st.integers(0, 2**32))
+                    assert select_next(frontier, p, policy, random.Random(seed),
+                                       graph) == reference_select_next(
+                        frontier.parents, p, policy, random.Random(seed), graph)
+
+
+class TestTracedLookupSites:
+    """What ``perfbench/tracer.py`` relies on, in-process: a max-Markov crawl
+    looks up ``build_transition_matrix``, ``propagate`` and ``select_next`` as
+    module globals and calls them positionally; ``select_next`` gets a
+    frontier whose ``len`` is the number of pending bloggers and a name ->
+    mass dict that it reads through ``[]``, ``get`` or ``in``."""
+
+    def test_traced_crawl_sees_every_selection(self, monkeypatch):
+        store, model, threshold = network(3)
+        policy = SelectionPolicy.MAX_MARKOV
+        expected = crawl_session(store, model, threshold, 3, policy).run()
+        session = crawl_session(store, model, threshold, 3, policy)
+        select, pending = crawler_module.select_next, []
+
+        def checking_select(*args, **kwargs):
+            assert not kwargs and len(args) == 5
+            _, p, _, _, graph = args
+            assert isinstance(p, dict) and list(p) == graph.nodes()
+            pending.append(len(session.checkpoint()["pending"]))
+            return select(*args)
+
+        monkeypatch.setattr(crawler_module, "select_next", checking_select)
+        tracer = load_tracer().Tracer()
+        tracer.install(spiderveil)
+        try:
+            result = session.run()
+        finally:
+            tracer.uninstall()
+        assert result.canonical_bytes() == expected.canonical_bytes()
+        assert pending and tracer.samples["crawler.frontier_len"] == pending
+        assert tracer.counts["crawler.distributions_used"] == len(pending)
+        assert tracer.counts["crawler.transition_cells"] > 0
+        assert tracer.counts["crawler.propagate_flops"] > 0
 
 
 class TestConfig:
@@ -1654,6 +1738,10 @@ class TestCheckpointResume:
         "current-not-a-name": lambda doc: {**doc, "current": 5},
         "pending-labels-empty": lambda doc: {**doc, "pending": {
             target: dict.fromkeys(parents, [])
+            for target, parents in doc["pending"].items()}},
+        # Every discoverer was admitted, so it is a graph node.
+        "pending-parent-outside-graph": lambda doc: {**doc, "pending": {
+            target: {**parents, "stranger": next(iter(parents.values()))}
             for target, parents in doc["pending"].items()}},
     }
 

@@ -5,6 +5,7 @@ import random
 import tracemalloc
 import xml.etree.ElementTree as ElementTree
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,7 +20,8 @@ from spiderveil.socialgraph import (LABEL_KINDS, CommunityGraph,
                                     closeness_in, detect_communities,
                                     diameter, export_graph,
                                     import_json_edge_list, measure,
-                                    modularity, scc_count, _to_dot)
+                                    modularity, scc_count, _successor_arrays,
+                                    _to_dot)
 
 from oracles import (ReferenceGraph, avg_clustering_oracle,
                      betweenness_oracle, closeness_in_oracle, diameter_oracle,
@@ -870,6 +872,53 @@ class TestSerializationMatchesReference:
         reference = ReferenceGraph.from_json_dict(doc)
         assert graph_view(graph) == graph_view(reference)
         assert graph.to_json_dict() == reference.to_json_dict()
+
+
+@st.composite
+def core_operations(draw):
+    """add_node, add_link and add_labels calls over the small name pool."""
+    calls = draw(st.lists(st.one_of(
+        st.tuples(st.just("add_node"), NAMES, VERDICTS, SCORES),
+        st.tuples(st.just("add_link"), NAMES, NAMES,
+                  st.sampled_from(list(NoteKind))),
+        st.tuples(st.just("add_labels"), NAMES, NAMES,
+                  st.integers(1, len(LABEL_KINDS) - 1))), max_size=40))
+    return [call for call in calls if call[0] == "add_node" or call[1] != call[2]]
+
+
+def assert_core_matches_maps(graph):
+    """The integer core holds the ids, per-source edge order, out-degrees
+    and edge count of the name-keyed maps."""
+    nodes = graph.nodes()
+    assert graph._ids == {name: i for i, name in enumerate(nodes)}
+    sources, targets = graph._edge_arrays()
+    by_source = [[] for _ in nodes]
+    for source, target in zip(sources.tolist(), targets.tolist()):
+        by_source[source].append(nodes[target])
+    assert by_source == [list(graph._succ[name]) for name in nodes]
+    degrees = [len(graph._succ[name]) for name in nodes]
+    assert graph._out_degrees().tolist() == degrees
+    assert graph.edge_count() == sum(degrees)
+    indptr, indices = _successor_arrays(graph)
+    assert np.diff(indptr).tolist() == degrees
+    assert [nodes[i] for i in indices.tolist()] == \
+        [target for name in nodes for target in graph._succ[name]]
+
+
+class TestIntegerCore:
+    @given(core_operations(), graph_documents(), core_operations(),
+           st.sampled_from(list(NoteKind)))
+    @settings(max_examples=200, deadline=None)
+    def test_core_matches_successor_maps(self, before, doc, after, label):
+        built = apply_calls(CommunityGraph(), before)
+        loaded = CommunityGraph.from_json_dict(doc)
+        for graph in (built, loaded, CommunityGraph.from_json_dict(
+                built.to_json_dict())):
+            assert_core_matches_maps(graph)
+            projected = graph.project(label)
+            assert_core_matches_maps(projected)
+            assert_core_matches_maps(apply_calls(projected, after))
+            assert_core_matches_maps(apply_calls(graph, after))
 
 
 # Name characters the GraphML writer escapes or encodes apart: the XML
