@@ -21,7 +21,9 @@ import math
 import os
 import sys
 from datetime import datetime, timezone
+from itertools import chain
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from pathlib import Path
 
 from .corpus import (NoteKind, bootstrap_exemplars, ExemplarCorpus, filter_english,
@@ -71,28 +73,30 @@ def _json_float(value: float) -> str:
     return float.__repr__(value)
 
 
-def _json_value(value, newline: str) -> str:
+# A homogeneous array is written this many rows at a time, so that only one
+# chunk's column texts are alive beside the finished chunks.
+_CHUNK_ROWS = 256
+# A column's lists of strings up to this long are each written once per
+# indent and json_text call.
+_SHORT_LIST = 4
+
+# Every writer below lays a container out as pieces, each item's first piece
+# starting with the comma that separates it from the item before; the
+# container's opening bracket replaces the first item's comma, and one join
+# makes its text.
+
+
+def _json_value(value, newline: str, memo: dict) -> str:
     """``value`` as JSON text; ``newline`` is ``"\\n"`` plus the indent of the
-    line ``value`` starts on, one space per level."""
+    line ``value`` starts on, one space per level.  ``memo`` holds the text
+    of each short list of strings written so far (see ``_column``)."""
     kind = type(value)
     if kind is str:
         return encode_basestring_ascii(value)
     if kind is dict:
-        if not value:
-            return "{}"
-        for key in value:
-            if type(key) is not str:
-                raise _Unsupported
-        inner = newline + " "
-        items = [encode_basestring_ascii(key) + ": " + _json_value(item, inner)
-                 for key, item in sorted(value.items())]
-        return "{" + inner + ("," + inner).join(items) + newline + "}"
+        return _dict_texts([value], newline, memo)[0]
     if kind is list:
-        if not value:
-            return "[]"
-        inner = newline + " "
-        items = [_json_value(item, inner) for item in value]
-        return "[" + inner + ("," + inner).join(items) + newline + "]"
+        return _array_text(value, newline, memo) if value else "[]"
     if value is None:
         return "null"
     if value is True:
@@ -106,17 +110,138 @@ def _json_value(value, newline: str) -> str:
     raise _Unsupported
 
 
+def _column(values: list, newline: str, memo: dict):
+    """The text of each of ``values``, all starting on lines ``newline``
+    begins.  Strings and finite floats are one C-level map.  Dicts, and
+    arrays of records, are written as one column of all their items.  Each
+    distinct short list of strings is written once and kept in
+    ``memo[newline]``."""
+    kinds = set(map(type, values))
+    if kinds == {str}:
+        return map(encode_basestring_ascii, values)
+    if kinds == {float} and math.isfinite(sum(values)):
+        return map(float.__repr__, values)
+    if kinds == {dict}:
+        return _dict_texts(values, newline, memo)
+    if kinds == {list}:
+        items = list(chain.from_iterable(values))
+        if (max(map(len, values)) <= _SHORT_LIST
+                and set(map(type, items)) <= {str}):
+            # Equal tuples of exact strings always write the same text.
+            known = memo.setdefault(newline, {})
+            keys = list(map(tuple, values))
+            for key in set(keys).difference(known):
+                known[key] = _json_value(list(key), newline, memo)
+            return map(known.__getitem__, keys)
+        layout = items and _layout(items, newline + " ")
+        if layout:
+            return _containers(_row_pieces(items, layout, newline + " ", memo),
+                               map(len, values), len(layout[0]), newline, "[]")
+    return [_json_value(value, newline, memo) for value in values]
+
+
+def _containers(pieces: list, counts, width: int, newline: str,
+                brackets: str) -> list:
+    """The text of each container from the flat ``pieces`` of all their
+    items, ``width`` pieces per item and ``counts`` items per container."""
+    texts = []
+    at = 0
+    for count in counts:
+        if not count:
+            texts.append(brackets)
+            continue
+        part = pieces[at:at + count * width]
+        part[0] = brackets[0] + part[0][1:]
+        part.append(newline + brackets[1])
+        texts.append("".join(part))
+        at += count * width
+    return texts
+
+
+def _dict_texts(values: list, newline: str, memo: dict) -> list:
+    """The text of each of the dicts ``values``, their values one column."""
+    if not set(map(type, chain.from_iterable(values))) <= {str}:
+        raise _Unsupported
+    inner = newline + " "
+    keys = [sorted(value) for value in values]
+    names = list(chain.from_iterable(keys))
+    pieces = [None] * (2 * len(names))
+    pieces[::2] = [f",{inner}{name}: " for name in map(encode_basestring_ascii, names)]
+    pieces[1::2] = _column([value[key] for value, row in zip(values, keys)
+                            for key in row], inner, memo)
+    return _containers(pieces, map(len, keys), 2, newline, "{}")
+
+
+def _layout(rows: list, inner: str):
+    """The row template and the cells of ``rows`` when they are all dicts
+    that share one set of string keys, or all lists of one length; else
+    None.  A row's pieces are the template with each cell's text in place
+    of its ``None``."""
+    row = inner + " "
+    first = rows[0]
+    kinds = set(map(type, rows))
+    if (kinds == {dict} and first
+            and all(map(first.keys().__eq__, map(dict.keys, rows)))
+            and set(map(type, chain.from_iterable(rows))) == {str}):
+        keys = sorted(first)
+        heads = [f",{row}{key}: " for key in map(encode_basestring_ascii, keys)]
+        heads[0] = f",{inner}{{" + heads[0][1:]
+        cells, close = [itemgetter(key) for key in keys], inner + "}"
+    elif kinds == {list} and first and len(set(map(len, rows))) == 1:
+        heads = ["," + row] * len(first)
+        heads[0] = f",{inner}[{row}"
+        cells, close = [itemgetter(at) for at in range(len(first))], inner + "]"
+    else:
+        return None
+    template = [None] * (2 * len(heads)) + [close]
+    template[:-1:2] = heads
+    return template, cells
+
+
+def _row_pieces(rows: list, layout: tuple, inner: str, memo: dict) -> list:
+    """The pieces of ``rows`` laid out by ``layout``, one column per cell."""
+    template, cells = layout
+    pieces = template * len(rows)
+    for at, cell in enumerate(cells):
+        pieces[2 * at + 1::len(template)] = _column(list(map(cell, rows)),
+                                                    inner + " ", memo)
+    return pieces
+
+
+def _array_text(value: list, newline: str, memo: dict) -> str:
+    """A list of records is written a chunk of rows at a time, a column per
+    key or position; any other list is one column of its items."""
+    inner = newline + " "
+    layout = _layout(value, inner)
+    if layout is None:
+        pieces = ["," + inner, None] * len(value)
+        pieces[1::2] = _column(value, inner, memo)
+        return _containers(pieces, [len(value)], 2, newline, "[]")[0]
+    chunks = []
+    for start in range(0, len(value), _CHUNK_ROWS):
+        pieces = _row_pieces(value[start:start + _CHUNK_ROWS], layout, inner, memo)
+        if start == 0:
+            pieces[0] = "[" + pieces[0][1:]
+        if start + _CHUNK_ROWS >= len(value):
+            pieces.append(newline + "]")
+        chunks.append("".join(pieces))
+    return "".join(chunks)
+
+
 def json_text(obj) -> str:
     """Exactly ``json.dumps(obj, sort_keys=True, indent=1)``, built faster.
 
     CPython encodes in pure Python whenever ``indent`` is set.  This writer
     joins strings over plain dicts with string keys, lists, strings, ints,
-    floats, bools and None; anything else (a tuple, a non-string key, another
-    type, nesting too deep to recurse) goes to ``json.dumps`` itself, so
-    unusual input and errors behave exactly as there.
+    floats, bools and None.  It writes a homogeneous array column by column
+    and each distinct short list of strings in a column once; every
+    container is one join, so the text is built without a further copy.
+    Anything else (a tuple, a non-string key, a subclass, another type,
+    nesting too deep to recurse) goes to ``json.dumps`` itself, so unusual
+    input and errors behave exactly as there.
     """
     try:
-        return _json_value(obj, "\n")
+        return _json_value(obj, "\n", {})
     except (_Unsupported, RecursionError):
         return json.dumps(obj, sort_keys=True, indent=1)
 

@@ -17,14 +17,10 @@ import time
 from array import array
 from dataclasses import asdict, dataclass
 from enum import Enum
-from http.client import HTTPException, HTTPMessage
 from itertools import islice, repeat
 from operator import itemgetter
-from urllib.error import HTTPError
+from typing import TYPE_CHECKING
 from urllib.parse import quote, urlencode
-from urllib.request import (HTTPDefaultErrorHandler, HTTPErrorProcessor,
-                            HTTPHandler, HTTPRedirectHandler, HTTPSHandler,
-                            OpenerDirector, UnknownHandler)
 
 import numpy as np
 
@@ -34,6 +30,9 @@ from .errors import (COUNT, INTEGER, NUMBER, STRING, STRINGS, GraphFormatError,
                      read_fields, read_json)
 from .langmodel import NGramModel, Verdict, classify, score_blogger
 from .socialgraph import CommunityGraph, LABEL_VALUES, kinds_mask, label_mask
+
+if TYPE_CHECKING:
+    from http.client import HTTPMessage
 
 logger = logging.getLogger("spiderveil.crawler")
 
@@ -216,25 +215,41 @@ TIMEOUT_S = 5.0
 ATTEMPTS = 3
 BACKOFF_S = 0.1
 
-# Only http and https are opened, for a base URL and a redirect alike; any
-# other scheme fails as an unknown URL type.
-_OPENER = OpenerDirector()
-for _handler in (HTTPHandler, HTTPSHandler, HTTPRedirectHandler,
-                 HTTPDefaultErrorHandler, HTTPErrorProcessor, UnknownHandler):
-    _OPENER.add_handler(_handler())
-
 
 def http_get(url: str) -> tuple[int, HTTPMessage, bytes]:
     """GET ``url`` over a new connection; return the status, an HTTP error
     status included, the headers and the body.  A failure raises OSError (a
     scheme other than http and https too), http.client.HTTPException or
-    ValueError (a malformed URL)."""
+    ValueError (a malformed URL).
+
+    The HTTP stack (with ``ssl`` and ``email``) is imported here, on the
+    first request, so that commands which never fetch do not load it."""
+    from urllib.error import HTTPError
+    from urllib.request import (HTTPDefaultErrorHandler, HTTPErrorProcessor,
+                                HTTPHandler, HTTPRedirectHandler, HTTPSHandler,
+                                OpenerDirector, UnknownHandler)
+    # Only http and https are opened, for a base URL and a redirect alike;
+    # any other scheme fails as an unknown URL type.
+    opener = OpenerDirector()
+    for handler in (HTTPHandler, HTTPSHandler, HTTPRedirectHandler,
+                    HTTPDefaultErrorHandler, HTTPErrorProcessor, UnknownHandler):
+        opener.add_handler(handler())
     try:
-        with _OPENER.open(url, timeout=TIMEOUT_S) as response:
+        with opener.open(url, timeout=TIMEOUT_S) as response:
             return response.status, response.headers, response.read()
     except HTTPError as exc:
         with exc:
             return exc.code, exc.headers, exc.read()
+
+
+def _http_exception() -> type:
+    """``http.client.HTTPException``, imported when first needed.
+
+    ``HttpJsonStore._get`` calls this in its except clause, which Python
+    evaluates only once the fetch has raised, so catching the class needs no
+    module-level import of ``http.client``."""
+    from http.client import HTTPException
+    return HTTPException
 
 
 def _retry_after_seconds(headers) -> float:
@@ -291,7 +306,7 @@ class HttpJsonStore:
             wait = BACKOFF_S * attempt
             try:
                 status, headers, body = self._fetch(url)
-            except (OSError, HTTPException, ValueError) as exc:
+            except (OSError, ValueError, _http_exception()) as exc:
                 failure = exc
             else:
                 if status == 404:

@@ -2,9 +2,11 @@ import io
 import json
 import math
 import re
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from math import fsum
 from types import SimpleNamespace
+from unittest.mock import patch
 from xml.etree import ElementTree
 
 import pytest
@@ -16,6 +18,7 @@ from spiderveil.cli import main
 from spiderveil.crawler import HttpJsonStore
 from spiderveil.errors import (EmptyInputError, GraphFormatError, NotFoundError,
                                RetrievalError, ScoringError, SelfLoopError)
+from spiderveil.simnet import GeneratorParams, generate
 from spiderveil.socialgraph import import_json_edge_list
 
 from conftest import MALFORMED_POSTS, MALFORMED_STORES, FakeGet
@@ -1262,11 +1265,81 @@ json_documents = st.recursive(
     max_leaves=30)
 
 
+class Text(str):
+    """A str subclass, which json.dumps writes as a string."""
+
+
+class Alias:
+    """A key that equals "a" and hashes like it, which json.dumps refuses."""
+
+    def __eq__(self, other):
+        return other == "a"
+
+    def __hash__(self):
+        return hash("a")
+
+
+# Record arrays, as checkpoints and stores hold them: lists of dicts that
+# share, or almost share, one key set, and lists of lists of one length.
+# Each column draws its values from one of these, so that the column paths
+# (all strings, all floats, repeated short lists) are taken as often as not.
+record_keys = st.one_of(st.sampled_from(["%s", "%", '"', "caf\u00e9", "\U0001f30c",
+                                         "labels", "a", "b"]), any_text)
+column_values = st.sampled_from([
+    any_text,
+    st.floats(),
+    st.sampled_from([0.0, -0.0, 1.5, 1e308, -1e308, math.nan, math.inf, -math.inf]),
+    st.sampled_from([0, 1, True, False, 1.0, 0.0, -0.0, None]),
+    st.sampled_from([[0.0], [-0.0], [1], [True], [1.0], [math.nan], ["like"],
+                     ["like", "reblog"], [], {}]),
+    st.lists(st.sampled_from(["like", "reblog", "\u00e9"]), max_size=6),
+    st.lists(st.fixed_dictionaries({"kind": st.sampled_from(["like", "reblog"]),
+                                     "blog_name": any_text}), max_size=3),
+    st.one_of(any_text.map(Text), st.tuples(any_text)),
+    json_documents,
+])
+
+
+@st.composite
+def record_arrays(draw):
+    keys = draw(st.lists(record_keys, min_size=1, max_size=5, unique=True))
+    columns = [draw(column_values) for _ in keys]
+    size = draw(st.integers(min_value=2, max_value=12))
+    if draw(st.booleans()):
+        rows = [[draw(column) for column in columns] for _ in range(size)]
+        if draw(st.integers(0, 4)) == 0:
+            rows[draw(st.integers(0, size - 1))].append(0)
+        return rows
+    rows = [{key: draw(column) for key, column in zip(keys, columns)}
+            for _ in range(size)]
+    # Almost one key set: a row without a key, with another, or with a
+    # key json.dumps refuses or writes differently.
+    change = draw(st.integers(0, 7))
+    row = rows[draw(st.integers(0, size - 1))]
+    if change == 0:
+        del row[keys[0]]
+    elif change == 1:
+        row[draw(record_keys.filter(lambda key: key not in keys))] = 0
+    elif change == 2:
+        row[draw(other_keys)] = 0
+    elif change == 3:
+        row[Text(keys[0])] = row.pop(keys[0])
+    return rows
+
+
 class TestJsonText:
     @given(document=json_documents)
     @settings(max_examples=600, deadline=None)
     def test_equals_json_dumps(self, document):
         assert outcome(cli.json_text, document) == outcome(reference_json, document)
+
+    @given(rows=record_arrays(), chunk=st.sampled_from([cli._CHUNK_ROWS, 1, 3]))
+    @settings(max_examples=600, deadline=None)
+    def test_record_arrays_equal_json_dumps(self, rows, chunk):
+        for document in (rows, {"rows": rows, "deeper": [rows]}):
+            with patch.object(cli, "_CHUNK_ROWS", chunk):
+                text = outcome(cli.json_text, document)
+            assert text == outcome(reference_json, document)
 
     @pytest.mark.parametrize("document", [
         {}, [], [[]], {"a": {}}, {"a": [{}, []]}, "", 0, -0.0, math.nan,
@@ -1276,7 +1349,7 @@ class TestJsonText:
 
     @pytest.mark.parametrize("document", [
         {"a": [1, {"b": object()}]}, {"a": {1, 2}}, [b"bytes"],
-        {"a": 1, 2: "b"}])
+        {"a": 1, 2: "b"}, [{"a": 1}, {Alias(): 2}]])
     def test_errors_match_json_dumps(self, document):
         expected = outcome(reference_json, document)
         assert isinstance(expected, tuple) and expected[0] is TypeError
@@ -1287,6 +1360,27 @@ class TestJsonText:
         document["a"].append(document)
         assert outcome(cli.json_text, document) == (
             ValueError, "Circular reference detected")
+
+    def test_writing_a_store_peaks_under_two_and_a_half_texts(self):
+        """The writer's transient memory on a longposts-size store (500
+        bloggers, 10 posts of 150-250 words each, about 10 MB of text)."""
+        store, _ = generate(GeneratorParams(total_bloggers=500, posts_per_blogger=10,
+                                            words_per_post=(150, 250)))
+        tracemalloc.start()
+        try:
+            text = cli.json_text(store)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(text) > 8_000_000
+        assert peak <= 2.5 * len(text)
+
+    def test_pipeline_documents_never_fall_back(self, pipeline):
+        for name in ("store.json", "crawl.json", "truth.json", "graph.json"):
+            document = json.loads((pipeline.root / name).read_text())
+            expected = reference_json(document)
+            with patch.object(cli.json, "dumps", side_effect=AssertionError(name)):
+                assert cli.json_text(document) == expected
 
     def test_generated_store_and_checkpoint(self, pipeline, tmp_path):
         for name in ("store.json", "crawl.json", "truth.json", "manifest.json"):

@@ -132,13 +132,24 @@ def test_package_imports_only_its_declared_dependencies():
     assert declared <= imported, f"unused dependencies: {sorted(declared - imported)}"
 
 
-def test_requests_is_neither_imported_nor_loaded():
-    for path in MODULES:
-        assert "requests" not in _top_level_imports(path), _id(path)
-    loaded = subprocess.run(
+def _loaded_by_importing_cli() -> list[str]:
+    """The modules a fresh interpreter holds after ``import spiderveil.cli``."""
+    return subprocess.run(
         [sys.executable, "-c", "import sys, spiderveil.cli; "
          "print(' '.join(sorted(sys.modules)))"],
         cwd=ROOT, env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
         capture_output=True, text=True, check=True).stdout.split()
+
+
+def test_requests_is_neither_imported_nor_loaded():
+    for path in MODULES:
+        assert "requests" not in _top_level_imports(path), _id(path)
+    loaded = _loaded_by_importing_cli()
     assert "spiderveil.cli" in loaded
     assert "requests" not in loaded and "urllib3" not in loaded
+
+
+def test_importing_cli_leaves_the_http_stack_unloaded():
+    loaded = _loaded_by_importing_cli()
+    assert "spiderveil.crawler" in loaded
+    assert not {"http.client", "ssl", "urllib.request"} & set(loaded)
