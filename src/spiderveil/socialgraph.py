@@ -18,7 +18,7 @@ import json
 import re
 from array import array
 from dataclasses import asdict, dataclass
-from itertools import chain
+from itertools import repeat
 
 import numpy as np
 
@@ -82,17 +82,20 @@ def kinds_mask(kinds) -> int:
 class CommunityGraph:
     """Directed graph; at most one edge per ordered pair, with a label mask.
 
-    Beside the name-keyed maps the graph keeps an integer core: each node's
-    id, its position in ``nodes()``; the (source id, target id) of every
-    edge, each source's edges in insertion order; and each node's
-    out-degree.  The numeric code reads these instead of converting the
-    maps again.
+    Each node and edge is kept once, by integer id.  A node's id is its
+    position in ``nodes()``, and its verdict and score are the entries of two
+    lists at that id.  Each edge's label mask is the value of its key,
+    ``source id << 32 | target id``, in one map, which keeps the edges in
+    insertion order; an int key, unlike a tuple, gives the garbage collector
+    nothing to track.  For the numeric code the graph also keeps the edges'
+    source ids and target ids, in that order, and the out-degrees as arrays.
     """
 
     def __init__(self):
-        self._nodes: dict[str, dict] = {}
-        self._succ: dict[str, dict[str, int]] = {}
         self._ids: dict[str, int] = {}
+        self._verdicts: list[Verdict | None] = []
+        self._scores: list[float | None] = []
+        self._masks: dict[int, int] = {}
         self._sources = array("q")
         self._targets = array("q")
         self._degree = array("q")
@@ -100,19 +103,21 @@ class CommunityGraph:
     # -- construction -----------------------------------------------------
 
     def add_node(self, name: str, verdict: Verdict | None = None,
-                 score: float | None = None) -> None:
+                 score: float | None = None) -> int:
+        """Add ``name`` if it is new, set the attributes given; its id."""
         if not name:
             raise ValueError("node name must be non-empty")
-        attrs = self._nodes.get(name)
-        if attrs is None:
-            attrs = self._nodes[name] = {"verdict": None, "score": None}
-            self._succ[name] = {}
-            self._ids[name] = len(self._degree)
+        node = self._ids.get(name)
+        if node is None:
+            node = self._ids[name] = len(self._verdicts)
+            self._verdicts.append(None)
+            self._scores.append(None)
             self._degree.append(0)
         if verdict is not None:
-            attrs["verdict"] = verdict
+            self._verdicts[node] = verdict
         if score is not None:
-            attrs["score"] = score
+            self._scores[node] = score
+        return node
 
     def add_link(self, src: str, dst: str, label: NoteKind) -> None:
         """Add (or relabel) the edge src -> dst.  Self-loops are rejected."""
@@ -126,93 +131,103 @@ class CommunityGraph:
             raise SelfLoopError(f"self-loop on {src!r} rejected")
         if not 0 < mask < len(LABEL_KINDS):
             raise ValueError(f"edge label mask {mask!r} is out of range")
-        self.add_node(src)
-        self.add_node(dst)
-        targets = self._succ[src]
-        if dst in targets:
-            targets[dst] |= mask
-            return
-        targets[dst] = mask
-        source = self._ids[src]
-        self._sources.append(source)
-        self._targets.append(self._ids[dst])
-        self._degree[source] += 1
+        source, target = self.add_node(src), self.add_node(dst)
+        key = source << 32 | target
+        if key not in self._masks:
+            self._sources.append(source)
+            self._targets.append(target)
+            self._degree[source] += 1
+        self._masks[key] = self._masks.get(key, 0) | mask
 
     # -- accessors --------------------------------------------------------
 
     def nodes(self) -> list[str]:
-        return list(self._nodes)
+        return list(self._ids)
 
     def has_node(self, name: str) -> bool:
-        return name in self._nodes
+        return name in self._ids
 
     def node_count(self) -> int:
-        return len(self._nodes)
+        return len(self._ids)
 
     def edge_count(self) -> int:
-        return len(self._sources)
+        return len(self._masks)
 
     def edges(self):
-        """Yield (src, dst, frozenset of labels) in insertion order."""
-        for src, targets in self._succ.items():
-            for dst, mask in targets.items():
-                yield src, dst, LABEL_KINDS[mask]
+        """Yield (src, dst, frozenset of labels): sources in node order, each
+        source's edges in insertion order."""
+        for src, dst, mask in self._named_edges():
+            yield src, dst, LABEL_KINDS[mask]
 
     def labels(self, src: str, dst: str) -> frozenset[NoteKind]:
-        return LABEL_KINDS[self._succ[src][dst]]
+        return LABEL_KINDS[self._masks[self._ids[src] << 32 | self._ids[dst]]]
 
     def successors(self, name: str) -> list[str]:
-        return list(self._succ.get(name, {}))
+        return [dst for src, dst, _ in self._named_edges() if src == name]
 
     def out_degree(self, name: str) -> int:
-        return len(self._succ.get(name, {}))
+        return len(self.successors(name))
 
     def verdict(self, name: str) -> Verdict | None:
-        return self._nodes[name]["verdict"]
+        return self._verdicts[self._ids[name]]
 
     def score(self, name: str) -> float | None:
-        return self._nodes[name]["score"]
+        return self._scores[self._ids[name]]
 
     def _edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Copies of the core's edge source ids and edge target ids."""
+        """Copies of the edges' source ids and target ids, in insertion order."""
         return (np.array(self._sources, dtype=np.intp),
                 np.array(self._targets, dtype=np.intp))
 
     def _out_degrees(self) -> np.ndarray:
-        """A copy of the core's out-degrees, by node id."""
+        """A copy of the out-degrees, by node id."""
         return np.array(self._degree, dtype=np.intp)
+
+    def _edge_order(self) -> np.ndarray:
+        """Edge positions by source id, each source's in insertion order."""
+        # A stable sort; ids below 2**16 sort by radix.
+        sources = np.array(self._sources, dtype=np.min_scalar_type(len(self._ids)))
+        return np.argsort(sources, kind="stable")
+
+    def _named_edges(self):
+        """(src, dst, mask) of each edge, in ``_edge_order()``."""
+        order = self._edge_order()
+        names = np.fromiter(self._ids, dtype=object, count=len(self._ids))
+        # Every mask fits a byte.
+        masks = np.frombuffer(bytes(self._masks.values()), dtype=np.uint8)
+        sources, targets = self._edge_arrays()
+        return zip(names[sources[order]].tolist(),
+                   names[targets[order]].tolist(), masks[order].tolist())
 
     def project(self, label: NoteKind) -> "CommunityGraph":
         """Subgraph of edges carrying ``label``; only their endpoints remain."""
         bit = LABEL_BIT[label.value]
         sub = CommunityGraph()
-        for src, targets in self._succ.items():
-            for dst, mask in targets.items():
-                if mask & bit:
-                    sub.add_node(src, **self._nodes[src])
-                    sub.add_node(dst, **self._nodes[dst])
-                    sub.add_labels(src, dst, bit)
+        for src, dst, mask in self._named_edges():
+            if mask & bit:
+                sub.add_node(src, self.verdict(src), self.score(src))
+                sub.add_node(dst, self.verdict(dst), self.score(dst))
+                sub.add_labels(src, dst, bit)
         return sub
 
     def __eq__(self, other) -> bool:
+        """Equal nodes, attributes, edges and labels, in any order."""
         if not isinstance(other, CommunityGraph):
             return NotImplemented
-        return self._nodes == other._nodes and self._succ == other._succ
+        return (dict(zip(self._ids, zip(self._verdicts, self._scores)))
+                == dict(zip(other._ids, zip(other._verdicts, other._scores)))
+                and set(self._named_edges()) == set(other._named_edges()))
 
     # -- serialization ----------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        nodes = []
-        for name, attrs in self._nodes.items():
-            verdict = attrs["verdict"]
-            nodes.append({
-                "id": name,
-                "verdict": verdict.value if verdict is not None else None,
-                "score": attrs["score"],
-            })
+        nodes = [{"id": name,
+                  "verdict": verdict.value if verdict is not None else None,
+                  "score": score}
+                 for name, verdict, score in zip(self._ids, self._verdicts,
+                                                 self._scores)]
         edges = [{"src": src, "dst": dst, "labels": list(LABEL_VALUES[mask])}
-                 for src, targets in self._succ.items()
-                 for dst, mask in targets.items()]
+                 for src, dst, mask in self._named_edges()]
         return {"nodes": nodes, "edges": edges}
 
     @classmethod
@@ -227,7 +242,8 @@ class CommunityGraph:
         if not (isinstance(data["nodes"], list) and isinstance(data["edges"], list)):
             raise GraphFormatError("graph document 'nodes' and 'edges' are not arrays")
         graph = cls()
-        nodes, succ = graph._nodes, graph._succ
+        ids, masks, verdicts, scores = (graph._ids, graph._masks,
+                                        graph._verdicts, graph._scores)
         try:
             for node in data["nodes"]:
                 if not isinstance(node, dict):
@@ -236,35 +252,29 @@ class CommunityGraph:
                 if not (score is None or NUMBER.test(score)):
                     raise TypeError(f"node score {score!r} is not a number")
                 name = _node_name(node["id"])
-                if name in nodes:
+                if name in ids:
                     raise ValueError(f"node id {name!r} is listed twice")
-                nodes[name] = {
-                    "verdict": Verdict(verdict) if verdict is not None else None,
-                    "score": score}
-                succ[name] = {}
+                verdicts.append(Verdict(verdict) if verdict is not None else None)
+                scores.append(score)
+                ids[name] = len(ids)
             for edge in data["edges"]:
                 src, dst = _node_name(edge["src"]), _node_name(edge["dst"])
                 mask = label_mask(edge["labels"])
                 if src == dst:
                     raise SelfLoopError(f"self-loop on {src!r} rejected")
-                for name in (src, dst):
-                    if name not in nodes:
-                        nodes[name] = {"verdict": None, "score": None}
-                        succ[name] = {}
-                targets = succ[src]
-                targets[dst] = targets.get(dst, 0) | mask
+                # setdefault reads len(ids) before it adds the name.
+                key = (ids.setdefault(src, len(ids)) << 32
+                       | ids.setdefault(dst, len(ids)))
+                masks[key] = masks.get(key, 0) | mask
         except (KeyError, TypeError, ValueError, SelfLoopError) as exc:
             raise GraphFormatError(f"bad graph document: {exc}") from exc
-        # The core in one pass, each source's edges together.
-        ids = graph._ids = dict(zip(nodes, range(len(nodes))))
-        degree = np.fromiter(map(len, succ.values()), dtype=np.int64,
-                             count=len(nodes))
-        graph._degree.frombytes(degree.tobytes())
-        graph._sources.frombytes(
-            np.repeat(np.arange(len(nodes), dtype=np.int64), degree).tobytes())
-        graph._targets.frombytes(np.fromiter(
-            map(ids.__getitem__, chain.from_iterable(succ.values())),
-            dtype=np.int64, count=int(degree.sum())).tobytes())
+        verdicts.extend(repeat(None, len(ids) - len(verdicts)))
+        scores.extend(repeat(None, len(ids) - len(scores)))
+        keys = np.fromiter(masks, dtype=np.int64, count=len(masks))
+        graph._sources.frombytes((keys >> 32).tobytes())
+        graph._targets.frombytes((keys & 0xFFFFFFFF).tobytes())
+        graph._degree.frombytes(np.bincount(
+            keys >> 32, minlength=len(ids)).astype(np.int64).tobytes())
         return graph
 
 
@@ -272,49 +282,45 @@ class CommunityGraph:
 
 
 def scc_count(graph: CommunityGraph) -> int:
-    """Tarjan with an explicit stack; recursion would cap the graph size."""
-    index: dict[str, int] = {}
-    lowlink: dict[str, int] = {}
-    on_stack: set[str] = set()
-    stack: list[str] = []
-    components = 0
-    counter = 0
+    """Tarjan over node ids with an explicit stack; recursion would cap the
+    graph size.  A node leaving the stack with its component takes an index
+    above every lowlink, so an edge into it lowers none."""
+    indptr, indices = (part.tolist() for part in _successor_arrays(graph))
+    successors = [indices[start:end] for start, end in zip(indptr, indptr[1:])]
+    count = len(successors)
+    index = [-1] * count
+    lowlink = [0] * count
+    stack: list[int] = []
+    components = counter = 0
 
-    for root in graph.nodes():
-        if root in index:
+    for root in range(count):
+        if index[root] >= 0:
             continue
         index[root] = lowlink[root] = counter
         counter += 1
         stack.append(root)
-        on_stack.add(root)
-        work = [(root, iter(graph._succ[root]))]
+        work = [(root, iter(successors[root]))]
         while work:
-            node, successors = work[-1]
-            descended = False
-            for succ in successors:
-                if succ not in index:
+            node, pending = work[-1]
+            for succ in pending:
+                if index[succ] < 0:
                     index[succ] = lowlink[succ] = counter
                     counter += 1
                     stack.append(succ)
-                    on_stack.add(succ)
-                    work.append((succ, iter(graph._succ[succ])))
-                    descended = True
+                    work.append((succ, iter(successors[succ])))
                     break
-                if succ in on_stack:
-                    lowlink[node] = min(lowlink[node], index[succ])
-            if descended:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[node])
-            if lowlink[node] == index[node]:
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    if member == node:
-                        break
-                components += 1
+                lowlink[node] = min(lowlink[node], index[succ])
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    lowlink[parent] = min(lowlink[parent], lowlink[node])
+                if lowlink[node] == index[node]:
+                    member = None
+                    while member != node:
+                        member = stack.pop()
+                        index[member] = count
+                    components += 1
     return components
 
 
@@ -322,17 +328,11 @@ def _successor_arrays(graph: CommunityGraph) -> tuple[np.ndarray, np.ndarray]:
     """The graph in CSR form over node ids, the positions in ``graph.nodes()``.
 
     Node i's successors are ``indices[indptr[i]:indptr[i + 1]]``, in edge
-    insertion order: a stable sort of the core's edges by source keeps each
-    source's edges in the order they were added.
+    insertion order (``CommunityGraph._edge_order``).
     """
-    sources, targets = graph._edge_arrays()
-    degree = graph._out_degrees()
-    indptr = np.zeros(len(degree) + 1, dtype=np.intp)
-    np.cumsum(degree, out=indptr[1:])
-    # Ids below 2**16 sort by radix.
-    order = np.argsort(sources.astype(np.min_scalar_type(len(degree))),
-                       kind="stable")
-    return indptr, targets[order]
+    indptr = np.zeros(graph.node_count() + 1, dtype=np.intp)
+    np.cumsum(graph._out_degrees(), out=indptr[1:])
+    return indptr, graph._edge_arrays()[1][graph._edge_order()]
 
 
 # Entries one batch of sources may hold: a batch of B sources keys its nodes
@@ -699,29 +699,29 @@ def measure(graph: CommunityGraph) -> GraphMeasurements:
 # -- exports ----------------------------------------------------------------
 
 _PLAIN_ID_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|-?(\.\d+|\d+(\.\d*)?)")
+# DOT's keywords, in any case, are ids only when quoted.
+_DOT_KEYWORDS = {"node", "edge", "graph", "digraph", "subgraph", "strict"}
 
 
 def _dot_id(name: str) -> str:
-    if _PLAIN_ID_RE.fullmatch(name):
+    if _PLAIN_ID_RE.fullmatch(name) and name.lower() not in _DOT_KEYWORDS:
         return name
     escaped = name.replace("\\", "\\\\").replace('"', '\\"')
     return f'"{escaped}"'
 
 
 def _to_dot(graph: CommunityGraph) -> str:
-    ids = {name: _dot_id(name) for name in graph._nodes}
+    ids = {name: _dot_id(name) for name in graph._ids}
     lines = ["digraph community {"]
-    for name, attrs in graph._nodes.items():
-        verdict, score = attrs["verdict"], attrs["score"]
+    for name, verdict, score in zip(graph._ids, graph._verdicts, graph._scores):
         data = [] if verdict is None else [f'verdict="{verdict.value}"']
         if score is not None:
             data.append(f'score="{score!r}"')
         suffix = f" [{', '.join(data)}]" if data else ""
         lines.append(f"  {ids[name]}{suffix};")
-    for src, targets in graph._succ.items():
-        for dst, mask in targets.items():
-            lines.append(f'  {ids[src]} -> {ids[dst]} '
-                         f'[label="{"|".join(LABEL_VALUES[mask])}"];')
+    for src, dst, mask in graph._named_edges():
+        lines.append(f'  {ids[src]} -> {ids[dst]} '
+                     f'[label="{"|".join(LABEL_VALUES[mask])}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -757,21 +757,19 @@ def _to_graphml(graph: CommunityGraph) -> bytes:
     labels hold no character its text escapes touch.  A character UTF-8
     cannot encode, a lone surrogate, becomes a character reference.
     """
-    ids = {name: _xml_attribute(name) for name in graph._nodes}
+    ids = {name: _xml_attribute(name) for name in graph._ids}
     parts = []
-    for name, attrs in graph._nodes.items():
-        verdict, score = attrs["verdict"], attrs["score"]
+    for name, verdict, score in zip(graph._ids, graph._verdicts, graph._scores):
         data = "" if verdict is None else (
             f'<data key="d_verdict">{verdict.value}</data>')
         if score is not None:
             data += f'<data key="d_score">{score!r}</data>'
         parts.append(f'<node id="{ids[name]}">{data}</node>' if data
                      else f'<node id="{ids[name]}" />')
-    for src, targets in graph._succ.items():
-        for dst, mask in targets.items():
-            parts.append(f'<edge source="{ids[src]}" target="{ids[dst]}">'
-                         f'<data key="d_labels">{"|".join(LABEL_VALUES[mask])}'
-                         '</data></edge>')
+    for src, dst, mask in graph._named_edges():
+        parts.append(f'<edge source="{ids[src]}" target="{ids[dst]}">'
+                     f'<data key="d_labels">{"|".join(LABEL_VALUES[mask])}'
+                     '</data></edge>')
     body = f'>{"".join(parts)}</graph>' if parts else " />"
     return (_GRAPHML_HEAD + body + "</graphml>").encode("utf-8",
                                                          "xmlcharrefreplace")

@@ -349,9 +349,12 @@ def reference_betweenness(graph) -> dict[str, float]:
 
 def _successor_ids(graph) -> list[list[int]]:
     """Successor lists over node ids, the positions in ``graph.nodes()``."""
-    nodes, succ = graph.nodes(), graph._succ
+    nodes = graph.nodes()
     index = dict(zip(nodes, range(len(nodes))))
-    return [list(map(index.__getitem__, succ[node])) for node in nodes]
+    successors = [[] for _ in nodes]
+    for src, dst, _ in graph.edges():
+        successors[index[src]].append(index[dst])
+    return successors
 
 
 def reference_shortest_paths(graph
@@ -790,7 +793,7 @@ def reference_dot(graph) -> str:
 
 class ReferenceGraph:
     """The set-labelled graph that ``CommunityGraph`` replaced, cut to what
-    serialization needs.
+    serialization and the store's checks need.
 
     Each edge keeps a set of ``NoteKind``; ``from_json_dict`` adds one link
     per label.  ``CommunityGraph`` must give equal documents, and read every
@@ -821,6 +824,22 @@ class ReferenceGraph:
         self.add_node(src)
         self.add_node(dst)
         self._succ[src].setdefault(dst, set()).add(label)
+
+    def add_labels(self, src: str, dst: str, mask: int) -> None:
+        """One link per kind whose bit ``mask`` sets: bit i is the i-th
+        ``NoteKind``."""
+        for bit, kind in enumerate(NoteKind):
+            if mask >> bit & 1:
+                self.add_link(src, dst, kind)
+
+    def project(self, label: NoteKind) -> "ReferenceGraph":
+        sub = ReferenceGraph()
+        for src, dst, labels in self.edges():
+            if label in labels:
+                sub.add_node(src, **self._nodes[src])
+                sub.add_node(dst, **self._nodes[dst])
+                sub.add_link(src, dst, label)
+        return sub
 
     def nodes(self) -> list[str]:
         return list(self._nodes)

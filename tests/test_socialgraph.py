@@ -734,6 +734,14 @@ class TestExports:
         assert export_graph(graph, "dot").decode("utf-8") == (
             'digraph community {\n  a;\n  "a\n";\n  "12\n";\n  12;\n}\n')
 
+    @pytest.mark.parametrize("keyword", ["Node", "EDGE", "graph", "diGraph",
+                                         "subGRAPH", "sTrict"])
+    def test_dot_quotes_keywords_in_any_case(self, keyword):
+        graph = build_graph([keyword, "nodes"], [(keyword, "nodes")])
+        assert export_graph(graph, "dot").decode("utf-8") == (
+            f'digraph community {{\n  "{keyword}";\n  nodes;\n'
+            f'  "{keyword}" -> nodes [label="like"];\n}}\n')
+
     def test_graphml_parses_and_keeps_structure(self):
         graph = cycle3()
         graph.add_node("a", verdict=Verdict.RELEVANT, score=-2.5)
@@ -886,39 +894,50 @@ def core_operations(draw):
     return [call for call in calls if call[0] == "add_node" or call[1] != call[2]]
 
 
-def assert_core_matches_maps(graph):
-    """The integer core holds the ids, per-source edge order, out-degrees
-    and edge count of the name-keyed maps."""
-    nodes = graph.nodes()
-    assert graph._ids == {name: i for i, name in enumerate(nodes)}
-    sources, targets = graph._edge_arrays()
-    by_source = [[] for _ in nodes]
-    for source, target in zip(sources.tolist(), targets.tolist()):
-        by_source[source].append(nodes[target])
-    assert by_source == [list(graph._succ[name]) for name in nodes]
-    degrees = [len(graph._succ[name]) for name in nodes]
+def assert_store_matches(graph, reference):
+    """``graph`` lists the nodes and edges of ``reference``, the set-labelled
+    graph, in its order, and its arrays hold those edges by node id, each
+    source's in insertion order."""
+    nodes = reference.nodes()
+    ids = {name: i for i, name in enumerate(nodes)}
+    edges = list(reference.edges())
+    assert graph.nodes() == nodes
+    assert list(graph.edges()) == edges
+    successors = [[dst for src, dst, _ in edges if src == name] for name in nodes]
+    assert [graph.successors(name) for name in nodes] == successors
+    degrees = list(map(len, successors))
+    assert [graph.out_degree(name) for name in nodes] == degrees
     assert graph._out_degrees().tolist() == degrees
-    assert graph.edge_count() == sum(degrees)
+    assert graph.edge_count() == len(edges)
+    sources, targets = graph._edge_arrays()
+    pairs = sorted(zip(sources.tolist(), targets.tolist()),
+                   key=lambda pair: pair[0])
+    assert pairs == [(ids[src], ids[dst]) for src, dst, _ in edges]
     indptr, indices = _successor_arrays(graph)
     assert np.diff(indptr).tolist() == degrees
-    assert [nodes[i] for i in indices.tolist()] == \
-        [target for name in nodes for target in graph._succ[name]]
+    assert indices.tolist() == [ids[dst] for _, dst, _ in edges]
 
 
 class TestIntegerCore:
     @given(core_operations(), graph_documents(), core_operations(),
            st.sampled_from(list(NoteKind)))
     @settings(max_examples=200, deadline=None)
-    def test_core_matches_successor_maps(self, before, doc, after, label):
-        built = apply_calls(CommunityGraph(), before)
-        loaded = CommunityGraph.from_json_dict(doc)
-        for graph in (built, loaded, CommunityGraph.from_json_dict(
-                built.to_json_dict())):
-            assert_core_matches_maps(graph)
+    def test_store_matches_reference(self, before, doc, after, label):
+        built = (apply_calls(CommunityGraph(), before),
+                 apply_calls(ReferenceGraph(), before))
+        loaded = (CommunityGraph.from_json_dict(doc),
+                  ReferenceGraph.from_json_dict(doc))
+        again = (CommunityGraph.from_json_dict(built[0].to_json_dict()),
+                 ReferenceGraph.from_json_dict(built[1].to_json_dict()))
+        for graph, reference in (built, loaded, again):
+            assert_store_matches(graph, reference)
             projected = graph.project(label)
-            assert_core_matches_maps(projected)
-            assert_core_matches_maps(apply_calls(projected, after))
-            assert_core_matches_maps(apply_calls(graph, after))
+            expected = reference.project(label)
+            assert_store_matches(projected, expected)
+            assert_store_matches(apply_calls(projected, after),
+                                 apply_calls(expected, after))
+            assert_store_matches(apply_calls(graph, after),
+                                 apply_calls(reference, after))
 
 
 # Name characters the GraphML writer escapes or encodes apart: the XML

@@ -1,9 +1,9 @@
 """Checks a linter would make, written with the standard library's ``ast``:
 every module parses as the oldest supported Python, no module imports a name
 it never uses, ``errors.atomic_write_bytes`` is the package's only file
-writer, ``cli`` alone prints and raises only what ``EXIT_CODES`` maps, and
-the package imports exactly the standard library, itself and its declared
-dependencies."""
+writer, ``cli`` alone prints and raises only what ``EXIT_CODES`` maps,
+only ``socialgraph`` reads the graph store's fields, and the package imports
+exactly the standard library, itself and its declared dependencies."""
 
 import ast
 import builtins
@@ -108,6 +108,27 @@ def test_cli_raises_only_what_exit_codes_maps():
     unmapped = sorted(name for name in raised - (own & caught)
                       if not issubclass(names[name], tuple(cli.EXIT_CODES)))
     assert not unmapped, f"cli.py raises classes EXIT_CODES does not map: {unmapped}"
+
+
+def test_only_socialgraph_reads_the_graph_store():
+    """Other modules reach a ``CommunityGraph`` through its methods, apart
+    from ``crawler.py``'s reads of ``_ids``, the name -> node id map."""
+    package = ROOT / "src" / "spiderveil"
+    source = package / "socialgraph.py"
+    graph_class = next(node for node in _tree(source).body
+                       if isinstance(node, ast.ClassDef)
+                       and node.name == "CommunityGraph")
+    init = next(node for node in graph_class.body
+                if isinstance(node, ast.FunctionDef) and node.name == "__init__")
+    fields = {node.attr for node in ast.walk(init)
+              if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)}
+    assert {"_ids", "_masks", "_sources", "_targets"} <= fields
+    allowed = {_id(source): fields, _id(package / "crawler.py"): {"_ids"}}
+    reads = sorted((_id(path), node.lineno, node.attr) for path in MODULES
+                   for node in ast.walk(_tree(path))
+                   if isinstance(node, ast.Attribute) and node.attr in fields
+                   and node.attr not in allowed.get(_id(path), ()))
+    assert not reads, f"modules outside socialgraph.py read its store: {reads}"
 
 
 def _top_level_imports(path: Path) -> set[str]:
