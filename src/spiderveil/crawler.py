@@ -15,11 +15,12 @@ import math
 import random
 import time
 from array import array
+from collections import defaultdict
 from dataclasses import asdict, dataclass
 from enum import Enum
-from itertools import islice, repeat
+from itertools import chain, count, islice, repeat
 from operator import itemgetter
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 from urllib.parse import quote, urlencode
 
 import numpy as np
@@ -28,7 +29,7 @@ from .corpus import NoteKind, NoteRecord, Post, filter_english, normalize_tag
 from .errors import (COUNT, INTEGER, NUMBER, STRING, STRINGS, GraphFormatError,
                      JsonKind, NotFoundError, RetrievalError, ScoringError,
                      read_fields, read_json)
-from .langmodel import NGramModel, Verdict, classify, score_blogger
+from .langmodel import NGramModel, Verdict, classify, score_blogger, verdict_of
 from .socialgraph import CommunityGraph, LABEL_VALUES, kinds_mask, label_mask
 
 if TYPE_CHECKING:
@@ -92,13 +93,84 @@ def check_post_record(post, where: str) -> None:
                           "'blog_name' and a 'kind' of like or reblog")
 
 
-def validate_fixture(data) -> None:
-    """Raise GraphFormatError unless ``data`` is a well-formed fixture store.
+class StoreColumns(NamedTuple):
+    """The fields of a checked fixture store that its index is built from."""
+    blog_names: list[str]     # blogs[i]["name"]
+    bloggers: list[str]       # posts[i]["blog_name"]
+    types: list[str]          # posts[i]["type"]
+    tags: list[list[str]]     # posts[i]["tags"], [] when absent
+
+
+# The value an absent tags or notes array is read as.
+_NO_ITEMS: list = []
+_NOTE_KIND_SET = frozenset(NOTE_KINDS)
+
+
+def _are(kind: type, values) -> bool:
+    """True when every value is exactly of ``kind``, subclasses excluded."""
+    return set(map(type, values)) <= {kind}
+
+
+def _names(values: set) -> bool:
+    """True when every value is a non-empty ``str``."""
+    return _are(str, values) and "" not in values
+
+
+def _field(records: list, key: str, default) -> map:
+    """``record.get(key, default)`` of every record, without a Python frame."""
+    return map(dict.get, records, repeat(key), repeat(default))
+
+
+def _values(records, key: str) -> map:
+    """``record[key]`` of every record, which must each be a dict."""
+    return map(dict.__getitem__, records, repeat(key))
+
+
+def _store_columns(blogs: list, posts: list) -> StoreColumns:
+    """The columns of two arrays of objects; KeyError or TypeError when a
+    record is not one or lacks a field."""
+    return StoreColumns(list(map(itemgetter("name"), blogs)),
+                        list(map(itemgetter("blog_name"), posts)),
+                        list(map(itemgetter("type"), posts)),
+                        list(_field(posts, "tags", _NO_ITEMS)))
+
+
+def _columns_hold(blogs: list, posts: list, columns: StoreColumns) -> bool:
+    """Whether every record passes, checked a field at a time over all
+    records; a blog or post of a subclass of dict, or a field of a subclass
+    of str, fails here.  KeyError or TypeError when a note lacks a field, is
+    no dict, or a field that must be a string is unhashable."""
+    if not (_are(dict, blogs) and _are(dict, posts)
+            and _names(set(columns.blog_names)) and _names(set(columns.bloggers))
+            and _names(set(columns.types))):
+        return False
+    ids = set(map(itemgetter("id"), posts))
+    if not (len(ids) == len(posts) and _names(ids)
+            and all(_are(str, _field(posts, key, ""))
+                    for key in ("body", "caption", "slug"))
+            and _are(list, columns.tags)
+            and _are(str, chain.from_iterable(columns.tags))):
+        return False
+    notes = list(_field(posts, "notes", _NO_ITEMS))
+    if not _are(list, notes):
+        return False
+    # Each pass chains the note arrays again: a list of every note would
+    # raise the load's peak memory.  ``dict.__getitem__`` raises TypeError
+    # for a note that is no dict and KeyError for a missing field.
+    return (set(_values(chain.from_iterable(notes), "kind")) <= _NOTE_KIND_SET
+            and _names(set(_values(chain.from_iterable(notes), "blog_name"))))
+
+
+def validate_fixture(data) -> StoreColumns:
+    """Raise GraphFormatError unless ``data`` is a well-formed fixture store;
+    return the columns its index is built from.
 
     The top level is an object holding ``blogs`` and ``posts`` arrays and an
     optional non-empty string ``seed``.  Every blog is an object with a
     non-empty string ``name``.  Every post passes check_post_record, and post
-    ids are unique.  Other keys are ignored.
+    ids are unique.  Other keys are ignored.  The records are checked a field
+    at a time; only when a field fails are they walked one by one, so that
+    the message names the first fault in record order.
     """
     def bad(message: str) -> GraphFormatError:
         return GraphFormatError(f"bad fixture store: {message}")
@@ -112,15 +184,24 @@ def validate_fixture(data) -> None:
             raise bad(f"{key!r} is not an array")
     if "seed" in data and not _nonempty_str(data["seed"]):
         raise bad("'seed' is not a non-empty string")
-    for i, blog in enumerate(data["blogs"]):
+    blogs, posts = data["blogs"], data["posts"]
+    try:
+        columns = _store_columns(blogs, posts)
+        if _columns_hold(blogs, posts, columns):
+            return columns
+    except (KeyError, TypeError):   # a record lacks a field, or is no object
+        pass
+    for i, blog in enumerate(blogs):
         if not isinstance(blog, dict) or not _nonempty_str(blog.get("name")):
             raise bad(f"blogs[{i}] has no non-empty string 'name'")
     seen: set[str] = set()
-    for i, post in enumerate(data["posts"]):
+    for i, post in enumerate(posts):
         check_post_record(post, f"bad fixture store: posts[{i}]")
         if post["id"] in seen:
             raise bad(f"duplicate post id {post['id']!r}")
         seen.add(post["id"])
+    # Records of a subclass of dict or str pass the walk alone.
+    return _store_columns(blogs, posts)
 
 
 def post_from_record(record: dict, note_records: dict | None = None) -> Post:
@@ -166,24 +247,31 @@ class FixtureStore:
     """
 
     def __init__(self, data: dict):
-        validate_fixture(data)
+        columns = validate_fixture(data)
         self._records: list[dict] = data["posts"]
         self._posts: list[Post | None] = [None] * len(self._records)
         self._note_records: dict[tuple[str, str], NoteRecord] = {}
-        self._by_blogger: dict[str, list[int]] = {}
-        self._by_tag: dict[str, list[int]] = {}
         # A blogger with posts of other types only is known and has no posts.
-        self._blogs = {blog["name"] for blog in data["blogs"]}
-        self._blogs.update(record["blog_name"] for record in self._records)
+        self._blogs = set(columns.blog_names)
+        self._blogs.update(columns.bloggers)
         self.seed_blogger: str | None = data.get("seed")
-        for index, record in enumerate(self._records):
-            if record["type"] != "text":
-                continue
-            self._by_blogger.setdefault(record["blog_name"], []).append(index)
-            # A post is listed once under each of its distinct tags.
-            for tag in set(map(normalize_tag, record.get("tags", ()))):
-                if tag:
-                    self._by_tag.setdefault(tag, []).append(index)
+        by_blogger, by_raw_tag = defaultdict(list), defaultdict(list)
+        for index, kind, blogger, tags in zip(count(), columns.types,
+                                              columns.bloggers, columns.tags):
+            if kind == "text":
+                by_blogger[blogger].append(index)
+                for raw in tags:
+                    by_raw_tag[raw].append(index)
+        self._by_blogger: dict[str, list[int]] = dict(by_blogger)
+        by_tag = defaultdict(list)
+        for raw, indexes in by_raw_tag.items():
+            tag = normalize_tag(raw)
+            if tag:
+                by_tag[tag].append(indexes)
+        # A post is listed once under each of its distinct tags.
+        self._by_tag: dict[str, list[int]] = {
+            tag: sorted(set(chain.from_iterable(lists)))
+            for tag, lists in by_tag.items()}
 
     @classmethod
     def load(cls, path) -> "FixtureStore":
@@ -456,7 +544,7 @@ def visit_log_from_json(document: dict) -> tuple[list[VisitRecord], list[str]]:
                 and isinstance(row[0], str) and NUMBER.test(row[1])):
             raise GraphFormatError(f"bad visit_log row {row!r}")
         try:
-            visit_log.append(VisitRecord(row[0], float(row[1]), Verdict(row[2])))
+            visit_log.append(VisitRecord(row[0], float(row[1]), verdict_of(row[2])))
         except (TypeError, ValueError) as exc:
             raise GraphFormatError(f"bad visit_log row {row!r}: {exc}") from exc
     return visit_log, discarded

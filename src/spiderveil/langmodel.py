@@ -30,6 +30,18 @@ class Verdict(Enum):
     UNKNOWN = "unknown"
 
 
+_VERDICT_OF = {verdict.value: verdict for verdict in Verdict}
+
+
+def verdict_of(value) -> Verdict:
+    """``Verdict(value)`` by one dict lookup instead of the Enum call's; a
+    value that names no verdict raises the Enum call's ValueError."""
+    try:
+        return _VERDICT_OF[value]
+    except (KeyError, TypeError):
+        return Verdict(value)
+
+
 @dataclass(frozen=True)
 class Threshold:
     """Classification cut: mean of the seed bloggers' scores."""

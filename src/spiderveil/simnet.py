@@ -138,13 +138,26 @@ def _split_vocab(vocab) -> tuple[list[str], list[str]]:
     return content, glue
 
 
-# The two helpers below make the draws of ``Random.randrange(n)`` and
-# ``Random.shuffle`` without their per-call Python frames.  On CPython
-# 3.10-3.13 both reduce to ``Random._randbelow_with_getrandbits``: draw
-# ``n.bit_length()`` bits and draw again while the value is >= n.  The tests
-# compare both against the interpreter's own ``randrange`` and ``shuffle``,
-# values and final state, so an interpreter that draws differently fails
-# there instead of writing a different store.
+# The helpers below make the draws of ``Random.randrange(n)``,
+# ``Random.randint`` and ``Random.shuffle`` without their per-call Python
+# frames.  On CPython 3.10-3.13 all three reduce to
+# ``Random._randbelow_with_getrandbits``: draw ``n.bit_length()`` bits and
+# draw again while the value is >= n, so a width of 1 still draws.  The tests
+# compare them against the interpreter's own ``randrange``, ``randint`` and
+# ``shuffle``, values and final state, so an interpreter that draws
+# differently fails there instead of writing a different store.
+
+
+def _below(getrandbits, n: int) -> int:
+    """``rng.randrange(n)``, with its ValueError for ``n < 1``: a tag pool
+    that repeats one tag leaves no second tag to draw."""
+    if n < 1:
+        raise ValueError("empty range for randrange()")
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
 
 
 def _draw_items(getrandbits, pool, count: int) -> list:
@@ -173,10 +186,10 @@ def _shuffle(getrandbits, items: list) -> None:
         items[i], items[j] = items[j], items[i]
 
 
-def _compose_post(rng: random.Random, content: list[str], glue: list[str],
+def _compose_post(getrandbits, content: list[str], glue: list[str],
                   words_range: tuple[int, int]) -> str:
-    getrandbits = rng.getrandbits
-    count = rng.randint(*words_range)
+    low, high = words_range
+    count = low + _below(getrandbits, high - low + 1)
     glue_count = round(GLUE_RATE * count) if glue else 0
     tokens = _draw_items(getrandbits, content, count - glue_count)
     tokens += _draw_items(getrandbits, glue, glue_count)
@@ -212,45 +225,52 @@ def generate(params: GeneratorParams) -> tuple[dict, dict[str, bool]]:
     off_content, off_glue = _split_vocab(params.off_topic_vocab)
     note_low, note_high = params.notes_per_post
 
+    getrandbits, random_ = rng.getrandbits, rng.random
+    bias = params.intra_community_note_bias
     posts = []
     post_serial = 0
     for index, name in enumerate(names):
         is_relevant = truth[name]
         # Names are unique, so the blogger sits at one known slot of its
-        # community: relevant bloggers first, decoys after them.
+        # community: relevant bloggers first, decoys after them.  A noter
+        # from the writer's own community is drawn among the other slots.
         if is_relevant:
             community, slot, other_pool = relevant_names, index, decoy_names
         else:
             community, slot, other_pool = decoy_names, index - n_relevant, relevant_names
-        same_pool = community[:slot] + community[slot + 1:]
+        same_count = len(community) - 1
+        other_count = len(other_pool)
         for _ in range(params.posts_per_blogger):
             mixed = (is_relevant and name != seed_name
-                     and rng.random() < params.mixing_prob)
+                     and random_() < params.mixing_prob)
             if is_relevant and not mixed:
                 content, glue, tag_pool = on_content, on_glue, params.on_topic_tags
             elif is_relevant:
                 content, glue, tag_pool = off_content, off_glue, ()
             else:
                 content, glue, tag_pool = off_content, off_glue, params.off_topic_tags
-            body = _compose_post(rng, content, glue, params.words_per_post)
+            body = _compose_post(getrandbits, content, glue, params.words_per_post)
 
             tags: list[str] = []
             if tag_pool:
-                tags.append(tag_pool[rng.randrange(len(tag_pool))])
-                if len(tag_pool) > 1 and rng.random() < 0.5:
+                tags.append(tag_pool[_below(getrandbits, len(tag_pool))])
+                if len(tag_pool) > 1 and random_() < 0.5:
                     remaining = [t for t in tag_pool if t != tags[0]]
-                    tags.append(remaining[rng.randrange(len(remaining))])
+                    tags.append(remaining[_below(getrandbits, len(remaining))])
 
-            note_count = note_high if name == seed_name else rng.randint(note_low, note_high)
+            note_count = (note_high if name == seed_name
+                          else note_low + _below(getrandbits, note_high - note_low + 1))
             notes = []
             seen_notes = set()
             for _ in range(note_count):
-                pool = same_pool if rng.random() < params.intra_community_note_bias else other_pool
-                # GeneratorParams rejects an empty community.
-                if not pool:
-                    pool = other_pool
-                noter = pool[rng.randrange(len(pool))]
-                kind = "like" if rng.random() < 0.5 else "reblog"
+                # A one-blogger community has no other slot; GeneratorParams
+                # rejects an empty one, so the other pool never is.
+                if random_() < bias and same_count:
+                    r = _below(getrandbits, same_count)
+                    noter = community[r + (r >= slot)]
+                else:
+                    noter = other_pool[_below(getrandbits, other_count)]
+                kind = "like" if random_() < 0.5 else "reblog"
                 if (noter, kind) in seen_notes:
                     continue
                 seen_notes.add((noter, kind))

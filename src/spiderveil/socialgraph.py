@@ -24,7 +24,7 @@ import numpy as np
 
 from .corpus import NoteKind
 from .errors import NUMBER, GraphFormatError, SelfLoopError, parse_json
-from .langmodel import Verdict
+from .langmodel import Verdict, verdict_of
 
 
 def _node_name(value) -> str:
@@ -254,7 +254,7 @@ class CommunityGraph:
                 name = _node_name(node["id"])
                 if name in ids:
                     raise ValueError(f"node id {name!r} is listed twice")
-                verdicts.append(Verdict(verdict) if verdict is not None else None)
+                verdicts.append(verdict_of(verdict) if verdict is not None else None)
                 scores.append(score)
                 ids[name] = len(ids)
             for edge in data["edges"]:

@@ -13,9 +13,11 @@ pass as a loop over one source at a time, as the batched numpy form
 replaced; the normalizer's oracle is the three-substitution form it
 replaced; the language detector's oracle tokenizes every text by one regex
 findall; the fixture store's oracle parses
-every post at load, as the lazy store replaced; the generator's oracle draws
-through ``randrange`` and ``shuffle``, and the trainer's oracle counts one
-character at a time.  The graph and crawl-state oracles keep each edge's and
+every post at load, as the lazy store replaced, and the store check's oracle
+walks the records one at a time, as the column checks replaced; the
+generator's oracle draws through ``randint``, ``randrange`` and ``shuffle``,
+and the trainer's oracle counts one character at a time.  The graph and
+crawl-state oracles keep each edge's and
 each discoverer's labels as a set of kinds, as the bitmask form replaced.
 The selection oracle sums each blogger's discoverer shares in a loop over
 the frontier map, as the ``bincount`` over frontier pairs replaced.
@@ -40,8 +42,9 @@ from spiderveil.corpus import (ENGLISH_FUNCTION_WORDS, LanguageVerdict,
                                NoteKind, Post, normalize_tag)
 from spiderveil.crawler import (CHECKPOINT_FORMAT, CHECKPOINT_VERSION,
                                 CrawlSession, SelectionPolicy, TransitionMatrix,
-                                extract_frontiers, post_from_record,
-                                validate_fixture, visit_log_to_json)
+                                check_post_record, extract_frontiers,
+                                post_from_record, validate_fixture,
+                                visit_log_to_json)
 from spiderveil.errors import GraphFormatError, NotFoundError, SelfLoopError
 from spiderveil.langmodel import SENTINEL, UNKNOWN, Verdict
 from spiderveil.simnet import GLUE_RATE, _split_vocab, relevant_count
@@ -580,6 +583,58 @@ def reference_detect_communities(graph) -> Partition:
             relabel[community] = len(relabel)
         community_of[node] = relabel[community]
     return Partition(assignment=community_of)
+
+
+def reference_validate_fixture(data) -> None:
+    """Raise GraphFormatError unless ``data`` is a well-formed fixture store,
+    checking one record at a time.
+
+    ``validate_fixture`` must accept exactly what this accepts and raise the
+    same message, the one naming the first fault in record order.
+    """
+    def bad(message: str) -> GraphFormatError:
+        return GraphFormatError(f"bad fixture store: {message}")
+
+    if not isinstance(data, dict):
+        raise bad("top level is not an object")
+    for key in ("blogs", "posts"):
+        if key not in data:
+            raise bad(f"{key!r} is missing")
+        if not isinstance(data[key], list):
+            raise bad(f"{key!r} is not an array")
+    if "seed" in data and not (isinstance(data["seed"], str) and data["seed"] != ""):
+        raise bad("'seed' is not a non-empty string")
+    for i, blog in enumerate(data["blogs"]):
+        name = blog.get("name") if isinstance(blog, dict) else None
+        if not (isinstance(name, str) and name != ""):
+            raise bad(f"blogs[{i}] has no non-empty string 'name'")
+    seen: set[str] = set()
+    for i, post in enumerate(data["posts"]):
+        check_post_record(post, f"bad fixture store: posts[{i}]")
+        if post["id"] in seen:
+            raise bad(f"duplicate post id {post['id']!r}")
+        seen.add(post["id"])
+
+
+def reference_store_index(data: dict) -> tuple[dict, dict, set]:
+    """(posts by blogger, posts by tag, known bloggers) of a checked store,
+    as post indexes in record order, built one record at a time.
+
+    ``FixtureStore`` must build equal ``_by_blogger``, ``_by_tag`` and
+    ``_blogs``.
+    """
+    by_blogger: dict[str, list[int]] = {}
+    by_tag: dict[str, list[int]] = {}
+    blogs = {blog["name"] for blog in data["blogs"]}
+    for index, record in enumerate(data["posts"]):
+        blogs.add(record["blog_name"])
+        if record["type"] != "text":
+            continue
+        by_blogger.setdefault(record["blog_name"], []).append(index)
+        for tag in set(map(normalize_tag, record.get("tags", ()))):
+            if tag:
+                by_tag.setdefault(tag, []).append(index)
+    return by_blogger, by_tag, blogs
 
 
 class EagerFixtureStore:

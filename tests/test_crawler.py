@@ -8,6 +8,7 @@ import sys
 import threading
 from collections import deque
 from pathlib import Path
+from types import MappingProxyType
 from urllib.parse import parse_qsl, unquote, urlsplit
 
 import numpy as np
@@ -36,7 +37,8 @@ from conftest import (EDGE_STORES, HAND_BODIES, MALFORMED_POSTS,
                       MALFORMED_STORES, FakeGet, make_post)
 from oracles import (EagerFixtureStore, ReferenceCrawlSession,
                      propagate_oracle, random_digraph, reference_select_next,
-                     reference_transition_matrix)
+                     reference_store_index, reference_transition_matrix,
+                     reference_validate_fixture)
 from test_golden import (SEEDS, checkpoint_bytes, crawl_session, crawl_trace,
                          golden_path, network)
 from test_perfbench_trace import load_tracer
@@ -90,13 +92,21 @@ class TestFixtureValidation:
         with pytest.raises(GraphFormatError):
             FixtureStore.load(path)
 
-    def test_load_checks_each_post_once(self, hand_store_data, monkeypatch):
+    def test_load_walks_posts_only_to_the_first_fault(self, hand_store_data,
+                                                      monkeypatch):
         checked = []
         check = crawler_module.check_post_record
         monkeypatch.setattr(crawler_module, "check_post_record",
                             lambda post, where: checked.append(post) or check(post, where))
         FixtureStore(hand_store_data)
-        assert checked == hand_store_data["posts"]
+        assert checked == []
+        data = copy.deepcopy(hand_store_data)
+        data["posts"][2]["notes"][1]["kind"] = "favorite"
+        data["posts"][4]["id"] = 5
+        with pytest.raises(GraphFormatError,
+                           match=r"^bad fixture store: posts\[2\] has a note "):
+            FixtureStore(data)
+        assert checked == data["posts"][:3]
 
     @pytest.mark.parametrize("name", EDGE_STORES)
     def test_edge_store_accepted(self, name):
@@ -249,6 +259,149 @@ class TestFixtureChecksMatchSchema:
     @settings(max_examples=400, deadline=None)
     def test_random_documents(self, schema_accepts, document):
         assert checks_accept(document) == schema_accepts(document)
+
+
+class _Record(dict):
+    pass
+
+
+class _Name(str):
+    pass
+
+
+class _Items(list):
+    pass
+
+
+# Values a mutation may put in place of a field: every JSON kind, empty and
+# not, and records that pass as a blog, a post's fields or a note.
+RETYPED = (None, 0, 1.5, True, "x", "", [], {}, ["x"], [{"blog_name": "a"}],
+           {"name": "a", "blog_name": "a", "kind": "like"})
+TAGS = ("t", "#T ", "u", "", "#", " U ")
+
+
+def _slots(store: dict) -> list[tuple]:
+    """Every (container, key) of a store-shaped document, down to notes."""
+    slots = [(store, key) for key in store]
+    for key in ("blogs", "posts"):
+        records = store.get(key)
+        if not isinstance(records, list):
+            continue
+        slots += [(records, i) for i in range(len(records))]
+        for record in records:
+            if not isinstance(record, dict):
+                continue
+            slots += [(record, field) for field in record]
+            for field in ("tags", "notes"):
+                items = record.get(field)
+                if isinstance(items, list):
+                    slots += [(items, i) for i in range(len(items))]
+                    slots += [(note, name) for note in items
+                              if isinstance(note, dict) for name in note]
+    return slots
+
+
+def _mutate(draw, store: dict) -> None:
+    """Drop, retype, empty, duplicate or subclass one field of ``store``."""
+    slots = _slots(store)
+    if not slots:   # every top-level key was dropped
+        return
+    container, key = draw(st.sampled_from(slots))
+    value = container[key]
+    operation = draw(st.sampled_from(
+        ("drop", "retype", "empty", "duplicate", "subclass")))
+    if operation == "drop":
+        del container[key]
+    elif operation == "retype":
+        container[key] = copy.deepcopy(draw(st.sampled_from(RETYPED)))
+    elif operation == "empty":
+        container[key] = next((kind() for kind in (str, list, dict)
+                               if isinstance(value, kind)), None)
+    elif operation == "duplicate" and isinstance(container, list):
+        container.insert(key, copy.deepcopy(value))
+    elif operation == "duplicate":
+        others = [other[key] for other, field in slots
+                  if field == key and other is not container]
+        if others:
+            container[key] = copy.deepcopy(draw(st.sampled_from(others)))
+    else:
+        for kind, subclass in ((dict, _Record), (str, _Name), (list, _Items)):
+            if isinstance(value, kind):
+                container[key] = subclass(value)
+                break
+
+
+@st.composite
+def mutated_stores(draw):
+    """A well-formed store with up to three faults made by ``_mutate``."""
+    names = st.sampled_from(("a", "b", "c"))
+    posts = []
+    for i in range(draw(st.integers(0, 5))):
+        post = {"id": f"p{i}", "blog_name": draw(names),
+                "type": draw(st.sampled_from(("text", "photo")))}
+        for key in ("body", "caption", "slug"):
+            if draw(st.booleans()):
+                post[key] = draw(st.sampled_from(("", "x")))
+        if draw(st.booleans()):
+            post["tags"] = draw(st.lists(st.sampled_from(TAGS), max_size=3))
+        if draw(st.booleans()):
+            post["notes"] = [{"blog_name": name, "kind": kind} for name, kind in draw(
+                st.lists(st.tuples(names, st.sampled_from(("like", "reblog"))),
+                         max_size=3))]
+        posts.append(post)
+    store = {"blogs": [{"name": name} for name in draw(st.lists(names, max_size=3))],
+             "posts": posts}
+    if draw(st.booleans()):
+        store["seed"] = "a"
+    for _ in range(draw(st.integers(0, 3))):
+        _mutate(draw, store)
+    return store
+
+
+def _fault(check, document) -> str | None:
+    try:
+        check(document)
+    except GraphFormatError as exc:
+        return str(exc)
+    return None
+
+
+class TestStoreChecksMatchReference:
+    """The column checks against the per-record walk they replaced."""
+
+    def _assert_same(self, document):
+        fault = _fault(reference_validate_fixture, document)
+        assert _fault(validate_fixture, document) == fault
+        if fault is None:
+            store = FixtureStore(document)
+            assert ((store._by_blogger, store._by_tag, store._blogs)
+                    == reference_store_index(document))
+
+    def test_tables_and_stores(self, hand_store_data, small_bundle):
+        for document in [*MALFORMED_STORES.values(), *EDGE_STORES.values(),
+                         hand_store_data, small_bundle.store_data]:
+            self._assert_same(document)
+
+    def test_a_mapping_other_than_dict_is_not_a_record(self, hand_store_data):
+        for path in (("blogs", 1), ("posts", 2), ("posts", 2, "notes", 1)):
+            document = copy.deepcopy(hand_store_data)
+            *parents, last = path
+            container = document
+            for key in parents:
+                container = container[key]
+            container[last] = MappingProxyType(container[last])
+            self._assert_same(document)
+            assert _fault(validate_fixture, document) is not None
+
+    @given(store=mutated_stores())
+    @settings(max_examples=600, deadline=None)
+    def test_mutated_stores(self, store):
+        self._assert_same(store)
+
+    @given(document=fixture_documents())
+    @settings(max_examples=300, deadline=None)
+    def test_random_documents(self, document):
+        self._assert_same(document)
 
 
 class TestFixtureStore:
@@ -1283,6 +1436,14 @@ class TestCrawlResultSerialization:
         assert again.visit_log == result.visit_log
         assert again.discarded == result.discarded
         assert again.canonical_bytes() == result.canonical_bytes()
+
+    @pytest.mark.parametrize("verdict", ("bogus", 1, None, ["unknown"]))
+    def test_unknown_verdict_names_the_row(self, verdict):
+        row = ["a", -1.0, verdict]
+        with pytest.raises(GraphFormatError) as caught:
+            visit_log_from_json({"visit_log": [row], "discarded": []})
+        assert str(caught.value) == (f"bad visit_log row {row!r}: "
+                                     f"{verdict!r} is not a valid Verdict")
 
     def test_predicted_verdicts_cover_discards(self, hand_store, hand_model,
                                                hand_config):

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +13,7 @@ from spiderveil.crawler import (CrawlConfig, crawl, predicted_verdicts,
 from spiderveil.langmodel import Verdict
 from spiderveil.simnet import (DEFAULT_OFF_TOPIC_VOCAB,
                                DEFAULT_ON_TOPIC_VOCAB, ConfusionMatrix,
-                               GeneratorParams, _draw_items, _shuffle,
+                               GeneratorParams, _below, _draw_items, _shuffle,
                                evaluate, generate, relevant_count,
                                report_from_matrix, truncate2,
                                truth_from_json_dict, truth_to_json_dict)
@@ -290,6 +291,46 @@ class TestDrawsMatchRandom:
                                            posts_per_blogger=10,
                                            words_per_post=(150, 250))):
                 assert generate(params) == reference_generate(params)
+
+    @pytest.mark.parametrize("fraction", (0.2, 0.8), ids=("one relevant", "one decoy"))
+    def test_one_blogger_community_and_one_notes_value_equal_reference(self, fraction):
+        # A community of one blogger leaves its own pool empty, and a range
+        # of one value still draws, as randint does.
+        for seed in range(8):
+            params = GeneratorParams(total_bloggers=5, relevant_fraction=fraction,
+                                     notes_per_post=(3, 3), words_per_post=(6, 6),
+                                     posts_per_blogger=2, rng_seed=seed)
+            assert (cli.json_text(generate(params))
+                    == cli.json_text(reference_generate(params)))
+
+    # Widths 1 and 2, the powers of two and one above each, up to 2**20 + 1.
+    WIDTHS = sorted({1, 2} | {2 ** k + d for k in range(1, 21) for d in (0, 1)})
+
+    def test_below_equals_randrange_and_randint(self):
+        for n in self.WIDTHS:
+            ours, theirs = random.Random(n), random.Random(n)
+            drawn = [_below(ours.getrandbits, n) for _ in range(40)]
+            assert drawn == [theirs.randrange(n) for _ in range(40)], n
+            assert ours.getstate() == theirs.getstate(), n
+            low = n % 5 - 2
+            drawn = [low + _below(ours.getrandbits, n) for _ in range(40)]
+            assert drawn == [theirs.randint(low, low + n - 1) for _ in range(40)], n
+            assert ours.getstate() == theirs.getstate(), n
+
+    def test_empty_width_raises_as_randrange_does(self):
+        # A tag pool that repeats one tag leaves an empty width to draw below.
+        with pytest.raises(ValueError) as theirs:
+            random.Random(0).randrange(0)
+        rng = random.Random(0)
+        calls = iter(range(100))
+
+        def getrandbits(k):     # fails instead of drawing without end
+            next(calls)
+            return rng.getrandbits(k)
+
+        with pytest.raises(ValueError, match=f"^{re.escape(str(theirs.value))}$"):
+            _below(getrandbits, 0)
+        assert rng.getstate() == random.Random(0).getstate()
 
     def test_draw_equals_randrange(self):
         for n in self.BOUNDS:

@@ -813,6 +813,22 @@ class TestExports:
                 {"id": "a", "verdict": "relevant", "score": -0.5},
                 {"id": "a", "verdict": None, "score": -0.9}], "edges": []})
 
+    @pytest.mark.parametrize("verdict", ("bogus", "RELEVANT", 1, True, ["relevant"]))
+    def test_unknown_verdict_names_the_value(self, verdict):
+        # The message is the one ``Verdict(value)`` raises.
+        with pytest.raises(GraphFormatError) as caught:
+            CommunityGraph.from_json_dict(
+                {"nodes": [{"id": "a", "verdict": verdict}], "edges": []})
+        assert str(caught.value) == (f"bad graph document: {verdict!r} "
+                                     "is not a valid Verdict")
+
+    def test_known_verdicts_read_as_members(self):
+        graph = CommunityGraph.from_json_dict({"nodes": [
+            {"id": "a", "verdict": "relevant"}, {"id": "b", "verdict": "unknown"},
+            {"id": "c"}], "edges": []})
+        assert [graph.verdict(name) for name in "abc"] == [
+            Verdict.RELEVANT, Verdict.UNKNOWN, None]
+
 
 NAMES = st.sampled_from("abcdefg")
 VERDICTS = st.sampled_from([None, *Verdict])

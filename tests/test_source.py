@@ -2,12 +2,15 @@
 every module parses as the oldest supported Python, no module imports a name
 it never uses, ``errors.atomic_write_bytes`` is the package's only file
 writer, ``cli`` alone prints and raises only what ``EXIT_CODES`` maps,
-only ``socialgraph`` reads the graph store's fields, and the package imports
-exactly the standard library, itself and its declared dependencies."""
+only ``socialgraph`` reads the graph store's fields, ``simnet`` draws only
+through ``getrandbits`` and ``random``, ``json.loads`` is called only where
+a JSON document enters, and the package imports exactly the standard
+library, itself and its declared dependencies."""
 
 import ast
 import builtins
 import os
+import random
 import re
 import subprocess
 import sys
@@ -129,6 +132,49 @@ def test_only_socialgraph_reads_the_graph_store():
                    if isinstance(node, ast.Attribute) and node.attr in fields
                    and node.attr not in allowed.get(_id(path), ()))
     assert not reads, f"modules outside socialgraph.py read its store: {reads}"
+
+
+def test_simnet_draws_only_through_getrandbits_and_random():
+    """Every other ``Random`` method goes through Python frames per draw;
+    ``simnet`` makes its draws from ``getrandbits`` instead."""
+    methods = {name for name in dir(random.Random) if not name.startswith("__")
+               and callable(getattr(random.Random, name))}
+    path = ROOT / "src" / "spiderveil" / "simnet.py"
+    used = sorted((node.lineno, node.attr) for node in ast.walk(_tree(path))
+                  if isinstance(node, ast.Attribute)
+                  and node.attr in methods - {"getrandbits", "random"})
+    assert not used, f"simnet.py uses Random methods: {used}"
+
+
+# The functions that decode JSON text: the file decoder, the corpus reader
+# (one document per line) and the HTTP store (a response body).
+JSON_DECODERS = {("errors.py", "parse_json"), ("corpus.py", "ExemplarCorpus.load"),
+                 ("crawler.py", "HttpJsonStore._get")}
+
+
+def _calls_in_scopes(path: Path):
+    """(dotted name of the enclosing class and function, call) of every
+    call in a module; a call at module level has the name ''."""
+    scopes = [("", _tree(path))]
+    while scopes:
+        scope, node = scopes.pop()
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                scopes.append((f"{scope}.{child.name}".lstrip("."), child))
+                continue
+            if isinstance(child, ast.Call):
+                yield scope, child
+            scopes.append((scope, child))
+
+
+def test_json_loads_is_called_only_where_json_enters():
+    callers = {(path.name, scope) for path in PACKAGE
+               for scope, call in _calls_in_scopes(path)
+               if isinstance(call.func, ast.Attribute) and call.func.attr == "loads"
+               and getattr(call.func.value, "id", None) == "json"}
+    assert callers, "no json.loads call found"
+    assert callers <= JSON_DECODERS, \
+        f"json.loads called outside {sorted(JSON_DECODERS)}: {sorted(callers - JSON_DECODERS)}"
 
 
 def _top_level_imports(path: Path) -> set[str]:
