@@ -666,22 +666,27 @@ class Frontier:
     each graph node that discovered them and that discoverer's labels.
 
     ``add`` is the one way in after the map is made, and ``visit`` the one
-    way out.  From the first ``pairs`` call on, the frontier also keeps
-    integer arrays for selection by mass: a slot per blogger in discovery
-    order, and the (slot, discoverer) pairs in discovery order.  A visited
-    blogger's slot stays behind as a tombstone.  Uniform selection never
-    asks for the arrays, so it never builds them.
+    way out.  Beside the map the frontier keeps integer arrays for selection
+    by mass: a slot per blogger in discovery order, and the (slot,
+    discoverer's node id in ``graph``) pairs in discovery order.  A visited
+    blogger's slot stays behind as a tombstone.
     """
 
-    def __init__(self, parents: dict[str, dict] | None = None):
+    def __init__(self, graph: CommunityGraph,
+                 parents: dict[str, dict] | None = None):
         self.parents: dict[str, dict] = {} if parents is None else parents
-        # Live blogger -> slot; None until the first ``pairs`` call.
-        self._slot_of: dict[str, int] | None = None
-        self._names: list[str] = []  # slot -> blogger
-        self._tombstones = array("d")  # slot -> 0.0, or -inf once visited
-        self._slots = array("q")  # pair -> slot
-        self._parent_ids = array("q")  # pair -> discoverer's node id
-        self._unresolved: list[str] = []  # discoverers of the newest pairs
+        self._ids = graph._ids  # the graph's name -> node id map; only grows
+        self._names = list(self.parents)  # slot -> blogger
+        self._slot_of = dict(zip(self._names, count()))  # live blogger -> slot
+        # slot -> 0.0, or -inf once visited
+        self._tombstones = array("d", [0.0]) * len(self._names)
+        # pair -> slot, and pair -> discoverer's node id, in map order
+        sizes = np.fromiter(map(len, self.parents.values()), np.int64,
+                            len(self._names))
+        self._slots = array("q", np.arange(len(sizes), dtype=np.int64)
+                            .repeat(sizes).tobytes())
+        self._parent_ids = array("q", map(self._ids.__getitem__,
+                                          chain.from_iterable(self.parents.values())))
 
     def __len__(self) -> int:
         return len(self.parents)
@@ -689,43 +694,31 @@ class Frontier:
     def __iter__(self):
         return iter(self.parents)
 
-    def _new_slot(self, target: str) -> int:
-        slot = self._slot_of[target] = len(self._names)
-        self._names.append(target)
-        self._tombstones.append(0.0)
-        return slot
-
     def add(self, target: str, parent: str, labels) -> None:
         """Record ``parent``, a graph node, as a discoverer of ``target``."""
         parents = self.parents.get(target)
         if parents is None:
             parents = self.parents[target] = {}
-            if self._slot_of is not None:
-                self._new_slot(target)
-        if self._slot_of is not None and parent not in parents:
+            self._slot_of[target] = len(self._names)
+            self._names.append(target)
+            self._tombstones.append(0.0)
+        if parent not in parents:
             self._slots.append(self._slot_of[target])
-            self._unresolved.append(parent)
+            self._parent_ids.append(self._ids[parent])
         parents[parent] = labels
 
     def visit(self, target: str) -> dict:
         """Remove ``target``; its discoverers, or {} if it was never found."""
-        if self._slot_of is not None and target in self._slot_of:
-            self._tombstones[self._slot_of.pop(target)] = -math.inf
+        slot = self._slot_of.pop(target, None)
+        if slot is not None:
+            self._tombstones[slot] = -math.inf
         return self.parents.pop(target, {})
 
-    def pairs(self, graph: CommunityGraph):
+    def pairs(self):
         """(pair slots, pair discoverer ids, per-slot tombstones, slot names).
 
-        Discoverer ids are node ids of ``graph``; a tombstone is -inf and a
-        live slot's is 0.0.
+        A tombstone is -inf and a live slot's is 0.0.
         """
-        if self._slot_of is None:
-            self._slot_of = {}
-            for target, parents in self.parents.items():
-                self._slots.extend(repeat(self._new_slot(target), len(parents)))
-                self._unresolved.extend(parents)
-        self._parent_ids.extend(map(graph._ids.__getitem__, self._unresolved))
-        self._unresolved.clear()
         return (np.array(self._slots, dtype=np.intp),
                 np.array(self._parent_ids, dtype=np.intp),
                 np.array(self._tombstones), self._names)
@@ -748,7 +741,7 @@ def select_next(frontier: Frontier, p, policy: SelectionPolicy,
     if policy is SelectionPolicy.UNIFORM_RANDOM:
         return next(islice(frontier, int(rng.random() * len(frontier)), None))
 
-    slots, parents, tombstones, names = frontier.pairs(graph)
+    slots, parents, tombstones, names = frontier.pairs()
     nodes = graph.nodes()
     mass = np.fromiter(map(p.get, nodes, repeat(0.0)), dtype=float,
                        count=len(nodes))
@@ -783,7 +776,7 @@ class CrawlSession:
         self._processed: dict[str, None] = {}
         # Every discovered, unvisited blogger (the one picked next included,
         # until visited) -> each graph node that discovered them -> label mask.
-        self._frontier = Frontier()
+        self._frontier = Frontier(self._graph)
         self._selections = 0
         self._current: str | None = config.seed
         self._stop: StopReason | None = None
@@ -979,7 +972,7 @@ class CrawlSession:
                 if not parents.keys() <= nodes:
                     raise GraphFormatError(f"pending blogger {target!r} has a "
                                            "discoverer outside the graph")
-            session._frontier = Frontier(frontier)
+            session._frontier = Frontier(session._graph, frontier)
             # Until the seed is admitted, only the seed itself can be next.
             waiting = (frontier
                        or checkpoint["current"] not in (None, config.seed))

@@ -109,6 +109,10 @@ class GeneratorParams:
             raise ValueError("posts_per_blogger must be >= 1")
         if not self.on_topic_tags or not self.off_topic_tags:
             raise ValueError("tag pools must be non-empty")
+        for name in ("on_topic_tags", "off_topic_tags"):
+            pool = getattr(self, name)
+            if len(set(pool)) < len(pool):
+                raise ValueError(f"{name} must not repeat a tag")
         if not 1 <= relevant_count(self) < self.total_bloggers:
             raise ValueError("params leave one community empty")
 
@@ -149,8 +153,8 @@ def _split_vocab(vocab) -> tuple[list[str], list[str]]:
 
 
 def _below(getrandbits, n: int) -> int:
-    """``rng.randrange(n)``, with its ValueError for ``n < 1``: a tag pool
-    that repeats one tag leaves no second tag to draw."""
+    """``rng.randrange(n)``, with its ValueError for ``n < 1``, where
+    ``getrandbits(0)`` would return 0 without end."""
     if n < 1:
         raise ValueError("empty range for randrange()")
     k = n.bit_length()

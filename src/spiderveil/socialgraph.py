@@ -44,20 +44,10 @@ LABEL_KINDS = tuple(frozenset(kind for kind in NoteKind
                     for mask in range(1 << len(NoteKind)))
 LABEL_VALUES = tuple(tuple(sorted(kind.value for kind in kinds))
                      for kinds in LABEL_KINDS)
-# The mask of each label array as documents write it, keyed by its tuple.
-_WRITTEN_MASK = {values: mask for mask, values in enumerate(LABEL_VALUES) if mask}
 
 
 def label_mask(values) -> int:
-    """The mask of a JSON label array: a non-empty list of kind values.
-
-    An array as documents write it is one lookup; any other goes through
-    the checks, so every error message stays."""
-    if type(values) is list:
-        try:
-            return _WRITTEN_MASK[tuple(values)]
-        except (KeyError, TypeError):  # not as written, or an unhashable item
-            pass
+    """The mask of a JSON label array: a non-empty list of kind values."""
     if not isinstance(values, list):
         raise TypeError(f"labels {values!r} are not an array")
     if not values:

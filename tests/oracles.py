@@ -961,8 +961,9 @@ class ReferenceCrawlSession(CrawlSession):
     """A crawl session whose frontier keeps each discoverer's labels as a set
     of kinds and links one label at a time, with the checkpoint expressions
     that read them; ``CrawlSession`` must write equal checkpoints.  Its
-    bloggers enter the frontier through ``Frontier.add``, as the session's
-    do, so selection reads the same pairs."""
+    bloggers enter the frontier that ``CrawlSession`` builds over the
+    session's graph through ``Frontier.add``, each discoverer a graph node
+    by then, as the session's do, so selection reads the same pairs."""
 
     def _admit(self, name: str, score: float, posts, parents) -> None:
         self._graph.add_node(name, Verdict.RELEVANT, score)

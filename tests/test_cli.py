@@ -148,6 +148,7 @@ class TestGen:
         ({"total_bloggers": 10, "relevant_fraction": 0.9999999999}, 4,
          "community empty"),
         ({"off_topic_vocab": []}, 4, "vocabularies must be non-empty"),
+        ({"total_bloggers": 20, "on_topic_tags": ["a", "a"]}, 4, "on_topic_tags"),
     ])
     def test_bad_params_exit_with_an_error_line(self, tmp_path, capsys,
                                                 params, code, key):

@@ -3,6 +3,7 @@ import http.server
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import threading
@@ -1211,8 +1212,8 @@ class TestPropagate:
 class TestSelectNext:
     """``select_next`` over the session's map: target -> {parent: labels}."""
 
-    def frontier(self, *pairs):
-        frontier = Frontier()
+    def frontier(self, graph, *pairs):
+        frontier = Frontier(graph)
         for target, parent in pairs:
             frontier.add(target, parent, {NoteKind.LIKE})
         return frontier
@@ -1224,39 +1225,44 @@ class TestSelectNext:
         return graph
 
     def test_empty_frontier_rejected(self):
+        graph = self.graph()
         with pytest.raises(ValueError):
-            select_next(Frontier(), {}, SelectionPolicy.MAX_MARKOV,
-                        random.Random(0), self.graph())
+            select_next(Frontier(graph), {}, SelectionPolicy.MAX_MARKOV,
+                        random.Random(0), graph)
 
     def test_single_entry_both_policies(self):
-        frontier = self.frontier(("only", "seed"))
+        graph = self.graph("seed")
+        frontier = self.frontier(graph, ("only", "seed"))
         for policy in SelectionPolicy:
             picked = select_next(frontier, {"seed": 1.0}, policy,
-                                 random.Random(3), self.graph("seed"))
+                                 random.Random(3), graph)
             assert picked == "only"
 
     def test_uniform_uses_exactly_one_draw(self):
-        frontier = self.frontier(*((f"blog{i}", "seed") for i in range(3)))
+        graph = self.graph("seed")
+        frontier = self.frontier(graph, *((f"blog{i}", "seed") for i in range(3)))
         rng = random.Random(0)
         picked = select_next(frontier, {}, SelectionPolicy.UNIFORM_RANDOM, rng,
-                             self.graph("seed"))
+                             graph)
         twin = random.Random(0)
         expected_index = int(twin.random() * 3)
         assert picked == list(frontier)[expected_index]
         assert rng.random() == twin.random()  # both consumed just one float
 
     def test_markov_prefers_mass(self):
-        frontier = self.frontier(("weak", "pw"), ("strong", "ps"))
+        graph = self.graph("pw", "ps")
+        frontier = self.frontier(graph, ("weak", "pw"), ("strong", "ps"))
         p = {"pw": 0.2, "ps": 0.7}
         picked = select_next(frontier, p, SelectionPolicy.MAX_MARKOV,
-                             random.Random(0), self.graph("pw", "ps"))
+                             random.Random(0), graph)
         assert picked == "strong"
 
     def test_markov_tie_goes_to_earliest(self):
-        frontier = self.frontier(("first", "pa"), ("second", "pb"))
+        graph = self.graph("pa", "pb")
+        frontier = self.frontier(graph, ("first", "pa"), ("second", "pb"))
         p = {"pa": 0.5, "pb": 0.5}
         picked = select_next(frontier, p, SelectionPolicy.MAX_MARKOV,
-                             random.Random(0), self.graph("pa", "pb"))
+                             random.Random(0), graph)
         assert picked == "first"
 
     def test_unvisited_entry_inherits_from_parents(self):
@@ -1266,8 +1272,9 @@ class TestSelectNext:
         graph.add_link("b", "a", NoteKind.LIKE)
         graph.add_link("c", "a", NoteKind.LIKE)
         p = {"a": 0.2, "b": 0.5, "c": 0.3}
-        frontier = Frontier({"g": {"b": {NoteKind.LIKE}},
-                             "f": {"b": {NoteKind.LIKE}, "c": {NoteKind.REBLOG}}})
+        frontier = Frontier(graph, {
+            "g": {"b": {NoteKind.LIKE}},
+            "f": {"b": {NoteKind.LIKE}, "c": {NoteKind.REBLOG}}})
         picked = select_next(frontier, p, SelectionPolicy.MAX_MARKOV,
                              random.Random(0), graph)
         assert picked == "f"
@@ -1278,7 +1285,7 @@ class TestSelectNext:
         graph.add_link("b", "c", NoteKind.LIKE)   # out-degree 2
         graph.add_link("d", "a", NoteKind.LIKE)   # out-degree 1
         p = {"a": 0.0, "b": 0.4, "c": 0.0, "d": 0.3}
-        frontier = self.frontier(("from-b", "b"), ("from-d", "d"))
+        frontier = self.frontier(graph, ("from-b", "b"), ("from-d", "d"))
         picked = select_next(frontier, p, SelectionPolicy.MAX_MARKOV,
                              random.Random(0), graph)
         # 0.4 / 2 = 0.2 versus 0.3 / 1 = 0.3
@@ -1289,9 +1296,55 @@ class TestSelectNext:
 MASSES = st.sampled_from([0.0, 0.1, 0.125, 0.2, 0.3, 1 / 3, 0.5, 1.0])
 
 
+def live_pairs(frontier):
+    """Each live blogger, in slot order, with its discoverer ids in pair
+    order: the frontier's pairs with the slot numbers taken out."""
+    slots, parent_ids, tombstones, names = frontier.pairs()
+    live = {names[slot]: [] for slot in np.flatnonzero(tombstones == 0.0)}
+    for slot, parent_id in zip(slots.tolist(), parent_ids.tolist()):
+        if tombstones[slot] == 0.0:
+            live[names[slot]].append(parent_id)
+    return list(live.items())
+
+
+class TestFrontierWaysIn:
+    """A frontier grown by ``add`` and ``visit`` and one built from its map,
+    as ``CrawlSession.resume`` builds it, hold the same live pairs."""
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_built_from_the_map_matches_the_grown(self, data):
+        names = [f"n{i}" for i in range(data.draw(st.integers(1, 5)))]
+        graph = CommunityGraph()
+        for name in names:
+            graph.add_node(name)
+        nodes = st.sampled_from(names)
+        for _ in range(data.draw(st.integers(0, 8))):
+            src, dst = data.draw(nodes), data.draw(nodes)
+            if src != dst:
+                graph.add_labels(src, dst, 1)
+        grown = Frontier(graph)
+        for operation in data.draw(st.lists(st.sampled_from(
+                ["add", "add", "add", "visit"]), max_size=40)):
+            target = data.draw(st.sampled_from("abcdefg"))
+            if operation == "add":
+                grown.add(target, data.draw(nodes), 1)
+            else:
+                grown.visit(target)
+        built = Frontier(graph, grown.parents)
+        assert live_pairs(built) == live_pairs(grown)
+        if grown:
+            p = data.draw(st.dictionaries(nodes, MASSES))
+            for policy in SelectionPolicy:
+                seed = data.draw(st.integers(0, 2**32))
+                assert (select_next(built, p, policy, random.Random(seed), graph)
+                        == select_next(grown, p, policy, random.Random(seed), graph))
+
+
 class TestSelectNextMatchesReference:
     """The ``bincount`` over frontier pairs picks what the per-pair loop
-    over the frontier map picks, whenever the pairs were first built."""
+    over the frontier map picks, whether the frontier was grown by ``add``
+    or built from a map."""
 
     @given(st.data())
     @settings(max_examples=300, deadline=None)
@@ -1301,7 +1354,7 @@ class TestSelectNextMatchesReference:
         for name in names:
             graph.add_node(name)
         nodes, targets = st.sampled_from(names), st.sampled_from("abcdefg")
-        frontier = Frontier()
+        frontier = Frontier(graph)
         operations = data.draw(st.lists(st.sampled_from(
             ["add", "add", "add", "visit", "link", "resume", "select"]),
             max_size=40)) + ["select"]
@@ -1317,7 +1370,7 @@ class TestSelectNextMatchesReference:
             elif operation == "resume":
                 # A resumed frontier may list a blogger's parents in another
                 # order than they were found.
-                frontier = Frontier({
+                frontier = Frontier(graph, {
                     target: dict(data.draw(st.permutations(list(parents.items()))))
                     for target, parents in frontier.parents.items()})
             elif frontier:
@@ -1837,6 +1890,15 @@ class TestCheckpointResume:
         frozen = self._frozen_midway(small_bundle)
         frozen["pending"]["stranger"] = {frozen["config"]["seed"]: ["like"]}
         with pytest.raises(GraphFormatError):
+            CrawlSession.resume(small_bundle.store, small_bundle.model, frozen)
+
+    def test_resume_rejects_discoverer_outside_the_graph(self, small_bundle):
+        frozen = self._frozen_midway(small_bundle)
+        target = frozen["frontier"][0]["blog_name"]
+        pending = frozen["pending"][target]
+        pending["nobody"] = next(iter(pending.values()))  # same relation
+        with pytest.raises(GraphFormatError, match=re.escape(
+                f"pending blogger {target!r} has a discoverer outside the graph")):
             CrawlSession.resume(small_bundle.store, small_bundle.model, frozen)
 
     def test_resume_rejects_relation_other_than_pending_labels(self,

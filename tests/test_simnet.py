@@ -64,6 +64,8 @@ class TestParams:
             GeneratorParams(posts_per_blogger=0)
         with pytest.raises(ValueError):
             GeneratorParams(on_topic_tags=())
+        with pytest.raises(ValueError, match="off_topic_tags"):
+            GeneratorParams(off_topic_tags=("a", "b", "a"))
 
     def test_overlapping_vocabularies_rejected(self):
         with pytest.raises(ValueError):
@@ -318,7 +320,7 @@ class TestDrawsMatchRandom:
             assert ours.getstate() == theirs.getstate(), n
 
     def test_empty_width_raises_as_randrange_does(self):
-        # A tag pool that repeats one tag leaves an empty width to draw below.
+        # getrandbits(0) is always 0, so an empty width must raise, not loop.
         with pytest.raises(ValueError) as theirs:
             random.Random(0).randrange(0)
         rng = random.Random(0)
