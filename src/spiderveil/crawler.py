@@ -45,52 +45,76 @@ CHECKPOINT_VERSION = 1
 # by then.
 PROPAGATION_CAP = 64
 
-# A tuple, not a set: membership compares with ==, so an unhashable kind is
-# rejected instead of raising TypeError.
-NOTE_KINDS = tuple(kind.value for kind in NoteKind)
 # The kind of a checked note record, found without the Enum call's lookup.
 _NOTE_KIND_OF = {kind.value: kind for kind in NoteKind}
+_NOTE_KINDS = frozenset(_NOTE_KIND_OF)
 # The (blog_name, kind value) pair a note record is interned under.
 _NOTE_KEY = itemgetter("blog_name", "kind")
+# The value an absent tags or notes array is read as.
+_NO_ITEMS: list = []
 
 
-def _nonempty_str(value) -> bool:
-    return isinstance(value, str) and value != ""
+def _instances(kind: type, values) -> bool:
+    """True when every value is an instance of ``kind``, tested once per
+    type present."""
+    return all(issubclass(value_type, kind) for value_type in set(map(type, values)))
 
 
-def check_post_record(post, where: str) -> None:
-    """Raise GraphFormatError unless ``post`` is a well-formed post record.
+def _names(values) -> bool:
+    """True when every value is a non-empty string."""
+    return _instances(str, values) and "" not in values
+
+
+def _field(records: list, key: str, default) -> map:
+    """``record.get(key, default)`` of every record, without a Python frame."""
+    return map(dict.get, records, repeat(key), repeat(default))
+
+
+def post_fault(posts: list, columns: dict | None = None) -> str | None:
+    """The end of the message of the first rule of a post that ``posts``
+    breaks, such as ``" has no non-empty string 'id'"``; None when every
+    record is a well-formed post.
 
     A post is an object with non-empty string ``id``, ``blog_name`` and
     ``type``; ``body``, ``caption`` and ``slug`` are strings, ``tags`` an
     array of strings and ``notes`` an array of objects with a non-empty
     string ``blog_name`` and a ``kind`` of like or reblog, each when present.
-    Other keys are ignored.  ``where`` prefixes the message.
+    Other keys are ignored, and subclasses of dict, list and str pass.  Each
+    rule is checked over every record before the next, in that order, so the
+    message for a one-record list names that record's first fault.
+    ``columns``, when given, takes in the ``id``, ``blog_name``, ``type`` and
+    ``tags`` fields of every record as lists, as far as they were read.
     """
-    def bad(message: str) -> GraphFormatError:
-        return GraphFormatError(f"{where}{message}")
-
-    if not isinstance(post, dict):
-        raise bad(" is not an object")
+    if not _instances(dict, posts):
+        return " is not an object"
+    if columns is None:
+        columns = {}
     for key in ("id", "blog_name", "type"):
-        if not _nonempty_str(post.get(key)):
-            raise bad(f" has no non-empty string {key!r}")
+        values = columns[key] = list(_field(posts, key, None))
+        if not _names(values):
+            return f" has no non-empty string {key!r}"
     for key in ("body", "caption", "slug"):
-        if key in post and not isinstance(post[key], str):
-            raise bad(f".{key} is not a string")
-    if "tags" in post:
-        if not STRINGS.test(post["tags"]):
-            raise bad(".tags is not an array of strings")
-    if "notes" in post:
-        notes = post["notes"]
-        if not isinstance(notes, list):
-            raise bad(".notes is not an array")
-        for note in notes:
-            name = note.get("blog_name") if isinstance(note, dict) else None
-            if not (isinstance(name, str) and name != ""
-                    and note.get("kind") in NOTE_KINDS):
-                raise bad(" has a note without a non-empty string "
-                          "'blog_name' and a 'kind' of like or reblog")
+        if not _instances(str, _field(posts, key, "")):
+            return f".{key} is not a string"
+    tags = columns["tags"] = list(_field(posts, "tags", _NO_ITEMS))
+    if not (_instances(list, tags) and _instances(str, chain.from_iterable(tags))):
+        return ".tags is not an array of strings"
+    notes = list(_field(posts, "notes", _NO_ITEMS))
+    if not _instances(list, notes):
+        return ".notes is not an array"
+    # Each pass chains the note arrays again: a list of every note would
+    # raise the load's peak memory.  ``dict.__getitem__`` raises TypeError
+    # for a note that is no dict and KeyError for a missing field, and
+    # ``set`` TypeError for an unhashable kind or name.
+    try:
+        kinds = set(map(dict.__getitem__, chain.from_iterable(notes), repeat("kind")))
+        if kinds <= _NOTE_KINDS and _names(set(map(
+                dict.__getitem__, chain.from_iterable(notes), repeat("blog_name")))):
+            return None
+    except (KeyError, TypeError):
+        pass
+    return (" has a note without a non-empty string 'blog_name' and a 'kind'"
+            " of like or reblog")
 
 
 class StoreColumns(NamedTuple):
@@ -101,64 +125,14 @@ class StoreColumns(NamedTuple):
     tags: list[list[str]]     # posts[i]["tags"], [] when absent
 
 
-# The value an absent tags or notes array is read as.
-_NO_ITEMS: list = []
-_NOTE_KIND_SET = frozenset(NOTE_KINDS)
-
-
-def _are(kind: type, values) -> bool:
-    """True when every value is exactly of ``kind``, subclasses excluded."""
-    return set(map(type, values)) <= {kind}
-
-
-def _names(values: set) -> bool:
-    """True when every value is a non-empty ``str``."""
-    return _are(str, values) and "" not in values
-
-
-def _field(records: list, key: str, default) -> map:
-    """``record.get(key, default)`` of every record, without a Python frame."""
-    return map(dict.get, records, repeat(key), repeat(default))
-
-
-def _values(records, key: str) -> map:
-    """``record[key]`` of every record, which must each be a dict."""
-    return map(dict.__getitem__, records, repeat(key))
-
-
-def _store_columns(blogs: list, posts: list) -> StoreColumns:
-    """The columns of two arrays of objects; KeyError or TypeError when a
-    record is not one or lacks a field."""
-    return StoreColumns(list(map(itemgetter("name"), blogs)),
-                        list(map(itemgetter("blog_name"), posts)),
-                        list(map(itemgetter("type"), posts)),
-                        list(_field(posts, "tags", _NO_ITEMS)))
-
-
-def _columns_hold(blogs: list, posts: list, columns: StoreColumns) -> bool:
-    """Whether every record passes, checked a field at a time over all
-    records; a blog or post of a subclass of dict, or a field of a subclass
-    of str, fails here.  KeyError or TypeError when a note lacks a field, is
-    no dict, or a field that must be a string is unhashable."""
-    if not (_are(dict, blogs) and _are(dict, posts)
-            and _names(set(columns.blog_names)) and _names(set(columns.bloggers))
-            and _names(set(columns.types))):
-        return False
-    ids = set(map(itemgetter("id"), posts))
-    if not (len(ids) == len(posts) and _names(ids)
-            and all(_are(str, _field(posts, key, ""))
-                    for key in ("body", "caption", "slug"))
-            and _are(list, columns.tags)
-            and _are(str, chain.from_iterable(columns.tags))):
-        return False
-    notes = list(_field(posts, "notes", _NO_ITEMS))
-    if not _are(list, notes):
-        return False
-    # Each pass chains the note arrays again: a list of every note would
-    # raise the load's peak memory.  ``dict.__getitem__`` raises TypeError
-    # for a note that is no dict and KeyError for a missing field.
-    return (set(_values(chain.from_iterable(notes), "kind")) <= _NOTE_KIND_SET
-            and _names(set(_values(chain.from_iterable(notes), "blog_name"))))
+def _blog_names(blogs: list) -> list[str] | None:
+    """Every blog's name; None unless every blog is an object with a
+    non-empty string ``name``."""
+    if _instances(dict, blogs):
+        names = list(_field(blogs, "name", None))
+        if _names(names):
+            return names
+    return None
 
 
 def validate_fixture(data) -> StoreColumns:
@@ -167,10 +141,10 @@ def validate_fixture(data) -> StoreColumns:
 
     The top level is an object holding ``blogs`` and ``posts`` arrays and an
     optional non-empty string ``seed``.  Every blog is an object with a
-    non-empty string ``name``.  Every post passes check_post_record, and post
-    ids are unique.  Other keys are ignored.  The records are checked a field
-    at a time; only when a field fails are they walked one by one, so that
-    the message names the first fault in record order.
+    non-empty string ``name``.  Every post passes post_fault, and post ids
+    are unique.  Other keys are ignored.  The records are checked a field at
+    a time; only when a rule fails are they walked one by one, so that the
+    message names the first fault in record order.
     """
     def bad(message: str) -> GraphFormatError:
         return GraphFormatError(f"bad fixture store: {message}")
@@ -182,26 +156,27 @@ def validate_fixture(data) -> StoreColumns:
             raise bad(f"{key!r} is missing")
         if not isinstance(data[key], list):
             raise bad(f"{key!r} is not an array")
-    if "seed" in data and not _nonempty_str(data["seed"]):
+    if "seed" in data and not _names([data["seed"]]):
         raise bad("'seed' is not a non-empty string")
     blogs, posts = data["blogs"], data["posts"]
-    try:
-        columns = _store_columns(blogs, posts)
-        if _columns_hold(blogs, posts, columns):
-            return columns
-    except (KeyError, TypeError):   # a record lacks a field, or is no object
-        pass
+    blog_names = _blog_names(blogs)
+    columns: dict[str, list] = {}
+    if (blog_names is not None and post_fault(posts, columns) is None
+            and len(set(columns["id"])) == len(posts)):
+        return StoreColumns(blog_names, columns["blog_name"], columns["type"],
+                            columns["tags"])
     for i, blog in enumerate(blogs):
-        if not isinstance(blog, dict) or not _nonempty_str(blog.get("name")):
+        if _blog_names([blog]) is None:
             raise bad(f"blogs[{i}] has no non-empty string 'name'")
     seen: set[str] = set()
     for i, post in enumerate(posts):
-        check_post_record(post, f"bad fixture store: posts[{i}]")
+        fault = post_fault([post])
+        if fault is not None:
+            raise bad(f"posts[{i}]{fault}")
         if post["id"] in seen:
             raise bad(f"duplicate post id {post['id']!r}")
         seen.add(post["id"])
-    # Records of a subclass of dict or str pass the walk alone.
-    return _store_columns(blogs, posts)
+    raise AssertionError("the record walk passed a store the column checks failed")
 
 
 def post_from_record(record: dict, note_records: dict | None = None) -> Post:
@@ -431,8 +406,11 @@ class HttpJsonStore:
         records = payload.get("posts", [])
         if not isinstance(records, list):
             raise GraphFormatError("bad posts payload: 'posts' is not an array")
-        for i, record in enumerate(records):
-            check_post_record(record, f"bad posts payload: posts[{i}]")
+        if post_fault(records) is not None:
+            for i, record in enumerate(records):
+                fault = post_fault([record])
+                if fault is not None:
+                    raise GraphFormatError(f"bad posts payload: posts[{i}]{fault}")
         texts = [record for record in records if record["type"] == "text"]
         return [post_from_record(record, self._note_records)
                 for record in texts[:limit]]
@@ -483,6 +461,10 @@ class CrawlConfig:
                            "posts_per_blogger", "ngram_order"):
             if getattr(self, field_name) < 1:
                 raise ValueError(f"{field_name} must be >= 1")
+        # Selection compares the policy by identity, so a value such as
+        # "uniform_random" would silently select by Markov mass.
+        if not isinstance(self.selection_policy, SelectionPolicy):
+            raise ValueError("selection_policy must be a SelectionPolicy")
 
     def to_json_dict(self) -> dict:
         return {**asdict(self), "selection_policy": self.selection_policy.value}

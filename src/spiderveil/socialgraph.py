@@ -465,10 +465,9 @@ def _undirected_pairs(graph: CommunityGraph) -> tuple[np.ndarray, np.ndarray]:
     numpy 2.4 on a 2-core Xeon its first call in a process takes 10-17 ms,
     more than clustering and modularity together on a 100-node graph.
     """
-    indptr, indices = _successor_arrays(graph)
-    count = len(indptr) - 1
-    sources = np.repeat(np.arange(count), np.diff(indptr))
-    keys = np.minimum(sources, indices) * count + np.maximum(sources, indices)
+    sources, targets = graph._edge_arrays()
+    count = graph.node_count()
+    keys = np.minimum(sources, targets) * count + np.maximum(sources, targets)
     keys.sort()
     first = np.ones(keys.size, dtype=bool)
     np.not_equal(keys[1:], keys[:-1], out=first[1:])

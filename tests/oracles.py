@@ -14,8 +14,9 @@ replaced; the normalizer's oracle is the three-substitution form it
 replaced; the language detector's oracle tokenizes every text by one regex
 findall; the fixture store's oracle parses
 every post at load, as the lazy store replaced, and the store check's oracle
-walks the records one at a time, as the column checks replaced; the
-generator's oracle draws through ``randint``, ``randrange`` and ``shuffle``,
+walks the records one at a time with its own post check, as the column
+checks replaced; the generator's oracle draws through ``randint``,
+``randrange`` and ``shuffle``,
 and the trainer's oracle counts one character at a time.  The graph and
 crawl-state oracles keep each edge's and
 each discoverer's labels as a set of kinds, as the bitmask form replaced.
@@ -42,9 +43,8 @@ from spiderveil.corpus import (ENGLISH_FUNCTION_WORDS, LanguageVerdict,
                                NoteKind, Post, normalize_tag)
 from spiderveil.crawler import (CHECKPOINT_FORMAT, CHECKPOINT_VERSION,
                                 CrawlSession, SelectionPolicy, TransitionMatrix,
-                                check_post_record, extract_frontiers,
-                                post_from_record, validate_fixture,
-                                visit_log_to_json)
+                                extract_frontiers, post_from_record,
+                                validate_fixture, visit_log_to_json)
 from spiderveil.errors import GraphFormatError, NotFoundError, SelfLoopError
 from spiderveil.langmodel import SENTINEL, UNKNOWN, Verdict
 from spiderveil.simnet import GLUE_RATE, _split_vocab, relevant_count
@@ -585,6 +585,44 @@ def reference_detect_communities(graph) -> Partition:
     return Partition(assignment=community_of)
 
 
+def reference_check_post_record(post, where: str) -> None:
+    """Raise GraphFormatError unless ``post`` is a well-formed post record,
+    checking its rules one after another.
+
+    ``crawler.post_fault([post])`` must be None exactly when this passes,
+    and otherwise the end of this message after ``where``.
+    """
+    def bad(message: str) -> GraphFormatError:
+        return GraphFormatError(f"{where}{message}")
+
+    def nonempty_str(value) -> bool:
+        return isinstance(value, str) and value != ""
+
+    if not isinstance(post, dict):
+        raise bad(" is not an object")
+    for key in ("id", "blog_name", "type"):
+        if not nonempty_str(post.get(key)):
+            raise bad(f" has no non-empty string {key!r}")
+    for key in ("body", "caption", "slug"):
+        if key in post and not isinstance(post[key], str):
+            raise bad(f".{key} is not a string")
+    if "tags" in post:
+        tags = post["tags"]
+        if not (isinstance(tags, list) and all(isinstance(tag, str) for tag in tags)):
+            raise bad(".tags is not an array of strings")
+    if "notes" in post:
+        notes = post["notes"]
+        if not isinstance(notes, list):
+            raise bad(".notes is not an array")
+        for note in notes:
+            # A tuple: membership compares with ==, so an unhashable kind
+            # is rejected instead of raising TypeError.
+            if not (isinstance(note, dict) and nonempty_str(note.get("blog_name"))
+                    and note.get("kind") in ("like", "reblog")):
+                raise bad(" has a note without a non-empty string "
+                          "'blog_name' and a 'kind' of like or reblog")
+
+
 def reference_validate_fixture(data) -> None:
     """Raise GraphFormatError unless ``data`` is a well-formed fixture store,
     checking one record at a time.
@@ -610,7 +648,7 @@ def reference_validate_fixture(data) -> None:
             raise bad(f"blogs[{i}] has no non-empty string 'name'")
     seen: set[str] = set()
     for i, post in enumerate(data["posts"]):
-        check_post_record(post, f"bad fixture store: posts[{i}]")
+        reference_check_post_record(post, f"bad fixture store: posts[{i}]")
         if post["id"] in seen:
             raise bad(f"duplicate post id {post['id']!r}")
         seen.add(post["id"])

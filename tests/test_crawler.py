@@ -38,8 +38,8 @@ from conftest import (EDGE_STORES, HAND_BODIES, MALFORMED_POSTS,
                       MALFORMED_STORES, FakeGet, make_post)
 from oracles import (EagerFixtureStore, ReferenceCrawlSession,
                      propagate_oracle, random_digraph, reference_select_next,
-                     reference_store_index, reference_transition_matrix,
-                     reference_validate_fixture)
+                     reference_check_post_record, reference_store_index,
+                     reference_transition_matrix, reference_validate_fixture)
 from test_golden import (SEEDS, checkpoint_bytes, crawl_session, crawl_trace,
                          golden_path, network)
 from test_perfbench_trace import load_tracer
@@ -96,18 +96,20 @@ class TestFixtureValidation:
     def test_load_walks_posts_only_to_the_first_fault(self, hand_store_data,
                                                       monkeypatch):
         checked = []
-        check = crawler_module.check_post_record
-        monkeypatch.setattr(crawler_module, "check_post_record",
-                            lambda post, where: checked.append(post) or check(post, where))
+        check = crawler_module.post_fault
+        monkeypatch.setattr(crawler_module, "post_fault",
+                            lambda posts, *columns: checked.append(posts)
+                            or check(posts, *columns))
         FixtureStore(hand_store_data)
-        assert checked == []
+        assert checked == [hand_store_data["posts"]]
         data = copy.deepcopy(hand_store_data)
         data["posts"][2]["notes"][1]["kind"] = "favorite"
         data["posts"][4]["id"] = 5
+        checked.clear()
         with pytest.raises(GraphFormatError,
                            match=r"^bad fixture store: posts\[2\] has a note "):
             FixtureStore(data)
-        assert checked == data["posts"][:3]
+        assert checked == [data["posts"], *([post] for post in data["posts"][:3])]
 
     @pytest.mark.parametrize("name", EDGE_STORES)
     def test_edge_store_accepted(self, name):
@@ -872,6 +874,21 @@ class TestHttpJsonStore:
         with pytest.raises(GraphFormatError):
             store.tagged_posts("t")
 
+    @pytest.mark.parametrize("name", sorted(MALFORMED_POSTS))
+    def test_first_malformed_post_is_named(self, name):
+        # The later record breaks the first rule of a post, so a check of
+        # the whole payload rule by rule finds it before the earlier one.
+        later = ("post not an object" if name != "post not an object"
+                 else "post id missing")
+        records = [make_post("p1", "a", "one"), make_post("p2", "b", "two"),
+                   MALFORMED_POSTS[name], MALFORMED_POSTS[later]]
+        with pytest.raises(GraphFormatError) as expected:
+            reference_check_post_record(records[2], "bad posts payload: posts[2]")
+        store = HttpJsonStore("http://store.test", get=FakeGet({"posts": records}))
+        with pytest.raises(GraphFormatError) as err:
+            store.blogger_posts("a")
+        assert str(err.value) == str(expected.value)
+
     @pytest.mark.parametrize("payload", [
         {"posts": [{"id": 7, "blog_name": ["x"], "tags": "ab"}]},
         {"posts": [{"id": "p1", "blog_name": "a", "type": "text", "body": 5}]},
@@ -1430,6 +1447,10 @@ class TestConfig:
             CrawlConfig(seed="a", threshold=-2.0, frontier_width=0)
         with pytest.raises(ValueError):
             CrawlConfig(seed="a", threshold=-2.0, ngram_order=0)
+
+    def test_policy_must_be_a_member(self):
+        with pytest.raises(ValueError, match="selection_policy"):
+            CrawlConfig(seed="a", threshold=-3.0, selection_policy="uniform_random")
 
     def test_json_round_trip(self):
         config = CrawlConfig(seed="a", threshold=-2.5, graph_size_limit=7,
