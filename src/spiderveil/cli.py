@@ -672,9 +672,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = parser.parse_args(argv)
+    # The parser holds reference cycles; it is garbage before the command
+    # runs, so that a store load collects it instead of freezing it.
+    args = build_parser().parse_args(argv)
     args.argv = argv
     logging.basicConfig(
         level=logging.DEBUG if args.verbose else logging.WARNING,

@@ -135,6 +135,11 @@ def _blog_names(blogs: list) -> list[str] | None:
     return None
 
 
+# The posts a failing store's walk checks at once; only the first block that
+# breaks a rule is checked one record at a time.
+FAULT_BLOCK = 128
+
+
 def validate_fixture(data) -> StoreColumns:
     """Raise GraphFormatError unless ``data`` is a well-formed fixture store;
     return the columns its index is built from.
@@ -143,8 +148,9 @@ def validate_fixture(data) -> StoreColumns:
     optional non-empty string ``seed``.  Every blog is an object with a
     non-empty string ``name``.  Every post passes post_fault, and post ids
     are unique.  Other keys are ignored.  The records are checked a field at
-    a time; only when a rule fails are they walked one by one, so that the
-    message names the first fault in record order.
+    a time; only when a rule fails are they checked again in blocks of
+    ``FAULT_BLOCK``, and the first block that fails one record at a time,
+    so that the message names the first fault in record order.
     """
     def bad(message: str) -> GraphFormatError:
         return GraphFormatError(f"bad fixture store: {message}")
@@ -169,13 +175,17 @@ def validate_fixture(data) -> StoreColumns:
         if _blog_names([blog]) is None:
             raise bad(f"blogs[{i}] has no non-empty string 'name'")
     seen: set[str] = set()
-    for i, post in enumerate(posts):
-        fault = post_fault([post])
-        if fault is not None:
-            raise bad(f"posts[{i}]{fault}")
-        if post["id"] in seen:
-            raise bad(f"duplicate post id {post['id']!r}")
-        seen.add(post["id"])
+    for start in range(0, len(posts), FAULT_BLOCK):
+        block = posts[start:start + FAULT_BLOCK]
+        # Only a block that breaks a rule is walked record by record.
+        whole = post_fault(block) is None
+        for i, post in enumerate(block, start):
+            fault = None if whole else post_fault([post])
+            if fault is not None:
+                raise bad(f"posts[{i}]{fault}")
+            if post["id"] in seen:
+                raise bad(f"duplicate post id {post['id']!r}")
+            seen.add(post["id"])
     raise AssertionError("the record walk passed a store the column checks failed")
 
 
@@ -250,7 +260,31 @@ class FixtureStore:
 
     @classmethod
     def load(cls, path) -> "FixtureStore":
-        return cls(read_json(path, "store file"))
+        """The store in the JSON file at ``path``, kept out of every later
+        garbage collection.
+
+        A crawl reads one store for its whole length, and each full
+        collection would walk every container the store holds.  So the load
+        runs one collection, then reads, checks and indexes the store with
+        the collector paused (a decoded document is a tree, so a pass during
+        the load could find no garbage), and ``gc.freeze()`` moves the store
+        and everything else alive into the collector's permanent generation.
+        The collector is left enabled or disabled as it was before the call.
+        The trade-off: an object alive at the load that later becomes part of
+        cyclic garbage stays until ``gc.unfreeze()``; a command, which loads
+        one store per process, never sees it.
+        """
+        import gc
+        enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            store = cls(read_json(path, "store file"))
+            gc.freeze()
+        finally:
+            if enabled:
+                gc.enable()
+        return store
 
     def _post(self, index: int) -> Post:
         post = self._posts[index]
@@ -453,6 +487,15 @@ class CrawlConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
+        # Selection compares the policy by identity, so a value such as
+        # "uniform_random" would silently select by Markov mass.
+        if not isinstance(self.selection_policy, SelectionPolicy):
+            raise ValueError("selection_policy must be a SelectionPolicy")
+        # Every value passes its JSON kind, so that every config made here
+        # survives to_json_dict and from_json_dict, as a checkpoint must.
+        for field_name, kind in _CONFIG_KINDS.items():
+            if not kind.test(getattr(self, field_name)):
+                raise ValueError(f"{field_name} must be {kind.phrase}")
         if not self.seed:
             raise ValueError("seed blogger must be non-empty")
         if not math.isfinite(self.threshold):
@@ -461,10 +504,6 @@ class CrawlConfig:
                            "posts_per_blogger", "ngram_order"):
             if getattr(self, field_name) < 1:
                 raise ValueError(f"{field_name} must be >= 1")
-        # Selection compares the policy by identity, so a value such as
-        # "uniform_random" would silently select by Markov mass.
-        if not isinstance(self.selection_policy, SelectionPolicy):
-            raise ValueError("selection_policy must be a SelectionPolicy")
 
     def to_json_dict(self) -> dict:
         return {**asdict(self), "selection_policy": self.selection_policy.value}
@@ -484,8 +523,8 @@ class CrawlConfig:
 
 # The JSON kind of each crawl setting, in the order they are checked.  Each
 # kind also accepts the value it converts to, so ``cli`` can check a config
-# file's setting with it and still build the config here; that is why a
-# policy member passes.
+# file's setting with it and the constructor can check the converted value
+# with it; that is why a policy member passes.
 _CONFIG_KINDS = {
     "seed": STRING, "threshold": NUMBER,
     **dict.fromkeys(("graph_size_limit", "frontier_width", "posts_per_blogger",

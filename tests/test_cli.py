@@ -1,3 +1,4 @@
+import gc
 import io
 import json
 import math
@@ -184,6 +185,21 @@ class TestBootstrap:
         assert lexicon["stargazing"] == 0
         assert pipeline.boot_stdout.startswith("round 0: 1 tags (stargazing)")
         assert "collected 80 documents (target 80)" in pipeline.boot_stdout
+
+    def test_a_store_load_freezes_no_garbage_of_the_command(self, pipeline,
+                                                            tmp_path):
+        """The command's parser, which holds reference cycles, is dropped
+        before the store loads, so nothing frozen by the load becomes cyclic
+        garbage once the command returns."""
+        gc.unfreeze()
+        gc.collect()
+        code, _ = run(["--out-dir", str(tmp_path), "bootstrap",
+                       "--store", str(pipeline.store), "--tag", "stargazing",
+                       "--target", "20"])
+        assert code == 0 and gc.get_freeze_count() > 0
+        gc.collect()
+        gc.unfreeze()
+        assert gc.collect() == 0
 
     def test_no_store_anywhere(self, tmp_path):
         code, _ = run(["--out-dir", str(tmp_path), "bootstrap",

@@ -1,4 +1,5 @@
 import copy
+import gc
 import http.server
 import json
 import os
@@ -7,6 +8,7 @@ import re
 import subprocess
 import sys
 import threading
+import weakref
 from collections import deque
 from pathlib import Path
 from types import MappingProxyType
@@ -20,10 +22,10 @@ from hypothesis import strategies as st
 import spiderveil
 from spiderveil import crawler as crawler_module
 from spiderveil.corpus import NoteKind, NoteRecord, Post, bootstrap_exemplars
-from spiderveil.crawler import (MAX_RETRY_AFTER_S, PROPAGATION_CAP,
-                                CrawlConfig, CrawlResult, CrawlSession,
-                                FixtureStore, Frontier, HttpJsonStore,
-                                SelectionPolicy, StopReason,
+from spiderveil.crawler import (FAULT_BLOCK, MAX_RETRY_AFTER_S,
+                                PROPAGATION_CAP, CrawlConfig, CrawlResult,
+                                CrawlSession, FixtureStore, Frontier,
+                                HttpJsonStore, SelectionPolicy, StopReason,
                                 build_transition_matrix, crawl,
                                 extract_frontiers, fetch_posts,
                                 post_from_record, predicted_verdicts,
@@ -109,7 +111,44 @@ class TestFixtureValidation:
         with pytest.raises(GraphFormatError,
                            match=r"^bad fixture store: posts\[2\] has a note "):
             FixtureStore(data)
-        assert checked == [data["posts"], *([post] for post in data["posts"][:3])]
+        assert checked == [data["posts"], data["posts"][:FAULT_BLOCK],
+                           *([post] for post in data["posts"][:3])]
+
+    def test_late_fault_walks_one_block(self, monkeypatch):
+        posts = [make_post(f"p{i}", f"b{i % 50}", "body", notes=[("x", "like")],
+                           tags=["t"]) for i in range(6000)]
+        posts[5999]["tags"] = "t"
+        calls = []
+        check = crawler_module.post_fault
+        monkeypatch.setattr(crawler_module, "post_fault",
+                            lambda posts, *columns: calls.append(len(posts))
+                            or check(posts, *columns))
+        with pytest.raises(GraphFormatError, match=re.escape(
+                "bad fixture store: posts[5999].tags is not an array of strings")):
+            validate_fixture({"blogs": [], "posts": posts})
+        blocks = -(-6000 // FAULT_BLOCK)
+        assert len(calls) <= blocks + FAULT_BLOCK <= 6000 // 10
+        assert calls.count(1) <= FAULT_BLOCK
+
+    def test_faults_and_duplicates_are_named_in_record_order(self):
+        def store(*edits):
+            posts = [make_post(f"p{i}", "a", "body") for i in range(3 * FAULT_BLOCK)]
+            for index, key, value in edits:
+                posts[index][key] = value
+            return {"blogs": [], "posts": posts}
+
+        late = 2 * FAULT_BLOCK + 1
+        for edits, message in [
+                # in a block that passes every rule, before the failing one
+                (((FAULT_BLOCK + 5, "id", "p3"), (late, "type", "")),
+                 "duplicate post id 'p3'"),
+                # in the failing block, before and after its first fault
+                (((late, "id", "p3"), (late + 1, "body", 5)),
+                 "duplicate post id 'p3'"),
+                (((late, "body", 5), (late + 1, "id", "p3")),
+                 rf"posts\[{late}\]\.body is not a string")]:
+            with pytest.raises(GraphFormatError, match=message):
+                validate_fixture(store(*edits))
 
     @pytest.mark.parametrize("name", EDGE_STORES)
     def test_edge_store_accepted(self, name):
@@ -471,6 +510,56 @@ class TestFixtureStore:
         path.write_text("{broken", encoding="utf-8")
         with pytest.raises(GraphFormatError):
             FixtureStore.load(path)
+
+
+@pytest.fixture()
+def collector_state():
+    """Restores the collector's switch after a test that flips it."""
+    enabled = gc.isenabled()
+    yield
+    (gc.enable if enabled else gc.disable)()
+
+
+class TestStoreLoadCollector:
+    """``FixtureStore.load`` collects once, loads with the collector paused,
+    freezes what survives and leaves the collector's switch as it found it."""
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("store", ["good", "malformed"])
+    def test_switch_is_restored(self, enabled, store, hand_store_data, tmp_path,
+                                collector_state):
+        path = tmp_path / "store.json"
+        document = (hand_store_data if store == "good"
+                    else MALFORMED_STORES["post id empty"])
+        path.write_text(json.dumps(document), encoding="utf-8")
+        (gc.enable if enabled else gc.disable)()
+        if store == "good":
+            FixtureStore.load(path)
+        else:
+            with pytest.raises(GraphFormatError):
+                FixtureStore.load(path)
+        assert gc.isenabled() is enabled
+
+    def test_cycle_dropped_before_the_load_is_collected(self, hand_store_data,
+                                                        tmp_path, collector_state):
+        path = tmp_path / "store.json"
+        path.write_text(json.dumps(hand_store_data), encoding="utf-8")
+        gc.disable()
+        cycle = _Record()
+        cycle["self"] = cycle
+        finalizer = weakref.finalize(cycle, lambda: None)
+        del cycle
+        assert finalizer.alive
+        FixtureStore.load(path)
+        assert not finalizer.alive
+
+    def test_the_store_is_frozen(self, small_bundle, tmp_path):
+        path = tmp_path / "store.json"
+        path.write_text(json.dumps(small_bundle.store_data), encoding="utf-8")
+        # Frozen objects that die leave the count, so it starts from none.
+        gc.unfreeze()
+        store = FixtureStore.load(path)
+        assert gc.get_freeze_count() >= len(store._records)
 
 
 # Tags that normalize to one tag, to nothing, or repeat on one post.
@@ -1451,6 +1540,42 @@ class TestConfig:
     def test_policy_must_be_a_member(self):
         with pytest.raises(ValueError, match="selection_policy"):
             CrawlConfig(seed="a", threshold=-3.0, selection_policy="uniform_random")
+
+    @pytest.mark.parametrize("field,changes", [
+        ("seed", {"seed": 5}), ("graph_size_limit", {"graph_size_limit": 2.5}),
+        ("rng_seed", {"rng_seed": "x"}), ("threshold", {"threshold": True})])
+    def test_constructor_checks_json_kinds(self, field, changes):
+        with pytest.raises(ValueError, match=f"^{field} must be "):
+            CrawlConfig(**{"seed": "a", "threshold": -3.0, **changes})
+
+    # A valid config with at most one setting of any JSON kind.  Integer
+    # thresholds stay within 2**53, where float() keeps their value.
+    @given(st.fixed_dictionaries({}, optional={
+        "seed": st.text(min_size=1, max_size=3),
+        "threshold": st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                               st.integers(-2**53, 2**53)),
+        **dict.fromkeys(("graph_size_limit", "frontier_width",
+                         "posts_per_blogger", "ngram_order"),
+                        st.one_of(st.integers(1, 2**70),
+                                  st.integers(1, 50).map(float))),
+        "rng_seed": st.one_of(st.integers(-2**70, 2**70),
+                              st.integers(-50, 50).map(float)),
+        "selection_policy": st.sampled_from(SelectionPolicy)}),
+        st.one_of(st.none(), st.tuples(
+            st.sampled_from(list(crawler_module._CONFIG_KINDS)),
+            st.one_of(st.text(max_size=2), st.integers(-3, 2**53),
+                      st.floats(), st.booleans(), st.none(),
+                      st.sampled_from(SelectionPolicy)))))
+    @settings(max_examples=400, deadline=None)
+    def test_every_accepted_config_survives_json(self, fields, change):
+        fields = {"seed": "a", "threshold": -3.0, **fields}
+        if change is not None:
+            fields[change[0]] = change[1]
+        try:
+            config = CrawlConfig(**fields)
+        except ValueError:
+            return
+        assert CrawlConfig.from_json_dict(config.to_json_dict()) == config
 
     def test_json_round_trip(self):
         config = CrawlConfig(seed="a", threshold=-2.5, graph_size_limit=7,

@@ -4,10 +4,11 @@ import math
 import random
 import tracemalloc
 import xml.etree.ElementTree as ElementTree
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spiderveil import cli, socialgraph
@@ -896,6 +897,111 @@ class TestSerializationMatchesReference:
         reference = ReferenceGraph.from_json_dict(doc)
         assert graph_view(graph) == graph_view(reference)
         assert graph.to_json_dict() == reference.to_json_dict()
+
+
+class _Name(str):
+    pass
+
+
+class _Edge(dict):
+    pass
+
+
+# Values an edge end or an edge's labels may be set to: names listed or not,
+# other JSON kinds, and label arrays the package would or would not write.
+END_EDITS = st.one_of(NAMES, st.sampled_from(["", "zz", 5, 2.5, True, None,
+                                              ["a"], {"a": 1}]))
+LABEL_EDITS = st.sampled_from([
+    ["like"], ["reblog"], ["like", "reblog"], ["reblog", "like"],
+    ["like", "like"], ["like", "reblog", "like"], [], ["favorite"], [1],
+    [["like"]], [None], "like", {"like": 1}, None, 5])
+
+
+@st.composite
+def mutated_graph_documents(draw):
+    """A graph document as ``to_json_dict`` writes it, with a few edits: an
+    edge end or label array set to another value, a field dropped, an end
+    made a str subclass, an edge replaced, repeated or made a dict subclass,
+    a self-loop, a listed node removed."""
+    doc = apply_calls(CommunityGraph(), draw(graph_operations())).to_json_dict()
+    nodes, edges = doc["nodes"], doc["edges"]
+    for _ in range(draw(st.integers(0, 4))):
+        edit = draw(st.sampled_from(["end", "labels", "drop", "subclass",
+                                     "replace", "repeat", "self-loop",
+                                     "unlist", "dict subclass"]))
+        if edit == "unlist" and nodes:
+            del nodes[draw(st.integers(0, len(nodes) - 1))]
+        if not edges:
+            continue
+        i = draw(st.integers(0, len(edges) - 1))
+        if not isinstance(edges[i], dict):
+            continue
+        if edit == "end":
+            edges[i][draw(st.sampled_from(["src", "dst"]))] = draw(END_EDITS)
+        elif edit == "labels":
+            edges[i]["labels"] = draw(LABEL_EDITS)
+        elif edit == "drop":
+            edges[i].pop(draw(st.sampled_from(["src", "dst", "labels"])), None)
+        elif edit == "subclass" and isinstance(edges[i].get("src"), str):
+            edges[i]["src"] = _Name(edges[i]["src"])
+        elif edit == "replace":
+            edges[i] = draw(st.sampled_from([None, [], "e", 5, ["a", "b"]]))
+        elif edit == "repeat":
+            edges.insert(draw(st.integers(0, len(edges))),
+                         dict(edges[i], labels=draw(LABEL_EDITS)))
+        elif edit == "self-loop":
+            edges[i]["dst"] = edges[i].get("src")
+        elif edit == "dict subclass":
+            edges[i] = _Edge(edges[i])
+    return doc
+
+
+def _two_node_document(*edits) -> dict:
+    """Nodes a and b and an edge a -> b labelled like for each of ``edits``,
+    with those fields replaced."""
+    return {"nodes": [{"id": "a", "verdict": None, "score": None},
+                      {"id": "b", "verdict": None, "score": None}],
+            "edges": [{"src": "a", "dst": "b", "labels": ["like"], **edit}
+                      for edit in edits]}
+
+
+def graph_state(doc) -> tuple:
+    """The graph read from ``doc``: its nodes, edges and labels in order,
+    its edge arrays in insertion order and its out-degrees; or the error
+    message."""
+    try:
+        graph = CommunityGraph.from_json_dict(doc)
+    except GraphFormatError as exc:
+        return ("error", str(exc))
+    return (graph_view(graph), [ids.tolist() for ids in graph._edge_arrays()],
+            graph._out_degrees().tolist())
+
+
+class TestColumnReader:
+    """A graph document as the package writes it is read a column at a
+    time; the result, or the error, equals the per-edge loop's."""
+
+    @given(mutated_graph_documents())
+    @example(_two_node_document({"labels": {"like": 1}}))
+    @example(_two_node_document({"labels": ["reblog", "like"]}))
+    @example(_two_node_document({"labels": ["favorite"]}))
+    @example(_two_node_document({"dst": "a"}))
+    @example(_two_node_document({"dst": "c"}))
+    @example(_two_node_document({"src": 5}))
+    @example(_two_node_document({}, {"labels": ["reblog"]}))
+    @settings(max_examples=800, deadline=None)
+    def test_equals_the_loop(self, doc):
+        columns = graph_state(doc)
+        with mock.patch.object(socialgraph, "_written_edges",
+                               lambda edges, ids: None):
+            assert graph_state(doc) == columns
+
+    @given(graph_operations())
+    @settings(max_examples=100, deadline=None)
+    def test_written_documents_take_the_column_reader(self, calls):
+        doc = apply_calls(CommunityGraph(), calls).to_json_dict()
+        ids = {node["id"]: i for i, node in enumerate(doc["nodes"])}
+        assert socialgraph._written_edges(doc["edges"], ids) is not None
 
 
 @st.composite

@@ -4,7 +4,8 @@ it never uses, ``errors.atomic_write_bytes`` is the package's only file
 writer, ``cli`` alone prints and raises only what ``EXIT_CODES`` maps,
 only ``socialgraph`` reads the graph store's fields, ``simnet`` draws only
 through ``getrandbits`` and ``random``, ``json.loads`` is called only where
-a JSON document enters, and the package imports exactly the standard
+a JSON document enters, ``gc`` is imported and used only by
+``FixtureStore.load``, and the package imports exactly the standard
 library, itself and its declared dependencies."""
 
 import ast
@@ -152,9 +153,10 @@ JSON_DECODERS = {("errors.py", "parse_json"), ("corpus.py", "ExemplarCorpus.load
                  ("crawler.py", "HttpJsonStore._get")}
 
 
-def _calls_in_scopes(path: Path):
-    """(dotted name of the enclosing class and function, call) of every
-    call in a module; a call at module level has the name ''."""
+def _nodes_in_scopes(path: Path):
+    """(dotted name of the enclosing class and function, node) of every
+    node in a module below the scopes themselves; a node at module level
+    has the name ''."""
     scopes = [("", _tree(path))]
     while scopes:
         scope, node = scopes.pop()
@@ -162,19 +164,36 @@ def _calls_in_scopes(path: Path):
             if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
                 scopes.append((f"{scope}.{child.name}".lstrip("."), child))
                 continue
-            if isinstance(child, ast.Call):
-                yield scope, child
+            yield scope, child
             scopes.append((scope, child))
 
 
 def test_json_loads_is_called_only_where_json_enters():
     callers = {(path.name, scope) for path in PACKAGE
-               for scope, call in _calls_in_scopes(path)
-               if isinstance(call.func, ast.Attribute) and call.func.attr == "loads"
+               for scope, call in _nodes_in_scopes(path)
+               if isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+               and call.func.attr == "loads"
                and getattr(call.func.value, "id", None) == "json"}
     assert callers, "no json.loads call found"
     assert callers <= JSON_DECODERS, \
         f"json.loads called outside {sorted(JSON_DECODERS)}: {sorted(callers - JSON_DECODERS)}"
+
+
+# The one function that may import and call the garbage collector: a store
+# load freezes what it leaves alive, which is a policy for the whole process.
+COLLECTOR_HOME = ("crawler.py", "FixtureStore.load")
+
+
+def test_gc_is_imported_and_called_only_in_the_store_load():
+    uses = sorted((path.name, scope, node.lineno) for path in PACKAGE
+                  for scope, node in _nodes_in_scopes(path)
+                  if (isinstance(node, ast.Name) and node.id == "gc")
+                  or (isinstance(node, ast.Import)
+                      and any(alias.name == "gc" for alias in node.names))
+                  or (isinstance(node, ast.ImportFrom) and node.module == "gc"))
+    assert uses, "no gc use found"
+    strays = [use for use in uses if use[:2] != COLLECTOR_HOME]
+    assert not strays, f"gc used outside {COLLECTOR_HOME}: {strays}"
 
 
 def _top_level_imports(path: Path) -> set[str]:
