@@ -28,7 +28,7 @@ from pathlib import Path
 
 from .corpus import (NoteKind, bootstrap_exemplars, ExemplarCorpus, filter_english,
                      normalize_tag)
-from .crawler import (_CONFIG_KINDS, CrawlConfig, CrawlSession, FixtureStore,
+from .crawler import (CONFIG_KINDS, CrawlConfig, CrawlSession, FixtureStore,
                       HttpJsonStore, SelectionPolicy, predicted_verdicts,
                       visit_log_from_json)
 from .errors import (INTEGER, NUMBER, STRING, STRINGS, EmptyInputError,
@@ -394,8 +394,8 @@ def cmd_train(args, config: dict) -> None:
         raise EmptyInputError(f"corpus {corpus_path} holds no documents")
     # Unset, order and alpha keep train's defaults and posts the crawl's.
     order = setting(args, config, "order", INTEGER)
-    posts = setting(args, config, "posts", INTEGER, "posts_per_blogger",
-                    default=CrawlConfig.posts_per_blogger)
+    posts = setting(args, config, "posts", CONFIG_KINDS["posts_per_blogger"],
+                    "posts_per_blogger", default=CrawlConfig.posts_per_blogger)
     alpha = setting(args, config, "alpha", NUMBER)
     options = {key: value for key, value in (("order", order), ("alpha", alpha))
                if value is not None}
@@ -454,7 +454,7 @@ def cmd_crawl(args, config: dict) -> None:
     except ValueError as exc:
         raise GraphFormatError(f"bad model file: {exc}") from exc
 
-    threshold = setting(args, config, "threshold", _CONFIG_KINDS["threshold"])
+    threshold = setting(args, config, "threshold", CONFIG_KINDS["threshold"])
     if threshold is None and args.threshold_file:
         data = read_json(args.threshold_file, "threshold file")
         if not isinstance(data, dict):
@@ -475,7 +475,7 @@ def cmd_crawl(args, config: dict) -> None:
     for name, key in (("graph_size", "graph_size_limit"), ("width", "frontier_width"),
                       ("posts", "posts_per_blogger"), ("policy", "selection_policy"),
                       ("seed", "rng_seed")):
-        value = setting(args, config, name, _CONFIG_KINDS[key], key)
+        value = setting(args, config, name, CONFIG_KINDS[key], key)
         if value is not None:
             values[key] = value
     crawl_config = CrawlConfig.from_json_dict(values)

@@ -28,7 +28,7 @@ import numpy as np
 from .corpus import NoteKind, NoteRecord, Post, filter_english, normalize_tag
 from .errors import (COUNT, INTEGER, NUMBER, STRING, STRINGS, GraphFormatError,
                      JsonKind, NotFoundError, RetrievalError, ScoringError,
-                     read_fields, read_json)
+                     apply_kinds, read_fields, read_json)
 from .langmodel import NGramModel, Verdict, classify, score_blogger, verdict_of
 from .socialgraph import CommunityGraph, LABEL_VALUES, kinds_mask, label_mask
 
@@ -491,11 +491,9 @@ class CrawlConfig:
         # "uniform_random" would silently select by Markov mass.
         if not isinstance(self.selection_policy, SelectionPolicy):
             raise ValueError("selection_policy must be a SelectionPolicy")
-        # Every value passes its JSON kind, so that every config made here
-        # survives to_json_dict and from_json_dict, as a checkpoint must.
-        for field_name, kind in _CONFIG_KINDS.items():
-            if not kind.test(getattr(self, field_name)):
-                raise ValueError(f"{field_name} must be {kind.phrase}")
+        # Each value takes its JSON kind, so that every config made here
+        # survives the JSON round trip of a checkpoint.
+        apply_kinds(self, CONFIG_KINDS)
         if not self.seed:
             raise ValueError("seed blogger must be non-empty")
         if not math.isfinite(self.threshold):
@@ -512,20 +510,21 @@ class CrawlConfig:
     def from_json_dict(cls, data: dict) -> "CrawlConfig":
         """A config from a decoded JSON object; absent keys keep the defaults.
 
-        ``seed`` and ``threshold`` are required.  A value of the wrong JSON
-        type raises GraphFormatError naming its key; a value of the right
-        type outside its range raises ValueError.  Other keys are ignored.
+        ``seed`` and ``threshold`` are required.  The kinds are checked here
+        first, so that a value of the wrong JSON type raises GraphFormatError
+        naming its key; the constructor applies them again and raises
+        ValueError for a value outside its range.  Other keys are ignored.
         """
         # An absent seed or threshold is read as null, which fails its check.
         return cls(**read_fields({"seed": None, "threshold": None, **data},
-                                 _CONFIG_KINDS, "bad crawl config"))
+                                 CONFIG_KINDS, "bad crawl config"))
 
 
 # The JSON kind of each crawl setting, in the order they are checked.  Each
 # kind also accepts the value it converts to, so ``cli`` can check a config
 # file's setting with it and the constructor can check the converted value
 # with it; that is why a policy member passes.
-_CONFIG_KINDS = {
+CONFIG_KINDS = {
     "seed": STRING, "threshold": NUMBER,
     **dict.fromkeys(("graph_size_limit", "frontier_width", "posts_per_blogger",
                      "ngram_order", "rng_seed"), INTEGER),

@@ -58,17 +58,28 @@ def _is_integer(value) -> bool:
     return isinstance(value, int) or (isinstance(value, float) and value.is_integer())
 
 
+def _is_number(value) -> bool:
+    """True for an int or float that float() can hold, but not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        float(value)
+    except OverflowError:
+        return False
+    return True
+
+
+# The array kinds also accept the tuple they convert to, so that a settings
+# class can apply them to its defaults; JSON never yields a tuple.
 INTEGER = JsonKind(_is_integer, "an integer", int)
-NUMBER = JsonKind(
-    lambda value: isinstance(value, (int, float)) and not isinstance(value, bool),
-    "a number", float)
+NUMBER = JsonKind(_is_number, "a number", float)
 STRING = JsonKind(lambda value: isinstance(value, str), "a string", str)
 STRINGS = JsonKind(
-    lambda value: isinstance(value, list)
+    lambda value: isinstance(value, (list, tuple))
     and all(isinstance(item, str) for item in value),
     "an array of strings", tuple)
 INTEGER_PAIR = JsonKind(
-    lambda value: isinstance(value, list) and len(value) == 2
+    lambda value: isinstance(value, (list, tuple)) and len(value) == 2
     and all(map(_is_integer, value)),
     "an array of two integers", lambda value: (int(value[0]), int(value[1])))
 COUNT = JsonKind(
@@ -91,6 +102,18 @@ def read_fields(data: dict, kinds: dict[str, JsonKind], what: str) -> dict:
                 raise GraphFormatError(f"{what}: {key!r} is not {kind.phrase}")
             fields[key] = kind.convert(data[key])
     return fields
+
+
+def apply_kinds(settings, kinds: dict[str, JsonKind]) -> None:
+    """Check and convert the fields of the frozen dataclass ``settings``
+    named in ``kinds``, in table order.  A value not of its field's kind
+    raises ValueError naming the field; each other value is replaced by its
+    conversion."""
+    for name, kind in kinds.items():
+        value = getattr(settings, name)
+        if not kind.test(value):
+            raise ValueError(f"{name} must be {kind.phrase}")
+        object.__setattr__(settings, name, kind.convert(value))
 
 
 def parse_json(data: bytes, what: str):

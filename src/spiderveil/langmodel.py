@@ -15,8 +15,8 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import (COUNT, NUMBER, STRINGS, ScoringError, atomic_write_bytes,
-                     read_json)
+from .errors import (COUNT, INTEGER, NUMBER, STRINGS, ScoringError,
+                     atomic_write_bytes, read_json)
 
 SENTINEL = "\x02"   # start-of-document padding character
 UNKNOWN = "\x01"    # bucket every character unseen in training maps to
@@ -55,6 +55,20 @@ class Threshold:
             raise ValueError("threshold value must be finite")
 
 
+def _order_and_alpha(order, alpha) -> tuple[int, float]:
+    """``order`` as an int and ``alpha`` as a float.  ValueError names the
+    first that is not of its JSON kind, then an order below 1 or an alpha
+    that is not positive and finite."""
+    for name, value, kind in (("order", order, INTEGER), ("alpha", alpha, NUMBER)):
+        if not kind.test(value):
+            raise ValueError(f"{name} must be {kind.phrase}")
+    if order < 1:
+        raise ValueError("order must be >= 1")
+    if not 0 < alpha < math.inf:
+        raise ValueError("alpha must be positive and finite")
+    return INTEGER.convert(order), NUMBER.convert(alpha)
+
+
 class NGramModel:
     """Character n-gram counts with additive smoothing.
 
@@ -69,12 +83,7 @@ class NGramModel:
     def __init__(self, order: int, alpha: float,
                  counts: dict[str, dict[str, int]],
                  vocabulary: frozenset[str], trained_chars: int):
-        if order < 1:
-            raise ValueError("order must be >= 1")
-        if not 0 < alpha < math.inf:
-            raise ValueError("alpha must be positive and finite")
-        self.order = order
-        self.alpha = alpha
+        self.order, self.alpha = _order_and_alpha(order, alpha)
         self.counts = counts
         self.vocabulary = vocabulary
         self.trained_chars = trained_chars
@@ -216,10 +225,7 @@ def train(documents, order: int = 3, alpha: float = 1.0) -> NGramModel:
     Documents are padded with order-1 start sentinels, so each character is
     the target of exactly one window.
     """
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    if not 0 < alpha < math.inf:
-        raise ValueError("alpha must be positive and finite")
+    order, alpha = _order_and_alpha(order, alpha)
     documents = [doc for doc in documents if doc]
     if not documents:
         raise ValueError("corpus has no non-empty documents")

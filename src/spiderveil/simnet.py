@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from dataclasses import asdict, dataclass
 
 from .corpus import ENGLISH_FUNCTION_WORDS
-from .errors import INTEGER, INTEGER_PAIR, NUMBER, STRINGS, read_fields
+from .errors import INTEGER, INTEGER_PAIR, NUMBER, STRINGS, apply_kinds, read_fields
 from .langmodel import Verdict
 
 # Fraction of tokens in every generated post drawn from the vocabulary's
@@ -62,7 +63,7 @@ DEFAULT_OFF_TOPIC_TAGS = ("sourdoughclub", "ovenbakes")
 
 
 # The JSON kind of each generator parameter, in the order they are checked.
-_PARAM_KINDS = {
+PARAM_KINDS = {
     **dict.fromkeys(("total_bloggers", "rng_seed", "posts_per_blogger"), INTEGER),
     **dict.fromkeys(("relevant_fraction", "mixing_prob",
                      "intra_community_note_bias"), NUMBER),
@@ -89,8 +90,12 @@ class GeneratorParams:
     off_topic_tags: tuple[str, ...] = DEFAULT_OFF_TOPIC_TAGS
 
     def __post_init__(self):
+        apply_kinds(self, PARAM_KINDS)
         if self.total_bloggers < 2:
             raise ValueError("total_bloggers must be >= 2")
+        if self.total_bloggers > sys.float_info.max:
+            # relevant_count multiplies it by a float.
+            raise ValueError("total_bloggers must fit in a float")
         if not 0.0 < self.relevant_fraction < 1.0:
             raise ValueError("relevant_fraction must lie strictly in (0, 1)")
         if not self.on_topic_vocab or not self.off_topic_vocab:
@@ -120,11 +125,12 @@ class GeneratorParams:
     def from_json_dict(cls, data: dict) -> "GeneratorParams":
         """Parameters from a decoded JSON object; absent keys keep defaults.
 
-        A value of the wrong JSON type raises GraphFormatError naming its
-        key; a value of the right type outside its range raises ValueError
-        from the constructor.  Other keys are ignored.
+        The kinds are checked here first, so that a value of the wrong JSON
+        type raises GraphFormatError naming its key; the constructor applies
+        them again and raises ValueError for a value outside its range.
+        Other keys are ignored.
         """
-        return cls(**read_fields(data, _PARAM_KINDS, "bad generator params"))
+        return cls(**read_fields(data, PARAM_KINDS, "bad generator params"))
 
 
 def relevant_count(params: GeneratorParams) -> int:

@@ -974,6 +974,69 @@ class TestConfigFile:
         assert code == 2
 
 
+# A JSON integer that float() cannot hold.
+HUGE = 10**400
+
+
+class TestNumbersFloatCannotHold:
+    """Each reader of a JSON number refuses one that float() cannot hold with
+    an error line naming its key, instead of an OverflowError traceback."""
+
+    def fails(self, argv, capsys, code=2) -> str:
+        assert run(argv)[0] == code
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        return err
+
+    def test_gen_params(self, tmp_path, capsys):
+        params = tmp_path / "params.json"
+        params.write_text(json.dumps({"mixing_prob": HUGE}))
+        argv = ["--out-dir", str(tmp_path / "out"), "gen", "--params", str(params)]
+        assert self.fails(argv, capsys) == (
+            "error: bad generator params: 'mixing_prob' is not a number\n")
+        params.write_text(json.dumps({"total_bloggers": HUGE}))
+        assert self.fails(argv, capsys, code=4) == (
+            "error: total_bloggers must fit in a float\n")
+
+    def test_train_config(self, pipeline, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"corpus": str(pipeline.root / "corpus.ndjson"),
+                                      "alpha": HUGE}))
+        assert self.fails(["--config", str(config), "--out-dir", str(tmp_path),
+                           "train"], capsys) == (
+            "error: bad config: 'alpha' is not a number\n")
+
+    def test_crawl_config(self, pipeline, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"store": str(pipeline.store),
+                                      "model": str(pipeline.root / "model.json"),
+                                      "threshold": HUGE}))
+        assert self.fails(["--config", str(config), "--out-dir", str(tmp_path),
+                           "crawl"], capsys) == (
+            "error: bad config: 'threshold' is not a number\n")
+
+    def test_model_file(self, pipeline, tmp_path, capsys):
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({
+            **json.loads((pipeline.root / "model.json").read_text()), "alpha": HUGE}))
+        assert self.fails(["--out-dir", str(tmp_path), "crawl",
+                           "--store", str(pipeline.store), "--model", str(model),
+                           "--threshold", "-2.0"], capsys) == (
+            "error: bad model file: 'alpha' is not a finite number\n")
+
+    def test_visit_log_score(self, pipeline, tmp_path, capsys):
+        document = json.loads((pipeline.root / "crawl.json").read_text())
+        row = ["blogger-000", HUGE, "relevant"]
+        document["visit_log"][0] = row
+        result = tmp_path / "crawl.json"
+        result.write_text(json.dumps(document))
+        assert self.fails(["--out-dir", str(tmp_path), "eval", "--result",
+                           str(result), "--truth", str(pipeline.truth)],
+                          capsys) == f"error: bad visit_log row {row!r}\n"
+        with pytest.raises(GraphFormatError, match="^bad visit_log row "):
+            crawler.CrawlSession.resume(None, None, document)
+
+
 class TestDataSourceContract:
     def test_two_request_source_writes_the_same_files(self, pipeline, tmp_path,
                                                       monkeypatch):

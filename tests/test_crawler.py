@@ -1548,12 +1548,25 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"^{field} must be "):
             CrawlConfig(**{"seed": "a", "threshold": -3.0, **changes})
 
-    # A valid config with at most one setting of any JSON kind.  Integer
-    # thresholds stay within 2**53, where float() keeps their value.
+    def test_constructor_keeps_converted_values(self):
+        config = CrawlConfig(seed="a", threshold=-3, graph_size_limit=2.0)
+        assert type(config.graph_size_limit) is int
+        assert type(config.threshold) is float
+        written = json.dumps(config.to_json_dict())
+        assert '"graph_size_limit": 2,' in written and '"threshold": -3.0' in written
+
+    def test_integer_threshold_beyond_float_precision_survives_json(self):
+        config = CrawlConfig(seed="a", threshold=2**60 + 1)
+        assert config.threshold == float(2**60)
+        assert CrawlConfig.from_json_dict(config.to_json_dict()) == config
+        with pytest.raises(ValueError, match="^threshold must be a number$"):
+            CrawlConfig(seed="a", threshold=10**400)
+
+    # A valid config with at most one setting of any JSON kind.
     @given(st.fixed_dictionaries({}, optional={
         "seed": st.text(min_size=1, max_size=3),
         "threshold": st.one_of(st.floats(allow_nan=False, allow_infinity=False),
-                               st.integers(-2**53, 2**53)),
+                               st.integers(-2**70, 2**70)),
         **dict.fromkeys(("graph_size_limit", "frontier_width",
                          "posts_per_blogger", "ngram_order"),
                         st.one_of(st.integers(1, 2**70),
@@ -1562,8 +1575,8 @@ class TestConfig:
                               st.integers(-50, 50).map(float)),
         "selection_policy": st.sampled_from(SelectionPolicy)}),
         st.one_of(st.none(), st.tuples(
-            st.sampled_from(list(crawler_module._CONFIG_KINDS)),
-            st.one_of(st.text(max_size=2), st.integers(-3, 2**53),
+            st.sampled_from(list(crawler_module.CONFIG_KINDS)),
+            st.one_of(st.text(max_size=2), st.integers(-3, 2**70), st.just(10**400),
                       st.floats(), st.booleans(), st.none(),
                       st.sampled_from(SelectionPolicy)))))
     @settings(max_examples=400, deadline=None)

@@ -56,6 +56,24 @@ class TestTrain:
                            vocabulary=frozenset({SENTINEL, "a"}),
                            trained_chars=1)
 
+    @pytest.mark.parametrize("name, value", [
+        ("order", 2.5), ("order", "3"), ("order", True),
+        ("alpha", "1"), ("alpha", None), ("alpha", 10**400)],
+        ids=["order-2.5", "order-str", "order-bool", "alpha-str", "alpha-null",
+             "alpha-10**400"])
+    def test_rejects_settings_of_the_wrong_kind(self, name, value):
+        settings = {"order": 2, "alpha": 1.0, name: value}
+        with pytest.raises(ValueError, match=f"^{name} must be an? "):
+            train(["ab"], **settings)
+        with pytest.raises(ValueError, match=f"^{name} must be an? "):
+            NGramModel(**settings, counts={SENTINEL: {"a": 1}},
+                       vocabulary=frozenset({SENTINEL, "a"}), trained_chars=1)
+
+    def test_integral_settings_are_converted(self, abab_model):
+        model = train(["abab"], order=2.0, alpha=1)
+        assert model == abab_model
+        assert type(model.order) is int and type(model.alpha) is float
+
     def test_rejects_empty_corpus(self):
         with pytest.raises(ValueError):
             train([])

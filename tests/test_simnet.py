@@ -1,5 +1,7 @@
+import json
 import random
 import re
+from dataclasses import asdict
 
 import pytest
 from hypothesis import given, settings
@@ -12,9 +14,9 @@ from spiderveil.crawler import (CrawlConfig, crawl, predicted_verdicts,
                                 validate_fixture)
 from spiderveil.langmodel import Verdict
 from spiderveil.simnet import (DEFAULT_OFF_TOPIC_VOCAB,
-                               DEFAULT_ON_TOPIC_VOCAB, ConfusionMatrix,
-                               GeneratorParams, _below, _draw_items, _shuffle,
-                               evaluate, generate, relevant_count,
+                               DEFAULT_ON_TOPIC_VOCAB, PARAM_KINDS,
+                               ConfusionMatrix, GeneratorParams, _below,
+                               _draw_items, _shuffle, evaluate, generate, relevant_count,
                                report_from_matrix, truncate2,
                                truth_from_json_dict, truth_to_json_dict)
 
@@ -66,6 +68,62 @@ class TestParams:
             GeneratorParams(on_topic_tags=())
         with pytest.raises(ValueError, match="off_topic_tags"):
             GeneratorParams(off_topic_tags=("a", "b", "a"))
+        with pytest.raises(ValueError, match="^total_bloggers must fit in a float$"):
+            GeneratorParams(total_bloggers=10**400)
+
+    @pytest.mark.parametrize("field,changes", [
+        ("total_bloggers", {"total_bloggers": 2.5}),
+        ("mixing_prob", {"mixing_prob": True}),
+        ("posts_per_blogger", {"posts_per_blogger": "3"}),
+        ("on_topic_tags", {"on_topic_tags": "ab"})])
+    def test_constructor_checks_json_kinds(self, field, changes):
+        with pytest.raises(ValueError, match=f"^{field} must be "):
+            GeneratorParams(**changes)
+
+    def test_constructor_keeps_converted_values(self):
+        params = GeneratorParams(total_bloggers=40.0, notes_per_post=[2, 3],
+                                 on_topic_tags=["a", "b"])
+        assert type(params.total_bloggers) is int
+        assert params.notes_per_post == (2, 3)
+        assert params.on_topic_tags == ("a", "b")
+        assert hash(params) == hash(GeneratorParams(
+            total_bloggers=40, notes_per_post=(2, 3), on_topic_tags=("a", "b")))
+
+    # Params with any of their fields set, as a list where JSON has one,
+    # and at most one field set to a value of any JSON kind.
+    @given(st.fixed_dictionaries({}, optional={
+        "total_bloggers": st.one_of(st.integers(2, 60),
+                                    st.integers(2, 60).map(float)),
+        "relevant_fraction": st.floats(0, 1, exclude_min=True, exclude_max=True),
+        **dict.fromkeys(("mixing_prob", "intra_community_note_bias"),
+                        st.one_of(st.floats(0, 1), st.integers(0, 1))),
+        "rng_seed": st.one_of(st.integers(-2**70, 2**70),
+                              st.integers(-50, 50).map(float)),
+        "posts_per_blogger": st.integers(1, 2**70),
+        **dict.fromkeys(("notes_per_post", "words_per_post"), st.tuples(
+            st.integers(1, 5), st.integers(5, 9).map(float)).flatmap(
+                lambda pair: st.sampled_from([pair, list(pair)]))),
+        **{name: st.lists(st.text(alphabet, min_size=1, max_size=3), min_size=1,
+                          max_size=4, unique=True).flatmap(
+                              lambda names: st.sampled_from([names, tuple(names)]))
+           for name, alphabet in (("on_topic_vocab", "ab"), ("off_topic_vocab", "xy"),
+                                  ("on_topic_tags", "ab"), ("off_topic_tags", "xy"))}}),
+        st.one_of(st.none(), st.tuples(
+            st.sampled_from(list(PARAM_KINDS)),
+            st.one_of(st.text(max_size=2), st.integers(), st.floats(),
+                      st.booleans(), st.none(), st.just(10**400),
+                      st.lists(st.integers(-3, 9) | st.text(max_size=2),
+                               max_size=3)))))
+    @settings(max_examples=400, deadline=None)
+    def test_every_accepted_params_survives_json(self, fields, change):
+        if change is not None:
+            fields[change[0]] = change[1]
+        try:
+            params = GeneratorParams(**fields)
+        except ValueError:
+            return
+        assert GeneratorParams.from_json_dict(
+            json.loads(json.dumps(asdict(params)))) == params
 
     def test_overlapping_vocabularies_rejected(self):
         with pytest.raises(ValueError):

@@ -809,6 +809,8 @@ class TestExports:
                      {"src": "c", "dst": "c", "labels": []}):
             with pytest.raises(GraphFormatError, match="empty array"):
                 read({"nodes": [{"id": "a"}], "edges": [edge]})
+        with pytest.raises(GraphFormatError, match="score .* is not a number"):
+            read({"nodes": [{"id": "a", "score": 10**400}], "edges": []})
         with pytest.raises(GraphFormatError, match="'a' is listed twice"):
             read({"nodes": [
                 {"id": "a", "verdict": "relevant", "score": -0.5},

@@ -1,7 +1,8 @@
 """Checks a linter would make, written with the standard library's ``ast``:
 every module parses as the oldest supported Python, no module imports a name
-it never uses, ``errors.atomic_write_bytes`` is the package's only file
-writer, ``cli`` alone prints and raises only what ``EXIT_CODES`` maps,
+it never uses, no package module imports a sibling's private name,
+``errors.atomic_write_bytes`` is the package's only file writer, ``cli``
+alone prints and raises only what ``EXIT_CODES`` maps,
 only ``socialgraph`` reads the graph store's fields, ``simnet`` draws only
 through ``getrandbits`` and ``random``, ``json.loads`` is called only where
 a JSON document enters, ``gc`` is imported and used only by
@@ -66,6 +67,15 @@ def test_every_imported_name_is_used(path):
     unused = sorted((line, name) for name, line in imported.items()
                     if name not in used)
     assert not unused, f"{_id(path)} imports names it never uses: {unused}"
+
+
+def test_no_module_imports_a_private_name_of_a_sibling():
+    private = sorted((_id(path), node.lineno, alias.name) for path in PACKAGE
+                     for node in ast.walk(_tree(path))
+                     if isinstance(node, ast.ImportFrom)
+                     and (node.level or node.module.partition(".")[0] == "spiderveil")
+                     for alias in node.names if alias.name.startswith("_"))
+    assert not private, f"modules import private names of siblings: {private}"
 
 
 @pytest.mark.parametrize("path", PACKAGE, ids=_id)
