@@ -688,8 +688,14 @@ class Frontier:
     ``add`` is the one way in after the map is made, and ``visit`` the one
     way out.  Beside the map the frontier keeps integer arrays for selection
     by mass: a slot per blogger in discovery order, and the (slot,
-    discoverer's node id in ``graph``) pairs in discovery order.  A visited
-    blogger's slot stays behind as a tombstone.
+    discoverer's node id in ``graph``) pairs in the order they were added.
+    A visited blogger's slot stays behind as a tombstone.
+
+    A crawl adds each blogger's discoverers in node id order, since a node
+    gets its id when it is admitted, before it discovers anyone.  A frontier
+    built from a map, whose order a checkpoint need not keep, sorts its
+    pairs by slot and then by discoverer id, so it sums each blogger's
+    shares in the order the crawl did.
     """
 
     def __init__(self, graph: CommunityGraph,
@@ -700,13 +706,17 @@ class Frontier:
         self._slot_of = dict(zip(self._names, count()))  # live blogger -> slot
         # slot -> 0.0, or -inf once visited
         self._tombstones = array("d", [0.0]) * len(self._names)
-        # pair -> slot, and pair -> discoverer's node id, in map order
+        # pair -> slot, and pair -> discoverer's node id, sorted as the keys
+        # ``slot << 32 | discoverer id``
         sizes = np.fromiter(map(len, self.parents.values()), np.int64,
                             len(self._names))
-        self._slots = array("q", np.arange(len(sizes), dtype=np.int64)
-                            .repeat(sizes).tobytes())
-        self._parent_ids = array("q", map(self._ids.__getitem__,
-                                          chain.from_iterable(self.parents.values())))
+        keys = np.fromiter(map(self._ids.__getitem__,
+                               chain.from_iterable(self.parents.values())),
+                           np.int64, sizes.sum())
+        keys |= np.arange(len(sizes), dtype=np.int64).repeat(sizes) << 32
+        keys.sort()
+        self._slots = array("q", (keys >> 32).tobytes())
+        self._parent_ids = array("q", (keys & 0xFFFFFFFF).tobytes())
 
     def __len__(self) -> int:
         return len(self.parents)
@@ -752,8 +762,8 @@ def select_next(frontier: Frontier, p, policy: SelectionPolicy,
     discoverers, the sum over parents of parent mass / parent out-degree,
     and takes the largest; ties go to the earliest-inserted blogger.  A
     parent missing from ``p`` adds nothing.  The sums are one ``bincount``
-    over the frontier's pairs, which adds each blogger's parents in
-    discovery order starting from 0.0, as a loop over the map would.
+    over the frontier's pairs, which adds each blogger's parents in pair
+    order (see ``Frontier``) starting from 0.0, as a loop would.
     UniformRandom draws one float from ``rng``.
     """
     if not frontier:

@@ -46,10 +46,21 @@ LABEL_VALUES = tuple(tuple(sorted(kind.value for kind in kinds))
                      for kinds in LABEL_KINDS)
 
 
+# The mask of each label array as ``CommunityGraph.to_json_dict`` writes it.
+_WRITTEN_MASK = {values: mask for mask, values in enumerate(LABEL_VALUES) if values}
+
+
 def label_mask(values) -> int:
-    """The mask of a JSON label array: a non-empty list of kind values."""
+    """The mask of a JSON label array: a non-empty list of kind values.
+
+    An array as the package writes it is one lookup; any other is read one
+    value at a time, and an empty array or an unknown value is an error."""
     if not isinstance(values, list):
         raise TypeError(f"labels {values!r} are not an array")
+    try:
+        return _WRITTEN_MASK[tuple(values)]
+    except (KeyError, TypeError):  # not as written, or an unhashable value
+        pass
     if not values:
         raise ValueError("labels are an empty array")
     mask = 0
@@ -59,37 +70,6 @@ def label_mask(values) -> int:
         except (KeyError, TypeError):
             raise ValueError(f"{value!r} is not a valid NoteKind") from None
     return mask
-
-
-# The mask of each label array as ``CommunityGraph.to_json_dict`` writes it.
-_WRITTEN_MASK = {values: mask for mask, values in enumerate(LABEL_VALUES) if values}
-
-
-def _written_edges(edges: list, ids: dict[str, int]) -> dict[int, int] | None:
-    """The key -> mask map of ``edges``, read a column at a time, when every
-    edge is an object whose ``src`` and ``dst`` name two different nodes of
-    ``ids`` and whose ``labels`` are written as ``to_json_dict`` writes them,
-    and no pair repeats; otherwise None.
-
-    A value that is no string can name no node, since no other JSON value
-    equals a string."""
-    try:
-        sources, targets, labels = (list(map(dict.get, edges, repeat(key)))
-                                    for key in ("src", "dst", "labels"))
-        if not set(map(type, labels)) <= {list}:
-            return None
-        masks = np.fromiter(map(_WRITTEN_MASK.get, map(tuple, labels), repeat(0)),
-                            np.int64, len(edges))
-        source_ids, target_ids = (np.fromiter(map(ids.get, names, repeat(-1)),
-                                              np.int64, len(edges))
-                                  for names in (sources, targets))
-    except TypeError:  # an edge that is no object, or an unhashable value
-        return None
-    if (not masks.all() or (source_ids < 0).any() or (target_ids < 0).any()
-            or (source_ids == target_ids).any()):
-        return None
-    written = dict(zip((source_ids << 32 | target_ids).tolist(), masks.tolist()))
-    return written if len(written) == len(edges) else None
 
 
 def kinds_mask(kinds) -> int:
@@ -253,9 +233,8 @@ class CommunityGraph:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "CommunityGraph":
-        """Read a graph document: the nodes in one pass, and the edges a
-        column at a time when they are as ``to_json_dict`` writes them, else
-        in one pass that names the first fault.
+        """Read a graph document: the nodes in one pass, then the edges in
+        one pass that names the first fault.
 
         Listed nodes come first, then edge ends not listed, in edge order
         with ``src`` before ``dst``.  A repeated edge ORs its labels.
@@ -280,19 +259,15 @@ class CommunityGraph:
                 verdicts.append(verdict_of(verdict) if verdict is not None else None)
                 scores.append(score)
                 ids[name] = len(ids)
-            written = _written_edges(data["edges"], ids)
-            if written is not None:
-                graph._masks = masks = written
-            else:
-                for edge in data["edges"]:
-                    src, dst = _node_name(edge["src"]), _node_name(edge["dst"])
-                    mask = label_mask(edge["labels"])
-                    if src == dst:
-                        raise SelfLoopError(f"self-loop on {src!r} rejected")
-                    # setdefault reads len(ids) before it adds the name.
-                    key = (ids.setdefault(src, len(ids)) << 32
-                           | ids.setdefault(dst, len(ids)))
-                    masks[key] = masks.get(key, 0) | mask
+            for edge in data["edges"]:
+                src, dst = _node_name(edge["src"]), _node_name(edge["dst"])
+                mask = label_mask(edge["labels"])
+                if src == dst:
+                    raise SelfLoopError(f"self-loop on {src!r} rejected")
+                # setdefault reads len(ids) before it adds the name.
+                key = (ids.setdefault(src, len(ids)) << 32
+                       | ids.setdefault(dst, len(ids)))
+                masks[key] = masks.get(key, 0) | mask
         except (KeyError, TypeError, ValueError, SelfLoopError) as exc:
             raise GraphFormatError(f"bad graph document: {exc}") from exc
         verdicts.extend(repeat(None, len(ids) - len(verdicts)))

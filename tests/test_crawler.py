@@ -1415,7 +1415,8 @@ def live_pairs(frontier):
 
 class TestFrontierWaysIn:
     """A frontier grown by ``add`` and ``visit`` and one built from its map,
-    as ``CrawlSession.resume`` builds it, hold the same live pairs."""
+    as ``CrawlSession.resume`` builds it, hold the same live pairs when each
+    blogger's discoverers were added in node id order, as a crawl adds them."""
 
     @given(st.data())
     @settings(max_examples=200, deadline=None)
@@ -1434,7 +1435,9 @@ class TestFrontierWaysIn:
                 ["add", "add", "add", "visit"]), max_size=40)):
             target = data.draw(st.sampled_from("abcdefg"))
             if operation == "add":
-                grown.add(target, data.draw(nodes), 1)
+                found = grown.parents.get(target, ())
+                low = max(map(names.index, found), default=0)
+                grown.add(target, data.draw(st.sampled_from(names[low:])), 1)
             else:
                 grown.visit(target)
         built = Frontier(graph, grown.parents)
@@ -1475,10 +1478,16 @@ class TestSelectNextMatchesReference:
                     graph.add_labels(src, dst, 1)
             elif operation == "resume":
                 # A resumed frontier may list a blogger's parents in another
-                # order than they were found.
+                # order than they were found; it sums them in node id order,
+                # and so does the loop over the map put in that order.
                 frontier = Frontier(graph, {
                     target: dict(data.draw(st.permutations(list(parents.items()))))
                     for target, parents in frontier.parents.items()})
+                for parents in frontier.parents.values():
+                    by_id = sorted(parents.items(),
+                                   key=lambda item: names.index(item[0]))
+                    parents.clear()
+                    parents.update(by_id)
             elif frontier:
                 # Some parents have no mass in ``p`` at all.
                 p = data.draw(st.dictionaries(nodes, MASSES))
@@ -1995,6 +2004,18 @@ class TestCheckpointResume:
             session = CrawlSession.resume(store, model, frozen)
         assert session.result().canonical_bytes() == expected.canonical_bytes()
         assert checkpoint_bytes(session) == checkpoint_bytes(whole)
+
+    def test_resumed_frontier_sums_discoverers_in_the_runs_order(self):
+        # A node gets its id when it is admitted, so a crawl adds each
+        # blogger's discoverers in id order; sorted keys list them by name.
+        store, model, threshold = network(3)
+        session = crawl_session(store, model, threshold, 3,
+                                SelectionPolicy.MAX_MARKOV)
+        while session.run(max_steps=1) is None:
+            frozen = json.loads(json.dumps(session.checkpoint(), sort_keys=True))
+            resumed = CrawlSession.resume(store, model, frozen)
+            assert (dict(live_pairs(resumed._frontier))
+                    == dict(live_pairs(session._frontier)))
 
     def test_checkpoint_of_finished_run(self, hand_store, hand_model,
                                         hand_config):

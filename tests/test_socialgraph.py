@@ -4,7 +4,6 @@ import math
 import random
 import tracemalloc
 import xml.etree.ElementTree as ElementTree
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,8 +19,8 @@ from spiderveil.socialgraph import (LABEL_KINDS, CommunityGraph,
                                     avg_clustering, betweenness,
                                     closeness_in, detect_communities,
                                     diameter, export_graph,
-                                    import_json_edge_list, measure,
-                                    modularity, scc_count, _successor_arrays,
+                                    import_json_edge_list, label_mask,
+                                    measure, modularity, scc_count, _successor_arrays,
                                     _to_dot)
 
 from oracles import (ReferenceGraph, avg_clustering_oracle,
@@ -29,8 +28,9 @@ from oracles import (ReferenceGraph, avg_clustering_oracle,
                      modularity_oracle, random_digraph, reference_betweenness,
                      reference_closeness_in, reference_detect_communities,
                      reference_avg_clustering, reference_diameter,
-                     reference_dot, reference_graphml, reference_modularity,
-                     reference_shortest_paths, scc_count_oracle)
+                     reference_dot, reference_graphml, reference_label_mask,
+                     reference_modularity, reference_shortest_paths,
+                     scc_count_oracle)
 
 
 def build_graph(nodes, edges, label=NoteKind.LIKE):
@@ -967,21 +967,19 @@ def _two_node_document(*edits) -> dict:
                       for edit in edits]}
 
 
-def graph_state(doc) -> tuple:
-    """The graph read from ``doc``: its nodes, edges and labels in order,
-    its edge arrays in insertion order and its out-degrees; or the error
-    message."""
+def outcome(read, value) -> tuple:
+    """What ``read(value)`` returns, or its exception's type and message."""
     try:
-        graph = CommunityGraph.from_json_dict(doc)
-    except GraphFormatError as exc:
-        return ("error", str(exc))
-    return (graph_view(graph), [ids.tolist() for ids in graph._edge_arrays()],
-            graph._out_degrees().tolist())
+        return ("value", read(value))
+    except Exception as exc:
+        return (type(exc), str(exc))
 
 
-class TestColumnReader:
-    """A graph document as the package writes it is read a column at a
-    time; the result, or the error, equals the per-edge loop's."""
+class TestEdgeReader:
+    """The per-edge loop reads a document as the package writes it, and
+    edited ones, into ``ReferenceGraph``'s graph wherever the reference
+    reads the document too; it rejects what the reference rejects, and
+    apart from that only empty label arrays."""
 
     @given(mutated_graph_documents())
     @example(_two_node_document({"labels": {"like": 1}}))
@@ -992,18 +990,70 @@ class TestColumnReader:
     @example(_two_node_document({"src": 5}))
     @example(_two_node_document({}, {"labels": ["reblog"]}))
     @settings(max_examples=800, deadline=None)
-    def test_equals_the_loop(self, doc):
-        columns = graph_state(doc)
-        with mock.patch.object(socialgraph, "_written_edges",
-                               lambda edges, ids: None):
-            assert graph_state(doc) == columns
+    def test_equals_the_reference(self, doc):
+        read = outcome(CommunityGraph.from_json_dict, doc)
+        try:
+            reference = ReferenceGraph.from_json_dict(doc)
+        except GraphFormatError:
+            assert read[0] is GraphFormatError
+            return
+        if read[0] is GraphFormatError:
+            assert read[1] == "bad graph document: labels are an empty array"
+            return
+        graph = read[1]
+        assert graph_view(graph) == graph_view(reference)
+        assert_store_matches(graph, reference)
 
-    @given(graph_operations())
-    @settings(max_examples=100, deadline=None)
-    def test_written_documents_take_the_column_reader(self, calls):
-        doc = apply_calls(CommunityGraph(), calls).to_json_dict()
-        ids = {node["id"]: i for i, node in enumerate(doc["nodes"])}
-        assert socialgraph._written_edges(doc["edges"], ids) is not None
+    @pytest.mark.parametrize("edits,message", [
+        pytest.param(({"labels": {"like": 1}},),
+                     "labels {'like': 1} are not an array", id="object labels"),
+        pytest.param(({"labels": ["favorite"]},),
+                     "'favorite' is not a valid NoteKind", id="unknown kind"),
+        pytest.param(({"labels": ["like", ["like"]]},),
+                     "['like'] is not a valid NoteKind", id="unhashable kind"),
+        pytest.param(({"labels": []},), "labels are an empty array",
+                     id="empty labels"),
+        pytest.param(({"dst": "a"},), "self-loop on 'a' rejected", id="self-loop"),
+        pytest.param(({"dst": "a", "labels": []},), "labels are an empty array",
+                     id="self-loop with empty labels"),
+        pytest.param(({"src": 5},), "node id 5 is not a non-empty string",
+                     id="number end"),
+        pytest.param(({}, {"labels": None}), "labels None are not an array",
+                     id="null labels on the second edge"),
+    ])
+    def test_names_the_first_fault(self, edits, message):
+        with pytest.raises(GraphFormatError) as caught:
+            CommunityGraph.from_json_dict(_two_node_document(*edits))
+        assert str(caught.value) == f"bad graph document: {message}"
+
+
+# JSON values, and label arrays of kind values, near misses and other values.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=3), inner, max_size=2)),
+    max_leaves=6)
+KIND_VALUES = st.sampled_from([kind.value for kind in NoteKind]
+                              + ["favorite", "LIKE", ""])
+LABEL_ARRAYS = st.one_of(st.lists(KIND_VALUES, max_size=4),
+                         st.lists(KIND_VALUES | JSON_VALUES, max_size=3),
+                         JSON_VALUES)
+
+
+class TestLabelMask:
+    @given(LABEL_ARRAYS)
+    @example(["like", "reblog"])
+    @example(["reblog", "like"])
+    @example(["like", "like"])
+    @example([])
+    @example([["like"]])
+    @example(["like", {"like": 1}])
+    @example(("like",))
+    @example({"like": 1})
+    @example("like")
+    @settings(max_examples=500, deadline=None)
+    def test_equals_the_loop(self, values):
+        assert outcome(label_mask, values) == outcome(reference_label_mask, values)
 
 
 @st.composite

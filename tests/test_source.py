@@ -1,6 +1,7 @@
 """Checks a linter would make, written with the standard library's ``ast``:
 every module parses as the oldest supported Python, no module imports a name
-it never uses, no package module imports a sibling's private name,
+it never uses, no package module imports a sibling's private name, every
+private module-level name of the package is used,
 ``errors.atomic_write_bytes`` is the package's only file writer, ``cli``
 alone prints and raises only what ``EXIT_CODES`` maps,
 only ``socialgraph`` reads the graph store's fields, ``simnet`` draws only
@@ -76,6 +77,36 @@ def test_no_module_imports_a_private_name_of_a_sibling():
                      and (node.level or node.module.partition(".")[0] == "spiderveil")
                      for alias in node.names if alias.name.startswith("_"))
     assert not private, f"modules import private names of siblings: {private}"
+
+
+def _bound_names(statement: ast.stmt) -> list[str]:
+    """The names a module-level function, class or assignment defines."""
+    if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [statement.name]
+    targets = (statement.targets if isinstance(statement, ast.Assign)
+               else [statement.target] if isinstance(statement, ast.AnnAssign)
+               else [])
+    return [node.id for target in targets for node in ast.walk(target)
+            if isinstance(node, ast.Name)]
+
+
+def test_every_private_module_name_is_used():
+    """A module-level private function, class or constant of the package is
+    named somewhere in the package outside its own definition; one that is
+    not is a helper left behind."""
+    statements = [(path, statement) for path in PACKAGE
+                  for statement in _tree(path).body]
+    named = [{node.id if isinstance(node, ast.Name) else node.attr
+              for node in ast.walk(statement)
+              if isinstance(node, (ast.Name, ast.Attribute))}
+             for _, statement in statements]
+    unused = sorted((_id(path), statement.lineno, name)
+                    for i, (path, statement) in enumerate(statements)
+                    for name in _bound_names(statement)
+                    if name.startswith("_") and not name.startswith("__")
+                    and not any(name in names for j, names in enumerate(named)
+                                if j != i))
+    assert not unused, f"private names nothing else in src/ uses: {unused}"
 
 
 @pytest.mark.parametrize("path", PACKAGE, ids=_id)
