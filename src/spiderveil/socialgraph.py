@@ -46,21 +46,10 @@ LABEL_VALUES = tuple(tuple(sorted(kind.value for kind in kinds))
                      for kinds in LABEL_KINDS)
 
 
-# The mask of each label array as ``CommunityGraph.to_json_dict`` writes it.
-_WRITTEN_MASK = {values: mask for mask, values in enumerate(LABEL_VALUES) if values}
-
-
 def label_mask(values) -> int:
-    """The mask of a JSON label array: a non-empty list of kind values.
-
-    An array as the package writes it is one lookup; any other is read one
-    value at a time, and an empty array or an unknown value is an error."""
+    """The mask of a JSON label array: a non-empty list of kind values."""
     if not isinstance(values, list):
         raise TypeError(f"labels {values!r} are not an array")
-    try:
-        return _WRITTEN_MASK[tuple(values)]
-    except (KeyError, TypeError):  # not as written, or an unhashable value
-        pass
     if not values:
         raise ValueError("labels are an empty array")
     mask = 0

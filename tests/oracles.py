@@ -19,9 +19,7 @@ checks replaced; the generator's oracle draws through ``randint``,
 ``randrange`` and ``shuffle``,
 and the trainer's oracle counts one character at a time.  The graph and
 crawl-state oracles keep each edge's and
-each discoverer's labels as a set of kinds, as the bitmask form replaced,
-and the label-array oracle compares each value with every kind, as the
-lookup of the arrays the package writes replaced.
+each discoverer's labels as a set of kinds, as the bitmask form replaced.
 The selection oracle sums each blogger's discoverer shares in a loop over
 the frontier map, as the ``bincount`` over frontier pairs replaced.
 The transition-matrix oracle assigns one matrix cell per edge, the
@@ -884,22 +882,6 @@ def reference_dot(graph) -> str:
         lines.append(f'  {_dot_id(src)} -> {_dot_id(dst)} [label="{joined}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def reference_label_mask(values) -> int:
-    """The mask of a JSON label array, read one value at a time: bit i is set
-    by a value equal to the i-th ``NoteKind``'s."""
-    if not isinstance(values, list):
-        raise TypeError(f"labels {values!r} are not an array")
-    if not values:
-        raise ValueError("labels are an empty array")
-    mask = 0
-    for value in values:
-        bits = [1 << i for i, kind in enumerate(NoteKind) if kind.value == value]
-        if not bits:
-            raise ValueError(f"{value!r} is not a valid NoteKind")
-        mask |= bits[0]
-    return mask
 
 
 class ReferenceGraph:

@@ -2017,6 +2017,20 @@ class TestCheckpointResume:
             assert (dict(live_pairs(resumed._frontier))
                     == dict(live_pairs(session._frontier)))
 
+    def test_resume_keeps_the_named_first_discoverer(self):
+        # A checkpoint may name any pending discoverer as the first one,
+        # even one that is not the lowest node id.
+        store, model, threshold = network(3)
+        session = crawl_session(store, model, threshold, 3,
+                                SelectionPolicy.MAX_MARKOV)
+        session.run(max_steps=10)
+        frozen = json.loads(json.dumps(session.checkpoint(), sort_keys=True))
+        item = next(item for item in frozen["frontier"]
+                    if len(frozen["pending"][item["blog_name"]]) > 1)
+        item["parent"] = list(session._frontier.parents[item["blog_name"]])[-1]
+        resumed = CrawlSession.resume(store, model, frozen)
+        assert resumed.checkpoint()["frontier"] == frozen["frontier"]
+
     def test_checkpoint_of_finished_run(self, hand_store, hand_model,
                                         hand_config):
         session = CrawlSession(hand_store, hand_model, hand_config)
