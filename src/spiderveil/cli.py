@@ -459,7 +459,9 @@ def cmd_crawl(args, config: dict) -> None:
         data = read_json(args.threshold_file, "threshold file")
         if not isinstance(data, dict):
             raise GraphFormatError("threshold file must hold a JSON object")
-        threshold = data.get("threshold")
+        if data.get("threshold") is not None:
+            threshold = read_fields(data, {"threshold": CONFIG_KINDS["threshold"]},
+                                    "bad threshold file")["threshold"]
     if threshold is None:
         raise EmptyInputError(
             "no threshold given (use --threshold or --threshold-file)")

@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass
 from enum import Enum
 from itertools import chain, count, islice, repeat
 from operator import itemgetter
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING
 from urllib.parse import quote, urlencode
 
 import numpy as np
@@ -70,7 +70,7 @@ def _field(records: list, key: str, default) -> map:
     return map(dict.get, records, repeat(key), repeat(default))
 
 
-def post_fault(posts: list, columns: dict | None = None) -> str | None:
+def post_fault(posts: list) -> str | None:
     """The end of the message of the first rule of a post that ``posts``
     breaks, such as ``" has no non-empty string 'id'"``; None when every
     record is a well-formed post.
@@ -82,21 +82,16 @@ def post_fault(posts: list, columns: dict | None = None) -> str | None:
     Other keys are ignored, and subclasses of dict, list and str pass.  Each
     rule is checked over every record before the next, in that order, so the
     message for a one-record list names that record's first fault.
-    ``columns``, when given, takes in the ``id``, ``blog_name``, ``type`` and
-    ``tags`` fields of every record as lists, as far as they were read.
     """
     if not _instances(dict, posts):
         return " is not an object"
-    if columns is None:
-        columns = {}
     for key in ("id", "blog_name", "type"):
-        values = columns[key] = list(_field(posts, key, None))
-        if not _names(values):
+        if not _names(list(_field(posts, key, None))):
             return f" has no non-empty string {key!r}"
     for key in ("body", "caption", "slug"):
         if not _instances(str, _field(posts, key, "")):
             return f".{key} is not a string"
-    tags = columns["tags"] = list(_field(posts, "tags", _NO_ITEMS))
+    tags = list(_field(posts, "tags", _NO_ITEMS))
     if not (_instances(list, tags) and _instances(str, chain.from_iterable(tags))):
         return ".tags is not an array of strings"
     notes = list(_field(posts, "notes", _NO_ITEMS))
@@ -117,40 +112,21 @@ def post_fault(posts: list, columns: dict | None = None) -> str | None:
             " of like or reblog")
 
 
-class StoreColumns(NamedTuple):
-    """The fields of a checked fixture store that its index is built from."""
-    blog_names: list[str]     # blogs[i]["name"]
-    bloggers: list[str]       # posts[i]["blog_name"]
-    types: list[str]          # posts[i]["type"]
-    tags: list[list[str]]     # posts[i]["tags"], [] when absent
+def _blogs_named(blogs: list) -> bool:
+    """True when every blog is an object with a non-empty string ``name``."""
+    return _instances(dict, blogs) and _names(list(_field(blogs, "name", None)))
 
 
-def _blog_names(blogs: list) -> list[str] | None:
-    """Every blog's name; None unless every blog is an object with a
-    non-empty string ``name``."""
-    if _instances(dict, blogs):
-        names = list(_field(blogs, "name", None))
-        if _names(names):
-            return names
-    return None
-
-
-# The posts a failing store's walk checks at once; only the first block that
-# breaks a rule is checked one record at a time.
-FAULT_BLOCK = 128
-
-
-def validate_fixture(data) -> StoreColumns:
-    """Raise GraphFormatError unless ``data`` is a well-formed fixture store;
-    return the columns its index is built from.
+def validate_fixture(data) -> None:
+    """Raise GraphFormatError unless ``data`` is a well-formed fixture store.
 
     The top level is an object holding ``blogs`` and ``posts`` arrays and an
     optional non-empty string ``seed``.  Every blog is an object with a
     non-empty string ``name``.  Every post passes post_fault, and post ids
     are unique.  Other keys are ignored.  The records are checked a field at
-    a time; only when a rule fails are they checked again in blocks of
-    ``FAULT_BLOCK``, and the first block that fails one record at a time,
-    so that the message names the first fault in record order.
+    a time; only when a rule fails are they checked again one record at a
+    time, blogs first, so that the message names the first fault in record
+    order.
     """
     def bad(message: str) -> GraphFormatError:
         return GraphFormatError(f"bad fixture store: {message}")
@@ -165,28 +141,21 @@ def validate_fixture(data) -> StoreColumns:
     if "seed" in data and not _names([data["seed"]]):
         raise bad("'seed' is not a non-empty string")
     blogs, posts = data["blogs"], data["posts"]
-    blog_names = _blog_names(blogs)
-    columns: dict[str, list] = {}
-    if (blog_names is not None and post_fault(posts, columns) is None
-            and len(set(columns["id"])) == len(posts)):
-        return StoreColumns(blog_names, columns["blog_name"], columns["type"],
-                            columns["tags"])
+    if (_blogs_named(blogs) and post_fault(posts) is None
+            and len(set(_field(posts, "id", None))) == len(posts)):
+        return
     for i, blog in enumerate(blogs):
-        if _blog_names([blog]) is None:
+        if not _blogs_named([blog]):
             raise bad(f"blogs[{i}] has no non-empty string 'name'")
     seen: set[str] = set()
-    for start in range(0, len(posts), FAULT_BLOCK):
-        block = posts[start:start + FAULT_BLOCK]
-        # Only a block that breaks a rule is walked record by record.
-        whole = post_fault(block) is None
-        for i, post in enumerate(block, start):
-            fault = None if whole else post_fault([post])
-            if fault is not None:
-                raise bad(f"posts[{i}]{fault}")
-            if post["id"] in seen:
-                raise bad(f"duplicate post id {post['id']!r}")
-            seen.add(post["id"])
-    raise AssertionError("the record walk passed a store the column checks failed")
+    for i, post in enumerate(posts):
+        fault = post_fault([post])
+        if fault is not None:
+            raise bad(f"posts[{i}]{fault}")
+        if post["id"] in seen:
+            raise bad(f"duplicate post id {post['id']!r}")
+        seen.add(post["id"])
+    raise AssertionError("the record walk passed a store the field checks failed")
 
 
 def post_from_record(record: dict, note_records: dict | None = None) -> Post:
@@ -223,26 +192,30 @@ class FixtureStore:
     """Data source backed by one JSON document.
 
     The store owns the document it is given.  Every record is checked when
-    the store is made, and the text posts are indexed by blogger and by tag
-    then; a post is parsed from its record (notes included) only when a
-    request first returns it, and later requests return the same object.
+    the store is made, and the text posts are then indexed by blogger and by
+    tag, from the blog names and each post's author, type and tags read
+    straight from the records.  A post is parsed from its record (notes
+    included) only when a request first returns it, and later requests
+    return the same object.
     Posts share one NoteRecord per noter and kind.
     Post arrays are ordered most-recent-first, so "the newest N" is a prefix
     slice.  Responses are deterministic for identical requests.
     """
 
     def __init__(self, data: dict):
-        columns = validate_fixture(data)
-        self._records: list[dict] = data["posts"]
-        self._posts: list[Post | None] = [None] * len(self._records)
+        validate_fixture(data)
+        records = self._records = data["posts"]
+        self._posts: list[Post | None] = [None] * len(records)
         self._note_records: dict[tuple[str, str], NoteRecord] = {}
+        bloggers = list(map(itemgetter("blog_name"), records))
         # A blogger with posts of other types only is known and has no posts.
-        self._blogs = set(columns.blog_names)
-        self._blogs.update(columns.bloggers)
+        self._blogs = set(map(itemgetter("name"), data["blogs"]))
+        self._blogs.update(bloggers)
         self.seed_blogger: str | None = data.get("seed")
         by_blogger, by_raw_tag = defaultdict(list), defaultdict(list)
-        for index, kind, blogger, tags in zip(count(), columns.types,
-                                              columns.bloggers, columns.tags):
+        kinds = map(itemgetter("type"), records)
+        for index, kind, blogger, tags in zip(count(), kinds, bloggers,
+                                              _field(records, "tags", _NO_ITEMS)):
             if kind == "text":
                 by_blogger[blogger].append(index)
                 for raw in tags:
@@ -972,6 +945,12 @@ class CrawlSession:
             if not COUNT.test(selections):
                 raise GraphFormatError(
                     f"selections {selections!r} is not a non-negative integer")
+            # Each step adds its blogger to processed, then selects once
+            # unless the crawl stopped or the seed's fetch raised.
+            if not 0 <= len(processed) - selections <= 1:
+                raise GraphFormatError(
+                    f"selections {selections} is neither the {len(processed)}"
+                    " processed bloggers nor one less")
             if not (checkpoint["current"] is None
                     or isinstance(checkpoint["current"], str)):
                 raise GraphFormatError("current is neither a name nor null")

@@ -39,6 +39,7 @@ from xml.etree import ElementTree
 
 import numpy as np
 
+from spiderveil.cli import json_text
 from spiderveil.corpus import (ENGLISH_FUNCTION_WORDS, LanguageVerdict,
                                NoteKind, Post, normalize_tag)
 from spiderveil.crawler import (CHECKPOINT_FORMAT, CHECKPOINT_VERSION,
@@ -993,6 +994,31 @@ class ReferenceGraph:
         except (KeyError, TypeError, ValueError, SelfLoopError) as exc:
             raise GraphFormatError(f"bad graph document: {exc}") from exc
         return graph
+
+
+def live_pairs(frontier):
+    """Each live blogger, in slot order, with its discoverer ids in pair
+    order: the frontier's pairs with the slot numbers taken out."""
+    slots, parent_ids, tombstones, names = frontier.pairs()
+    live = {names[slot]: [] for slot in np.flatnonzero(tombstones == 0.0)}
+    for slot, parent_id in zip(slots.tolist(), parent_ids.tolist()):
+        if tombstones[slot] == 0.0:
+            live[names[slot]].append(parent_id)
+    return list(live.items())
+
+
+def session_state(session: CrawlSession) -> dict:
+    """The live state of a crawl session that a resume must restore: the
+    checkpoint as ``crawl`` writes it, the frontier's live pairs in the
+    order selection sums them, and the RNG state.  The blogger picked next
+    is set apart from the other live pairs, since a resume lists it last;
+    it is visited before the next selection reads the pairs."""
+    document = session.checkpoint()
+    current, pairs = document["current"], live_pairs(session._frontier)
+    return {"checkpoint": json_text(document),
+            "pairs": [pair for pair in pairs if pair[0] != current],
+            "current pairs": dict(pairs).get(current),
+            "rng": session._rng.getstate()}
 
 
 class ReferenceCrawlSession(CrawlSession):

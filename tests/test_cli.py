@@ -611,6 +611,26 @@ class TestCrawl:
         assert code == 2
         assert capsys.readouterr().err.startswith("error: threshold file")
 
+    # A threshold that is not a number names the file; a null or absent one
+    # is no threshold.
+    @pytest.mark.parametrize("document,code,err", [
+        *(({"threshold": value}, 2,
+           "error: bad threshold file: 'threshold' is not a number\n")
+          for value in ("x", True, [1], 10**400)),
+        *((document, 3, "error: no threshold given "
+                        "(use --threshold or --threshold-file)\n")
+          for document in ({"threshold": None}, {}))])
+    def test_threshold_file_values(self, pipeline, tmp_path, capsys, document,
+                                   code, err):
+        threshold_file = tmp_path / "threshold.json"
+        threshold_file.write_text(json.dumps(document))
+        assert run(["--out-dir", str(tmp_path / "out"), "crawl",
+                    "--store", str(pipeline.store),
+                    "--model", str(pipeline.root / "model.json"),
+                    "--threshold-file", str(threshold_file)])[0] == code
+        assert capsys.readouterr().err == err
+        assert not (tmp_path / "out" / "manifest.json").exists()
+
     def test_explicit_threshold_flag(self, pipeline, tmp_path):
         code, stdout = run(["--out-dir", str(tmp_path), "crawl",
                             "--store", str(pipeline.store),

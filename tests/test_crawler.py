@@ -10,8 +10,10 @@ import sys
 import threading
 import weakref
 from collections import deque
+from itertools import count
 from pathlib import Path
 from types import MappingProxyType
+from unittest import mock
 from urllib.parse import parse_qsl, unquote, urlsplit
 
 import numpy as np
@@ -22,8 +24,8 @@ from hypothesis import strategies as st
 import spiderveil
 from spiderveil import crawler as crawler_module
 from spiderveil.corpus import NoteKind, NoteRecord, Post, bootstrap_exemplars
-from spiderveil.crawler import (FAULT_BLOCK, MAX_RETRY_AFTER_S,
-                                PROPAGATION_CAP, CrawlConfig, CrawlResult,
+from spiderveil.crawler import (MAX_RETRY_AFTER_S, PROPAGATION_CAP,
+                                CrawlConfig, CrawlResult,
                                 CrawlSession, FixtureStore, Frontier,
                                 HttpJsonStore, SelectionPolicy, StopReason,
                                 build_transition_matrix, crawl,
@@ -38,10 +40,11 @@ from spiderveil.socialgraph import CommunityGraph
 
 from conftest import (EDGE_STORES, HAND_BODIES, MALFORMED_POSTS,
                       MALFORMED_STORES, FakeGet, make_post)
-from oracles import (EagerFixtureStore, ReferenceCrawlSession,
+from oracles import (EagerFixtureStore, ReferenceCrawlSession, live_pairs,
                      propagate_oracle, random_digraph, reference_select_next,
                      reference_check_post_record, reference_store_index,
-                     reference_transition_matrix, reference_validate_fixture)
+                     reference_transition_matrix, reference_validate_fixture,
+                     session_state)
 from test_golden import (SEEDS, checkpoint_bytes, crawl_session, crawl_trace,
                          golden_path, network)
 from test_perfbench_trace import load_tracer
@@ -100,8 +103,7 @@ class TestFixtureValidation:
         checked = []
         check = crawler_module.post_fault
         monkeypatch.setattr(crawler_module, "post_fault",
-                            lambda posts, *columns: checked.append(posts)
-                            or check(posts, *columns))
+                            lambda posts: checked.append(posts) or check(posts))
         FixtureStore(hand_store_data)
         assert checked == [hand_store_data["posts"]]
         data = copy.deepcopy(hand_store_data)
@@ -111,38 +113,23 @@ class TestFixtureValidation:
         with pytest.raises(GraphFormatError,
                            match=r"^bad fixture store: posts\[2\] has a note "):
             FixtureStore(data)
-        assert checked == [data["posts"], data["posts"][:FAULT_BLOCK],
-                           *([post] for post in data["posts"][:3])]
-
-    def test_late_fault_walks_one_block(self, monkeypatch):
-        posts = [make_post(f"p{i}", f"b{i % 50}", "body", notes=[("x", "like")],
-                           tags=["t"]) for i in range(6000)]
-        posts[5999]["tags"] = "t"
-        calls = []
-        check = crawler_module.post_fault
-        monkeypatch.setattr(crawler_module, "post_fault",
-                            lambda posts, *columns: calls.append(len(posts))
-                            or check(posts, *columns))
-        with pytest.raises(GraphFormatError, match=re.escape(
-                "bad fixture store: posts[5999].tags is not an array of strings")):
-            validate_fixture({"blogs": [], "posts": posts})
-        blocks = -(-6000 // FAULT_BLOCK)
-        assert len(calls) <= blocks + FAULT_BLOCK <= 6000 // 10
-        assert calls.count(1) <= FAULT_BLOCK
+        assert checked == [data["posts"], *([post] for post in data["posts"][:3])]
 
     def test_faults_and_duplicates_are_named_in_record_order(self):
+        size = 384
+
         def store(*edits):
-            posts = [make_post(f"p{i}", "a", "body") for i in range(3 * FAULT_BLOCK)]
+            posts = [make_post(f"p{i}", "a", "body") for i in range(size)]
             for index, key, value in edits:
                 posts[index][key] = value
             return {"blogs": [], "posts": posts}
 
-        late = 2 * FAULT_BLOCK + 1
+        late = 2 * size // 3 + 1
         for edits, message in [
-                # in a block that passes every rule, before the failing one
-                (((FAULT_BLOCK + 5, "id", "p3"), (late, "type", "")),
+                # a duplicate far before the first fault
+                (((size // 3 + 5, "id", "p3"), (late, "type", "")),
                  "duplicate post id 'p3'"),
-                # in the failing block, before and after its first fault
+                # a duplicate just before, and just after, the first fault
                 (((late, "id", "p3"), (late + 1, "body", 5)),
                  "duplicate post id 'p3'"),
                 (((late, "body", 5), (late + 1, "id", "p3")),
@@ -1402,17 +1389,6 @@ class TestSelectNext:
 MASSES = st.sampled_from([0.0, 0.1, 0.125, 0.2, 0.3, 1 / 3, 0.5, 1.0])
 
 
-def live_pairs(frontier):
-    """Each live blogger, in slot order, with its discoverer ids in pair
-    order: the frontier's pairs with the slot numbers taken out."""
-    slots, parent_ids, tombstones, names = frontier.pairs()
-    live = {names[slot]: [] for slot in np.flatnonzero(tombstones == 0.0)}
-    for slot, parent_id in zip(slots.tolist(), parent_ids.tolist()):
-        if tombstones[slot] == 0.0:
-            live[names[slot]].append(parent_id)
-    return list(live.items())
-
-
 class TestFrontierWaysIn:
     """A frontier grown by ``add`` and ``visit`` and one built from its map,
     as ``CrawlSession.resume`` builds it, hold the same live pairs when each
@@ -2017,6 +1993,41 @@ class TestCheckpointResume:
             assert (dict(live_pairs(resumed._frontier))
                     == dict(live_pairs(session._frontier)))
 
+    @given(bloggers=st.integers(20, 120), seed=st.integers(0, 999),
+           policy=st.sampled_from(list(SelectionPolicy)),
+           limit=st.integers(1, 120),
+           cuts=st.lists(st.booleans(), min_size=121, max_size=121))
+    @settings(max_examples=16, deadline=None, derandomize=True)
+    def test_resumed_anywhere_equals_the_run(self, bloggers, seed, policy,
+                                             limit, cuts):
+        # Resumed through the written JSON after any set of steps (after
+        # step i when cuts[i]), a session holds the run's live state after
+        # every step, and selection receives the same mass.
+        store, model, threshold = network(seed, bloggers)
+        whole, resumed = (crawl_session(store, model, threshold, seed, policy,
+                                        graph_size_limit=limit)
+                          for _ in range(2))
+        received = []
+        select = crawler_module.select_next
+
+        def recording(frontier, p, *args):
+            received.append(p)
+            return select(frontier, p, *args)
+
+        with mock.patch.object(crawler_module, "select_next", recording):
+            for step in count():
+                if cuts[step]:
+                    resumed = CrawlSession.resume(
+                        store, model, json.loads(checkpoint_bytes(resumed)))
+                assert session_state(resumed) == session_state(whole)
+                if whole.finished:
+                    break
+                start = len(received)
+                running = whole.step()
+                middle = len(received)
+                assert resumed.step() == running
+                assert received[middle:] == received[start:middle]
+
     def test_resume_keeps_the_named_first_discoverer(self):
         # A checkpoint may name any pending discoverer as the first one,
         # even one that is not the lowest node id.
@@ -2152,6 +2163,10 @@ class TestCheckpointResume:
         "selections-negative": lambda doc: {**doc, "selections": -3},
         "selections-not-an-integer": lambda doc: {**doc, "selections": 2.5},
         "selections-a-string": lambda doc: {**doc, "selections": "2"},
+        # Each step selects at most once, so the count stays with processed.
+        "selections-past-processed": lambda doc: {
+            **doc, "selections": doc["selections"] + 40},
+        "selections-huge": lambda doc: {**doc, "selections": 10 ** 12},
         "current-not-a-name": lambda doc: {**doc, "current": 5},
         "pending-labels-empty": lambda doc: {**doc, "pending": {
             target: dict.fromkeys(parents, [])
