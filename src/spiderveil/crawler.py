@@ -30,7 +30,7 @@ from .errors import (COUNT, INTEGER, NUMBER, STRING, STRINGS, GraphFormatError,
                      JsonKind, NotFoundError, RetrievalError, ScoringError,
                      apply_kinds, read_fields, read_json)
 from .langmodel import NGramModel, Verdict, classify, score_blogger, verdict_of
-from .socialgraph import CommunityGraph, LABEL_VALUES, kinds_mask, label_mask
+from .socialgraph import CommunityGraph, LABEL_BIT, LABEL_VALUES, label_mask
 
 if TYPE_CHECKING:
     from http.client import HTTPMessage
@@ -158,26 +158,20 @@ def validate_fixture(data) -> None:
     raise AssertionError("the record walk passed a store the field checks failed")
 
 
-def post_from_record(record: dict, note_records: dict | None = None) -> Post:
-    """Parse one store record into a Post.
+def post_from_record(record: dict, note_records: dict) -> Post:
+    """Parse one store record that passes post_fault into a Post.
 
     ``note_records`` maps (blog_name, kind value) pairs to the NoteRecord
     made for them and takes in each one made here, so that a store passing
     one table for all its posts holds one record per noter and kind.
     """
-    if note_records is None:
-        note_records = {}
-    try:
-        notes = tuple(note_records.get(key) or note_records.setdefault(
-                          key, NoteRecord(key[0], _NOTE_KIND_OF[key[1]]))
-                      for key in map(_NOTE_KEY, record.get("notes", [])))
-        tags = tuple(t for t in (normalize_tag(raw) for raw in record.get("tags", ())) if t)
-        return Post(id=str(record["id"]), blog_name=record["blog_name"],
-                    body=record.get("body", ""), caption=record.get("caption", ""),
-                    tags=tags, notes=notes)
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        # AttributeError: a tag that is not a string has no ``strip``.
-        raise GraphFormatError(f"bad post record: {exc}") from exc
+    notes = tuple(note_records.get(key) or note_records.setdefault(
+                      key, NoteRecord(key[0], _NOTE_KIND_OF[key[1]]))
+                  for key in map(_NOTE_KEY, record.get("notes", [])))
+    tags = tuple(t for t in (normalize_tag(raw) for raw in record.get("tags", ())) if t)
+    return Post(id=record["id"], blog_name=record["blog_name"],
+                body=record.get("body", ""), caption=record.get("caption", ""),
+                tags=tags, notes=notes)
 
 
 # -- data sources -------------------------------------------------------------
@@ -185,7 +179,8 @@ def post_from_record(record: dict, note_records: dict | None = None) -> Post:
 # A data source answers two requests: ``blogger_posts(name, limit=None)``
 # (NotFoundError for an unknown blogger) and ``tagged_posts(tag, limit=None)``.
 # Each returns at most ``limit`` text posts, newest first, with their notes
-# embedded; posts of any other type are never returned.
+# embedded; posts of any other type are never returned.  Each request parses
+# the posts it returns afresh, and a store's posts share its NoteRecords.
 
 
 class FixtureStore:
@@ -194,10 +189,9 @@ class FixtureStore:
     The store owns the document it is given.  Every record is checked when
     the store is made, and the text posts are then indexed by blogger and by
     tag, from the blog names and each post's author, type and tags read
-    straight from the records.  A post is parsed from its record (notes
-    included) only when a request first returns it, and later requests
-    return the same object.
-    Posts share one NoteRecord per noter and kind.
+    straight from the records.  A request parses from their records (notes
+    included) exactly the posts it returns; the posts of every request share
+    one NoteRecord per noter and kind.
     Post arrays are ordered most-recent-first, so "the newest N" is a prefix
     slice.  Responses are deterministic for identical requests.
     """
@@ -205,7 +199,6 @@ class FixtureStore:
     def __init__(self, data: dict):
         validate_fixture(data)
         records = self._records = data["posts"]
-        self._posts: list[Post | None] = [None] * len(records)
         self._note_records: dict[tuple[str, str], NoteRecord] = {}
         bloggers = list(map(itemgetter("blog_name"), records))
         # A blogger with posts of other types only is known and has no posts.
@@ -259,21 +252,17 @@ class FixtureStore:
                 gc.enable()
         return store
 
-    def _post(self, index: int) -> Post:
-        post = self._posts[index]
-        if post is None:
-            post = self._posts[index] = post_from_record(self._records[index],
-                                                         self._note_records)
-        return post
+    def _parsed(self, indexes: list[int]) -> list[Post]:
+        return [post_from_record(self._records[i], self._note_records)
+                for i in indexes]
 
     def tagged_posts(self, tag: str, limit: int | None = None) -> list[Post]:
-        indexes = self._by_tag.get(normalize_tag(tag), [])
-        return [self._post(i) for i in indexes[:limit]]
+        return self._parsed(self._by_tag.get(normalize_tag(tag), [])[:limit])
 
     def blogger_posts(self, blog_name: str, limit: int | None = None) -> list[Post]:
         if blog_name not in self._blogs:
             raise NotFoundError(f"unknown blogger {blog_name!r}")
-        return [self._post(i) for i in self._by_blogger.get(blog_name, [])[:limit]]
+        return self._parsed(self._by_blogger.get(blog_name, [])[:limit])
 
 
 # The longest ``Retry-After`` wait honoured; a server asking for more fails
@@ -523,8 +512,8 @@ def visit_log_from_json(document: dict) -> tuple[list[VisitRecord], list[str]]:
     """Parse the ``visit_log`` rows and ``discarded`` names of a document.
 
     Raises GraphFormatError unless both are arrays, every row is
-    ``[name, score, verdict]`` with a string name, a number score and a known
-    verdict, and every discarded name is a string.
+    ``[name, score, verdict]`` with a string name, a finite number score and
+    a known verdict, and every discarded name is a string.
     """
     rows, discarded = document["visit_log"], document["discarded"]
     if not isinstance(rows, list):
@@ -534,7 +523,8 @@ def visit_log_from_json(document: dict) -> tuple[list[VisitRecord], list[str]]:
     visit_log = []
     for row in rows:
         if not (isinstance(row, list) and len(row) == 3
-                and isinstance(row[0], str) and NUMBER.test(row[1])):
+                and isinstance(row[0], str) and NUMBER.test(row[1])
+                and math.isfinite(row[1])):
             raise GraphFormatError(f"bad visit_log row {row!r}")
         try:
             visit_log.append(VisitRecord(row[0], float(row[1]), verdict_of(row[2])))
@@ -626,9 +616,9 @@ def fetch_posts(source, blogger: str,
         source.blogger_posts(blogger, limit=config.posts_per_blogger))
 
 
-def extract_frontiers(blogger: str, posts,
-                      config: CrawlConfig) -> dict[str, set[NoteKind]]:
-    """Collect the bloggers noting ``posts``, each with their note kinds.
+def extract_frontiers(blogger: str, posts, config: CrawlConfig) -> dict[str, int]:
+    """Collect the bloggers noting ``posts``, each with the label mask
+    (``LABEL_BIT``) of their note kinds.
 
     Per post, up to ``frontier_width`` most-recent noters of each kind are
     taken; a noter appearing in both slices gets both labels and triggers one
@@ -636,13 +626,14 @@ def extract_frontiers(blogger: str, posts,
     merge across posts.  The blogger's own notes are ignored.
     """
     width = config.frontier_width
-    found: dict[str, set[NoteKind]] = {}
+    found: dict[str, int] = {}
     for post in posts:
         notes = [n for n in post.notes if n.blog_name != blogger]
         likes = [n for n in notes if n.kind is NoteKind.LIKE][:width]
         reblogs = [n for n in notes if n.kind is NoteKind.REBLOG][:width]
         for note in likes + reblogs:
-            found.setdefault(note.blog_name, set()).add(note.kind)
+            name = note.blog_name
+            found[name] = found.get(name, 0) | LABEL_BIT[note.kind.value]
         rebloggers = {n.blog_name for n in reblogs}
         duals = [name for name in dict.fromkeys(n.blog_name for n in likes)
                  if name in rebloggers]
@@ -650,7 +641,7 @@ def extract_frontiers(blogger: str, posts,
             extra = next((n for n in notes if n.blog_name not in found), None)
             if extra is None:
                 break
-            found[extra.blog_name] = {extra.kind}
+            found[extra.blog_name] = LABEL_BIT[extra.kind.value]
     return found
 
 
@@ -865,8 +856,7 @@ class CrawlSession:
         graph.add_node(name, Verdict.RELEVANT, score)
         for parent, mask in parents.items():
             graph.add_labels(parent, name, mask)
-        for target, labels in extract_frontiers(name, posts, self._config).items():
-            mask = kinds_mask(labels)
+        for target, mask in extract_frontiers(name, posts, self._config).items():
             if target in self._processed:
                 # Reappearing blogger: link if they made it into the graph,
                 # drop silently if they were discarded.
@@ -951,9 +941,14 @@ class CrawlSession:
                 raise GraphFormatError(
                     f"selections {selections} is neither the {len(processed)}"
                     " processed bloggers nor one less")
-            if not (checkpoint["current"] is None
-                    or isinstance(checkpoint["current"], str)):
+            current, stop = checkpoint["current"], checkpoint.get("stop_reason")
+            if not (current is None or isinstance(current, str)):
                 raise GraphFormatError("current is neither a name nor null")
+            # A step that stops the crawl clears current; any other selects.
+            if (current is None) != (stop is not None):
+                raise GraphFormatError(f"current {current!r} with stop_reason "
+                                       f"{stop!r}: current is null exactly "
+                                       "when the crawl has stopped")
             session._processed = dict.fromkeys(processed)
             pending = {target: {parent: label_mask(labels)
                                 for parent, labels in parents.items()}
@@ -971,7 +966,7 @@ class CrawlSession:
                     raise GraphFormatError(f"frontier blogger {target!r}: relation "
                                            "differs from its pending labels")
                 frontier[target] = {first: parents[first]} | parents
-            if set(pending) - {checkpoint["current"]}:
+            if set(pending) - {current}:
                 raise GraphFormatError(
                     "pending bloggers missing from the frontier")
             frontier.update(pending)
@@ -983,14 +978,12 @@ class CrawlSession:
                                            "discoverer outside the graph")
             session._frontier = Frontier(session._graph, frontier)
             # Until the seed is admitted, only the seed itself can be next.
-            waiting = (frontier
-                       or checkpoint["current"] not in (None, config.seed))
+            waiting = frontier or current not in (None, config.seed)
             if waiting and not session._graph.has_node(config.seed):
                 raise GraphFormatError("bloggers are pending but the graph "
                                        f"lacks the seed {config.seed!r}")
             session._selections = selections
-            session._current = checkpoint["current"]
-            stop = checkpoint.get("stop_reason")
+            session._current = current
             session._stop = StopReason(stop) if stop is not None else None
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise GraphFormatError(f"bad checkpoint document: {exc!r}") from exc

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import heapq
 import json
+import math
 import re
 from array import array
 from dataclasses import asdict, dataclass
@@ -58,14 +59,6 @@ def label_mask(values) -> int:
             mask |= LABEL_BIT[value]
         except (KeyError, TypeError):
             raise ValueError(f"{value!r} is not a valid NoteKind") from None
-    return mask
-
-
-def kinds_mask(kinds) -> int:
-    """The mask of an iterable of NoteKind members."""
-    mask = 0
-    for kind in kinds:
-        mask |= LABEL_BIT[kind.value]
     return mask
 
 
@@ -240,8 +233,8 @@ class CommunityGraph:
                 if not isinstance(node, dict):
                     raise TypeError(f"node {node!r} is not an object")
                 verdict, score = node.get("verdict"), node.get("score")
-                if not (score is None or NUMBER.test(score)):
-                    raise TypeError(f"node score {score!r} is not a number")
+                if not (score is None or (NUMBER.test(score) and math.isfinite(score))):
+                    raise TypeError(f"node score {score!r} is not a finite number")
                 name = _node_name(node["id"])
                 if name in ids:
                     raise ValueError(f"node id {name!r} is listed twice")

@@ -49,7 +49,7 @@ from spiderveil.crawler import (CHECKPOINT_FORMAT, CHECKPOINT_VERSION,
 from spiderveil.errors import GraphFormatError, NotFoundError, SelfLoopError
 from spiderveil.langmodel import SENTINEL, UNKNOWN, Verdict
 from spiderveil.simnet import GLUE_RATE, _split_vocab, relevant_count
-from spiderveil.socialgraph import Partition, _dot_id, _node_name
+from spiderveil.socialgraph import LABEL_KINDS, Partition, _dot_id, _node_name
 
 INF = float("inf")
 
@@ -695,7 +695,7 @@ class EagerFixtureStore:
             self._blogs.add(record["blog_name"])
             if record["type"] != "text":
                 continue
-            post = post_from_record(record)
+            post = post_from_record(record, {})
             self._by_blogger.setdefault(post.blog_name, []).append(post)
             for tag in dict.fromkeys(post.tags):
                 self._by_tag.setdefault(tag, []).append(post)
@@ -1033,7 +1033,8 @@ class ReferenceCrawlSession(CrawlSession):
         self._graph.add_node(name, Verdict.RELEVANT, score)
         for parent, labels in parents.items():
             self._link(parent, name, labels)
-        for target, labels in extract_frontiers(name, posts, self._config).items():
+        for target, mask in extract_frontiers(name, posts, self._config).items():
+            labels = LABEL_KINDS[mask]
             if target in self._processed:
                 if self._graph.has_node(target):
                     self._link(name, target, labels)

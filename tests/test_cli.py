@@ -1057,6 +1057,44 @@ class TestNumbersFloatCannotHold:
             crawler.CrawlSession.resume(None, None, document)
 
 
+# Score texts that json reads as floats that are not finite.
+NON_FINITE_SCORES = ["NaN", "Infinity", "-Infinity", "1e400"]
+
+
+class TestNonFiniteScores:
+    """A score read from a file is finite: the package never writes another,
+    and writing one back out would give JSON that is not RFC 8259 JSON
+    (NaN, Infinity) or a DOT score of "inf"."""
+
+    @pytest.mark.parametrize("fmt", ["json", "graphml", "dot"])
+    @pytest.mark.parametrize("text", NON_FINITE_SCORES)
+    def test_export_refuses_the_graph(self, tmp_path, capsys, fmt, text):
+        path = tmp_path / "graph.json"
+        path.write_text(f'{{"nodes": [{{"id": "a", "score": {text}}}], "edges": []}}')
+        out = tmp_path / "out"
+        code, _ = run(["--out-dir", str(out), "export", str(path), "--format", fmt])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: bad graph document: node score {float(text)!r}"
+            " is not a finite number\n")
+        assert not (out / f"graph.{fmt}").exists()
+
+    @pytest.mark.parametrize("text", NON_FINITE_SCORES)
+    def test_eval_refuses_the_visit_log(self, pipeline, tmp_path, capsys, text):
+        document = json.loads((pipeline.root / "crawl.json").read_text())
+        document["visit_log"][0][1] = "SCORE"
+        result = tmp_path / "crawl.json"
+        result.write_text(json.dumps(document).replace('"SCORE"', text))
+        document = json.loads(result.read_text())
+        row = document["visit_log"][0]
+        code, _ = run(["--out-dir", str(tmp_path), "eval", "--result",
+                       str(result), "--truth", str(pipeline.truth)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: bad visit_log row {row!r}\n"
+        with pytest.raises(GraphFormatError, match="^bad visit_log row "):
+            crawler.CrawlSession.resume(None, None, document)
+
+
 class TestDataSourceContract:
     def test_two_request_source_writes_the_same_files(self, pipeline, tmp_path,
                                                       monkeypatch):

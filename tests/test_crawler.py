@@ -36,7 +36,7 @@ from spiderveil.crawler import (MAX_RETRY_AFTER_S, PROPAGATION_CAP,
 from spiderveil.errors import (GraphFormatError, NotFoundError,
                                RetrievalError)
 from spiderveil.langmodel import Verdict
-from spiderveil.socialgraph import CommunityGraph
+from spiderveil.socialgraph import LABEL_BIT, LABEL_KINDS, CommunityGraph
 
 from conftest import (EDGE_STORES, HAND_BODIES, MALFORMED_POSTS,
                       MALFORMED_STORES, FakeGet, make_post)
@@ -156,18 +156,10 @@ class TestFixtureValidation:
         post = post_from_record(
             {"id": "p9", "blog_name": "a", "type": "photo",
              "caption": "hi", "tags": ["#Foo ", ""],
-             "notes": [{"blog_name": "b", "kind": "like"}]})
+             "notes": [{"blog_name": "b", "kind": "like"}]}, {})
         assert post.caption == "hi"
         assert post.tags == ("foo",)
         assert post.notes == (note("b", "like"),)
-
-    def test_post_from_record_rejects_garbage(self):
-        with pytest.raises(GraphFormatError):
-            post_from_record({"id": "p1", "type": "text"})
-
-    def test_post_from_record_rejects_non_string_tag(self):
-        with pytest.raises(GraphFormatError, match="^bad post record: "):
-            post_from_record({"id": "p", "blog_name": "a", "tags": [5]})
 
 
 # The JSON Schema that validate_fixture's explicit checks replaced, kept as
@@ -560,6 +552,18 @@ ODD_TAG_STORE = {
 }
 
 
+# One blogger's posts, all under one tag, with noters and kinds repeated
+# across posts.
+ONE_FEED_STORE = {
+    "blogs": [{"name": "a"}],
+    "posts": [make_post("p1", "a", "one", tags=["t"],
+                        notes=[("c", "like"), ("c", "reblog")]),
+              make_post("p2", "a", "two", tags=["t"],
+                        notes=[("d", "like"), ("c", "like")]),
+              make_post("p3", "a", "three", tags=["T"],
+                        notes=[("c", "reblog"), ("d", "like")])],
+}
+
 # One noter and kind on posts by two bloggers, and under one tag.
 SHARED_NOTER_STORE = {
     "blogs": [{"name": "a"}, {"name": "b"}],
@@ -571,19 +575,49 @@ SHARED_NOTER_STORE = {
 }
 
 
-class TestLazyPosts:
-    """The store checks every record at load but parses a post only when an
-    accessor first returns it."""
+@pytest.fixture()
+def built(monkeypatch):
+    """Ids of the records ``post_from_record`` parses, in call order."""
+    ids = []
+    parse = crawler_module.post_from_record
+    monkeypatch.setattr(crawler_module, "post_from_record",
+                        lambda record, note_records:
+                        ids.append(record["id"]) or parse(record, note_records))
+    return ids
 
-    @pytest.fixture()
-    def built(self, monkeypatch):
-        """Ids of the records ``post_from_record`` parses, in call order."""
-        ids = []
-        parse = crawler_module.post_from_record
-        monkeypatch.setattr(crawler_module, "post_from_record",
-                            lambda record, note_records:
-                            ids.append(record["id"]) or parse(record, note_records))
-        return ids
+
+class TestRequestContract:
+    """Both data sources parse, for each request, exactly the posts it
+    returns; the posts of every request share the store's NoteRecords."""
+
+    REQUESTS = [("blogger_posts", "a", None), ("tagged_posts", "t", None),
+                ("blogger_posts", "a", 2), ("tagged_posts", "#T", 1),
+                ("blogger_posts", "a", None), ("tagged_posts", "t", 2)]
+
+    @pytest.mark.parametrize("source", ["FixtureStore", "HttpJsonStore"])
+    def test_each_request_parses_what_it_returns(self, source, built):
+        store = (FixtureStore(ONE_FEED_STORE) if source == "FixtureStore"
+                 else HttpJsonStore("http://store.test", get=FakeGet(
+                     {"posts": ONE_FEED_STORE["posts"]})))
+        eager = EagerFixtureStore(ONE_FEED_STORE)
+        answers = []
+        for method, key, limit in self.REQUESTS:
+            del built[:]
+            answer = getattr(store, method)(key, limit)
+            assert answer == getattr(eager, method)(key, limit)
+            assert built == [post.id for post in answer]
+            answers.append(answer)
+        posts = [post for answer in answers for post in answer]
+        assert len(set(map(id, posts))) == len(posts) == 14
+        notes = [note for post in posts for note in post.notes]
+        shared = {(note.blog_name, note.kind): note for note in notes}
+        assert len(shared) == 3
+        assert all(note is shared[note.blog_name, note.kind] for note in notes)
+
+
+class TestLazyPosts:
+    """The store checks every record at load but parses a post only when a
+    request returns it."""
 
     def test_load_parses_no_post(self, built, small_bundle, tmp_path):
         path = tmp_path / "store.json"
@@ -592,27 +626,14 @@ class TestLazyPosts:
         assert store.seed_blogger == small_bundle.store_data["seed"]
         assert built == []
 
-    def test_blogger_posts_parses_that_blogger_once(self, built, small_bundle):
-        store = FixtureStore(small_bundle.store_data)
-        name = small_bundle.seed_names[0]
-        own = [r["id"] for r in small_bundle.store_data["posts"]
-               if r["blog_name"] == name]
-        assert own
-        first = store.blogger_posts(name)
-        assert built == own
-        second = store.blogger_posts(name)
-        assert built == own
-        assert len(second) == len(first)
-        assert all(a is b for a, b in zip(first, second))
-
     def test_type_and_limit_parse_only_what_is_returned(self, built):
         store = FixtureStore(ODD_TAG_STORE)
         assert [p.id for p in store.blogger_posts("a", limit=1)] == ["p1"]
         assert built == ["p1"]
         assert [p.id for p in store.tagged_posts("stars")] == ["p1"]
-        assert built == ["p1"]
+        assert built == ["p1", "p1"]
         assert [p.id for p in store.tagged_posts("moon")] == ["p3"]
-        assert built == ["p1", "p3"]
+        assert built == ["p1", "p1", "p3"]
 
     def test_photo_posts_are_never_returned_or_parsed(self, built):
         store = FixtureStore(ODD_TAG_STORE)
@@ -627,7 +648,7 @@ class TestLazyPosts:
         store = FixtureStore(SHARED_NOTER_STORE)
         p1, p3 = store.blogger_posts("a")
         [p2] = store.tagged_posts("t", limit=2)[1:]
-        assert built == ["p1", "p3", "p2"]
+        assert built == ["p1", "p3", "p1", "p2"]
         assert p1.notes[0] is p2.notes[1]
         assert p1.notes[1] is p3.notes[0]
         assert p1.notes[0] is not p1.notes[1]
@@ -1029,7 +1050,7 @@ class TestHttpJsonStore:
         store = HttpJsonStore("http://store.test",
                               get=FakeGet({"posts": [record]}))
         [post] = store.blogger_posts("a")
-        assert post == post_from_record(record)
+        assert post == post_from_record(record, {})
 
     def test_requests_ask_for_text_posts_and_the_limit(self, hand_store_data,
                                                        hand_model, hand_config):
@@ -1142,17 +1163,26 @@ class TestFetchPosts:
 
 
 class TestExtractFrontiers:
-    def entries(self, notes, width=25, blogger="host"):
+    """Each noter comes with the label mask of their kinds, read here as the
+    kinds through ``LABEL_KINDS``."""
+
+    def frontiers(self, notes, width=25, blogger="host"):
         config = CrawlConfig(seed="seed", threshold=-3.0,
                              frontier_width=width)
         post = Post(id="p1", blog_name=blogger, body="b",
                     notes=tuple(note(n, k) for n, k in notes))
-        return list(extract_frontiers(blogger, [post], config).items())
+        return extract_frontiers(blogger, [post], config)
+
+    def entries(self, notes, **options):
+        return [(name, LABEL_KINDS[mask])
+                for name, mask in self.frontiers(notes, **options).items()]
 
     def test_merges_kinds_per_noter(self):
-        result = self.entries([("x", "like"), ("y", "reblog"), ("x", "reblog")])
-        assert result == [
+        notes = [("x", "like"), ("y", "reblog"), ("x", "reblog")]
+        assert self.entries(notes) == [
             ("x", {NoteKind.LIKE, NoteKind.REBLOG}), ("y", {NoteKind.REBLOG})]
+        assert self.frontiers(notes) == {
+            "x": LABEL_BIT["like"] | LABEL_BIT["reblog"], "y": LABEL_BIT["reblog"]}
 
     def test_no_notes(self):
         assert self.entries([]) == []
@@ -1185,7 +1215,7 @@ class TestExtractFrontiers:
                  Post(id="p2", blog_name="host", body="b",
                       notes=(note("x", "reblog"), note("y", "like")))]
         result = extract_frontiers("host", posts, config)
-        assert list(result.items()) == [
+        assert [(name, LABEL_KINDS[mask]) for name, mask in result.items()] == [
             ("x", {NoteKind.LIKE, NoteKind.REBLOG}), ("y", {NoteKind.LIKE})]
 
 
@@ -2168,6 +2198,12 @@ class TestCheckpointResume:
             **doc, "selections": doc["selections"] + 40},
         "selections-huge": lambda doc: {**doc, "selections": 10 ** 12},
         "current-not-a-name": lambda doc: {**doc, "current": 5},
+        # A step clears current exactly when it stops the crawl.
+        "current-null-while-running": lambda doc: {
+            **doc, "current": None, "pending": {
+                target: parents for target, parents in doc["pending"].items()
+                if target != doc["current"]}},
+        "stopped-with-a-current": lambda doc: {**doc, "stop_reason": "size_limit"},
         "pending-labels-empty": lambda doc: {**doc, "pending": {
             target: dict.fromkeys(parents, [])
             for target, parents in doc["pending"].items()}},

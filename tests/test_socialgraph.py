@@ -808,8 +808,17 @@ class TestExports:
                      {"src": "c", "dst": "c", "labels": []}):
             with pytest.raises(GraphFormatError, match="empty array"):
                 read({"nodes": [{"id": "a"}], "edges": [edge]})
-        with pytest.raises(GraphFormatError, match="score .* is not a number"):
+        with pytest.raises(GraphFormatError, match="score .* is not a finite number"):
             read({"nodes": [{"id": "a", "score": 10**400}], "edges": []})
+        # json reads NaN, Infinity and a float literal past the range as
+        # floats that are not finite.
+        for text in ("NaN", "Infinity", "-Infinity", "1e400"):
+            with pytest.raises(GraphFormatError, match=(
+                    f"^bad graph document: node score {float(text)!r} "
+                    "is not a finite number$")):
+                import_json_edge_list(
+                    f'{{"nodes": [{{"id": "a", "score": {text}}}], "edges": []}}'
+                    .encode())
         with pytest.raises(GraphFormatError, match="'a' is listed twice"):
             read({"nodes": [
                 {"id": "a", "verdict": "relevant", "score": -0.5},

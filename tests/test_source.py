@@ -6,7 +6,8 @@ private module-level name of the package is used,
 alone prints and raises only what ``EXIT_CODES`` maps,
 only ``socialgraph`` reads the graph store's fields, ``simnet`` draws only
 through ``getrandbits`` and ``random``, ``json.loads`` is called only where
-a JSON document enters, ``gc`` is imported and used only by
+a JSON document enters, ``post_from_record`` is named only in
+``FixtureStore`` and ``HttpJsonStore``, ``gc`` is imported and used only by
 ``FixtureStore.load``, and the package imports exactly the standard
 library, itself and its declared dependencies."""
 
@@ -218,6 +219,22 @@ def test_json_loads_is_called_only_where_json_enters():
     assert callers, "no json.loads call found"
     assert callers <= JSON_DECODERS, \
         f"json.loads called outside {sorted(JSON_DECODERS)}: {sorted(callers - JSON_DECODERS)}"
+
+
+# The classes that may parse a store record into a Post.  Each runs
+# ``post_fault`` over every record it parses first; ``post_from_record``
+# relies on that and checks nothing itself.
+RECORD_PARSERS = {("crawler.py", "FixtureStore"), ("crawler.py", "HttpJsonStore")}
+
+
+def test_post_from_record_is_named_only_in_the_stores():
+    users = {(path.name, scope.partition(".")[0]) for path in PACKAGE
+             for scope, node in _nodes_in_scopes(path)
+             if (isinstance(node, ast.Name) and node.id == "post_from_record")
+             or (isinstance(node, ast.Attribute) and node.attr == "post_from_record")}
+    assert users, "no post_from_record use found"
+    strays = sorted(users - RECORD_PARSERS)
+    assert not strays, f"post_from_record named outside {sorted(RECORD_PARSERS)}: {strays}"
 
 
 # The one function that may import and call the garbage collector: a store
