@@ -15,7 +15,6 @@ invocation is written before any artifact.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import math
 import os
@@ -59,20 +58,6 @@ EXIT_CODES = {
 # -- small file helpers --------------------------------------------------------
 
 
-class _Unsupported(Exception):
-    """A value the fast JSON writer leaves to ``json.dumps``."""
-
-
-def _json_float(value: float) -> str:
-    if value != value:
-        return "NaN"
-    if value == math.inf:
-        return "Infinity"
-    if value == -math.inf:
-        return "-Infinity"
-    return float.__repr__(value)
-
-
 # A homogeneous array is written this many rows at a time, so that only one
 # chunk's column texts are alive beside the finished chunks.
 _CHUNK_ROWS = 256
@@ -105,9 +90,9 @@ def _json_value(value, newline: str, memo: dict) -> str:
         return "false"
     if kind is int:
         return int.__repr__(value)
-    if kind is float:
-        return _json_float(value)
-    raise _Unsupported
+    if kind is float and math.isfinite(value):
+        return float.__repr__(value)
+    raise ValueError(f"cannot write {kind.__name__} {value!r:.60} as JSON")
 
 
 def _column(values: list, newline: str, memo: dict):
@@ -161,7 +146,8 @@ def _containers(pieces: list, counts, width: int, newline: str,
 def _dict_texts(values: list, newline: str, memo: dict) -> list:
     """The text of each of the dicts ``values``, their values one column."""
     if not set(map(type, chain.from_iterable(values))) <= {str}:
-        raise _Unsupported
+        key = next(key for key in chain.from_iterable(values) if type(key) is not str)
+        raise ValueError(f"cannot write {type(key).__name__} key {key!r:.60} as JSON")
     inner = newline + " "
     keys = [sorted(value) for value in values]
     names = list(chain.from_iterable(keys))
@@ -233,17 +219,13 @@ def json_text(obj) -> str:
 
     CPython encodes in pure Python whenever ``indent`` is set.  This writer
     joins strings over plain dicts with string keys, lists, strings, ints,
-    floats, bools and None.  It writes a homogeneous array column by column
-    and each distinct short list of strings in a column once; every
-    container is one join, so the text is built without a further copy.
-    Anything else (a tuple, a non-string key, a subclass, another type,
-    nesting too deep to recurse) goes to ``json.dumps`` itself, so unusual
-    input and errors behave exactly as there.
+    finite floats, bools and None, and raises ValueError naming any other
+    value or key (a tuple, a subclass, NaN or an infinity, another type).
+    It writes a homogeneous array column by column and each distinct short
+    list of strings in a column once; every container is one join, so the
+    text is built without a further copy.
     """
-    try:
-        return _json_value(obj, "\n", {})
-    except (_Unsupported, RecursionError):
-        return json.dumps(obj, sort_keys=True, indent=1)
+    return _json_value(obj, "\n", {})
 
 
 def write_json(path: Path, obj) -> None:
@@ -375,8 +357,6 @@ def cmd_bootstrap(args, config: dict) -> None:
 
 def _load_seed_bloggers(path) -> list[str]:
     data = read_json(path, "seed blogger file")
-    if isinstance(data, dict):
-        data = data.get("bloggers")
     if not STRINGS.test(data):
         raise GraphFormatError("seed blogger file must hold a JSON list of names")
     if not data:

@@ -146,10 +146,14 @@ class CommunityGraph:
         return LABEL_KINDS[self._masks[self._ids[src] << 32 | self._ids[dst]]]
 
     def successors(self, name: str) -> list[str]:
-        return [dst for src, dst, _ in self._named_edges() if src == name]
+        """The targets of ``name``'s edges, in insertion order."""
+        node, names = self._ids.get(name), self.nodes()
+        return [names[target] for source, target in zip(self._sources, self._targets)
+                if source == node]
 
     def out_degree(self, name: str) -> int:
-        return len(self.successors(name))
+        node = self._ids.get(name)
+        return 0 if node is None else self._degree[node]
 
     def verdict(self, name: str) -> Verdict | None:
         return self._verdicts[self._ids[name]]

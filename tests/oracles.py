@@ -979,9 +979,10 @@ class ReferenceGraph:
                 if not isinstance(node, dict):
                     raise TypeError(f"node {node!r} is not an object")
                 verdict, score = node.get("verdict"), node.get("score")
+                # math.isfinite raises OverflowError for an int no float holds.
                 if not (score is None or isinstance(score, (int, float))
-                        and not isinstance(score, bool)):
-                    raise TypeError(f"node score {score!r} is not a number")
+                        and not isinstance(score, bool) and math.isfinite(score)):
+                    raise TypeError(f"node score {score!r} is not a finite number")
                 graph.add_node(_node_name(node["id"]),
                                Verdict(verdict) if verdict is not None else None,
                                score)
@@ -991,7 +992,7 @@ class ReferenceGraph:
                     raise TypeError(f"edge labels {edge['labels']!r} are not an array")
                 for label in edge["labels"]:
                     graph.add_link(src, dst, NoteKind(label))
-        except (KeyError, TypeError, ValueError, SelfLoopError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError, SelfLoopError) as exc:
             raise GraphFormatError(f"bad graph document: {exc}") from exc
         return graph
 

@@ -360,8 +360,8 @@ class TestDrawsMatchRandom:
             params = GeneratorParams(total_bloggers=5, relevant_fraction=fraction,
                                      notes_per_post=(3, 3), words_per_post=(6, 6),
                                      posts_per_blogger=2, rng_seed=seed)
-            assert (cli.json_text(generate(params))
-                    == cli.json_text(reference_generate(params)))
+            assert (list(map(cli.json_text, generate(params)))
+                    == list(map(cli.json_text, reference_generate(params))))
 
     # Widths 1 and 2, the powers of two and one above each, up to 2**20 + 1.
     WIDTHS = sorted({1, 2} | {2 ** k + d for k in range(1, 21) for d in (0, 1)})

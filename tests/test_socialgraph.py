@@ -845,6 +845,8 @@ NAMES = st.sampled_from("abcdefg")
 VERDICTS = st.sampled_from([None, *Verdict])
 SCORES = st.one_of(st.none(), st.integers(-3, 0),
                    st.floats(-5.0, 0.0, allow_nan=False))
+# Scores a graph document may hold but no reader accepts.
+NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
 
 
 @st.composite
@@ -865,13 +867,17 @@ def apply_calls(graph, calls):
 
 
 @st.composite
-def graph_documents(draw):
+def graph_documents(draw, non_finite=False):
     """Graph documents with unique listed node ids, edges between listed
-    and unlisted names, repeated edges and unsorted or repeated labels."""
+    and unlisted names, repeated edges and unsorted or repeated labels.
+    With ``non_finite``, one in four with nodes gives one node a score that
+    is not finite."""
     listed = draw(st.lists(NAMES, unique=True, max_size=5))
     nodes = [{"id": name,
               "verdict": draw(st.sampled_from([None, "relevant", "unknown"])),
               "score": draw(SCORES)} for name in listed]
+    if non_finite and nodes and draw(st.integers(0, 3)) == 0:
+        nodes[draw(st.integers(0, len(nodes) - 1))]["score"] = draw(NON_FINITE)
     ends = st.sampled_from("abcdefghij")
     edges = draw(st.lists(st.fixed_dictionaries({
         "src": ends, "dst": ends,
@@ -900,9 +906,14 @@ class TestSerializationMatchesReference:
         again = CommunityGraph.from_json_dict(reference.to_json_dict())
         assert again == graph and graph_view(again) == graph_view(graph)
 
-    @given(graph_documents())
+    @given(graph_documents(non_finite=True))
     @settings(max_examples=200, deadline=None)
     def test_from_json_dict_equals_reference(self, doc):
+        if not all(math.isfinite(node["score"] or 0) for node in doc["nodes"]):
+            for read in (CommunityGraph.from_json_dict, ReferenceGraph.from_json_dict):
+                with pytest.raises(GraphFormatError, match="is not a finite number"):
+                    read(doc)
+            return
         graph = CommunityGraph.from_json_dict(doc)
         reference = ReferenceGraph.from_json_dict(doc)
         assert graph_view(graph) == graph_view(reference)
@@ -925,6 +936,8 @@ LABEL_EDITS = st.sampled_from([
     ["like"], ["reblog"], ["like", "reblog"], ["reblog", "like"],
     ["like", "like"], ["like", "reblog", "like"], [], ["favorite"], [1],
     [["like"]], [None], "like", {"like": 1}, None, 5])
+SCORE_EDITS = st.one_of(NON_FINITE, st.sampled_from([None, -1, -0.5, 10 ** 400,
+                                                     True, "0"]))
 
 
 @st.composite
@@ -932,15 +945,17 @@ def mutated_graph_documents(draw):
     """A graph document as ``to_json_dict`` writes it, with a few edits: an
     edge end or label array set to another value, a field dropped, an end
     made a str subclass, an edge replaced, repeated or made a dict subclass,
-    a self-loop, a listed node removed."""
+    a self-loop, a listed node removed or its score set to another value."""
     doc = apply_calls(CommunityGraph(), draw(graph_operations())).to_json_dict()
     nodes, edges = doc["nodes"], doc["edges"]
     for _ in range(draw(st.integers(0, 4))):
         edit = draw(st.sampled_from(["end", "labels", "drop", "subclass",
                                      "replace", "repeat", "self-loop",
-                                     "unlist", "dict subclass"]))
+                                     "unlist", "dict subclass", "score"]))
         if edit == "unlist" and nodes:
             del nodes[draw(st.integers(0, len(nodes) - 1))]
+        if edit == "score" and nodes:
+            nodes[draw(st.integers(0, len(nodes) - 1))]["score"] = draw(SCORE_EDITS)
         if not edges:
             continue
         i = draw(st.integers(0, len(edges) - 1))
@@ -989,6 +1004,7 @@ class TestEdgeReader:
     @example(_two_node_document({"dst": "c"}))
     @example(_two_node_document({"src": 5}))
     @example(_two_node_document({}, {"labels": ["reblog"]}))
+    @example({"nodes": [{"id": "a", "verdict": None, "score": math.nan}], "edges": []})
     @settings(max_examples=800, deadline=None)
     def test_equals_the_reference(self, doc):
         try:
@@ -1053,6 +1069,7 @@ def assert_store_matches(graph, reference):
     assert [graph.successors(name) for name in nodes] == successors
     degrees = list(map(len, successors))
     assert [graph.out_degree(name) for name in nodes] == degrees
+    assert graph.successors("unknown") == [] and graph.out_degree("unknown") == 0
     assert graph._out_degrees().tolist() == degrees
     assert graph.edge_count() == len(edges)
     sources, targets = graph._edge_arrays()

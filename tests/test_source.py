@@ -139,19 +139,12 @@ def test_only_cli_prints():
 
 def test_cli_raises_only_what_exit_codes_maps():
     """``main`` gives every exception its exit code from ``EXIT_CODES``, so
-    each class cli.py raises is a subclass of a key, apart from a class cli.py
-    defines and catches in a function other than ``main``."""
-    tree = _tree(Path(cli.__file__))
-    own = {node.name for node in tree.body if isinstance(node, ast.ClassDef)}
-    caught = {name.id for function in tree.body
-              if isinstance(function, ast.FunctionDef) and function.name != "main"
-              for handler in ast.walk(function)
-              if isinstance(handler, ast.ExceptHandler) and handler.type
-              for name in ast.walk(handler.type) if isinstance(name, ast.Name)}
+    each class cli.py raises is a subclass of a key."""
     raised = {(node.exc.func if isinstance(node.exc, ast.Call) else node.exc).id
-              for node in ast.walk(tree) if isinstance(node, ast.Raise) and node.exc}
+              for node in ast.walk(_tree(Path(cli.__file__)))
+              if isinstance(node, ast.Raise) and node.exc}
     names = {**vars(builtins), **vars(cli)}
-    unmapped = sorted(name for name in raised - (own & caught)
+    unmapped = sorted(name for name in raised
                       if not issubclass(names[name], tuple(cli.EXIT_CODES)))
     assert not unmapped, f"cli.py raises classes EXIT_CODES does not map: {unmapped}"
 
