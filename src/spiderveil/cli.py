@@ -361,6 +361,11 @@ def _load_seed_bloggers(path) -> list[str]:
         raise GraphFormatError("seed blogger file must hold a JSON list of names")
     if not data:
         raise EmptyInputError(f"seed blogger file {path} names no bloggers")
+    seen = set()
+    for name in data:
+        if name in seen:
+            raise GraphFormatError(f"seed blogger file names {name!r} twice")
+        seen.add(name)
     return data
 
 
@@ -466,10 +471,9 @@ def cmd_crawl(args, config: dict) -> None:
     graph_paths = {fmt: out_dir / f"graph.{ext}"
                    for fmt, ext in (("json", "json"), ("graphml", "graphml"),
                                     ("dot", "dot"))}
-    write_manifest(args, out_dir, [crawl_path, *graph_paths.values()])
-
     session = CrawlSession(store, model, crawl_config)
     result = session.run()
+    write_manifest(args, out_dir, [crawl_path, *graph_paths.values()])
     write_json(crawl_path, session.checkpoint())
     for fmt, path in graph_paths.items():
         atomic_write_bytes(path, export_graph(result.graph, fmt))

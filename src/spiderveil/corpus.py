@@ -57,8 +57,15 @@ def normalize_text(raw: str) -> str:
 
 
 def normalize_tag(tag: str) -> str:
-    """Canonical tag form: lowercase, no leading '#', trimmed."""
-    return tag.strip().lstrip("#").strip().lower()
+    """Canonical tag form: lowercase and trimmed, with '#' and whitespace
+    stripped from the front until neither is left.
+
+    Idempotent, so a store indexes a tag under the form its queries ask for.
+    """
+    tag = tag.lower().strip()
+    while tag.startswith("#"):
+        tag = tag.lstrip("#").lstrip()
+    return tag
 
 
 def _word_tokens(text: str) -> list[str]:
@@ -196,11 +203,12 @@ def bootstrap_exemplars(store, seed_tags, target_size: int
                         ) -> tuple[ExemplarCorpus, dict[str, int]]:
     """Grow an exemplar corpus from seed tags by tag co-occurrence.
 
-    Round g fetches posts for every generation-g tag, keeps normalized
-    English texts (deduplicated by post id), and files unseen co-occurring
-    tags under generation g+1.  Stops at ``target_size`` documents, after
-    ``BOOTSTRAP_ROUNDS`` rounds, or when a round adds nothing.  The lexicon
-    maps each normalized, non-empty tag to the first generation that saw it.
+    Round g fetches posts for every generation-g tag, keeps the non-empty
+    texts ``filter_english`` keeps (deduplicated by post id), and files unseen
+    co-occurring tags under generation g+1.  Stops at ``target_size``
+    documents, after ``BOOTSTRAP_ROUNDS`` rounds, or when a round adds
+    nothing.  The lexicon maps each normalized, non-empty tag to the first
+    generation that saw it.
     """
     if target_size <= 0:
         raise ValueError("target_size must be positive")
@@ -220,13 +228,9 @@ def bootstrap_exemplars(store, seed_tags, target_size: int
         for tag in current:
             if len(documents) >= target_size:
                 break
-            for post in store.tagged_posts(tag, limit=target_size):
-                if post.id in seen_ids:
-                    continue
-                text = post.normalized_text()
-                if not text:
-                    continue
-                if detect_language(text) is LanguageVerdict.NON_ENGLISH:
+            page = store.tagged_posts(tag, limit=target_size)
+            for post, text in filter_english(page):
+                if not text or post.id in seen_ids:
                     continue
                 seen_ids.add(post.id)
                 documents.append(text)

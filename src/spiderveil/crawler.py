@@ -449,10 +449,6 @@ class CrawlConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        # Selection compares the policy by identity, so a value such as
-        # "uniform_random" would silently select by Markov mass.
-        if not isinstance(self.selection_policy, SelectionPolicy):
-            raise ValueError("selection_policy must be a SelectionPolicy")
         # Each value takes its JSON kind, so that every config made here
         # survives the JSON round trip of a checkpoint.
         apply_kinds(self, CONFIG_KINDS)

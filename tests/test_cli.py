@@ -2,10 +2,14 @@ import gc
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from math import fsum
+from pathlib import Path
 from types import SimpleNamespace
 from unittest.mock import patch
 from xml.etree import ElementTree
@@ -372,6 +376,21 @@ class TestTrain:
         assert out == ""
         assert not (out_dir / "manifest.json").exists()
 
+    def test_seed_blogger_named_twice_exit_2(self, pipeline, tmp_path, capsys):
+        # A repeated seed would count twice in the threshold's mean but once
+        # in its scores, so the file could not reproduce its threshold.
+        seeds = tmp_path / "seeds.json"
+        seeds.write_text(json.dumps(["blogger-000", "blogger-000", "blogger-001"]))
+        out_dir = tmp_path / "out"
+        code, out = run(["--out-dir", str(out_dir), "train",
+                         "--corpus", str(pipeline.root / "corpus.ndjson"),
+                         "--seed-bloggers", str(seeds), "--store", str(pipeline.store)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: seed blogger file names 'blogger-000' twice\n")
+        assert out == ""
+        assert list(out_dir.iterdir()) == []
+
     def test_unknown_seed_blogger_writes_nothing(self, pipeline, tmp_path,
                                                  capsys):
         seeds = tmp_path / "seeds.json"
@@ -523,6 +542,7 @@ class TestCrawl:
                        "--threshold", "-2.0",
                        "--seed-blogger", "nobody"])
         assert code == 4
+        assert not (tmp_path / "manifest.json").exists()
 
     def test_missing_model(self, pipeline, tmp_path):
         code, _ = run(["--out-dir", str(tmp_path), "crawl",
@@ -612,6 +632,7 @@ class TestCrawl:
         assert code == 2
         assert capsys.readouterr().err.startswith(
             "error: GET /blog/a/posts failed after 3 attempts")
+        assert not (tmp_path / "manifest.json").exists()
         assert not (tmp_path / "crawl.json").exists()
 
     def test_threshold_file_not_an_object(self, pipeline, tmp_path, capsys):
@@ -862,6 +883,23 @@ class TestEval:
     def test_no_inputs(self):
         code, _ = run(["eval"])
         assert code == 3
+
+    def test_console_script_entry(self, tmp_path):
+        # ``entry`` is what the installed ``spiderveil`` script runs.
+        src = Path(cli.__file__).resolve().parent.parent
+
+        def spiderveil(*argv):
+            return subprocess.run(
+                [sys.executable, "-c", "from spiderveil.cli import entry; entry()",
+                 *argv], cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(src)),
+                capture_output=True, text=True)
+
+        done = spiderveil("eval", "--matrix", "290,45,92,173")
+        assert (done.returncode, done.stdout, done.stderr) == (0, GOLDEN_EVAL, "")
+        done = spiderveil("eval")
+        assert (done.returncode, done.stdout) == (3, "")
+        assert done.stderr == \
+            "error: eval needs --matrix or both --result and --truth\n"
 
     def test_crawl_result_against_truth(self, pipeline, tmp_path):
         code, stdout = run(["--out-dir", str(tmp_path), "eval",

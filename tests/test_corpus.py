@@ -12,9 +12,10 @@ from spiderveil.corpus import (BOOTSTRAP_ROUNDS, ENGLISH_FUNCTION_WORDS,
                                NoteRecord, Post, _word_tokens,
                                bootstrap_exemplars, detect_language,
                                filter_english, normalize_tag, normalize_text)
+from spiderveil.crawler import FixtureStore
 from spiderveil.errors import RetrievalError
 
-from conftest import tear_writes
+from conftest import make_post, tear_writes
 from oracles import (reference_detect_language, reference_normalize_text,
                      reference_word_tokens)
 
@@ -104,9 +105,31 @@ class TestNormalizeText:
 class TestNormalizeTag:
     def test_hash_and_case(self):
         assert normalize_tag("#StarGazing ") == "stargazing"
+        assert normalize_tag(" ## \t# Nebula \n") == "nebula"
+        assert normalize_tag("# # ") == ""
 
     def test_plain(self):
         assert normalize_tag("nebula") == "nebula"
+
+    @given(st.text(st.one_of(st.sampled_from(["#", " ", "\t", "\x85", "\u3000"]),
+                             st.sampled_from(AWKWARD), st.characters())))
+    def test_is_a_fixed_point(self, raw):
+        tag = normalize_tag(raw)
+        assert normalize_tag(tag) == tag
+        assert not tag.startswith("#")
+        assert tag == tag.strip()
+
+    def test_store_queries_and_lexicon_agree(self):
+        # Each post is indexed under the form a query for "#x" or "x" asks
+        # for, and the bootstrap files the co-tag under that form too.
+        store = FixtureStore({"blogs": [{"name": "a"}], "seed": "a", "posts": [
+            make_post("p1", "a", ENGLISH_BODY + " one", tags=["seed", "# #x"]),
+            make_post("p2", "a", ENGLISH_BODY + " two", tags=["# #X"])]})
+        assert [post.id for post in store.tagged_posts("#x")] == ["p1", "p2"]
+        assert [post.id for post in store.tagged_posts("x")] == ["p1", "p2"]
+        corpus, lexicon = bootstrap_exemplars(store, ["seed"], 10)
+        assert lexicon == {"seed": 0, "x": 1}
+        assert corpus.document_ids == ["p1", "p2"]
 
 
 class TestDetectLanguage:

@@ -1553,8 +1553,13 @@ class TestConfig:
             CrawlConfig(seed="a", threshold=-2.0, ngram_order=0)
 
     def test_policy_must_be_a_member(self):
-        with pytest.raises(ValueError, match="selection_policy"):
-            CrawlConfig(seed="a", threshold=-3.0, selection_policy="uniform_random")
+        # A policy value becomes its member, as it does from JSON; a value of
+        # any other type is refused.
+        config = CrawlConfig(seed="a", threshold=-3.0,
+                             selection_policy="uniform_random")
+        assert config.selection_policy is SelectionPolicy.UNIFORM_RANDOM
+        with pytest.raises(ValueError, match="^selection_policy must be a string$"):
+            CrawlConfig(seed="a", threshold=-3.0, selection_policy=5)
 
     @pytest.mark.parametrize("field,changes", [
         ("seed", {"seed": 5}), ("graph_size_limit", {"graph_size_limit": 2.5}),

@@ -7,7 +7,8 @@ alone prints and raises only what ``EXIT_CODES`` maps,
 only ``socialgraph`` reads the graph store's fields, ``simnet`` draws only
 through ``getrandbits`` and ``random``, ``json.loads`` is called only where
 a JSON document enters, ``post_from_record`` is named only in
-``FixtureStore`` and ``HttpJsonStore``, ``gc`` is imported and used only by
+``FixtureStore`` and ``HttpJsonStore``, ``detect_language`` is called only
+by ``filter_english``, ``gc`` is imported and used only by
 ``FixtureStore.load``, and the package imports exactly the standard
 library, itself and its declared dependencies."""
 
@@ -228,6 +229,21 @@ def test_post_from_record_is_named_only_in_the_stores():
     assert users, "no post_from_record use found"
     strays = sorted(users - RECORD_PARSERS)
     assert not strays, f"post_from_record named outside {sorted(RECORD_PARSERS)}: {strays}"
+
+
+# Every post the package keeps or scores (the exemplar corpus, the seed
+# bloggers' posts and the crawl's) passes the one language filter.
+LANGUAGE_FILTER = {("corpus.py", "filter_english")}
+
+
+def test_detect_language_is_called_only_by_filter_english():
+    callers = {(path.name, scope) for path in PACKAGE
+               for scope, call in _nodes_in_scopes(path)
+               if isinstance(call, ast.Call)
+               and "detect_language" in (getattr(call.func, "id", None),
+                                         getattr(call.func, "attr", None))}
+    assert callers == LANGUAGE_FILTER, \
+        f"detect_language called by {sorted(callers)}, not only by filter_english"
 
 
 # The one function that may import and call the garbage collector: a store
