@@ -216,28 +216,28 @@ def bootstrap_exemplars(store, seed_tags, target_size: int
     if not lexicon:
         raise ValueError("seed lexicon is empty")
 
-    documents: list[str] = []
-    document_ids: list[str] = []
-    seen_ids: set[str] = set()
+    # post id -> normalized text, in the order collected
+    collected: dict[str, str] = {}
 
     # A round that adds no document adds no tag, so the next one stops.
     for generation in range(BOOTSTRAP_ROUNDS):
         current = [tag for tag, added in lexicon.items() if added == generation]
-        if not current or len(documents) >= target_size:
+        if not current or len(collected) >= target_size:
             break
         for tag in current:
-            if len(documents) >= target_size:
+            if len(collected) >= target_size:
                 break
-            page = store.tagged_posts(tag, limit=target_size)
+            # A post collected from an earlier page is not normalized again.
+            page = [post for post in store.tagged_posts(tag, limit=target_size)
+                    if post.id not in collected]
             for post, text in filter_english(page):
-                if not text or post.id in seen_ids:
+                if not text or post.id in collected:
                     continue
-                seen_ids.add(post.id)
-                documents.append(text)
-                document_ids.append(post.id)
+                collected[post.id] = text
                 for co_tag in filter(None, map(normalize_tag, post.tags)):
                     lexicon.setdefault(co_tag, generation + 1)
-                if len(documents) >= target_size:
+                if len(collected) >= target_size:
                     break
 
-    return ExemplarCorpus(documents=documents, document_ids=document_ids), lexicon
+    return ExemplarCorpus(documents=list(collected.values()),
+                          document_ids=list(collected)), lexicon

@@ -45,9 +45,6 @@ CHECKPOINT_VERSION = 1
 # by then.
 PROPAGATION_CAP = 64
 
-# The kind of a checked note record, found without the Enum call's lookup.
-_NOTE_KIND_OF = {kind.value: kind for kind in NoteKind}
-_NOTE_KINDS = frozenset(_NOTE_KIND_OF)
 # The (blog_name, kind value) pair a note record is interned under.
 _NOTE_KEY = itemgetter("blog_name", "kind")
 # The value an absent tags or notes array is read as.
@@ -103,7 +100,7 @@ def post_fault(posts: list) -> str | None:
     # ``set`` TypeError for an unhashable kind or name.
     try:
         kinds = set(map(dict.__getitem__, chain.from_iterable(notes), repeat("kind")))
-        if kinds <= _NOTE_KINDS and _names(set(map(
+        if kinds <= LABEL_BIT.keys() and _names(set(map(
                 dict.__getitem__, chain.from_iterable(notes), repeat("blog_name")))):
             return None
     except (KeyError, TypeError):
@@ -166,7 +163,7 @@ def post_from_record(record: dict, note_records: dict) -> Post:
     one table for all its posts holds one record per noter and kind.
     """
     notes = tuple(note_records.get(key) or note_records.setdefault(
-                      key, NoteRecord(key[0], _NOTE_KIND_OF[key[1]]))
+                      key, NoteRecord(key[0], NoteKind(key[1])))
                   for key in map(_NOTE_KEY, record.get("notes", [])))
     tags = tuple(t for t in (normalize_tag(raw) for raw in record.get("tags", ())) if t)
     return Post(id=record["id"], blog_name=record["blog_name"],
@@ -767,7 +764,6 @@ class CrawlSession:
         # Every discovered, unvisited blogger (the one picked next included,
         # until visited) -> each graph node that discovered them -> label mask.
         self._frontier = Frontier(self._graph)
-        self._selections = 0
         self._current: str | None = config.seed
         self._stop: StopReason | None = None
         # The last Markov mass and the (node count, edge count, step count)
@@ -800,7 +796,6 @@ class CrawlSession:
             mass = {} if policy is SelectionPolicy.UNIFORM_RANDOM else self._distribution()
             self._current = select_next(self._frontier, mass, policy,
                                         self._rng, self._graph)
-            self._selections += 1
         return self._stop is None
 
     def run(self, max_steps: int | None = None) -> CrawlResult | None:
@@ -821,19 +816,23 @@ class CrawlSession:
     # -- internals --------------------------------------------------------
 
     def _visit(self, name: str) -> None:
-        self._processed[name] = None
-        parents = self._frontier.visit(name)
+        # A visit that raises leaves the session as the step found it.
+        skip = None
         try:
             kept = fetch_posts(self._source, name, self._config)
             score = score_blogger(self._model, kept)
         except (NotFoundError, RetrievalError) as exc:
             if name == self._config.seed:
                 raise
-            self._skip(name, f"retrieval failed ({exc})"
-                       if isinstance(exc, RetrievalError) else "unknown blogger")
-            return
+            skip = (f"retrieval failed ({exc})" if isinstance(exc, RetrievalError)
+                    else "unknown blogger")
         except ScoringError:
-            self._skip(name, "no scoreable text")
+            skip = "no scoreable text"
+        self._processed[name] = None
+        parents = self._frontier.visit(name)
+        if skip is not None:
+            logger.warning("skipping %s: %s", name, skip)
+            self._discarded[name] = None
             return
 
         verdict = classify(score, self._config.threshold)
@@ -842,10 +841,6 @@ class CrawlSession:
             self._admit(name, score, [post for post, _ in kept], parents)
         else:
             self._discarded[name] = None
-
-    def _skip(self, name: str, reason: str) -> None:
-        logger.warning("skipping %s: %s", name, reason)
-        self._discarded[name] = None
 
     def _admit(self, name: str, score: float, posts, parents) -> None:
         graph = self._graph
@@ -894,7 +889,9 @@ class CrawlSession:
             "config": self._config.to_json_dict(),
             "current": self._current,
             "stop_reason": self._stop.value if self._stop is not None else None,
-            "selections": self._selections,
+            # Each step processes its blogger, then selects unless it stops
+            # the crawl; a step that raises does neither.
+            "selections": len(self._processed) - self.finished,
             "visit_log": visit_log_to_json(self._visit_log),
             "discarded": list(self._discarded),
             "processed": list(self._processed),
@@ -931,12 +928,6 @@ class CrawlSession:
             if not COUNT.test(selections):
                 raise GraphFormatError(
                     f"selections {selections!r} is not a non-negative integer")
-            # Each step adds its blogger to processed, then selects once
-            # unless the crawl stopped or the seed's fetch raised.
-            if not 0 <= len(processed) - selections <= 1:
-                raise GraphFormatError(
-                    f"selections {selections} is neither the {len(processed)}"
-                    " processed bloggers nor one less")
             current, stop = checkpoint["current"], checkpoint.get("stop_reason")
             if not (current is None or isinstance(current, str)):
                 raise GraphFormatError("current is neither a name nor null")
@@ -946,6 +937,9 @@ class CrawlSession:
                                        f"{stop!r}: current is null exactly "
                                        "when the crawl has stopped")
             session._processed = dict.fromkeys(processed)
+            if selections != len(session._processed) - (stop is not None):
+                raise GraphFormatError(f"selections {selections} is not the "
+                                       "count processed and stop_reason imply")
             pending = {target: {parent: label_mask(labels)
                                 for parent, labels in parents.items()}
                        for target, parents in checkpoint["pending"].items()}
@@ -978,14 +972,23 @@ class CrawlSession:
             if waiting and not session._graph.has_node(config.seed):
                 raise GraphFormatError("bloggers are pending but the graph "
                                        f"lacks the seed {config.seed!r}")
-            session._selections = selections
+            # Each blogger is visited once.
+            for target in frontier:
+                if target in session._processed:
+                    raise GraphFormatError(
+                        f"pending blogger {target!r} was already processed")
+            if not (current is None or current in frontier
+                    or (current == config.seed and not session._processed)):
+                raise GraphFormatError(
+                    f"current {current!r} is neither pending nor the seed "
+                    "of an unstarted crawl")
             session._current = current
             session._stop = StopReason(stop) if stop is not None else None
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise GraphFormatError(f"bad checkpoint document: {exc!r}") from exc
         # Replay consumed randomness: uniform selection draws one float each.
         if config.selection_policy is SelectionPolicy.UNIFORM_RANDOM:
-            for _ in range(session._selections):
+            for _ in range(len(session._processed) - session.finished):
                 session._rng.random()
         return session
 

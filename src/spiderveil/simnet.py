@@ -238,7 +238,6 @@ def generate(params: GeneratorParams) -> tuple[dict, dict[str, bool]]:
     getrandbits, random_ = rng.getrandbits, rng.random
     bias = params.intra_community_note_bias
     posts = []
-    post_serial = 0
     for index, name in enumerate(names):
         is_relevant = truth[name]
         # Names are unique, so the blogger sits at one known slot of its
@@ -270,8 +269,8 @@ def generate(params: GeneratorParams) -> tuple[dict, dict[str, bool]]:
 
             note_count = (note_high if name == seed_name
                           else note_low + _below(getrandbits, note_high - note_low + 1))
-            notes = []
-            seen_notes = set()
+            # (noter, kind) -> note; a repeated pair is dropped.
+            notes: dict[tuple[str, str], dict] = {}
             for _ in range(note_count):
                 # A one-blogger community has no other slot; GeneratorParams
                 # rejects an empty one, so the other pool never is.
@@ -281,20 +280,17 @@ def generate(params: GeneratorParams) -> tuple[dict, dict[str, bool]]:
                 else:
                     noter = other_pool[_below(getrandbits, other_count)]
                 kind = "like" if random_() < 0.5 else "reblog"
-                if (noter, kind) in seen_notes:
-                    continue
-                seen_notes.add((noter, kind))
-                notes.append({"blog_name": noter, "kind": kind})
+                if (noter, kind) not in notes:
+                    notes[noter, kind] = {"blog_name": noter, "kind": kind}
 
             posts.append({
-                "id": f"post-{post_serial:05d}",
+                "id": f"post-{len(posts):05d}",
                 "blog_name": name,
                 "type": "text",
                 "body": body,
                 "tags": tags,
-                "notes": notes,
+                "notes": list(notes.values()),
             })
-            post_serial += 1
 
     store = {
         "blogs": [{"name": name} for name in names],

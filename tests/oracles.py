@@ -1046,6 +1046,15 @@ class ReferenceCrawlSession(CrawlSession):
         for label in sorted(labels, key=lambda kind: kind.value):
             self._graph.add_link(src, dst, label)
 
+    # The selections made, counted as they happen; ``CrawlSession`` derives
+    # the count from its processed bloggers and stop reason.
+    _selections = 0
+
+    def step(self) -> bool:
+        running = super().step()
+        self._selections += running
+        return running
+
     def checkpoint(self) -> dict:
         return {
             "format": CHECKPOINT_FORMAT,

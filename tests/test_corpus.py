@@ -14,6 +14,7 @@ from spiderveil.corpus import (BOOTSTRAP_ROUNDS, ENGLISH_FUNCTION_WORDS,
                                filter_english, normalize_tag, normalize_text)
 from spiderveil.crawler import FixtureStore
 from spiderveil.errors import RetrievalError
+from spiderveil.simnet import GeneratorParams, generate
 
 from conftest import make_post, tear_writes
 from oracles import (reference_detect_language, reference_normalize_text,
@@ -353,6 +354,24 @@ class TestBootstrap:
         store = _ListStore({"a": posts})
         corpus, _ = bootstrap_exemplars(store, ["a"], 4)
         assert len(corpus.documents) == 4
+
+    def test_no_post_is_normalized_twice(self, monkeypatch):
+        # README's walkthrough store repeats posts across tag pages; a post
+        # collected from one page is not normalized again on the next.
+        store = FixtureStore(generate(GeneratorParams(total_bloggers=120,
+                                                      rng_seed=11))[0])
+        normalized = []
+        method = Post.normalized_text
+
+        def counted(post):
+            normalized.append(post.id)
+            return method(post)
+
+        monkeypatch.setattr(Post, "normalized_text", counted)
+        corpus, _ = bootstrap_exemplars(store, ["stargazing"], 120)
+        assert len(corpus.documents) == 120
+        assert len(normalized) == len(set(normalized))
+        assert set(corpus.document_ids) <= set(normalized)
 
     def test_retrieval_error_carries_tag(self):
         class FailingStore:

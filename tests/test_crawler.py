@@ -2202,6 +2202,27 @@ class TestCheckpointResume:
         "selections-past-processed": lambda doc: {
             **doc, "selections": doc["selections"] + 40},
         "selections-huge": lambda doc: {**doc, "selections": 10 ** 12},
+        # A running crawl has selected once per processed blogger, and a
+        # uniform one replays a draw per selection.
+        "selections-one-short": lambda doc: {
+            **doc, "selections": doc["selections"] - 1,
+            "config": {**doc["config"], "selection_policy": "uniform_random"}},
+        # No blogger is visited twice.
+        "pending-already-processed": lambda doc: {
+            **doc, "pending": {**doc["pending"], doc["processed"][1]: {
+                doc["config"]["seed"]: ["like"]}},
+            "frontier": doc["frontier"] + [{
+                "blog_name": doc["processed"][1], "relation": ["like"],
+                "parent": doc["config"]["seed"]}]},
+        "current-already-processed": lambda doc: {
+            **doc, "current": doc["processed"][1], "pending": {
+                doc["processed"][1] if target == doc["current"] else target:
+                parents for target, parents in doc["pending"].items()}},
+        # Once the seed is visited, only a pending blogger can be next.
+        "current-never-discovered": lambda doc: {
+            **doc, "current": "stranger", "pending": {
+                target: parents for target, parents in doc["pending"].items()
+                if target != doc["current"]}},
         "current-not-a-name": lambda doc: {**doc, "current": 5},
         # A step clears current exactly when it stops the crawl.
         "current-null-while-running": lambda doc: {
@@ -2224,6 +2245,59 @@ class TestCheckpointResume:
         frozen = edited(self._frozen_midway(small_bundle))
         with pytest.raises(GraphFormatError):
             CrawlSession.resume(small_bundle.store, small_bundle.model, frozen)
+
+    @pytest.mark.parametrize("policy", list(SelectionPolicy))
+    def test_run_after_a_raised_visit_equals_the_uninterrupted_run(
+            self, small_bundle, policy):
+        # A visit that raises changes nothing, so the next run visits the
+        # same blogger with all its discoverers, as does a resume.
+        whole = self._session(small_bundle, selection_policy=policy)
+        expected = whole.run()
+        broken = next(name for name in expected.graph.nodes()
+                      if name != whole.config.seed)
+
+        class RaisingOnce:
+            raised = False
+
+            def blogger_posts(self, name, limit=None):
+                if name == broken and not self.raised:
+                    self.raised = True
+                    raise GraphFormatError("bad posts payload: not an object")
+                return small_bundle.store.blogger_posts(name, limit=limit)
+
+        session = CrawlSession(RaisingOnce(), small_bundle.model, whole.config)
+        while True:
+            before = session.checkpoint()
+            try:
+                session.step()
+            except GraphFormatError:
+                break
+        after = session.checkpoint()
+        assert session.run().canonical_bytes() == expected.canonical_bytes()
+        assert after == before
+        resumed = CrawlSession.resume(small_bundle.store, small_bundle.model,
+                                      json.loads(json.dumps(after)))
+        assert resumed.run().canonical_bytes() == expected.canonical_bytes()
+
+    def test_raised_seed_visit_leaves_an_unstarted_crawl(self, hand_store,
+                                                         hand_model,
+                                                         hand_config):
+        class FailingSeed:
+            def blogger_posts(self, name, limit=None):
+                if name == hand_config.seed:
+                    raise RetrievalError("boom", retries=3)
+                return hand_store.blogger_posts(name, limit=limit)
+
+        session = CrawlSession(FailingSeed(), hand_model, hand_config)
+        with pytest.raises(RetrievalError):
+            session.step()
+        frozen = session.checkpoint()
+        assert frozen == CrawlSession(hand_store, hand_model,
+                                      hand_config).checkpoint()
+        assert frozen["processed"] == [] and frozen["selections"] == 0
+        resumed = CrawlSession.resume(hand_store, hand_model, frozen)
+        assert resumed.run().canonical_bytes() == crawl(
+            hand_store, hand_model, hand_config).canonical_bytes()
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_checkpoints_equal_reference(self, seed):
